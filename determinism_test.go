@@ -6,6 +6,11 @@ package repro
 // one worker or many. The winner rule (last write of the highest-numbered
 // processor), contention counts, and violation selection are all defined
 // independently of the chunk layout, so Workers is a pure throughput knob.
+// Workers=1 commits through the serial column barrier and Workers=8
+// through the sharded two-pass commit, so every comparison here is also
+// a differential test of the two barriers. (The GSM's grain keeps
+// machines of at most 64 processors on the serial barrier at both
+// settings.)
 
 import (
 	"math/rand"

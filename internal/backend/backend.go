@@ -14,7 +14,8 @@ import (
 )
 
 // Names lists the selectable backends: "inproc" is the engine's built-in
-// sharded merge (the default, represented by a nil engine.Backend);
+// merge (the default, represented by a nil engine.Backend): the serial
+// column barrier at one worker, the sharded two-pass commit above that;
 // "proc" is the multi-process transport of internal/backend/proc.
 func Names() []string { return []string{"inproc", "proc"} }
 

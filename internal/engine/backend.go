@@ -6,11 +6,13 @@ import (
 )
 
 // This file is the commit-barrier backend seam. The engine's default
-// ("inproc") commit path is the sharded two-pass merge in mem.go /
-// bitmem.go / route.go — it stays byte-for-byte what it always was. A
-// Backend replaces only the *measurement* half of the barrier: counting
-// per-cell contention, detecting read+write violations and measuring the
-// h-relation over the request columns. Everything value-carrying stays on
+// ("inproc") commit path is the serial column barrier at one worker
+// (commitBackend in mem.go / bitmem.go / route.go, counting with
+// MemMerger / RouteMerger below) and the sharded two-pass merge above
+// one worker. A Backend plugs into the column barrier and replaces only
+// the *measurement* half of it: counting per-cell contention, detecting
+// read+write violations and measuring the h-relation over the request
+// columns. Everything value-carrying stays on
 // the coordinating process — write payloads, inbox contents, observer
 // emission, cost charging and checkpoint/rollback — because the engines
 // are generic over payload types the transport cannot serialize.
@@ -80,7 +82,7 @@ type RouteStats struct {
 }
 
 // Backend computes the commit-barrier merge statistics for a machine. A
-// nil backend selects the built-in in-proc sharded merge. Implementations
+// nil backend selects the built-in in-proc merge. Implementations
 // must be deterministic functions of the request columns (the reference
 // rules are MemMerger/RouteMerger); they may fail with transport errors,
 // which the engine converts into retry-or-poison per TransportError.
@@ -173,122 +175,201 @@ func (c *Core) transportStatus(err error) PhaseStatus {
 	return PhaseRetry
 }
 
-// MemMerger is the reference shared-memory merge: the exact contention
-// and violation rules of the in-proc sharded commit, applied serially
-// over one contiguous cell range [lo, hi). Backend workers run it over
-// their owned range; tests run it over the whole space and compare
-// against the built-in path. The scratch persists across merges, so a
-// steady-state merge allocates nothing.
+// colBatch is how many column headers the serial barrier hands a merger
+// per call: enough to amortise the call, small enough to live on the
+// stack.
+const colBatch = 64
+
+// MemMerger is the shared-memory contention rule set: the per-cell
+// processor counts and the read+write clash check, applied serially over
+// one contiguous cell range [lo, hi). The engine's serial column barrier
+// (one worker, no backend) feeds it the active processors' own columns;
+// backend workers run it over their owned range via Merge. The scratch
+// persists across merges, so a steady-state merge allocates nothing.
 //
-// Rules (mirroring mem.go pass 2): contention counts *processors* per
-// cell — duplicate requests by one processor dedupe via the last mark;
-// all reads are counted before all writes, so a positive count at a
-// written cell means the forbidden read+write mix, and the smallest such
-// cell is reported.
+// Rules (the same as mem.go's sharded pass 2): contention counts
+// *processors* per cell — duplicate requests by one processor dedupe via
+// the last mark; all reads are counted before all writes, so a positive
+// count at a written cell means the forbidden read+write mix, and the
+// smallest such cell is reported.
+//
+// A merge is begin, then reads over every processor's read column, then
+// writes over every processor's write column, then end. Columns come in
+// ascending processor order, in as many reads/writes calls as the
+// caller likes.
 type MemMerger struct {
 	count, last []int32
 	touched     []int32
+	lo, hi      int32
+	st          MergeStats
 }
 
 // Merge computes the merge statistics for the cells in [lo, hi);
 // requests outside the range are ignored (the caller shards the columns
 // or passes the full space).
 func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
-	width := hi - lo
-	if width < 0 {
-		width = 0
-	}
+	g.begin(lo, hi)
+	g.reads(nil, req.Reads)
+	g.writes(nil, req.Writes, req.Packed)
+	return g.end()
+}
+
+// begin starts a merge over the cells in [lo, hi).
+func (g *MemMerger) begin(lo, hi int) {
+	width := max(hi-lo, 0)
 	if len(g.count) < width {
-		g.count = make([]int32, width)
-		g.last = make([]int32, width)
+		g.count, g.last = make([]int32, width), make([]int32, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 	}
-	st := MergeStats{Viol: -1}
-	touched := g.touched[:0]
-	for i, col := range req.Reads {
-		pr := int32(i) + 1
+	g.lo, g.hi = int32(lo), int32(lo+width)
+	g.st = MergeStats{Viol: -1}
+	g.touched = g.touched[:0]
+}
+
+// reads counts read columns: cols[k] belongs to processor procs[k], or
+// to processor k when procs is nil.
+func (g *MemMerger) reads(procs []int32, cols [][]int32) {
+	lo, hi := g.lo, g.hi
+	count, last := g.count, g.last
+	touched := g.touched
+	kr := g.st.KRead
+	for k, col := range cols {
+		pr := int32(k) + 1
+		if procs != nil {
+			pr = procs[k] + 1
+		}
 		for _, a := range col {
-			if int(a) < lo || int(a) >= hi {
+			if a < lo || a >= hi {
 				continue
 			}
-			x := a - int32(lo)
-			if g.last[x] == pr {
+			x := a - lo
+			if last[x] == pr {
 				continue
 			}
-			g.last[x] = pr
-			if g.count[x] == 0 {
+			last[x] = pr
+			if count[x] == 0 {
 				touched = append(touched, x)
 			}
-			g.count[x]++
-			st.KRead = max(st.KRead, int64(g.count[x]))
+			count[x]++
+			kr = max(kr, int64(count[x]))
 		}
 	}
-	for i, col := range req.Writes {
-		pr := -(int32(i) + 1)
+	g.touched, g.st.KRead = touched, kr
+}
+
+// writes counts write columns, indexed like reads; packed columns hold
+// addr<<1 | bit entries.
+func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
+	lo, hi := g.lo, g.hi
+	count, last := g.count, g.last
+	touched := g.touched
+	kw, viol := g.st.KWrite, g.st.Viol
+	var shift uint
+	if packed {
+		shift = 1
+	}
+	for k, col := range cols {
+		pr := -(int32(k) + 1)
+		if procs != nil {
+			pr = -(procs[k] + 1)
+		}
 		for _, e := range col {
-			a := e
-			if req.Packed {
-				a = e >> 1
-			}
-			if int(a) < lo || int(a) >= hi {
+			a := e >> shift
+			if a < lo || a >= hi {
 				continue
 			}
-			x := a - int32(lo)
-			if g.count[x] > 0 {
-				if st.Viol < 0 || a < st.Viol {
-					st.Viol = a
+			x := a - lo
+			if count[x] > 0 {
+				if viol < 0 || a < viol {
+					viol = a
 				}
 				continue
 			}
-			if g.last[x] == pr {
+			if last[x] == pr {
 				continue
 			}
-			g.last[x] = pr
-			if g.count[x] == 0 {
+			last[x] = pr
+			if count[x] == 0 {
 				touched = append(touched, x)
 			}
-			g.count[x]--
-			st.KWrite = max(st.KWrite, int64(-g.count[x]))
+			count[x]--
+			kw = max(kw, int64(-count[x]))
 		}
 	}
-	for _, x := range touched {
+	g.touched, g.st.KWrite, g.st.Viol = touched, kw, viol
+}
+
+// end finishes the merge: it zeroes the touched scratch and returns the
+// statistics.
+func (g *MemMerger) end() MergeStats {
+	for _, x := range g.touched {
 		g.count[x] = 0
 		g.last[x] = 0
 	}
-	g.touched = touched[:0]
-	return st
+	g.touched = g.touched[:0]
+	return g.st
 }
 
-// RouteMerger is the reference routing merge: per-destination fan-in
-// counting over one contiguous component range [lo, hi), mirroring the
-// in-proc pass 2. The scratch persists across merges.
+// RouteMerger is the routing rule set: per-destination fan-in counting
+// over one contiguous component range [lo, hi), the same count as the
+// in-proc sharded pass 2. The engine's serial column barrier feeds it the
+// senders' own destination columns; backend workers run it via Merge.
+// The scratch persists across merges, and only the counted destinations
+// are cleared afterwards. A merge is begin, dsts over every sender's
+// column (in as many calls as the caller likes), then end.
 type RouteMerger struct {
-	recv []int64
+	recv    []int64
+	touched []int32
+	lo, hi  int32
+	hrecv   int64
 }
 
 // Merge returns the maximum fan-in over destinations in [lo, hi);
 // destinations outside the range are ignored.
 func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
-	width := hi - lo
-	if width < 0 {
-		width = 0
-	}
+	g.begin(lo, hi)
+	g.dsts(req.Dsts)
+	return g.end()
+}
+
+// begin starts a merge over the destinations in [lo, hi).
+func (g *RouteMerger) begin(lo, hi int) {
+	width := max(hi-lo, 0)
 	if len(g.recv) < width {
-		g.recv = make([]int64, width)
-	} else {
-		for i := 0; i < width; i++ {
-			g.recv[i] = 0
-		}
+		g.recv = make([]int64, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 	}
-	for _, col := range req.Dsts {
+	g.lo, g.hi = int32(lo), int32(lo+width)
+	g.hrecv = 0
+	g.touched = g.touched[:0]
+}
+
+// dsts counts destination columns.
+func (g *RouteMerger) dsts(cols [][]int32) {
+	lo, hi := g.lo, g.hi
+	recv := g.recv
+	touched := g.touched
+	hr := g.hrecv
+	for _, col := range cols {
 		for _, d := range col {
-			if int(d) >= lo && int(d) < hi {
-				g.recv[int(d)-lo]++
+			if d < lo || d >= hi {
+				continue
 			}
+			x := d - lo
+			if recv[x] == 0 {
+				touched = append(touched, x)
+			}
+			recv[x]++
+			hr = max(hr, recv[x])
 		}
 	}
-	var st RouteStats
-	for i := 0; i < width; i++ {
-		st.HRecv = max(st.HRecv, g.recv[i])
+	g.touched, g.hrecv = touched, hr
+}
+
+// end finishes the merge: it clears the counted destinations and returns
+// the maximum fan-in.
+func (g *RouteMerger) end() RouteStats {
+	for _, x := range g.touched {
+		g.recv[x] = 0
 	}
-	return st
+	g.touched = g.touched[:0]
+	return RouteStats{HRecv: g.hrecv}
 }

@@ -1,0 +1,392 @@
+package engine_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/fault"
+)
+
+// FuzzBarrierDifferential runs one random phase program through every
+// commit barrier and demands byte-identical results. The barriers are:
+//
+//   - the serial column barrier (Workers=1, no backend);
+//   - the sharded two-pass commit (Workers=4);
+//   - a Backend that answers with MemMerger/RouteMerger over two cell
+//     ranges, the way proc rank workers split the space, at Workers=1
+//     and Workers=4.
+//
+// Programs mix per-cell and batch submission, duplicate requests,
+// read+write clashes, sparse phases with most processors idle, packed
+// bits and fan-in sends. Each program runs on Mem, BitMem and Route,
+// once clean and once under a seeded fault plan (transient memory and
+// message faults, degraded crashes, injected violations). The memory
+// image or inboxes, the cost report, the event stream, the error text
+// and the fault accounting must all match the serial run.
+func FuzzBarrierDifferential(f *testing.F) {
+	f.Add([]byte("\x07\x20\x04\x11\x03\x01\x05\x02\x09\x04\x30\x02\x07\x06\x05\x01\x02\x03"))
+	f.Add([]byte("\x0b\x9f\x05\x2a\x00\x02\x03\x04\x05\x06\x07\x08\x01\x02\x03\x04\x05\x06\x07\x08"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog := decodeProgram(data)
+		for _, faulted := range []bool{false, true} {
+			checkSame(t, "mem", faulted, func(c barrierConfig) barrierRun { return runMemProgram(t, prog, c, faulted) })
+			checkSame(t, "bit", faulted, func(c barrierConfig) barrierRun { return runBitProgram(t, prog, c, faulted) })
+			checkSame(t, "route", faulted, func(c barrierConfig) barrierRun { return runRouteProgram(t, prog, c, faulted) })
+		}
+	})
+}
+
+// barrierConfig selects one commit barrier.
+type barrierConfig struct {
+	name    string
+	workers int
+	backend bool
+}
+
+var barrierConfigs = []barrierConfig{
+	{"serial", 1, false},
+	{"sharded", 4, false},
+	{"backend", 1, true},
+	{"backend-W4", 4, true},
+}
+
+// barrierRun is everything a run exposes, rendered for comparison.
+type barrierRun struct {
+	state, report, events, err, stats string
+}
+
+func checkSame(t *testing.T, engineName string, faulted bool, run func(barrierConfig) barrierRun) {
+	t.Helper()
+	want := run(barrierConfigs[0])
+	for _, c := range barrierConfigs[1:] {
+		got := run(c)
+		for _, d := range []struct{ what, want, got string }{
+			{"state", want.state, got.state},
+			{"report", want.report, got.report},
+			{"events", want.events, got.events},
+			{"error", want.err, got.err},
+			{"fault stats", want.stats, got.stats},
+		} {
+			if d.want != d.got {
+				t.Fatalf("%s faulted=%t: %s differs between serial and %s:\nserial: %s\n%s: %s",
+					engineName, faulted, d.what, c.name, d.want, c.name, d.got)
+			}
+		}
+	}
+}
+
+// refBackend answers merges with the reference mergers, split over two
+// ranges like a two-rank proc backend.
+type refBackend struct {
+	mem   [2]engine.MemMerger
+	route [2]engine.RouteMerger
+}
+
+func (*refBackend) Name() string { return "ref" }
+func (*refBackend) Close() error { return nil }
+
+func (b *refBackend) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error) {
+	mid := req.Cells / 2
+	lo, hi := b.mem[0].Merge(req, 0, mid), b.mem[1].Merge(req, mid, req.Cells)
+	st := engine.MergeStats{KRead: max(lo.KRead, hi.KRead), KWrite: max(lo.KWrite, hi.KWrite), Viol: lo.Viol}
+	if st.Viol < 0 {
+		st.Viol = hi.Viol
+	}
+	return st, nil
+}
+
+func (b *refBackend) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, error) {
+	mid := req.P / 2
+	lo, hi := b.route[0].Merge(req, 0, mid), b.route[1].Merge(req, mid, req.P)
+	return engine.RouteStats{HRecv: max(lo.HRecv, hi.HRecv)}, nil
+}
+
+// --- program generation ----------------------------------------------------
+
+// byteReader hands out fuzz bytes, then zeros once the input runs out,
+// so every input decodes to a finite program.
+type byteReader struct {
+	b []byte
+	i int
+}
+
+func (r *byteReader) next() int {
+	if r.i >= len(r.b) {
+		return 0
+	}
+	v := r.b[r.i]
+	r.i++
+	return int(v)
+}
+
+// pick returns an address in [lo, hi), or −1 for an empty range.
+func (r *byteReader) pick(lo, hi int) int {
+	if hi <= lo {
+		return -1
+	}
+	return lo + r.next()%(hi-lo)
+}
+
+// reqOp is one request-issuing step of a processor's phase body.
+type reqOp struct {
+	kind        int
+	addr, addr2 int
+	// k is the block width; wide is BitMem's ReadWord width (≤ 64).
+	k, wide int
+	val     int64
+}
+
+// Request-op kinds. Reads target the phase's read range and writes its
+// write range; a phase whose ranges overlap may clash.
+const (
+	opRead      = iota // Read(addr)
+	opWrite            // Write(addr, val)
+	opReadDup          // Read(addr) twice
+	opWriteDup         // Write(addr, val) then Write(addr, val+1)
+	opReadBlock        // ReadBlock / ReadWord over [addr, addr+k)
+	opWriteFill        // WriteFill / k per-cell writes over [addr, addr+k)
+	opScatter          // WriteBatch {addr, addr2} / two per-cell writes
+	opSubmit           // Submit {Reads: addr}, {Writes: addr2} / Read + Write
+	opLocal            // Op(k)
+	numOps
+)
+
+// sendOp is one staging step of a component's superstep body.
+type sendOp struct {
+	dst   int32
+	val   int64
+	batch bool
+}
+
+// program is a decoded phase program: per phase, per processor, the
+// request ops (memory engines) and the sends (routing engine).
+type program struct {
+	p, cells int
+	seed     int64
+	ops      [][][]reqOp
+	sends    [][][]sendOp
+	work     [][]int64
+}
+
+func decodeProgram(data []byte) *program {
+	r := &byteReader{b: data}
+	pr := &program{p: 1 + r.next()%12, cells: 1 + r.next()%160}
+	pr.seed = int64(r.next())
+	phases := 1 + r.next()%6
+	for ph := 0; ph < phases; ph++ {
+		density := 1 + r.next()%4 // active processors: density/4 of them
+		clash := r.next()%3 == 0
+		split := r.next() % (pr.cells + 1)
+		rlo, rhi, wlo, whi := 0, split, split, pr.cells
+		if ph%2 == 1 {
+			rlo, rhi, wlo, whi = split, pr.cells, 0, split
+		}
+		if clash {
+			rlo, rhi, wlo, whi = 0, pr.cells, 0, pr.cells
+		}
+		fan := 1 + r.next()%pr.p
+		phOps := make([][]reqOp, pr.p)
+		phSends := make([][]sendOp, pr.p)
+		phWork := make([]int64, pr.p)
+		for i := 0; i < pr.p; i++ {
+			if r.next()%4 >= density {
+				continue
+			}
+			for n := r.next() % 4; n > 0; n-- {
+				op := reqOp{kind: r.next() % numOps, k: 1 + r.next()%8, val: int64(r.next())}
+				switch op.kind {
+				case opRead, opReadDup, opReadBlock:
+					op.addr = r.pick(rlo, rhi)
+					op.k = min(op.k, rhi-op.addr)
+					op.wide = min(1+r.next()%64, rhi-op.addr)
+				case opWrite, opWriteDup, opWriteFill:
+					op.addr = r.pick(wlo, whi)
+					op.k = min(op.k, whi-op.addr)
+				case opScatter:
+					op.addr, op.addr2 = r.pick(wlo, whi), r.pick(wlo, whi)
+				case opSubmit:
+					op.addr, op.addr2 = r.pick(rlo, rhi), r.pick(wlo, whi)
+					if op.addr < 0 || op.addr2 < 0 {
+						op.addr = -1
+					}
+				}
+				if op.kind != opLocal && op.addr < 0 {
+					continue
+				}
+				phOps[i] = append(phOps[i], op)
+			}
+			phWork[i] = int64(r.next() % 4)
+			for n := r.next() % 4; n > 0; n-- {
+				phSends[i] = append(phSends[i], sendOp{
+					dst: int32(r.next() % fan), val: int64(r.next()), batch: r.next()%2 == 0,
+				})
+			}
+		}
+		pr.ops = append(pr.ops, phOps)
+		pr.sends = append(pr.sends, phSends)
+		pr.work = append(pr.work, phWork)
+	}
+	return pr
+}
+
+// --- engine drivers ----------------------------------------------------------
+
+func attach(m interface {
+	SetBackend(engine.Backend)
+	InjectFaults(engine.Injector, engine.RetryPolicy, bool)
+}, c barrierConfig, inj engine.Injector) {
+	if c.backend {
+		m.SetBackend(&refBackend{})
+	}
+	if inj != nil {
+		m.InjectFaults(inj, engine.RetryPolicy{MaxAttempts: 4}, true)
+	}
+}
+
+func memPlan(pr *program, faulted bool) engine.Injector {
+	if !faulted {
+		return nil
+	}
+	return fault.NewPlan(pr.seed,
+		fault.Spec{Kind: fault.MemTransient, Phase: -1, Prob: 0.3},
+		fault.Spec{Kind: fault.Crash, Phase: -1, Proc: -1, Prob: 0.1, MaxShots: 1},
+		fault.Spec{Kind: fault.Violation, Phase: -1, Prob: 0.05})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+func finishRun(state any, m engine.Machine, ev *engine.EventLog) barrierRun {
+	return barrierRun{
+		state:  fmt.Sprint(state),
+		report: fmt.Sprintf("%+v", *m.Report()),
+		events: strings.Join(ev.Lines(), "\n"),
+		err:    errText(m.Err()),
+		stats:  fmt.Sprintf("%+v", m.FaultStats()),
+	}
+}
+
+func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
+	m := newMemMachine(t, pr.p, pr.cells, c.workers)
+	ev := &engine.EventLog{}
+	m.AddObserver(ev)
+	attach(m, c, memPlan(pr, faulted))
+	for i := range m.Data() {
+		m.Data()[i] = int64(i * 7)
+	}
+	for _, phOps := range pr.ops {
+		m.Phase(func(ctx *engine.MemCtx[int64]) {
+			for _, op := range phOps[ctx.Proc()] {
+				switch op.kind {
+				case opRead:
+					ctx.Read(op.addr)
+				case opWrite:
+					ctx.Write(op.addr, op.val)
+				case opReadDup:
+					ctx.Read(op.addr)
+					ctx.Read(op.addr)
+				case opWriteDup:
+					ctx.Write(op.addr, op.val)
+					ctx.Write(op.addr, op.val+1)
+				case opReadBlock:
+					ctx.ReadBlock(op.addr, op.k)
+				case opWriteFill:
+					ctx.WriteFill(op.addr, op.k, op.val)
+				case opScatter:
+					ctx.WriteBatch([]int32{int32(op.addr), int32(op.addr2)}, []int64{op.val, op.val + 2})
+				case opSubmit:
+					ctx.Submit(engine.Batch[int64]{Reads: []int32{int32(op.addr)},
+						Writes: []int32{int32(op.addr2)}, Vals: []int64{op.val}})
+				case opLocal:
+					ctx.Op(op.k)
+				}
+			}
+		})
+	}
+	return finishRun(m.Data(), m, ev)
+}
+
+func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
+	m := newBitMachine(t, pr.p, pr.cells, c.workers)
+	ev := &engine.EventLog{}
+	m.AddObserver(ev)
+	attach(m, c, memPlan(pr, faulted))
+	for i := 0; i < pr.cells; i += 3 {
+		m.SetBit(i, true)
+	}
+	for _, phOps := range pr.ops {
+		m.Phase(func(ctx *engine.BitCtx) {
+			for _, op := range phOps[ctx.Proc()] {
+				bit := op.val&1 == 1
+				switch op.kind {
+				case opRead:
+					ctx.Read(op.addr)
+				case opWrite:
+					ctx.Write(op.addr, bit)
+				case opReadDup:
+					ctx.Read(op.addr)
+					ctx.Read(op.addr)
+				case opWriteDup:
+					ctx.Write(op.addr, bit)
+					ctx.Write(op.addr, !bit)
+				case opReadBlock:
+					ctx.ReadWord(op.addr, op.wide)
+				case opWriteFill:
+					for j := 0; j < op.k; j++ {
+						ctx.Write(op.addr+j, bit)
+					}
+				case opScatter:
+					ctx.Write(op.addr, bit)
+					ctx.Write(op.addr2, !bit)
+				case opSubmit:
+					ctx.Read(op.addr)
+					ctx.Write(op.addr2, bit)
+				case opLocal:
+					ctx.Op(op.k)
+				}
+			}
+		})
+	}
+	return finishRun(m.Words(), m, ev)
+}
+
+func runRouteProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
+	m := newRouteMachine(t, pr.p, c.workers)
+	ev := &engine.EventLog{}
+	m.AddObserver(ev)
+	var inj engine.Injector
+	if faulted {
+		inj = fault.NewPlan(pr.seed,
+			fault.Spec{Kind: fault.MsgDrop, Phase: -1, Prob: 0.2},
+			fault.Spec{Kind: fault.MsgDup, Phase: -1, Prob: 0.2},
+			fault.Spec{Kind: fault.Crash, Phase: -1, Proc: -1, Prob: 0.1, MaxShots: 1})
+	}
+	attach(m, c, inj)
+	for ph, phSends := range pr.sends {
+		work := pr.work[ph]
+		m.Superstep(func(i int, s *engine.Sends[int64]) {
+			s.AddWork(work[i])
+			// Message values carry the inbox size, so a wrong delivery
+			// shows in the next superstep's sends too.
+			base := 1000 * int64(len(m.Incoming(i)))
+			for _, op := range phSends[i] {
+				if op.batch {
+					s.StageBatch([]int32{op.dst}, []int64{base + op.val})
+				} else {
+					s.Stage(op.dst, base+op.val)
+				}
+			}
+		})
+	}
+	inbox := make([][]int64, pr.p)
+	for i := range inbox {
+		inbox[i] = m.Incoming(i)
+	}
+	return finishRun(inbox, m, ev)
+}

@@ -238,23 +238,25 @@ func TestStageBatchEquivalence(t *testing.T) {
 
 // TestBatchSteadyStateAllocs pins the columnar promise: a phase that
 // submits large batches reuses the struct-of-arrays columns and commit
-// buckets after warm-up, so allocations stay flat regardless of the
-// per-processor request volume.
+// scratch after warm-up, under both barriers, so allocations stay flat
+// regardless of the per-processor request volume.
 func TestBatchSteadyStateAllocs(t *testing.T) {
-	const p, k = 16, 128
-	m := newMemMachine(t, p, 2*p*k, 1)
-	body := func(c *engine.MemCtx[int64]) {
-		pr := c.Proc()
-		c.ReadBlock(pr*k, k)
-		c.WriteFill(p*k+pr*k, k, int64(pr))
-	}
-	m.Phase(body)
-	m.Phase(body)
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(100, func() { m.Phase(body) })
-	if avg > 8 {
-		t.Errorf("steady-state batch phase allocates %.1f objects/run, want ≤ 8", avg)
-	}
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p, k = 16, 128
+		m := newMemMachine(t, p, 2*p*k, workers)
+		body := func(c *engine.MemCtx[int64]) {
+			pr := c.Proc()
+			c.ReadBlock(pr*k, k)
+			c.WriteFill(p*k+pr*k, k, int64(pr))
+		}
+		m.Phase(body)
+		m.Phase(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() { m.Phase(body) })
+		if avg > allocLimit[workers] {
+			t.Errorf("steady-state batch phase allocates %.1f objects/run, want ≤ %.0f", avg, allocLimit[workers])
+		}
+	})
 }

@@ -16,11 +16,14 @@ import (
 // as the equivalent word-valued run — only the storage and the commit
 // apply are word-level.
 //
-// Commit writes are sharded over the *word* space (shard key addr>>6),
-// never the bit space: every word belongs to exactly one shard, so the
-// parallel apply and the per-bit contention scratch touch disjoint words
-// without atomics. Checkpoint/rollback and corruptCell operate on the
-// packed words too, so a transient fault over n bits copies n/64 words.
+// At one worker the serial column barrier counts contention over the
+// packed write columns (addr<<1 | bit) with MemMerger and applies them
+// per active processor. Above one worker commit writes are sharded over
+// the *word* space (shard key addr>>6), never the bit space: every word
+// belongs to exactly one shard, so the parallel apply and the per-bit
+// contention scratch touch disjoint words without atomics.
+// Checkpoint/rollback and corruptCell operate on the packed words too, so
+// a transient fault over n bits copies n/64 words.
 
 // BitModel is the adapter contract of a bit-valued shared-memory
 // machine: the model's naming, cost rule, error prefix and violation
@@ -52,13 +55,17 @@ type BitMem struct {
 	// ctxs is the per-machine free list of phase contexts, one per
 	// processor, reset and reused every phase.
 	ctxs []*BitCtx
-	// cb holds the reusable scratch of the sharded commit pipeline.
+	// cb holds the reusable scratch of the sharded commit pipeline
+	// (Workers > 1); the column barrier never touches it.
 	cb bitBuf
 	// ckWords is the word-level memory snapshot of the last Checkpoint.
 	ckWords []uint64
-	// bkReads/bkWrites are the reusable column-of-columns headers handed
+	// Column-barrier scratch, as in Mem: the active processors, the
+	// serial contention counter, and the column-of-columns headers handed
 	// to an attached Backend (the columns themselves are borrowed from the
 	// phase contexts).
+	active            []int32
+	merger            MemMerger
 	bkReads, bkWrites [][]int32
 }
 
@@ -331,13 +338,13 @@ func (b *bitBuf) ensure(nbits, nwords, workers, p int) (sh sched.Sharding, nm in
 	return sh, nm
 }
 
-// commit is Mem.commit for the packed representation: the same two
-// parallel passes, contention rules, violation selection and injector
-// protocol, with requests bucketed by the shard of their *word*
-// (addr>>6) so the apply and scratch accesses of different shards touch
-// disjoint words.
+// commit is Mem.commit for the packed representation: the same barrier
+// selection, two parallel passes, contention rules, violation selection
+// and injector protocol, with requests bucketed by the shard of their
+// *word* (addr>>6) so the apply and scratch accesses of different shards
+// touch disjoint words.
 func (m *BitMem) commit(workers int) PhaseStatus {
-	if m.backend != nil {
+	if m.backend != nil || workers <= 1 {
 		return m.commitBackend()
 	}
 	ctxs := m.ctxs
@@ -434,8 +441,7 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 		}
 	}
 	if violAddr >= 0 {
-		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-			m.model.Violation(), violAddr, m.Report().NumPhases()))
+		m.recordViolation(m.model.Violation(), violAddr)
 		m.finish(workers, nm, ns, false)
 		return PhaseAborted
 	}
@@ -443,13 +449,7 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 	if m.InjectorActive() {
 		switch v := m.consultInjector(m.nbits); v.Class {
 		case FaultPermanent:
-			if v.Violation {
-				m.RecordErr(fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Violation(), v.Err, m.Report().NumPhases()))
-			} else {
-				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Prefix(), m.Report().NumPhases(), v.Err))
-			}
+			m.recordPermanent(m.model.Prefix(), m.model.Violation(), v)
 			m.finish(workers, nm, ns, false)
 			return PhaseAborted
 		case FaultTransient:
@@ -470,47 +470,52 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 	return PhaseCommitted
 }
 
-// commitBackend is BitMem's commit barrier when a Backend is attached:
-// Mem.commitBackend for the packed representation. Write columns ship
-// packed (addr<<1 | bit, Packed set) and the apply unpacks them per
-// processor in ascending order — the same last-writer-wins winner at
-// every bit as the sharded word-space replay.
+// commitBackend is BitMem's column barrier: Mem.commitBackend for the
+// packed representation, serving both the serial commit (one worker, no
+// backend) and the backend commit. Write columns are packed
+// (addr<<1 | bit, Packed set for a backend) and the apply unpacks them
+// per active processor in ascending order — the same last-writer-wins
+// winner at every bit as the sharded word-space replay.
 func (m *BitMem) commitBackend() PhaseStatus {
-	ctxs := m.ctxs
+	bk := m.backend != nil
 	var mOp, mRW int64
-	reads := m.bkReads[:0]
-	writes := m.bkWrites[:0]
-	for _, c := range ctxs {
+	active := m.active[:0]
+	reads, writes := m.bkReads[:0], m.bkWrites[:0]
+	for i, c := range m.ctxs {
 		mOp = max(mOp, c.ops)
 		mRW = max(mRW, c.reads, c.wrs)
-		reads = append(reads, c.readAddrs)
-		writes = append(writes, c.writes)
+		if len(c.readAddrs) > 0 || len(c.writes) > 0 {
+			active = append(active, int32(i))
+		}
+		if bk {
+			reads = append(reads, c.readAddrs)
+			writes = append(writes, c.writes)
+		}
 	}
-	m.bkReads, m.bkWrites = reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the backend-path commit entry point
-	st, err := m.backend.MergeMem(MemMergeReq{
-		Phase: m.curPhase, Attempt: m.attempt, Cells: m.nbits, Packed: true,
-		Reads: reads, Writes: writes,
-	})
-	if err != nil {
-		return m.transportStatus(err)
+	m.active, m.bkReads, m.bkWrites = active, reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the serial and backend commit entry point
+	var st MergeStats
+	if bk {
+		var err error
+		st, err = m.backend.MergeMem(MemMergeReq{
+			Phase: m.curPhase, Attempt: m.attempt, Cells: m.nbits, Packed: true,
+			Reads: reads, Writes: writes,
+		})
+		if err != nil {
+			return m.transportStatus(err)
+		}
+	} else {
+		st = m.mergeActive()
 	}
 	if st.Viol >= 0 {
-		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-			m.model.Violation(), st.Viol, m.Report().NumPhases()))
+		m.recordViolation(m.model.Violation(), st.Viol)
 		return PhaseAborted
 	}
 
 	o := Outcome{MaxOps: mOp, MaxRW: mRW, KRead: st.KRead, KWrite: st.KWrite}
 	if m.InjectorActive() {
-		switch v := m.consultInjector(m.nbits); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
+		switch v := m.consultInjector(m.nbits); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier on the serial and backend paths; one draw per attempt, same as the sharded path
 		case FaultPermanent:
-			if v.Violation {
-				m.RecordErr(fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Violation(), v.Err, m.Report().NumPhases()))
-			} else {
-				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Prefix(), m.Report().NumPhases(), v.Err))
-			}
+			m.recordPermanent(m.model.Prefix(), m.model.Violation(), v)
 			return PhaseAborted
 		case FaultTransient:
 			m.chargePhase(o)
@@ -530,18 +535,37 @@ func (m *BitMem) commitBackend() PhaseStatus {
 	return PhaseCommitted
 }
 
+// mergeActive is Mem.mergeActive over the packed write columns.
+func (m *BitMem) mergeActive() MergeStats {
+	g := &m.merger
+	g.begin(0, m.nbits)
+	var cols [colBatch][]int32
+	for rest := m.active; len(rest) > 0; {
+		n := min(len(rest), colBatch)
+		for j, i := range rest[:n] {
+			cols[j] = m.ctxs[i].readAddrs
+		}
+		g.reads(rest[:n], cols[:n])
+		rest = rest[n:]
+	}
+	for rest := m.active; len(rest) > 0; {
+		n := min(len(rest), colBatch)
+		for j, i := range rest[:n] {
+			cols[j] = m.ctxs[i].writes
+		}
+		g.writes(rest[:n], cols[:n], true)
+		rest = rest[n:]
+	}
+	return g.end()
+}
+
 // applyCtxWrites commits the phase's packed writes straight from the
-// processor contexts in ascending processor order (the backend path's
-// replacement for the word-sharded replay).
+// active processors' contexts in ascending processor order (the column
+// barrier's replacement for the word-sharded replay).
 func (m *BitMem) applyCtxWrites() {
-	for _, c := range m.ctxs {
-		for _, pk := range c.writes {
-			a := pk >> 1
-			if pk&1 == 1 {
-				m.words[a>>6] |= 1 << (uint32(a) & 63) //lint:commitpurity-ok the backend path's apply half: called only from commitBackend inside the barrier
-			} else {
-				m.words[a>>6] &^= 1 << (uint32(a) & 63) //lint:commitpurity-ok the backend path's apply half: called only from commitBackend inside the barrier
-			}
+	for _, i := range m.active {
+		for _, pk := range m.ctxs[i].writes {
+			m.SetBit(int(pk>>1), pk&1 == 1)
 		}
 	}
 }

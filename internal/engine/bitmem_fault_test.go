@@ -17,107 +17,113 @@ import (
 // transient-aborted attempt leaves no trace beyond the charged recovery
 // stall, and the packed word image matches the clean run bit for bit.
 func TestBitMemRollbackRestoresCostExactly(t *testing.T) {
-	run := func(inj engine.Injector) *bitMachine {
-		m := newBitMachine(t, 4, 8, 1)
-		if inj != nil {
-			m.InjectFaults(inj, engine.RetryPolicy{MaxAttempts: 3, BackoffOps: 2}, false)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		run := func(inj engine.Injector) *bitMachine {
+			m := newBitMachine(t, 4, 8, workers)
+			if inj != nil {
+				m.InjectFaults(inj, engine.RetryPolicy{MaxAttempts: 3, BackoffOps: 2}, false)
+			}
+			for phase := 0; phase < 3; phase++ {
+				odd := phase%2 == 1
+				m.Phase(func(c *engine.BitCtx) {
+					c.Op(2)
+					c.Write(c.Proc(), odd)
+					c.Write(c.Proc()+4, !odd)
+				})
+			}
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
-		for phase := 0; phase < 3; phase++ {
-			odd := phase%2 == 1
-			m.Phase(func(c *engine.BitCtx) {
-				c.Op(2)
-				c.Write(c.Proc(), odd)
-				c.Write(c.Proc()+4, !odd)
-			})
-		}
-		if err := m.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	clean := run(nil)
-	faulted := run(scripted(map[int]engine.Verdict{
-		1: {Class: engine.FaultTransient, Err: errScripted, Proc: -1, Addr: 0},
-	}))
+		clean := run(nil)
+		faulted := run(scripted(map[int]engine.Verdict{
+			1: {Class: engine.FaultTransient, Err: errScripted, Proc: -1, Addr: 0},
+		}))
 
-	cr, fr := clean.Report(), faulted.Report()
-	if got, want := fr.NumPhases(), cr.NumPhases()+1; got != want {
-		t.Fatalf("NumPhases = %d, want %d (clean + 1 stall)", got, want)
-	}
-	if got, want := fr.TotalTime, cr.TotalTime+2; got != want {
-		t.Fatalf("TotalTime = %d, want %d (clean + stall cost 2)", got, want)
-	}
-	if got, want := fr.Work, cr.Work+2*4; got != want {
-		t.Fatalf("Work = %d, want %d (stall ops charged on all 4 processors)", got, want)
-	}
-	if !reflect.DeepEqual(clean.Words(), faulted.Words()) {
-		t.Fatalf("packed words diverged after rollback:\nclean:   %x\nfaulted: %x",
-			clean.Words(), faulted.Words())
-	}
-	fs := faulted.FaultStats()
-	if fs.Injected != 1 || fs.Recovered != 1 || fs.Retries != 1 {
-		t.Fatalf("stats = %+v, want one injected/recovered/retried", fs)
-	}
+		cr, fr := clean.Report(), faulted.Report()
+		if got, want := fr.NumPhases(), cr.NumPhases()+1; got != want {
+			t.Fatalf("NumPhases = %d, want %d (clean + 1 stall)", got, want)
+		}
+		if got, want := fr.TotalTime, cr.TotalTime+2; got != want {
+			t.Fatalf("TotalTime = %d, want %d (clean + stall cost 2)", got, want)
+		}
+		if got, want := fr.Work, cr.Work+2*4; got != want {
+			t.Fatalf("Work = %d, want %d (stall ops charged on all 4 processors)", got, want)
+		}
+		if !reflect.DeepEqual(clean.Words(), faulted.Words()) {
+			t.Fatalf("packed words diverged after rollback:\nclean:   %x\nfaulted: %x",
+				clean.Words(), faulted.Words())
+		}
+		fs := faulted.FaultStats()
+		if fs.Injected != 1 || fs.Recovered != 1 || fs.Retries != 1 {
+			t.Fatalf("stats = %+v, want one injected/recovered/retried", fs)
+		}
+	})
 }
 
 // A strict crash verdict during a bit-packed commit aborts the phase:
 // none of the attempt's packed writes apply, the machine poisons with a
 // diagnosable chain, and later phases add nothing.
 func TestBitMemCrashAbortsDuringPackedCommit(t *testing.T) {
-	m := newBitMachine(t, 4, 8, 1)
-	m.InjectFaults(scripted(map[int]engine.Verdict{
-		1: {Class: engine.FaultCrash, Err: errScripted, Proc: 2, Addr: -1},
-	}), engine.RetryPolicy{}, false)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newBitMachine(t, 4, 8, workers)
+		m.InjectFaults(scripted(map[int]engine.Verdict{
+			1: {Class: engine.FaultCrash, Err: errScripted, Proc: 2, Addr: -1},
+		}), engine.RetryPolicy{}, false)
 
-	m.Phase(func(c *engine.BitCtx) { c.Write(c.Proc(), true) })   // commits
-	m.Phase(func(c *engine.BitCtx) { c.Write(c.Proc()+4, true) }) // crashes at the barrier
-	m.Phase(func(c *engine.BitCtx) { c.Write(0, false) })         // poisoned: never runs
+		m.Phase(func(c *engine.BitCtx) { c.Write(c.Proc(), true) })   // commits
+		m.Phase(func(c *engine.BitCtx) { c.Write(c.Proc()+4, true) }) // crashes at the barrier
+		m.Phase(func(c *engine.BitCtx) { c.Write(0, false) })         // poisoned: never runs
 
-	err := m.Err()
-	if !errors.Is(err, errScripted) {
-		t.Fatalf("Err = %v, want the crash cause in the chain", err)
-	}
-	if !strings.Contains(err.Error(), "phase 1") {
-		t.Fatalf("Err = %q, want the crash phase in the message", err)
-	}
-	for i := 0; i < 4; i++ {
-		if !m.Bit(i) {
-			t.Errorf("bit %d lost: the committed phase must survive the crash", i)
+		err := m.Err()
+		if !errors.Is(err, errScripted) {
+			t.Fatalf("Err = %v, want the crash cause in the chain", err)
 		}
-		if m.Bit(i + 4) {
-			t.Errorf("bit %d set: the crashed attempt's packed writes applied", i+4)
+		if !strings.Contains(err.Error(), "phase 1") {
+			t.Fatalf("Err = %q, want the crash phase in the message", err)
 		}
-	}
-	if got := m.Report().NumPhases(); got != 1 {
-		t.Errorf("NumPhases = %d, want only the committed phase charged", got)
-	}
+		for i := 0; i < 4; i++ {
+			if !m.Bit(i) {
+				t.Errorf("bit %d lost: the committed phase must survive the crash", i)
+			}
+			if m.Bit(i + 4) {
+				t.Errorf("bit %d set: the crashed attempt's packed writes applied", i+4)
+			}
+		}
+		if got := m.Report().NumPhases(); got != 1 {
+			t.Errorf("NumPhases = %d, want only the committed phase charged", got)
+		}
+	})
 }
 
 // A degraded crash during a packed commit masks the victim instead of
 // poisoning: the crash phase itself still commits, and the processor
 // stops contributing from the next phase on.
 func TestBitMemDegradedCrashMasksProc(t *testing.T) {
-	m := newBitMachine(t, 4, 16, 1)
-	m.InjectFaults(scripted(map[int]engine.Verdict{
-		0: {Class: engine.FaultCrash, Err: errScripted, Proc: 2, Addr: -1},
-	}), engine.RetryPolicy{}, true)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newBitMachine(t, 4, 16, workers)
+		m.InjectFaults(scripted(map[int]engine.Verdict{
+			0: {Class: engine.FaultCrash, Err: errScripted, Proc: 2, Addr: -1},
+		}), engine.RetryPolicy{}, true)
 
-	m.Phase(func(c *engine.BitCtx) { c.Write(c.Proc(), true) }) // crash commits at this barrier
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if !m.Bit(i) {
-			t.Errorf("bit %d lost: the crash phase must still commit", i)
+		m.Phase(func(c *engine.BitCtx) { c.Write(c.Proc(), true) }) // crash commits at this barrier
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !m.CrashedProc(2) || m.CrashedCount() != 1 {
-		t.Fatalf("crash mask: CrashedProc(2)=%t count=%d, want the scripted victim masked",
-			m.CrashedProc(2), m.CrashedCount())
-	}
-	if got := m.Survivors(); len(got) != 3 {
-		t.Fatalf("Survivors = %v, want 3 processors", got)
-	}
+		for i := 0; i < 4; i++ {
+			if !m.Bit(i) {
+				t.Errorf("bit %d lost: the crash phase must still commit", i)
+			}
+		}
+		if !m.CrashedProc(2) || m.CrashedCount() != 1 {
+			t.Fatalf("crash mask: CrashedProc(2)=%t count=%d, want the scripted victim masked",
+				m.CrashedProc(2), m.CrashedCount())
+		}
+		if got := m.Survivors(); len(got) != 3 {
+			t.Fatalf("Survivors = %v, want 3 processors", got)
+		}
+	})
 }
 
 // The packed fault paths obey the Workers determinism contract: the

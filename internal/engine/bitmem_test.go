@@ -268,28 +268,31 @@ func TestBitMemDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestBitMemSteadyStateAllocs: the packed engine reuses contexts,
-// columns and word-shard buckets; a warmed-up phase allocates a handful
-// of objects regardless of p or the bit volume. The recycled EventLog
-// keeps observation allocation-free too (payloads are interned "0"/"1").
+// columns and commit scratch under both barriers; a warmed-up phase
+// allocates a handful of objects regardless of p or the bit volume. The
+// recycled EventLog keeps observation allocation-free too (payloads are
+// interned "0"/"1").
 func TestBitMemSteadyStateAllocs(t *testing.T) {
-	const p = 64
-	m := newBitMachine(t, p, 64*p, 1)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	body := func(c *engine.BitCtx) {
-		w := c.ReadWord(c.Proc()*32, 32)
-		c.Write(32*p+c.Proc(), w&1 == 1)
-	}
-	m.Phase(body)
-	m.Phase(body)
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		ev.Reset()
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p = 64
+		m := newBitMachine(t, p, 64*p, workers)
+		ev := &engine.EventLog{}
+		m.AddObserver(ev)
+		body := func(c *engine.BitCtx) {
+			w := c.ReadWord(c.Proc()*32, 32)
+			c.Write(32*p+c.Proc(), w&1 == 1)
+		}
 		m.Phase(body)
+		m.Phase(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			ev.Reset()
+			m.Phase(body)
+		})
+		if avg > allocLimit[workers] {
+			t.Errorf("steady-state observed bit phase allocates %.1f objects/run, want ≤ %.0f", avg, allocLimit[workers])
+		}
 	})
-	if avg > 8 {
-		t.Errorf("steady-state observed bit phase allocates %.1f objects/run, want ≤ 8", avg)
-	}
 }

@@ -10,12 +10,22 @@
 //     accumulated cost.Report, and the Observer hook.
 //   - Mem[V] is the shared-memory phase engine (QSM family and GSM,
 //     generic over the write payload): per-processor request contexts on
-//     a free list, the two-pass sharded commit with contention counting
-//     and read+write violation detection, and deterministic write
+//     a free list, the commit barrier with contention counting and
+//     read+write violation detection, and deterministic write
 //     application.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
 //     over the message type): staged sends, h-relation measurement and
 //     deterministic inbox delivery with ping-ponged buffers.
+//
+// Which barrier commits a phase follows from the worker count alone. With
+// one worker (after the model's grain) the serial column barrier runs:
+// one scan of the processor contexts, contention counted by MemMerger or
+// RouteMerger straight off the active processors' own request columns,
+// and the apply or delivery over those processors in ascending order.
+// With more workers the two-pass sharded commit runs: requests are
+// bucketed by address shard, then counted and applied per shard in
+// parallel. An attached Backend reuses the column barrier with the
+// contention count done by the backend.
 //
 // A simulator package is a thin adapter: it supplies a Model (naming,
 // cost rule, round classification, commit semantics — last-writer-wins,
@@ -25,9 +35,10 @@
 //
 // Determinism contract: every result observable through a machine —
 // memory contents, cost reports, traces, and the Observer event stream —
-// is byte-identical for every Workers setting. Request buckets are filled
-// in ascending processor order and replayed in ascending chunk order, and
-// all observer events are emitted from the coordinating goroutine.
+// is byte-identical for every Workers setting. Both barriers commit in
+// ascending processor order (the sharded one fills its buckets in
+// processor order and replays them in chunk order), and all observer
+// events are emitted from the coordinating goroutine.
 package engine
 
 import (
@@ -126,9 +137,11 @@ type Core struct {
 	ckMark    cost.Mark
 	ckOk      bool
 
-	// backend, when non-nil, replaces the built-in sharded barrier merge
-	// with an external merge service (see backend.go); nil is the default
-	// in-proc path, untouched.
+	// backend, when non-nil, replaces the contention count of the commit
+	// barrier with an external merge service (see backend.go); the column
+	// barrier then runs at every Workers setting. nil is the default
+	// in-proc path: the serial column barrier at one worker, the sharded
+	// commit above that.
 	backend Backend
 }
 
@@ -261,4 +274,25 @@ func (c *Core) chargePhase(o Outcome) cost.PhaseCost {
 	pc := c.model.PhaseCost(o)
 	c.report.Add(pc)
 	return pc
+}
+
+// recordViolation poisons a shared-memory machine whose phase both read
+// and wrote cell, wrapping the model's violation sentinel.
+func (c *Core) recordViolation(sentinel error, cell int32) {
+	c.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		sentinel, cell, c.report.NumPhases()))
+}
+
+// recordPermanent poisons a shared-memory machine with a permanent
+// injected fault. Injected contention-rule violations wrap the model's
+// own sentinel too (multi-%w), so they satisfy errors.Is for both the
+// fault sentinel and the model's Violation — exactly like a real
+// access-rule breach. Other permanent faults keep the package prefix
+// wording.
+func (c *Core) recordPermanent(prefix string, sentinel error, v Verdict) {
+	if v.Violation {
+		c.RecordErr(fmt.Errorf("%w: %w in phase %d", sentinel, v.Err, c.report.NumPhases())) //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		return
+	}
+	c.RecordErr(fmt.Errorf("%s: phase %d: %w", prefix, c.report.NumPhases(), v.Err)) //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
 }

@@ -48,6 +48,26 @@ func (memModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
 	}
 }
 
+// barrierWorkers are the worker counts the lifecycle, violation and
+// fault tests run at: 1 takes the serial column barrier, 4 the sharded
+// two-pass commit.
+var barrierWorkers = []int{1, 4}
+
+// allocLimit bounds the steady-state allocations of one warmed-up phase
+// per barrier. The serial barrier allocates only the dispatch closures and
+// the amortised report append. At Workers=4 the sharded barrier's
+// sched.Blocks fan-outs add their closures and goroutine captures (41
+// objects per Mem phase, 31 per Route superstep on go1.24); neither count
+// depends on p or on the request volume.
+var allocLimit = map[int]float64{1: 8, 4: 48}
+
+// forEachBarrier runs fn once per barrier, as subtests named W<workers>.
+func forEachBarrier(t *testing.T, fn func(t *testing.T, workers int)) {
+	for _, w := range barrierWorkers {
+		t.Run("W"+strconv.Itoa(w), func(t *testing.T) { fn(t, w) })
+	}
+}
+
 func newMemMachine(t *testing.T, p, cells, workers int) *memMachine {
 	t.Helper()
 	m := &memMachine{}
@@ -56,104 +76,110 @@ func newMemMachine(t *testing.T, p, cells, workers int) *memMachine {
 }
 
 func TestMemPhaseLifecycle(t *testing.T) {
-	m := newMemMachine(t, 4, 8, 1)
-	for i := range m.Data() {
-		m.Data()[i] = int64(10 * i)
-	}
-	m.Phase(func(c *engine.MemCtx[int64]) {
-		v := c.Read(c.Proc())
-		c.Write(c.Proc()+4, v+1)
-	})
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if got, want := m.Data()[i+4], int64(10*i+1); got != want {
-			t.Errorf("cell %d = %d, want %d", i+4, got, want)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newMemMachine(t, 4, 8, workers)
+		for i := range m.Data() {
+			m.Data()[i] = int64(10 * i)
 		}
-	}
-	m.Phase(func(c *engine.MemCtx[int64]) {
-		c.Op(3)
-		c.Write(0, int64(c.Proc()))
+		m.Phase(func(c *engine.MemCtx[int64]) {
+			v := c.Read(c.Proc())
+			c.Write(c.Proc()+4, v+1)
+		})
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if got, want := m.Data()[i+4], int64(10*i+1); got != want {
+				t.Errorf("cell %d = %d, want %d", i+4, got, want)
+			}
+		}
+		m.Phase(func(c *engine.MemCtx[int64]) {
+			c.Op(3)
+			c.Write(0, int64(c.Proc()))
+		})
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Data()[0]; got != 3 {
+			t.Errorf("winner: cell 0 = %d, want last write of highest processor (3)", got)
+		}
+		r := m.Report()
+		if r.NumPhases() != 2 {
+			t.Fatalf("NumPhases = %d, want 2", r.NumPhases())
+		}
+		// Phase 0: m_rw = max(1 read, 1 write) = 1, κ=1 → time 1.
+		// Phase 1: m_op=3, m_rw=1, κ_w=4 → time 4.
+		if got, want := r.Phases[0].Time, cost.Time(1); got != want {
+			t.Errorf("phase 0 time = %d, want %d", got, want)
+		}
+		if got, want := r.Phases[1].Time, cost.Time(4); got != want {
+			t.Errorf("phase 1 time = %d, want %d", got, want)
+		}
+		if got, want := r.TotalTime, cost.Time(5); got != want {
+			t.Errorf("TotalTime = %d, want %d", got, want)
+		}
 	})
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Data()[0]; got != 3 {
-		t.Errorf("winner: cell 0 = %d, want last write of highest processor (3)", got)
-	}
-	r := m.Report()
-	if r.NumPhases() != 2 {
-		t.Fatalf("NumPhases = %d, want 2", r.NumPhases())
-	}
-	// Phase 0: m_rw = max(1 read, 1 write) = 1, κ=1 → time 1.
-	// Phase 1: m_op=3, m_rw=1, κ_w=4 → time 4.
-	if got, want := r.Phases[0].Time, cost.Time(1); got != want {
-		t.Errorf("phase 0 time = %d, want %d", got, want)
-	}
-	if got, want := r.Phases[1].Time, cost.Time(4); got != want {
-		t.Errorf("phase 1 time = %d, want %d", got, want)
-	}
-	if got, want := r.TotalTime, cost.Time(5); got != want {
-		t.Errorf("TotalTime = %d, want %d", got, want)
-	}
 }
 
 func TestMemFailurePoisoning(t *testing.T) {
-	m := newMemMachine(t, 3, 4, 1)
-	m.Phase(func(c *engine.MemCtx[int64]) {
-		c.Read(99) // out of range: every processor fails
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newMemMachine(t, 3, 4, workers)
+		m.Phase(func(c *engine.MemCtx[int64]) {
+			c.Read(99) // out of range: every processor fails
+		})
+		err := m.Err()
+		if err == nil {
+			t.Fatal("expected a poisoned machine")
+		}
+		if want := "test: proc 0: read out of range: cell 99 of 4"; !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to contain %q", err, want)
+		}
+		if want := "(and 2 other processors failed)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to contain %q", err, want)
+		}
+		if m.Report().NumPhases() != 0 {
+			t.Errorf("failed phase was charged: NumPhases = %d", m.Report().NumPhases())
+		}
+		ran := false
+		m.Phase(func(c *engine.MemCtx[int64]) { ran = true })
+		if ran {
+			t.Error("phase body ran on a poisoned machine")
+		}
 	})
-	err := m.Err()
-	if err == nil {
-		t.Fatal("expected a poisoned machine")
-	}
-	if want := "test: proc 0: read out of range: cell 99 of 4"; !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %q, want it to contain %q", err, want)
-	}
-	if want := "(and 2 other processors failed)"; !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %q, want it to contain %q", err, want)
-	}
-	if m.Report().NumPhases() != 0 {
-		t.Errorf("failed phase was charged: NumPhases = %d", m.Report().NumPhases())
-	}
-	ran := false
-	m.Phase(func(c *engine.MemCtx[int64]) { ran = true })
-	if ran {
-		t.Error("phase body ran on a poisoned machine")
-	}
 }
 
 func TestMemViolationAborts(t *testing.T) {
-	m := newMemMachine(t, 2, 4, 1)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	m.Data()[0] = 7
-	m.Phase(func(c *engine.MemCtx[int64]) {
-		if c.Proc() == 0 {
-			c.Read(0)
-		} else {
-			c.Write(0, 1)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newMemMachine(t, 2, 4, workers)
+		ev := &engine.EventLog{}
+		m.AddObserver(ev)
+		m.Data()[0] = 7
+		m.Phase(func(c *engine.MemCtx[int64]) {
+			if c.Proc() == 0 {
+				c.Read(0)
+			} else {
+				c.Write(0, 1)
+			}
+		})
+		err := m.Err()
+		if !errors.Is(err, errTestViolation) {
+			t.Fatalf("err = %v, want wrap of the model's violation sentinel", err)
+		}
+		if want := "cell 0 both read and written in phase 0"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to contain %q", err, want)
+		}
+		if m.Report().NumPhases() != 0 {
+			t.Errorf("violating phase was charged: NumPhases = %d", m.Report().NumPhases())
+		}
+		if got, memTouched := m.Data()[0], int64(7); got != memTouched {
+			t.Errorf("violating phase applied writes: cell 0 = %d, want %d", got, memTouched)
+		}
+		// The aborted phase starts but never commits: no requests, no end.
+		want := []string{"phase 0 start"}
+		if lines := ev.Lines(); len(lines) != 1 || lines[0] != want[0] {
+			t.Errorf("event log = %q, want %q", lines, want)
 		}
 	})
-	err := m.Err()
-	if !errors.Is(err, errTestViolation) {
-		t.Fatalf("err = %v, want wrap of the model's violation sentinel", err)
-	}
-	if want := "cell 0 both read and written in phase 0"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %q, want it to contain %q", err, want)
-	}
-	if m.Report().NumPhases() != 0 {
-		t.Errorf("violating phase was charged: NumPhases = %d", m.Report().NumPhases())
-	}
-	if got, memTouched := m.Data()[0], int64(7); got != memTouched {
-		t.Errorf("violating phase applied writes: cell 0 = %d, want %d", got, memTouched)
-	}
-	// The aborted phase starts but never commits: no requests, no end.
-	want := []string{"phase 0 start"}
-	if lines := ev.Lines(); len(lines) != 1 || lines[0] != want[0] {
-		t.Errorf("event log = %q, want %q", lines, want)
-	}
 }
 
 func TestMemObserverOrdering(t *testing.T) {
@@ -202,27 +228,30 @@ func TestMemObserverOrdering(t *testing.T) {
 	}
 }
 
-// TestMemSteadyStateAllocs pins the free-list behaviour: after warm-up, an
-// untraced phase reuses its contexts, request buffers and commit buckets.
-// Only a handful of per-phase allocations remain (the dispatch closures
-// and the amortised report append) — crucially the count must not scale
-// with p, which is what reallocating any of the O(p) structures would do.
+// TestMemSteadyStateAllocs pins the free-list behaviour of both
+// barriers: after warm-up, an untraced phase reuses its contexts, request
+// buffers and commit scratch. Only a handful of per-phase allocations
+// remain (the dispatch closures and the amortised report append) —
+// crucially the count must not scale with p, which is what reallocating
+// any of the O(p) structures would do.
 func TestMemSteadyStateAllocs(t *testing.T) {
-	const p = 64
-	m := newMemMachine(t, p, 2*p, 1)
-	body := func(c *engine.MemCtx[int64]) {
-		v := c.Read(c.Proc())
-		c.Write(p+c.Proc(), v+1)
-	}
-	m.Phase(body)
-	m.Phase(body)
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(100, func() { m.Phase(body) })
-	if avg > 8 {
-		t.Errorf("steady-state phase allocates %.1f objects/run, want ≤ 8 (O(p) structure reallocated?)", avg)
-	}
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p = 64
+		m := newMemMachine(t, p, 2*p, workers)
+		body := func(c *engine.MemCtx[int64]) {
+			v := c.Read(c.Proc())
+			c.Write(p+c.Proc(), v+1)
+		}
+		m.Phase(body)
+		m.Phase(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() { m.Phase(body) })
+		if avg > allocLimit[workers] {
+			t.Errorf("steady-state phase allocates %.1f objects/run, want ≤ %.0f (O(p) structure reallocated?)", avg, allocLimit[workers])
+		}
+	})
 }
 
 // --- message-routing engine ------------------------------------------------
@@ -255,59 +284,87 @@ func newRouteMachine(t *testing.T, p, workers int) *routeMachine {
 }
 
 func TestRouteSuperstepLifecycle(t *testing.T) {
-	m := newRouteMachine(t, 3, 1)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	m.Superstep(func(i int, s *engine.Sends[int64]) {
-		s.AddWork(2)
-		s.Stage(int32((i+1)%3), int64(100+i))
-	})
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		in := m.Incoming(i)
-		wantMsg := int64(100 + (i+2)%3)
-		if len(in) != 1 || in[0] != wantMsg {
-			t.Errorf("Incoming(%d) = %v, want [%d]", i, in, wantMsg)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newRouteMachine(t, 3, workers)
+		ev := &engine.EventLog{}
+		m.AddObserver(ev)
+		m.Superstep(func(i int, s *engine.Sends[int64]) {
+			s.AddWork(2)
+			s.Stage(int32((i+1)%3), int64(100+i))
+		})
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	want := []string{
-		"phase 0 start",
-		"phase 0 p0 send 1=100",
-		"phase 0 p1 send 2=101",
-		"phase 0 p2 send 0=102",
-		"phase 0 end: time=2 m_op=2 m_rw=1 κ=0 round=true",
-	}
-	if got := ev.String(); got != strings.Join(want, "\n") {
-		t.Errorf("event log:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
-	}
-	// Next superstep: old inboxes are visible, new deliveries replace them.
-	m.Superstep(func(i int, s *engine.Sends[int64]) {})
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if in := m.Incoming(0); len(in) != 0 {
-		t.Errorf("Incoming(0) after empty superstep = %v, want empty", in)
-	}
+		for i := 0; i < 3; i++ {
+			in := m.Incoming(i)
+			wantMsg := int64(100 + (i+2)%3)
+			if len(in) != 1 || in[0] != wantMsg {
+				t.Errorf("Incoming(%d) = %v, want [%d]", i, in, wantMsg)
+			}
+		}
+		want := []string{
+			"phase 0 start",
+			"phase 0 p0 send 1=100",
+			"phase 0 p1 send 2=101",
+			"phase 0 p2 send 0=102",
+			"phase 0 end: time=2 m_op=2 m_rw=1 κ=0 round=true",
+		}
+		if got := ev.String(); got != strings.Join(want, "\n") {
+			t.Errorf("event log:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+		}
+		// Next superstep: old inboxes are visible, new deliveries replace them.
+		m.Superstep(func(i int, s *engine.Sends[int64]) {})
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if in := m.Incoming(0); len(in) != 0 {
+			t.Errorf("Incoming(0) after empty superstep = %v, want empty", in)
+		}
+	})
 }
 
 func TestRouteFailurePoisoning(t *testing.T) {
-	m := newRouteMachine(t, 3, 1)
-	boom := errors.New("rtest: bad destination")
-	m.Superstep(func(i int, s *engine.Sends[int64]) {
-		s.Fail(boom)
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		m := newRouteMachine(t, 3, workers)
+		boom := errors.New("rtest: bad destination")
+		m.Superstep(func(i int, s *engine.Sends[int64]) {
+			s.Fail(boom)
+		})
+		err := m.Err()
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want wrap of the component failure", err)
+		}
+		if want := "(and 2 other components failed)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to contain %q", err, want)
+		}
+		if m.Report().NumPhases() != 0 {
+			t.Errorf("failed superstep was charged: NumPhases = %d", m.Report().NumPhases())
+		}
 	})
-	err := m.Err()
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrap of the component failure", err)
-	}
-	if want := "(and 2 other components failed)"; !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %q, want it to contain %q", err, want)
-	}
-	if m.Report().NumPhases() != 0 {
-		t.Errorf("failed superstep was charged: NumPhases = %d", m.Report().NumPhases())
-	}
+}
+
+// TestRouteSteadyStateAllocs is the routing twin of the Mem pin: a
+// warmed-up superstep reuses staging buffers, ping-ponged inboxes and
+// commit scratch under both barriers.
+func TestRouteSteadyStateAllocs(t *testing.T) {
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p = 64
+		m := newRouteMachine(t, p, workers)
+		body := func(i int, s *engine.Sends[int64]) {
+			s.AddWork(1)
+			s.Stage(int32((i+1)%p), int64(i))
+			s.Stage(int32(i/8), int64(i))
+		}
+		m.Superstep(body)
+		m.Superstep(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() { m.Superstep(body) })
+		if avg > allocLimit[workers] {
+			t.Errorf("steady-state superstep allocates %.1f objects/run, want ≤ %.0f (O(p) structure reallocated?)", avg, allocLimit[workers])
+		}
+	})
 }
 
 // --- shared config validation ----------------------------------------------

@@ -38,8 +38,9 @@ type MemModel[V any] interface {
 }
 
 // Mem is the shared-memory phase engine. Machine adapters embed it and
-// gain the full phase lifecycle: Phase/ForAll dispatch, the two-pass
-// sharded commit with contention accounting and violation detection,
+// gain the full phase lifecycle: Phase/ForAll dispatch, the commit
+// barrier (serial column barrier at one worker, two-pass sharded commit
+// above that) with contention accounting and violation detection,
 // deterministic write application via the model's Apply, and observer
 // emission.
 type Mem[V any] struct {
@@ -51,15 +52,20 @@ type Mem[V any] struct {
 	// processor, reset and reused every phase so request buffers keep
 	// their capacity instead of being reallocated O(p) times per phase.
 	ctxs []*MemCtx[V]
-	// cb holds the reusable scratch of the sharded commit pipeline.
+	// cb holds the reusable scratch of the sharded commit pipeline
+	// (Workers > 1); the column barrier never touches it.
 	cb memBuf[V]
 	// ckMem is the memory snapshot of the last Checkpoint (reused across
 	// phases). A shallow element copy suffices: the engine's Apply
 	// contract replaces cell values rather than mutating them in place
 	// (last-writer-wins stores, GSM's copy-on-write Merge).
 	ckMem []V
-	// bkReads/bkWrites are the reusable column views handed to a commit
-	// backend (one borrowed slice per processor; see commitBackend).
+	// Column-barrier scratch (see commitBackend): active lists the
+	// processors that issued requests this phase, merger counts their
+	// columns on the serial path, and bkReads/bkWrites are the column
+	// views handed to a commit backend (one borrowed slice per processor).
+	active            []int32
+	merger            MemMerger
 	bkReads, bkWrites [][]int32
 }
 
@@ -175,7 +181,7 @@ func (m *Mem[V]) phaseWorkers() int {
 
 // Phase runs one bulk-synchronous phase: body is invoked once per
 // processor (concurrently over contiguous chunks), requests are merged at
-// the barrier by the sharded commit pipeline, the phase is charged under
+// the barrier (see commit), the phase is charged under
 // the model's cost rule, and writes commit. Phase is a no-op once the
 // machine has erred.
 func (m *Mem[V]) Phase(body func(c *MemCtx[V])) {
@@ -323,15 +329,16 @@ func growSlices[T any](s [][]T, n int) [][]T {
 }
 
 // commit merges per-processor buffers, validates access rules, consults
-// the fault injector, charges the phase and applies writes. The merge
-// runs in two parallel passes: bucket requests by address shard (over
-// processor chunks), then count contention, resolve winners and detect
-// violations per shard. Results are identical for every Workers setting:
-// buckets are filled in processor order and scanned in chunk order, and
-// the injector consult happens exactly once per attempt on the
-// coordinating goroutine.
+// the fault injector, charges the phase and applies writes. A phase with
+// one worker, or with a backend attached, takes the column barrier
+// (commitBackend). Otherwise the merge runs in two parallel passes:
+// bucket requests by address shard (over processor chunks), then count
+// contention, resolve winners and detect violations per shard. Results
+// are identical for every Workers setting: buckets are filled in
+// processor order and scanned in chunk order, and the injector consult
+// happens exactly once per attempt on the coordinating goroutine.
 func (m *Mem[V]) commit(workers int) PhaseStatus {
-	if m.backend != nil {
+	if m.backend != nil || workers <= 1 {
 		return m.commitBackend()
 	}
 	ctxs := m.ctxs
@@ -432,8 +439,7 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 		}
 	}
 	if violAddr >= 0 {
-		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-			m.model.Violation(), violAddr, m.Report().NumPhases()))
+		m.recordViolation(m.model.Violation(), violAddr)
 		m.finish(workers, nm, ns, false)
 		return PhaseAborted
 	}
@@ -441,18 +447,7 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 	if m.InjectorActive() {
 		switch v := m.consultInjector(len(m.mem)); v.Class {
 		case FaultPermanent:
-			// Injected contention-rule violations wrap the model's own
-			// sentinel (multi-%w), so they satisfy errors.Is for both the
-			// fault sentinel and the model's Violation — exactly like a
-			// real access-rule breach. Other permanent faults keep the
-			// package prefix wording.
-			if v.Violation {
-				m.RecordErr(fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Violation(), v.Err, m.Report().NumPhases()))
-			} else {
-				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Prefix(), m.Report().NumPhases(), v.Err))
-			}
+			m.recordPermanent(m.model.Prefix(), m.model.Violation(), v)
 			m.finish(workers, nm, ns, false)
 			return PhaseAborted
 		case FaultTransient:
@@ -478,52 +473,61 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 	return PhaseCommitted
 }
 
-// commitBackend is the commit barrier when a Backend is attached: the
-// request columns are handed (borrowed, ascending processor order) to
-// the backend for contention counting and violation detection, and the
-// value-carrying half of the barrier — charging, observer emission and
-// the write apply — stays here. Writes apply per processor in ascending
-// order, which commits the same winner at every cell as the built-in
-// bucket replay (last write of the highest-numbered processor; merging
-// Applies are order-insensitive). A failed merge schedules a phase retry
-// or poisons the machine per transportStatus; nothing was charged or
-// applied, so state is already consistent.
+// commitBackend is the column barrier: the serial commit (one worker, no
+// backend) and the backend commit share it, and differ only in who
+// counts contention. One scan of the phase contexts gathers m_op/m_rw
+// and the ascending list of processors that issued any request; the
+// serial path then counts those processors' own read and write columns
+// with MemMerger in place, while the backend path hands every column
+// (borrowed, index = processor) to the attached Backend. The tail —
+// violation, injector consult, charge, emission and the write apply —
+// is shared and walks only the active processors. Writes apply per
+// processor in ascending order, which commits the same winner at every
+// cell as the sharded bucket replay (last write of the highest-numbered
+// processor; merging Applies are order-insensitive). A failed backend
+// merge schedules a phase retry or poisons the machine per
+// transportStatus; nothing was charged or applied, so state is already
+// consistent.
 func (m *Mem[V]) commitBackend() PhaseStatus {
-	ctxs := m.ctxs
+	bk := m.backend != nil
 	var mOp, mRW int64
-	reads := m.bkReads[:0]
-	writes := m.bkWrites[:0]
-	for _, c := range ctxs {
+	active := m.active[:0]
+	reads, writes := m.bkReads[:0], m.bkWrites[:0]
+	for i, c := range m.ctxs {
 		mOp = max(mOp, c.ops)
 		mRW = max(mRW, c.reads, c.wrs)
-		reads = append(reads, c.readAddrs)
-		writes = append(writes, c.writeAddrs)
+		if len(c.readAddrs) > 0 || len(c.writeAddrs) > 0 {
+			active = append(active, int32(i))
+		}
+		if bk {
+			reads = append(reads, c.readAddrs)
+			writes = append(writes, c.writeAddrs)
+		}
 	}
-	m.bkReads, m.bkWrites = reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the backend-path commit entry point
-	st, err := m.backend.MergeMem(MemMergeReq{
-		Phase: m.curPhase, Attempt: m.attempt, Cells: len(m.mem),
-		Reads: reads, Writes: writes,
-	})
-	if err != nil {
-		return m.transportStatus(err)
+	m.active, m.bkReads, m.bkWrites = active, reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the serial and backend commit entry point
+	var st MergeStats
+	if bk {
+		var err error
+		st, err = m.backend.MergeMem(MemMergeReq{
+			Phase: m.curPhase, Attempt: m.attempt, Cells: len(m.mem),
+			Reads: reads, Writes: writes,
+		})
+		if err != nil {
+			return m.transportStatus(err)
+		}
+	} else {
+		st = m.mergeActive()
 	}
 	if st.Viol >= 0 {
-		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-			m.model.Violation(), st.Viol, m.Report().NumPhases()))
+		m.recordViolation(m.model.Violation(), st.Viol)
 		return PhaseAborted
 	}
 
 	o := Outcome{MaxOps: mOp, MaxRW: mRW, KRead: st.KRead, KWrite: st.KWrite}
 	if m.InjectorActive() {
-		switch v := m.consultInjector(len(m.mem)); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
+		switch v := m.consultInjector(len(m.mem)); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier on the serial and backend paths; one draw per attempt, same as the sharded path
 		case FaultPermanent:
-			if v.Violation {
-				m.RecordErr(fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Violation(), v.Err, m.Report().NumPhases()))
-			} else {
-				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Prefix(), m.Report().NumPhases(), v.Err))
-			}
+			m.recordPermanent(m.model.Prefix(), m.model.Violation(), v)
 			return PhaseAborted
 		case FaultTransient:
 			m.chargePhase(o)
@@ -543,12 +547,37 @@ func (m *Mem[V]) commitBackend() PhaseStatus {
 	return PhaseCommitted
 }
 
-// applyCtxWrites commits the phase's writes straight from the processor
-// contexts in ascending processor order (the backend path's replacement
-// for the sharded bucket replay).
+// mergeActive counts the active processors' columns with MemMerger in
+// place, handing their headers over in batches held on the stack.
+func (m *Mem[V]) mergeActive() MergeStats {
+	g := &m.merger
+	g.begin(0, len(m.mem))
+	var cols [colBatch][]int32
+	for rest := m.active; len(rest) > 0; {
+		n := min(len(rest), colBatch)
+		for j, i := range rest[:n] {
+			cols[j] = m.ctxs[i].readAddrs
+		}
+		g.reads(rest[:n], cols[:n])
+		rest = rest[n:]
+	}
+	for rest := m.active; len(rest) > 0; {
+		n := min(len(rest), colBatch)
+		for j, i := range rest[:n] {
+			cols[j] = m.ctxs[i].writeAddrs
+		}
+		g.writes(rest[:n], cols[:n], false)
+		rest = rest[n:]
+	}
+	return g.end()
+}
+
+// applyCtxWrites commits the phase's writes straight from the active
+// processors' contexts in ascending processor order (the column
+// barrier's replacement for the sharded bucket replay).
 func (m *Mem[V]) applyCtxWrites() {
-	for _, c := range m.ctxs {
-		if len(c.writeAddrs) > 0 {
+	for _, i := range m.active {
+		if c := m.ctxs[i]; len(c.writeAddrs) > 0 {
 			m.model.Apply(m.mem, c.writeAddrs, c.writeVals)
 		}
 	}

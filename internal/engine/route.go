@@ -57,9 +57,10 @@ func (s *Sends[M]) reset() {
 }
 
 // Route is the message-routing superstep engine. Machine adapters embed
-// it and gain the superstep lifecycle: chunked body dispatch, the sharded
-// routing commit with h-relation measurement, deterministic delivery
-// into ping-ponged inboxes, and observer emission.
+// it and gain the superstep lifecycle: chunked body dispatch, the routing
+// commit with h-relation measurement (serial column barrier at one
+// worker, sharded above that), deterministic delivery into ping-ponged
+// inboxes, and observer emission.
 type Route[M any] struct {
 	Core
 	model RouteModel[M]
@@ -71,14 +72,19 @@ type Route[M any] struct {
 	// spare ping-pongs with inbox: last superstep's inbox slices are
 	// truncated and refilled as the next superstep's delivery target.
 	spare [][]M
-	// rb holds the reusable scratch of the sharded routing commit.
+	// rb holds the reusable scratch of the sharded routing commit
+	// (Workers > 1); the column barrier never touches it.
 	rb routeBuf[M]
 	// ckInbox is the inbox snapshot of the last Checkpoint (per-component
 	// message copies, buffers reused across supersteps).
 	ckInbox [][]M
-	// bkDsts is the reusable column-of-columns header handed to an
-	// attached Backend (the destination columns are borrowed from the
-	// staging buffers).
+	// Column-barrier scratch (see commitBackend): active lists the
+	// components that sent messages this superstep, merger counts their
+	// fan-in on the serial path, and bkDsts is the column-of-columns
+	// header handed to an attached Backend (the destination columns are
+	// borrowed from the staging buffers).
+	active []int32
+	merger RouteMerger
 	bkDsts [][]int32
 }
 
@@ -101,7 +107,8 @@ func (r *Route[M]) Incoming(i int) []M { return r.inbox[i] } //lint:colescape-ok
 // (concurrently over contiguous chunks) with the component's staging
 // buffer; at the barrier the h-relation is measured, the superstep is
 // charged under the model's cost rule, and staged messages are routed
-// into the inboxes for the next superstep by the sharded routing commit.
+// into the inboxes for the next superstep by the routing commit (see
+// commit).
 // Superstep is a no-op once the machine has erred.
 func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 	if r.Err() != nil {
@@ -225,13 +232,15 @@ func (b *routeBuf[M]) ensure(p, nm, ns int) {
 }
 
 // commit measures the h-relation, consults the fault injector, charges
-// the superstep and routes staged messages. Buckets are filled in sender
+// the superstep and routes staged messages. A superstep with one worker,
+// or with a backend attached, takes the column barrier (commitBackend);
+// otherwise the two sharded passes run. Buckets are filled in sender
 // order and replayed in chunk order, so each inbox receives its messages
 // grouped by ascending sender id — the same deterministic delivery order
 // for every Workers setting; the injector consult happens exactly once
 // per attempt on the coordinating goroutine.
 func (r *Route[M]) commit(workers int) PhaseStatus {
-	if r.backend != nil {
+	if r.backend != nil || workers <= 1 {
 		return r.commitBackend()
 	}
 	p := r.P()
@@ -340,32 +349,62 @@ func (r *Route[M]) commit(workers int) PhaseStatus {
 	return PhaseCommitted
 }
 
-// commitBackend is the routing commit barrier when a Backend is
-// attached: the destination columns ship to the backend for the
-// receive-side h-relation; the send side (column lengths), charging,
-// observer emission and the actual delivery stay here. Delivery fills
-// the ping-ponged inboxes by ascending sender — exactly the grouped-by-
-// sender order the sharded replay produces.
+// commitBackend is the routing column barrier, serving both the serial
+// commit (one worker, no backend) and the backend commit. One scan of the
+// staging buffers gathers w and the send side of the h-relation, lists
+// the components that sent anything, and truncates the spare inboxes.
+// The serial path counts the receive side with RouteMerger over the
+// senders' own destination columns; the backend path ships every column
+// (borrowed, index = component) to the attached Backend. Charging,
+// observer emission and delivery are shared: delivery fills the
+// ping-ponged inboxes by ascending sender — exactly the grouped-by-sender
+// order the sharded replay produces.
 func (r *Route[M]) commitBackend() PhaseStatus {
 	p := r.P()
+	bk := r.backend != nil
 	var w, h int64
+	active := r.active[:0]
 	dsts := r.bkDsts[:0]
-	for _, s := range r.sends {
+	next := r.spare
+	for i, s := range r.sends {
 		w = max(w, s.work)
 		h = max(h, int64(len(s.msgs)))
-		dsts = append(dsts, s.dsts)
+		if len(s.msgs) > 0 {
+			active = append(active, int32(i))
+		}
+		if bk {
+			dsts = append(dsts, s.dsts)
+		}
+		next[i] = next[i][:0]
 	}
-	r.bkDsts = dsts //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the backend-path commit entry point
-	st, err := r.backend.MergeRoute(RouteMergeReq{
-		Phase: r.curPhase, Attempt: r.attempt, P: p, Dsts: dsts,
-	})
-	if err != nil {
-		return r.transportStatus(err)
+	r.active, r.bkDsts = active, dsts //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the serial and backend commit entry point
+	var st RouteStats
+	if bk {
+		var err error
+		st, err = r.backend.MergeRoute(RouteMergeReq{
+			Phase: r.curPhase, Attempt: r.attempt, P: p, Dsts: dsts,
+		})
+		if err != nil {
+			return r.transportStatus(err)
+		}
+	} else {
+		g := &r.merger
+		g.begin(0, p)
+		var cols [colBatch][]int32
+		for rest := active; len(rest) > 0; {
+			n := min(len(rest), colBatch)
+			for j, i := range rest[:n] {
+				cols[j] = r.sends[i].dsts
+			}
+			g.dsts(cols[:n])
+			rest = rest[n:]
+		}
+		st = g.end()
 	}
 	h = max(h, st.HRecv)
 
 	if r.InjectorActive() {
-		switch v := r.consultInjector(0); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
+		switch v := r.consultInjector(0); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier on the serial and backend paths; one draw per attempt, same as the sharded path
 		case FaultPermanent:
 			// Nothing delivers; the machine poisons with the fault error
 			// (staged sends are simply abandoned).
@@ -373,7 +412,7 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 				r.model.Name(), r.Report().NumPhases(), v.Err))
 			return PhaseAborted
 		case FaultTransient:
-			// Mirror the built-in path: charge, deliver, damage the target
+			// Mirror the sharded path: charge, deliver, damage the target
 			// component's inbox, then roll back to the superstep-start
 			// checkpoint. The aborted attempt emits no events.
 			r.chargePhase(Outcome{MaxOps: w, MaxRW: h})
@@ -393,22 +432,20 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 	return PhaseCommitted
 }
 
-// deliverFromSends routes the staged messages straight from the staging
-// buffers into the ping-ponged inboxes, by ascending sender (the backend
-// path's replacement for the sharded pass-2 replay).
+// deliverFromSends routes the active senders' staged messages straight
+// into the spare inboxes (truncated by commitBackend's scan), by
+// ascending sender, and swaps them in (the column barrier's replacement
+// for the sharded pass-2 replay).
 func (r *Route[M]) deliverFromSends() {
 	next := r.spare
-	for d := range next {
-		next[d] = next[d][:0]
-	}
-	for _, s := range r.sends {
+	for _, i := range r.active {
+		s := r.sends[i]
 		for j, msg := range s.msgs {
 			d := s.dsts[j]
 			next[d] = append(next[d], msg)
 		}
 	}
-	r.spare = r.inbox //lint:commitpurity-ok the backend path's delivery half: called only from commitBackend inside the barrier
-	r.inbox = next    //lint:commitpurity-ok the backend path's delivery half: called only from commitBackend inside the barrier
+	r.spare, r.inbox = r.inbox, next //lint:commitpurity-ok the column barrier's delivery half: called only from commitBackend inside the barrier
 }
 
 // emitRequests renders the superstep's sends as observer events, grouped
