@@ -36,7 +36,7 @@ func runChaos(argv []string, stdout io.Writer) error {
 	deadline := fs.Duration("deadline", chaos.DefaultDeadline, "per-run watchdog deadline")
 	backendName := fs.String("backend", "", backend.Usage())
 	procWorkers := fs.Int("proc-workers", 0, "proc backend worker processes (default 1)")
-	verbose := fs.Bool("v", false, "print the per-run fault event log")
+	verbose := fs.Bool("v", false, "print the single scenario's observer event stream")
 	if err := parseFlags(fs, argv, stdout); err != nil {
 		return err
 	}
@@ -82,8 +82,10 @@ func runChaos(argv []string, stdout io.Writer) error {
 		if o.Report != nil {
 			fmt.Fprintln(stdout, o.Report)
 		}
-		if *verbose && o.Stream != "" {
-			fmt.Fprintln(stdout, o.Stream)
+		if *verbose {
+			if stream := o.Stream(); stream != "" {
+				fmt.Fprintln(stdout, stream)
+			}
 		}
 		if err := o.Invariant(); err != nil {
 			return fmt.Errorf("robustness invariant violated: %w", err)

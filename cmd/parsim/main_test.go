@@ -222,3 +222,54 @@ func TestCLISweepSmokePreset(t *testing.T) {
 		t.Fatalf("smoke summary: %q", stdout)
 	}
 }
+
+// streamTail returns the event stream printed at the end of stdout: the
+// lines from the first "phase 0 start" on, or nil if none was printed.
+func streamTail(stdout string) []string {
+	lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n")
+	for i, l := range lines {
+		if l == "phase 0 start" {
+			return lines[i:]
+		}
+	}
+	return nil
+}
+
+// checkStream asserts a printed event stream opens with the first phase
+// start and closes with a phase end record.
+func checkStream(t *testing.T, stdout string) {
+	t.Helper()
+	stream := streamTail(stdout)
+	if len(stream) < 2 {
+		t.Fatalf("no event stream in output: %q", stdout)
+	}
+	last := stream[len(stream)-1]
+	if !strings.HasPrefix(last, "phase ") || !strings.Contains(last, " end: time=") {
+		t.Fatalf("event stream does not end with a phase end line: %q", last)
+	}
+}
+
+func TestCLIChaosVerbosePrintsStream(t *testing.T) {
+	argv := []string{"chaos", "-model", "qsm", "-alg", "parity", "-specs", "mem@2", "-n", "16"}
+	code, stdout, stderr := runCLI(append(argv, "-v")...)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr %q", code, stderr)
+	}
+	checkStream(t, stdout)
+
+	code, stdout, stderr = runCLI(argv...)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr %q", code, stderr)
+	}
+	if streamTail(stdout) != nil {
+		t.Fatalf("event stream printed without -v: %q", stdout)
+	}
+}
+
+func TestCLIEventsPrintsStream(t *testing.T) {
+	code, stdout, stderr := runCLI("-model", "sqsm", "-alg", "parity", "-n", "8", "-events")
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr %q", code, stderr)
+	}
+	checkStream(t, stdout)
+}

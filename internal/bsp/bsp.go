@@ -30,6 +30,8 @@ package bsp
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/engine"
@@ -265,8 +267,19 @@ type bspModel struct{ m *Machine }
 func (md bspModel) Name() string   { return "BSP" }
 func (md bspModel) Entity() string { return "component" }
 
+// Render writes "from=F tag=T val=V" with strconv into one builder
+// sized for the common small values.
 func (md bspModel) Render(msg Message) string {
-	return fmt.Sprintf("from=%d tag=%d val=%d", msg.From, msg.Tag, msg.Val) //lint:hotpathalloc-ok trace rendering: runs only when an event log is attached
+	var b strings.Builder
+	b.Grow(32)
+	var num [20]byte
+	b.WriteString("from=")
+	b.Write(strconv.AppendInt(num[:0], int64(msg.From), 10))
+	b.WriteString(" tag=")
+	b.Write(strconv.AppendInt(num[:0], msg.Tag, 10))
+	b.WriteString(" val=")
+	b.Write(strconv.AppendInt(num[:0], msg.Val, 10))
+	return b.String()
 }
 
 // Snapshot and Restore implement engine.Snapshotter: superstep bodies

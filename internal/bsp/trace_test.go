@@ -1,6 +1,8 @@
 package bsp
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -88,6 +90,23 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			if a, b := seq.CellKey(p, ph), par.CellKey(p, ph); a != b {
 				t.Errorf("CellKey(%d, %d): Workers=1 %q, Workers=8 %q", p, ph, a, b)
 			}
+		}
+	}
+}
+
+// The event-stream payload of a message renders byte-identically to its
+// fmt form.
+func TestRenderMatchesFmt(t *testing.T) {
+	for _, msg := range []Message{
+		{},
+		{From: 3, Tag: 1, Val: 42},
+		{From: 1023, Tag: -7, Val: -1},
+		{From: math.MaxInt32, Tag: math.MinInt64, Val: math.MaxInt64},
+		{From: -1, Tag: math.MaxInt64, Val: math.MinInt64},
+	} {
+		want := fmt.Sprintf("from=%d tag=%d val=%d", msg.From, msg.Tag, msg.Val)
+		if got := (bspModel{}).Render(msg); got != want {
+			t.Errorf("Render(%+v) = %q, want %q", msg, got, want)
 		}
 	}
 }

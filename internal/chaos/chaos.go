@@ -117,11 +117,23 @@ type Outcome struct {
 	Cancelled bool
 	// FaultLines is the plan's deterministic injection log.
 	FaultLines []string
-	// Stream is the engine observer event stream.
-	Stream string
+	// Events is the engine observer event log of the run, recorded as
+	// structured events; nil if machine construction failed or the run
+	// timed out or was cancelled. Its text is rendered only by Stream.
+	Events *engine.EventLog
 	// Report is the assembled fault report (nil if machine construction
 	// failed).
 	Report *fault.Report
+}
+
+// Stream renders the observer event stream on demand ("" when no event
+// log was recorded). Sweeps never call it; it serves `parsim chaos -v`
+// and the identical-seed ⇒ identical-stream checks.
+func (o *Outcome) Stream() string {
+	if o.Events == nil {
+		return ""
+	}
+	return o.Events.String()
 }
 
 // Invariant returns nil when the outcome satisfies the robustness
@@ -209,6 +221,8 @@ func Run(ctx context.Context, sc Scenario, deadline time.Duration, workers int) 
 	defer watchdog.Stop()
 	select {
 	case <-done:
+		// execute's writes to out, Events included, happen before
+		// close(done), so reading them here is race-free.
 		closeBackend()
 		return out
 	case <-ctx.Done():
@@ -222,7 +236,7 @@ func Run(ctx context.Context, sc Scenario, deadline time.Duration, workers int) 
 
 // execute dispatches to the per-family runner. All of them attach the
 // plan and backend, run the algorithm, check the oracle and collect the
-// event streams.
+// fault log and the (unrendered) observer event log.
 func execute(sc Scenario, workers int, bk engine.Backend, out *Outcome) {
 	plan := fault.NewPlan(sc.Seed, sc.Specs...)
 	switch sc.Model {
@@ -279,7 +293,7 @@ func runShared(sc Scenario, workers int, bk engine.Backend, plan *fault.Plan, ou
 	}
 	m.InjectFaults(plan, engine.RetryPolicy{}, sc.Degraded)
 	defer func() {
-		out.Stream = ev.String()
+		out.Events = ev
 		out.Report = plan.Report(m)
 	}()
 
@@ -381,7 +395,7 @@ func runBSP(sc Scenario, workers int, bk engine.Backend, plan *fault.Plan, out *
 	}
 	m.InjectFaults(plan, engine.RetryPolicy{}, false)
 	defer func() {
-		out.Stream = ev.String()
+		out.Events = ev
 		out.Report = plan.Report(m)
 	}()
 	if err := m.Scatter(bits); err != nil {
@@ -418,7 +432,7 @@ func runGSM(sc Scenario, workers int, bk engine.Backend, plan *fault.Plan, out *
 	}
 	m.InjectFaults(plan, engine.RetryPolicy{}, false)
 	defer func() {
-		out.Stream = ev.String()
+		out.Events = ev
 		out.Report = plan.Report(m)
 	}()
 	if err := m.LoadInputs(bits); err != nil {

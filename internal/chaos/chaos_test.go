@@ -1,10 +1,17 @@
 package chaos
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden event stream from the current output")
 
 // TestChaosSweep is the headline robustness gate (CI runs it with -race):
 // ≥ 200 seeded fault scenarios across all five machine constructors, each
@@ -36,8 +43,8 @@ func TestChaosSweep(t *testing.T) {
 			if got, want := strings.Join(o8.FaultLines, "\n"), strings.Join(o1.FaultLines, "\n"); got != want {
 				t.Fatalf("fault schedule diverges across Workers:\nW1:\n%s\nW8:\n%s", want, got)
 			}
-			if o1.Stream != o8.Stream {
-				t.Fatalf("observer stream diverges across Workers:\nW1:\n%s\nW8:\n%s", o1.Stream, o8.Stream)
+			if s1, s8 := o1.Stream(), o8.Stream(); s1 != s8 {
+				t.Fatalf("observer stream diverges across Workers:\nW1:\n%s\nW8:\n%s", s1, s8)
 			}
 			if o1.Verified {
 				verified++
@@ -72,8 +79,15 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	for _, sc := range scs[:20] {
 		a := Run(nil, sc, DefaultDeadline, 0)
 		b := Run(nil, sc, DefaultDeadline, 0)
-		if a.Stream != b.Stream || strings.Join(a.FaultLines, "\n") != strings.Join(b.FaultLines, "\n") {
+		sa, sb := a.Stream(), b.Stream()
+		if sa != sb || strings.Join(a.FaultLines, "\n") != strings.Join(b.FaultLines, "\n") {
 			t.Fatalf("%s: replay diverged", sc.Name())
+		}
+		// Every run that built its machine — completed or diagnosed —
+		// records at least its first phase start; an empty stream there
+		// means the event log was lost, which equality alone cannot see.
+		if a.Report != nil && sa == "" {
+			t.Fatalf("%s: event stream is empty", sc.Name())
 		}
 		if a.Verified != b.Verified || (a.Err == nil) != (b.Err == nil) {
 			t.Fatalf("%s: replay verdict diverged: %+v vs %+v", sc.Name(), a, b)
@@ -105,5 +119,39 @@ func TestChaosSweepSummary(t *testing.T) {
 	}
 	if s.Runs != 26 || s.Verified+s.Errored != s.Runs {
 		t.Fatalf("inconsistent summary: %s", s)
+	}
+}
+
+// TestChaosStreamGolden pins the rendered event stream of one small
+// transient-fault scenario byte for byte: the aborted attempt's start
+// with no end, the recovery stall, the retried phase. Regenerate
+// deliberately with:
+//
+//	go test ./internal/chaos -run TestChaosStreamGolden -update
+func TestChaosStreamGolden(t *testing.T) {
+	specs, err := fault.ParseSpecs("mem@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Run(nil, Scenario{Model: "qsm", Alg: "parity", N: 16, Seed: 1, Specs: specs}, DefaultDeadline, 0)
+	if err := o.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+	if !o.Verified || o.Report == nil || o.Report.Recovered != 1 {
+		t.Fatalf("scenario should verify after one recovered transient: verified=%t report=%v", o.Verified, o.Report)
+	}
+	got := o.Stream()
+	golden := filepath.Join("testdata", "stream_qsm_parity_n16_seed1_mem2.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("event stream diverges from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }

@@ -67,8 +67,8 @@ func TestChaosProcBackend(t *testing.T) {
 				if err := ri.Invariant(); err != nil {
 					t.Fatal(err)
 				}
-				if o.Stream != ri.Stream {
-					t.Fatalf("event stream diverges from inproc:\nproc:\n%s\ninproc:\n%s", o.Stream, ri.Stream)
+				if got, want := o.Stream(), ri.Stream(); got != want {
+					t.Fatalf("event stream diverges from inproc:\nproc:\n%s\ninproc:\n%s", got, want)
 				}
 				if got, want := strings.Join(o.FaultLines, "\n"), strings.Join(ri.FaultLines, "\n"); got != want {
 					t.Fatalf("fault schedule diverges from inproc:\nproc:\n%s\ninproc:\n%s", got, want)

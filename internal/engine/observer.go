@@ -1,8 +1,7 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/cost"
 )
@@ -29,7 +28,7 @@ func (k RequestKind) String() string {
 	case KindSend:
 		return "send"
 	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+		return "kind(" + strconv.Itoa(int(k)) + ")"
 	}
 }
 
@@ -164,39 +163,69 @@ func (l *EventLog) Reset() {
 	l.ends = l.ends[:0]
 }
 
-// line renders one recorded event.
-func (l *EventLog) line(e logEvent) string {
+// appendLine appends the text of one recorded event to dst. It is the
+// single renderer behind Lines and String, built on strconv so rendering
+// a large log costs no fmt work and no per-field allocation.
+func (l *EventLog) appendLine(dst []byte, e logEvent) []byte {
+	dst = append(dst, "phase "...)
+	dst = strconv.AppendInt(dst, int64(e.phase), 10)
 	switch e.kind {
 	case evStart:
-		return fmt.Sprintf("phase %d start", e.phase)
+		return append(dst, " start"...)
 	case evRequest:
-		return fmt.Sprintf("phase %d p%d %s %d=%s",
-			e.phase, e.proc, e.reqKind, e.addr, e.payload)
+		dst = append(dst, " p"...)
+		dst = strconv.AppendInt(dst, int64(e.proc), 10)
+		dst = append(dst, ' ')
+		dst = append(dst, e.reqKind.String()...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(e.addr), 10)
+		dst = append(dst, '=')
+		return append(dst, e.payload...)
 	default:
 		pc := l.ends[e.addr]
-		return fmt.Sprintf(
-			"phase %d end: time=%d m_op=%d m_rw=%d κ=%d round=%v",
-			e.phase, pc.Time, pc.MaxOps, pc.MaxRW, pc.Contention, pc.IsRound)
+		dst = append(dst, " end: time="...)
+		dst = strconv.AppendInt(dst, int64(pc.Time), 10)
+		dst = append(dst, " m_op="...)
+		dst = strconv.AppendInt(dst, pc.MaxOps, 10)
+		dst = append(dst, " m_rw="...)
+		dst = strconv.AppendInt(dst, pc.MaxRW, 10)
+		dst = append(dst, " κ="...)
+		dst = strconv.AppendInt(dst, pc.Contention, 10)
+		dst = append(dst, " round="...)
+		return strconv.AppendBool(dst, pc.IsRound)
 	}
 }
 
 // Lines renders the event stream, one line per event.
 func (l *EventLog) Lines() []string {
 	out := make([]string, len(l.events))
+	var buf []byte
 	for i, e := range l.events {
-		out[i] = l.line(e)
+		buf = l.appendLine(buf[:0], e)
+		out[i] = string(buf)
 	}
 	return out
 }
 
-// String renders and joins the log lines.
+// String renders the log lines joined by newlines into one buffer,
+// sized up front from the recorded events so a large log renders in a
+// constant number of allocations.
 func (l *EventLog) String() string {
-	var b strings.Builder
+	size := 0
+	for _, e := range l.events {
+		size += lineSizeHint[e.kind] + len(e.payload) + 1
+	}
+	buf := make([]byte, 0, size)
 	for i, e := range l.events {
 		if i > 0 {
-			b.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
-		b.WriteString(l.line(e))
+		buf = l.appendLine(buf, e)
 	}
-	return b.String()
+	return string(buf)
 }
+
+// lineSizeHint is a typical rendered length per event kind, excluding
+// the payload: a request line at n ≈ 1024 is ~26 bytes, a phase
+// end ~50. Underestimates only cost a few buffer growths.
+var lineSizeHint = [...]int{evStart: 16, evRequest: 28, evEnd: 56}

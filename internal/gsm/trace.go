@@ -2,6 +2,7 @@ package gsm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cost"
@@ -46,11 +47,13 @@ func infoKey(in Info) string {
 		return "∅"
 	}
 	var b strings.Builder
+	b.Grow(4 * len(in)) // room for elements below 1000 and their commas
+	var num [20]byte
 	for i, a := range in {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", a) //lint:hotpathalloc-ok trace rendering: runs only when an event log is attached
+		b.Write(strconv.AppendInt(num[:0], a, 10))
 	}
 	return b.String()
 }

@@ -1,6 +1,9 @@
 package gsm
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -126,5 +129,29 @@ func TestTraceReadsObservePrePhaseContents(t *testing.T) {
 	// Cell 2's end-of-phase keys: 42 from phase 0 onward.
 	if tr.CellKey(2, 0) != "42" || tr.CellKey(2, 1) != "42" {
 		t.Errorf("cell keys = %q / %q, want 42 / 42", tr.CellKey(2, 0), tr.CellKey(2, 1))
+	}
+}
+
+// infoKey renders byte-identically to its fmt form: "∅" for the empty
+// set, otherwise the elements in %d joined by commas.
+func TestInfoKeyMatchesFmt(t *testing.T) {
+	ref := func(in Info) string {
+		if len(in) == 0 {
+			return "∅"
+		}
+		parts := make([]string, len(in))
+		for i, a := range in {
+			parts[i] = fmt.Sprintf("%d", a)
+		}
+		return strings.Join(parts, ",")
+	}
+	for _, in := range []Info{
+		nil, {}, {0}, {7}, {-3}, {math.MinInt64}, {math.MaxInt64},
+		{0, 1, 2, 999, 1000, 123456},
+		{math.MinInt64, -1, 0, 1, math.MaxInt64},
+	} {
+		if got, want := infoKey(in), ref(in); got != want {
+			t.Errorf("infoKey(%v) = %q, want %q", []int64(in), got, want)
+		}
 	}
 }
