@@ -49,6 +49,8 @@ func TestCLIErrors(t *testing.T) {
 			`unexpected arguments after sweep flags: ["stray"]`},
 		{"sweep resume without output", []string{"sweep", "-resume", "-n", "64"},
 			"resume needs a JSONL output path"},
+		{"negative proc workers", []string{"-backend", "proc", "-proc-workers", "-1", "-n", "8"},
+			"negative proc worker count -1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -6,11 +6,11 @@ package repro
 // one worker or many. The winner rule (last write of the highest-numbered
 // processor), contention counts, and violation selection are all defined
 // independently of the chunk layout, so Workers is a pure throughput knob.
-// Workers=1 commits through the serial column barrier and Workers=8
-// through the sharded two-pass commit, so every comparison here is also
-// a differential test of the two barriers. (The GSM's grain keeps
-// machines of at most 64 processors on the serial barrier at both
-// settings.)
+// Both settings commit through the same column barrier; Workers=8 runs
+// the processor bodies over concurrent chunks, so every comparison here
+// checks that concurrent dispatch leaves no trace in the results. (The
+// GSM's grain keeps machines of at most 64 processors on inline dispatch
+// at both settings.)
 
 import (
 	"math/rand"
@@ -151,7 +151,7 @@ func TestDeterminismDartLACQSM(t *testing.T) {
 
 // runSampleSortBSP routes every key through the message pipeline twice
 // (samples to the coordinator, keys to their buckets), which exercises the
-// sharded routing and inbox recycling end to end.
+// routing commit and inbox recycling end to end.
 func runSampleSortBSP(t *testing.T, workers int) (mem [][]int64, rep cost.Report) {
 	t.Helper()
 	const n, p = 1 << 10, 32
@@ -288,7 +288,7 @@ func TestDeterminismEventStreams(t *testing.T) {
 		}},
 		{"QSM/parity-tree-bool", func(workers int) (Machine, func() error) {
 			// Bit-packed twin of parity-tree: the same request sequence
-			// flows through BitMem's word-sharded columnar commit.
+			// flows through BitMem's packed column barrier.
 			const n = 256
 			in := workload.Bits(5, n)
 			m, err := qsm.NewBool(qsm.Config{

@@ -61,7 +61,7 @@ var allowedWriters = map[string]map[string]bool{
 	"MemCtx": set("Read", "Write", "Op", "failf", "reset",
 		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
 	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "Checkpoint", "Rollback",
-		"corruptCell", "finish"),
+		"corruptCell", "commit", "finish"),
 	"bitBuf":   set("ensure", "commit", "finish"),
 	"BitCtx":   set("Read", "ReadWord", "Write", "Op", "failf", "reset"),
 	"Route":    set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),

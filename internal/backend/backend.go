@@ -14,9 +14,9 @@ import (
 )
 
 // Names lists the selectable backends: "inproc" is the engine's built-in
-// merge (the default, represented by a nil engine.Backend): the serial
-// column barrier at one worker, the sharded two-pass commit above that;
-// "proc" is the multi-process transport of internal/backend/proc.
+// merge (the default, represented by a nil engine.Backend), counted by
+// the column barrier's own MemMerger/RouteMerger at every Workers
+// setting; "proc" is the multi-process transport of internal/backend/proc.
 func Names() []string { return []string{"inproc", "proc"} }
 
 // Valid reports whether name selects a known backend ("" = inproc).
@@ -50,9 +50,13 @@ type Config struct {
 
 // New constructs the configured backend. inproc returns (nil, nil): a
 // nil engine.Backend is the engine's built-in path, byte-identical to
-// what it always did. The caller owns the returned backend and must
-// Close it after the run.
+// what it always did. A negative ProcWorkers is rejected for every name,
+// matching the sweep's invalid-params skip for the same cell. The caller
+// owns the returned backend and must Close it after the run.
 func New(cfg Config) (engine.Backend, error) {
+	if cfg.ProcWorkers < 0 {
+		return nil, fmt.Errorf("backend: negative proc worker count %d (want ≥ 0; 0 selects the default of 1)", cfg.ProcWorkers)
+	}
 	switch cfg.Name {
 	case "", "inproc":
 		return nil, nil

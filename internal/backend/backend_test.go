@@ -50,6 +50,39 @@ func TestNewUnknownName(t *testing.T) {
 	}
 }
 
+// A negative worker count must fail for every backend name, naming the
+// bad value, instead of being clamped to one worker; zero still selects
+// the default.
+func TestNewProcWorkers(t *testing.T) {
+	cases := []struct {
+		name    string
+		workers int
+		wantErr string
+	}{
+		{"inproc", -1, "negative proc worker count -1"},
+		{"proc", -1, "negative proc worker count -1"},
+		{"proc", -7, "negative proc worker count -7"},
+		{"", -2, "negative proc worker count -2"},
+		{"inproc", 0, ""},
+		{"inproc", 3, ""},
+	}
+	for _, c := range cases {
+		bk, err := New(Config{Name: c.name, ProcWorkers: c.workers})
+		if c.wantErr == "" {
+			if err != nil || bk != nil {
+				t.Errorf("New(%q, ProcWorkers=%d) = %v, %v; want nil, nil", c.name, c.workers, bk, err)
+			}
+			continue
+		}
+		if bk != nil {
+			t.Errorf("New(%q, ProcWorkers=%d) returned a backend (%T) alongside an error", c.name, c.workers, bk)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("New(%q, ProcWorkers=%d) error = %v, want it to contain %q", c.name, c.workers, err, c.wantErr)
+		}
+	}
+}
+
 // Usage must mention every selectable backend so flag help stays in sync
 // with Names.
 func TestUsageListsAllNames(t *testing.T) {

@@ -22,7 +22,7 @@
 // An input of size n is partitioned uniformly: component i is assigned
 // either ⌈n/p⌉ or ⌊n/p⌋ inputs (Block distribution helpers below).
 //
-// The superstep lifecycle — dispatch, h-relation measurement, the sharded
+// The superstep lifecycle — dispatch, h-relation measurement, the
 // deterministic routing commit and observer events — lives in
 // internal/engine; this package is the model adapter binding that runtime
 // to BSP components, private memories and the max(w, g·h, L) cost rule.
@@ -244,8 +244,8 @@ func (c *Ctx) SendFanout(dsts []int32, tag, val int64) {
 // Superstep runs one superstep: body is invoked once per component
 // (concurrently over contiguous chunks); at the barrier the h-relation is
 // measured, the superstep is charged max(w, g·h, L), and staged messages
-// are routed into the inboxes for the next superstep by the sharded
-// routing commit.
+// are routed into the inboxes for the next superstep by the routing
+// commit.
 func (m *Machine) Superstep(body func(c *Ctx)) {
 	if m.ctxs == nil {
 		m.ctxs = make([]Ctx, m.P())

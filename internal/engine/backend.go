@@ -5,15 +5,13 @@ import (
 	"fmt"
 )
 
-// This file is the commit-barrier backend seam. The engine's default
-// ("inproc") commit path is the serial column barrier at one worker
-// (commitBackend in mem.go / bitmem.go / route.go, counting with
-// MemMerger / RouteMerger below) and the sharded two-pass merge above
-// one worker. A Backend plugs into the column barrier and replaces only
-// the *measurement* half of it: counting per-cell contention, detecting
-// read+write violations and measuring the h-relation over the request
-// columns. Everything value-carrying stays on
-// the coordinating process — write payloads, inbox contents, observer
+// This file is the commit-barrier backend seam. Every engine commits
+// through one column barrier (commit in mem.go / bitmem.go / route.go),
+// which by default ("inproc") counts with MemMerger / RouteMerger below.
+// A Backend replaces only the *measurement* half of it: counting
+// per-cell contention, detecting read+write violations and measuring the
+// h-relation over the request columns. Everything value-carrying stays
+// on the coordinating process — write payloads, inbox contents, observer
 // emission, cost charging and checkpoint/rollback — because the engines
 // are generic over payload types the transport cannot serialize.
 //
@@ -175,20 +173,20 @@ func (c *Core) transportStatus(err error) PhaseStatus {
 	return PhaseRetry
 }
 
-// colBatch is how many column headers the serial barrier hands a merger
+// colBatch is how many column headers the column barrier hands a merger
 // per call: enough to amortise the call, small enough to live on the
 // stack.
 const colBatch = 64
 
-// MemMerger is the shared-memory contention rule set: the per-cell
-// processor counts and the read+write clash check, applied serially over
-// one contiguous cell range [lo, hi). The engine's serial column barrier
-// (one worker, no backend) feeds it the active processors' own columns;
-// backend workers run it over their owned range via Merge. The scratch
-// persists across merges, so a steady-state merge allocates nothing.
+// MemMerger is the shared-memory contention rule set — the one
+// implementation of it in the engine: the per-cell processor counts and
+// the read+write clash check, applied serially over one contiguous cell
+// range [lo, hi). The column barrier (no backend) feeds it the active
+// processors' own columns; backend workers run it over their owned range
+// via Merge. The scratch persists across merges, so a steady-state merge
+// allocates nothing.
 //
-// Rules (the same as mem.go's sharded pass 2): contention counts
-// *processors* per cell — duplicate requests by one processor dedupe via
+// Rules (paper §2): contention counts *processors* per cell — duplicate requests by one processor dedupe via
 // the last mark; all reads are counted before all writes, so a positive
 // count at a written cell means the forbidden read+write mix, and the
 // smallest such cell is reported.
@@ -310,9 +308,9 @@ func (g *MemMerger) end() MergeStats {
 }
 
 // RouteMerger is the routing rule set: per-destination fan-in counting
-// over one contiguous component range [lo, hi), the same count as the
-// in-proc sharded pass 2. The engine's serial column barrier feeds it the
-// senders' own destination columns; backend workers run it via Merge.
+// (messages per destination) over one contiguous component range
+// [lo, hi). The column barrier (no backend) feeds it the senders' own
+// destination columns; backend workers run it via Merge.
 // The scratch persists across merges, and only the counted destinations
 // are cleared afterwards. A merge is begin, dsts over every sender's
 // column (in as many calls as the caller likes), then end.

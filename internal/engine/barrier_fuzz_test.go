@@ -10,13 +10,17 @@ import (
 )
 
 // FuzzBarrierDifferential runs one random phase program through every
-// commit barrier and demands byte-identical results. The barriers are:
+// way of committing it and demands byte-identical results. The configs
+// are:
 //
-//   - the serial column barrier (Workers=1, no backend);
-//   - the sharded two-pass commit (Workers=4);
+//   - the column barrier at Workers=1 and Workers=4, counting with
+//     MemMerger/RouteMerger in process;
 //   - a Backend that answers with MemMerger/RouteMerger over two cell
 //     ranges, the way proc rank workers split the space, at Workers=1
-//     and Workers=4.
+//     and Workers=4;
+//   - naiveBackend, an independent map-based reading of the paper's §2
+//     rules that shares no code with the engine, so a wrong rule in
+//     MemMerger/RouteMerger cannot pass by agreeing with itself.
 //
 // Programs mix per-cell and batch submission, duplicate requests,
 // read+write clashes, sparse phases with most processors idle, packed
@@ -38,18 +42,23 @@ func FuzzBarrierDifferential(f *testing.F) {
 	})
 }
 
-// barrierConfig selects one commit barrier.
+// barrierConfig selects the worker count and, when backend is set, the
+// Backend that counts contention.
 type barrierConfig struct {
 	name    string
 	workers int
-	backend bool
+	backend func() engine.Backend
 }
 
+func newRefBackend() engine.Backend   { return &refBackend{} }
+func newNaiveBackend() engine.Backend { return naiveBackend{} }
+
 var barrierConfigs = []barrierConfig{
-	{"serial", 1, false},
-	{"sharded", 4, false},
-	{"backend", 1, true},
-	{"backend-W4", 4, true},
+	{"serial", 1, nil},
+	{"W4", 4, nil},
+	{"backend", 1, newRefBackend},
+	{"backend-W4", 4, newRefBackend},
+	{"naive", 1, newNaiveBackend},
 }
 
 // barrierRun is everything a run exposes, rendered for comparison.
@@ -101,6 +110,62 @@ func (b *refBackend) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, er
 	mid := req.P / 2
 	lo, hi := b.route[0].Merge(req, 0, mid), b.route[1].Merge(req, mid, req.P)
 	return engine.RouteStats{HRecv: max(lo.HRecv, hi.HRecv)}, nil
+}
+
+// naiveBackend answers merges straight from the paper's §2 definitions
+// with maps: κ is the number of distinct processors per cell, the
+// violation is the smallest cell both read and written, and fan-in is
+// the number of messages per destination.
+type naiveBackend struct{}
+
+func (naiveBackend) Name() string { return "naive" }
+func (naiveBackend) Close() error { return nil }
+
+func (naiveBackend) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error) {
+	readers := map[int32]map[int]bool{}
+	writers := map[int32]map[int]bool{}
+	add := func(m map[int32]map[int]bool, cell int32, proc int) {
+		if m[cell] == nil {
+			m[cell] = map[int]bool{}
+		}
+		m[cell][proc] = true
+	}
+	for proc, col := range req.Reads {
+		for _, a := range col {
+			add(readers, a, proc)
+		}
+	}
+	for proc, col := range req.Writes {
+		for _, e := range col {
+			if req.Packed {
+				e >>= 1
+			}
+			add(writers, e, proc)
+		}
+	}
+	st := engine.MergeStats{Viol: -1}
+	for a, procs := range readers {
+		st.KRead = max(st.KRead, int64(len(procs)))
+		if writers[a] != nil && (st.Viol < 0 || a < st.Viol) {
+			st.Viol = a
+		}
+	}
+	for _, procs := range writers {
+		st.KWrite = max(st.KWrite, int64(len(procs)))
+	}
+	return st, nil
+}
+
+func (naiveBackend) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, error) {
+	fanIn := map[int32]int64{}
+	var st engine.RouteStats
+	for _, col := range req.Dsts {
+		for _, d := range col {
+			fanIn[d]++
+			st.HRecv = max(st.HRecv, fanIn[d])
+		}
+	}
+	return st, nil
 }
 
 // --- program generation ----------------------------------------------------
@@ -237,8 +302,8 @@ func attach(m interface {
 	SetBackend(engine.Backend)
 	InjectFaults(engine.Injector, engine.RetryPolicy, bool)
 }, c barrierConfig, inj engine.Injector) {
-	if c.backend {
-		m.SetBackend(&refBackend{})
+	if c.backend != nil {
+		m.SetBackend(c.backend())
 	}
 	if inj != nil {
 		m.InjectFaults(inj, engine.RetryPolicy{MaxAttempts: 4}, true)

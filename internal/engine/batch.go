@@ -4,8 +4,8 @@ import "fmt"
 
 // Batch submission API of the shared-memory and routing engines.
 //
-// The per-phase request buffers are struct-of-arrays (parallel address /
-// value / processor columns — see MemCtx and memBuf), so enqueuing a
+// The per-phase request buffers are struct-of-arrays (parallel address
+// and value columns — see MemCtx), so enqueuing a
 // whole slice of requests is a bounds-check pass plus one append per
 // column. The per-cell Read/Write calls remain as thin wrappers over the
 // same columns; a batch call records exactly the request sequence the

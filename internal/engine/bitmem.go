@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/sched"
 )
 
 // BitMem is the bit-packed specialization of the shared-memory phase
@@ -16,12 +15,8 @@ import (
 // as the equivalent word-valued run — only the storage and the commit
 // apply are word-level.
 //
-// At one worker the serial column barrier counts contention over the
-// packed write columns (addr<<1 | bit) with MemMerger and applies them
-// per active processor. Above one worker commit writes are sharded over
-// the *word* space (shard key addr>>6), never the bit space: every word
-// belongs to exactly one shard, so the parallel apply and the per-bit
-// contention scratch touch disjoint words without atomics.
+// The column barrier counts contention over the packed write columns
+// (addr<<1 | bit) with MemMerger and applies them per active processor.
 // Checkpoint/rollback and corruptCell operate on the packed words too, so
 // a transient fault over n bits copies n/64 words.
 
@@ -55,13 +50,10 @@ type BitMem struct {
 	// ctxs is the per-machine free list of phase contexts, one per
 	// processor, reset and reused every phase.
 	ctxs []*BitCtx
-	// cb holds the reusable scratch of the sharded commit pipeline
-	// (Workers > 1); the column barrier never touches it.
-	cb bitBuf
 	// ckWords is the word-level memory snapshot of the last Checkpoint.
 	ckWords []uint64
 	// Column-barrier scratch, as in Mem: the active processors, the
-	// serial contention counter, and the column-of-columns headers handed
+	// in-process contention counter, and the column-of-columns headers handed
 	// to an attached Backend (the columns themselves are borrowed from the
 	// phase contexts).
 	active            []int32
@@ -227,11 +219,10 @@ func (m *BitMem) Phase(body func(c *BitCtx)) {
 			m.ctxs[i] = &BitCtx{proc: i, m: m}
 		}
 	}
-	workers := m.Workers()
 	if m.InjectorActive() {
 		m.Checkpoint()
 	}
-	m.RunPhase(workers, p, func(lo, hi int) (int32, error) {
+	m.RunPhase(m.Workers(), p, func(lo, hi int) (int32, error) {
 		var nf int32
 		var first error
 		for i := lo; i < hi; i++ {
@@ -249,7 +240,7 @@ func (m *BitMem) Phase(body func(c *BitCtx)) {
 			}
 		}
 		return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
-	}, func() PhaseStatus { return m.commit(workers) })
+	}, m.commit)
 }
 
 // Checkpoint snapshots the packed words and cost aggregates at a
@@ -293,190 +284,13 @@ func (m *BitMem) ForAll(active int, body func(c *BitCtx)) {
 	})
 }
 
-// bitBuf is the reusable scratch of the bit memory's sharded phase
-// commit — memBuf with a packed write column and word-space sharding.
-type bitBuf struct {
-	// Pass-1 buckets, indexed [chunk*numShards + shard]. wPacked holds
-	// addr<<1 | bit.
-	rAddr, rProc   [][]int32
-	wPacked, wProc [][]int32
-	// Per-chunk local-cost maxima.
-	mOp, mRW []int64
-	// Per-shard contention maxima and smallest violating cell (−1 = none).
-	kr, kw []int64
-	viol   []int32
-	// Per-bit contention scratch, zeroed via the touched lists.
-	count, last []int32
-	touched     [][]int32
-}
-
-// ensure sizes the scratch and returns the word-space sharding and the
-// number of pass-1 merge chunks.
-func (b *bitBuf) ensure(nbits, nwords, workers, p int) (sh sched.Sharding, nm int) {
-	nm = sched.NumBlocks(workers, p)
-	sh = sched.NewSharding(nwords, workers)
-	if nb := nm * sh.N; len(b.rAddr) < nb {
-		b.rAddr = growSlices(b.rAddr, nb)
-		b.rProc = growSlices(b.rProc, nb)
-		b.wPacked = growSlices(b.wPacked, nb) //lint:bitaddr-ok pool growth of the outer column-of-columns; packed elements only enter via the staged appends below
-		b.wProc = growSlices(b.wProc, nb)
-	}
-	if len(b.mOp) < nm {
-		b.mOp = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.mRW = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	if len(b.kr) < sh.N {
-		b.kr = make([]int64, sh.N)   //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.kw = make([]int64, sh.N)   //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.viol = make([]int32, sh.N) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.touched = growSlices(b.touched, sh.N)
-	}
-	if len(b.count) < nbits {
-		b.count = make([]int32, nbits) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.last = make([]int32, nbits)  //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	return sh, nm
-}
-
-// commit is Mem.commit for the packed representation: the same barrier
-// selection, two parallel passes, contention rules, violation selection
-// and injector protocol, with requests bucketed by the shard of their
-// *word* (addr>>6) so the apply and scratch accesses of different shards
-// touch disjoint words.
-func (m *BitMem) commit(workers int) PhaseStatus {
-	if m.backend != nil || workers <= 1 {
-		return m.commitBackend()
-	}
-	ctxs := m.ctxs
-	b := &m.cb
-	sh, nm := b.ensure(m.nbits, len(m.words), workers, len(ctxs))
-	ns := sh.N
-
-	// Pass 1: per-chunk cost maxima + requests bucketed by word shard.
-	sched.Blocks(workers, len(ctxs), func(w, lo, hi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		var mOp, mRW int64
-		base := w * ns
-		for i := lo; i < hi; i++ {
-			c := ctxs[i]
-			mOp = max(mOp, c.ops)
-			mRW = max(mRW, c.reads, c.wrs)
-			proc := int32(i)
-			for _, a := range c.readAddrs {
-				k := base + sh.Shard(a>>6)
-				b.rAddr[k] = append(b.rAddr[k], a)
-				b.rProc[k] = append(b.rProc[k], proc)
-			}
-			for _, pk := range c.writes {
-				k := base + sh.Shard((pk>>1)>>6)
-				b.wPacked[k] = append(b.wPacked[k], pk)
-				b.wProc[k] = append(b.wProc[k], proc)
-			}
-		}
-		b.mOp[w], b.mRW[w] = mOp, mRW
-	})
-
-	// Pass 2: per-shard contention counting and violation detection,
-	// exactly memBuf's rules over bit addresses.
-	sched.Blocks(workers, ns, func(_, slo, shi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		for s := slo; s < shi; s++ {
-			var kr, kw int64
-			viol := int32(-1)
-			touched := b.touched[s][:0]
-			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				procs := b.rProc[k]
-				for j, a := range b.rAddr[k] {
-					pr := procs[j] + 1
-					if b.last[a] == pr {
-						continue
-					}
-					b.last[a] = pr
-					if b.count[a] == 0 {
-						touched = append(touched, a)
-					}
-					b.count[a]++
-					kr = max(kr, int64(b.count[a]))
-				}
-			}
-			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				procs := b.wProc[k]
-				for j, pk := range b.wPacked[k] {
-					a := pk >> 1
-					if b.count[a] > 0 {
-						if viol < 0 || a < viol {
-							viol = a
-						}
-						continue
-					}
-					pr := -(procs[j] + 1)
-					if b.last[a] == pr {
-						continue
-					}
-					b.last[a] = pr
-					if b.count[a] == 0 {
-						touched = append(touched, a)
-					}
-					b.count[a]--
-					kw = max(kw, int64(-b.count[a]))
-				}
-			}
-			b.kr[s], b.kw[s], b.viol[s] = kr, kw, viol
-			b.touched[s] = touched
-		}
-	})
-
-	var mOp, mRW int64
-	for w := 0; w < nm; w++ {
-		mOp = max(mOp, b.mOp[w])
-		mRW = max(mRW, b.mRW[w])
-	}
-	var kr, kw int64
-	violAddr := int32(-1)
-	for s := 0; s < ns; s++ {
-		kr = max(kr, b.kr[s])
-		kw = max(kw, b.kw[s])
-		if b.viol[s] >= 0 && (violAddr < 0 || b.viol[s] < violAddr) {
-			violAddr = b.viol[s]
-		}
-	}
-	if violAddr >= 0 {
-		m.recordViolation(m.model.Violation(), violAddr)
-		m.finish(workers, nm, ns, false)
-		return PhaseAborted
-	}
-
-	if m.InjectorActive() {
-		switch v := m.consultInjector(m.nbits); v.Class {
-		case FaultPermanent:
-			m.recordPermanent(m.model.Prefix(), m.model.Violation(), v)
-			m.finish(workers, nm, ns, false)
-			return PhaseAborted
-		case FaultTransient:
-			m.chargePhase(Outcome{MaxOps: mOp, MaxRW: mRW, KRead: kr, KWrite: kw})
-			m.finish(workers, nm, ns, true)
-			m.corruptCell(v.Addr)
-			m.Rollback()
-			return PhaseRetry
-		}
-	}
-
-	pc := m.chargePhase(Outcome{MaxOps: mOp, MaxRW: mRW, KRead: kr, KWrite: kw})
-	if m.Observing() {
-		m.emitRequests()
-	}
-	m.finish(workers, nm, ns, true)
-	m.observePhaseEnd(pc)
-	return PhaseCommitted
-}
-
-// commitBackend is BitMem's column barrier: Mem.commitBackend for the
-// packed representation, serving both the serial commit (one worker, no
-// backend) and the backend commit. Write columns are packed
-// (addr<<1 | bit, Packed set for a backend) and the apply unpacks them
-// per active processor in ascending order — the same last-writer-wins
-// winner at every bit as the sharded word-space replay.
-func (m *BitMem) commitBackend() PhaseStatus {
+// commit is BitMem's column barrier: Mem.commit for the packed
+// representation. Write columns are packed (addr<<1 | bit, Packed set
+// for a backend) and the apply unpacks them per active processor in
+// ascending order, so each bit's last-writer-wins winner is the final
+// write of the highest-numbered processor — the word-valued engine's
+// outcome.
+func (m *BitMem) commit() PhaseStatus {
 	bk := m.backend != nil
 	var mOp, mRW int64
 	active := m.active[:0]
@@ -492,7 +306,7 @@ func (m *BitMem) commitBackend() PhaseStatus {
 			writes = append(writes, c.writes)
 		}
 	}
-	m.active, m.bkReads, m.bkWrites = active, reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the serial and backend commit entry point
+	m.active, m.bkReads, m.bkWrites = active, reads, writes
 	var st MergeStats
 	if bk {
 		var err error
@@ -513,7 +327,7 @@ func (m *BitMem) commitBackend() PhaseStatus {
 
 	o := Outcome{MaxOps: mOp, MaxRW: mRW, KRead: st.KRead, KWrite: st.KWrite}
 	if m.InjectorActive() {
-		switch v := m.consultInjector(m.nbits); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier on the serial and backend paths; one draw per attempt, same as the sharded path
+		switch v := m.consultInjector(m.nbits); v.Class {
 		case FaultPermanent:
 			m.recordPermanent(m.model.Prefix(), m.model.Violation(), v)
 			return PhaseAborted
@@ -560,8 +374,7 @@ func (m *BitMem) mergeActive() MergeStats {
 }
 
 // applyCtxWrites commits the phase's packed writes straight from the
-// active processors' contexts in ascending processor order (the column
-// barrier's replacement for the word-sharded replay).
+// active processors' contexts in ascending processor order.
 func (m *BitMem) applyCtxWrites() {
 	for _, i := range m.active {
 		for _, pk := range m.ctxs[i].writes {
@@ -592,39 +405,4 @@ func (m *BitMem) emitRequests() {
 				Payload: bitPayload(pk&1 == 1)})
 		}
 	}
-}
-
-// finish applies the phase's writes (unless aborted) and zeroes the
-// scratch, in parallel over word shards. Buckets hold requests in
-// ascending processor order and replay in chunk order, so the winner at
-// each bit is the final write of the highest-numbered processor — the
-// same last-writer-wins outcome as the word-valued engine.
-func (m *BitMem) finish(workers, nm, ns int, applyWrites bool) {
-	b := &m.cb
-	sched.Blocks(workers, ns, func(_, slo, shi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		for s := slo; s < shi; s++ {
-			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				if applyWrites {
-					for _, pk := range b.wPacked[k] {
-						a := pk >> 1
-						if pk&1 == 1 {
-							m.words[a>>6] |= 1 << (uint32(a) & 63)
-						} else {
-							m.words[a>>6] &^= 1 << (uint32(a) & 63)
-						}
-					}
-				}
-				b.rAddr[k] = b.rAddr[k][:0]
-				b.rProc[k] = b.rProc[k][:0]
-				b.wPacked[k] = b.wPacked[k][:0]
-				b.wProc[k] = b.wProc[k][:0]
-			}
-			for _, a := range b.touched[s] {
-				b.count[a] = 0
-				b.last[a] = 0
-			}
-			b.touched[s] = b.touched[s][:0]
-		}
-	})
 }

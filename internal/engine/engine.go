@@ -17,15 +17,13 @@
 //     over the message type): staged sends, h-relation measurement and
 //     deterministic inbox delivery with ping-ponged buffers.
 //
-// Which barrier commits a phase follows from the worker count alone. With
-// one worker (after the model's grain) the serial column barrier runs:
-// one scan of the processor contexts, contention counted by MemMerger or
-// RouteMerger straight off the active processors' own request columns,
-// and the apply or delivery over those processors in ascending order.
-// With more workers the two-pass sharded commit runs: requests are
-// bucketed by address shard, then counted and applied per shard in
-// parallel. An attached Backend reuses the column barrier with the
-// contention count done by the backend.
+// Every phase commits through one barrier, the column barrier, on the
+// coordinating goroutine: one scan of the processor contexts, contention
+// counted by MemMerger or RouteMerger straight off the active
+// processors' own request columns, and the apply or delivery over those
+// processors in ascending order. An attached Backend replaces only the
+// contention count. Workers sets how many goroutines run the processor
+// bodies; it does not change how a phase commits.
 //
 // A simulator package is a thin adapter: it supplies a Model (naming,
 // cost rule, round classification, commit semantics — last-writer-wins,
@@ -35,10 +33,10 @@
 //
 // Determinism contract: every result observable through a machine —
 // memory contents, cost reports, traces, and the Observer event stream —
-// is byte-identical for every Workers setting. Both barriers commit in
-// ascending processor order (the sharded one fills its buckets in
-// processor order and replays them in chunk order), and all observer
-// events are emitted from the coordinating goroutine.
+// is byte-identical for every Workers setting. Bodies only record
+// requests into their own processor's context; the barrier reads those
+// contexts in ascending processor order, and all observer events are
+// emitted from the coordinating goroutine.
 package engine
 
 import (
@@ -138,10 +136,8 @@ type Core struct {
 	ckOk      bool
 
 	// backend, when non-nil, replaces the contention count of the commit
-	// barrier with an external merge service (see backend.go); the column
-	// barrier then runs at every Workers setting. nil is the default
-	// in-proc path: the serial column barrier at one worker, the sharded
-	// commit above that.
+	// barrier with an external merge service (see backend.go). nil is the
+	// default in-proc path: the barrier counts with MemMerger/RouteMerger.
 	backend Backend
 }
 

@@ -33,8 +33,6 @@ func (memModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	}
 }
 
-func (memModel) Scrub([]int64) {}
-
 func (memModel) Render(v int64) string { return strconv.FormatInt(v, 10) }
 
 func (memModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
@@ -49,17 +47,17 @@ func (memModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
 }
 
 // barrierWorkers are the worker counts the lifecycle, violation and
-// fault tests run at: 1 takes the serial column barrier, 4 the sharded
-// two-pass commit.
+// fault tests run at: 1 dispatches the bodies inline, 4 over concurrent
+// chunks. Both commit through the same column barrier.
 var barrierWorkers = []int{1, 4}
 
 // allocLimit bounds the steady-state allocations of one warmed-up phase
-// per barrier. The serial barrier allocates only the dispatch closures and
-// the amortised report append. At Workers=4 the sharded barrier's
-// sched.Blocks fan-outs add their closures and goroutine captures (41
-// objects per Mem phase, 31 per Route superstep on go1.24); neither count
-// depends on p or on the request volume.
-var allocLimit = map[int]float64{1: 8, 4: 48}
+// per worker count. The barrier allocates only the dispatch closures and
+// the amortised report append. At Workers=4 the body dispatch's
+// sched.Blocks fan-out adds its goroutine captures (11 objects per phase
+// on every engine on go1.24); neither count depends on p or on the
+// request volume.
+var allocLimit = map[int]float64{1: 8, 4: 12}
 
 // forEachBarrier runs fn once per barrier, as subtests named W<workers>.
 func forEachBarrier(t *testing.T, fn func(t *testing.T, workers int)) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/sched"
 )
 
 // RouteModel is the adapter contract of a message-routing machine (the
@@ -58,9 +57,8 @@ func (s *Sends[M]) reset() {
 
 // Route is the message-routing superstep engine. Machine adapters embed
 // it and gain the superstep lifecycle: chunked body dispatch, the routing
-// commit with h-relation measurement (serial column barrier at one
-// worker, sharded above that), deterministic delivery into ping-ponged
-// inboxes, and observer emission.
+// column barrier with h-relation measurement, deterministic delivery into
+// ping-ponged inboxes, and observer emission.
 type Route[M any] struct {
 	Core
 	model RouteModel[M]
@@ -72,15 +70,12 @@ type Route[M any] struct {
 	// spare ping-pongs with inbox: last superstep's inbox slices are
 	// truncated and refilled as the next superstep's delivery target.
 	spare [][]M
-	// rb holds the reusable scratch of the sharded routing commit
-	// (Workers > 1); the column barrier never touches it.
-	rb routeBuf[M]
 	// ckInbox is the inbox snapshot of the last Checkpoint (per-component
 	// message copies, buffers reused across supersteps).
 	ckInbox [][]M
-	// Column-barrier scratch (see commitBackend): active lists the
-	// components that sent messages this superstep, merger counts their
-	// fan-in on the serial path, and bkDsts is the column-of-columns
+	// Column-barrier scratch (see commit): active lists the components
+	// that sent messages this superstep, merger counts their fan-in in
+	// process, and bkDsts is the column-of-columns
 	// header handed to an attached Backend (the destination columns are
 	// borrowed from the staging buffers).
 	active []int32
@@ -121,11 +116,10 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 			r.sends[i] = &Sends[M]{}
 		}
 	}
-	workers := r.Workers()
 	if r.InjectorActive() {
 		r.Checkpoint()
 	}
-	r.RunPhase(workers, p, func(lo, hi int) (int32, error) {
+	r.RunPhase(r.Workers(), p, func(lo, hi int) (int32, error) {
 		var nf int32
 		var first error
 		for i := lo; i < hi; i++ {
@@ -146,15 +140,15 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 			}
 		}
 		return nf, first
-	}, func() PhaseStatus { return r.commit(workers) })
+	}, r.commit)
 }
 
 // Checkpoint snapshots the inboxes and cost aggregates at a committed-
 // superstep boundary, so a transient fault in the next superstep can roll
 // back to exactly this state.
 func (r *Route[M]) Checkpoint() {
-	if len(r.ckInbox) < len(r.inbox) {
-		r.ckInbox = growSlices(r.ckInbox, len(r.inbox))
+	if r.ckInbox == nil {
+		r.ckInbox = make([][]M, len(r.inbox))
 	}
 	for i, in := range r.inbox {
 		r.ckInbox[i] = append(r.ckInbox[i][:0], in...)
@@ -197,169 +191,17 @@ func (r *Route[M]) corruptInbox(comp int, drop bool) {
 	}
 }
 
-// routeBuf is the reusable scratch of the sharded message-routing commit.
-// Staged sends are first bucketed by destination shard (one bucket per
-// merge-chunk × shard, filled in sender order), then each destination
-// shard counts its fan-in and fills its inboxes independently.
-type routeBuf[M any] struct {
-	// Buckets, indexed [chunk*numShards + shard].
-	msg [][]M
-	dst [][]int32
-	// Per-chunk maximum local work.
-	work []int64
-	// Per-component send counts (pass 1, chunk-disjoint) and receive
-	// counts (pass 2, shard-disjoint).
-	sent, recv []int64
-	// Per-shard receive maxima.
-	hrecv []int64
-}
-
-func (b *routeBuf[M]) ensure(p, nm, ns int) {
-	if nb := nm * ns; len(b.msg) < nb {
-		b.msg = growSlices(b.msg, nb)
-		b.dst = growSlices(b.dst, nb)
-	}
-	if len(b.work) < nm {
-		b.work = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	if len(b.sent) < p {
-		b.sent = make([]int64, p) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.recv = make([]int64, p) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	if len(b.hrecv) < ns {
-		b.hrecv = make([]int64, ns) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-}
-
-// commit measures the h-relation, consults the fault injector, charges
-// the superstep and routes staged messages. A superstep with one worker,
-// or with a backend attached, takes the column barrier (commitBackend);
-// otherwise the two sharded passes run. Buckets are filled in sender
-// order and replayed in chunk order, so each inbox receives its messages
-// grouped by ascending sender id — the same deterministic delivery order
-// for every Workers setting; the injector consult happens exactly once
-// per attempt on the coordinating goroutine.
-func (r *Route[M]) commit(workers int) PhaseStatus {
-	if r.backend != nil || workers <= 1 {
-		return r.commitBackend()
-	}
-	p := r.P()
-	b := &r.rb
-	nm := sched.NumBlocks(workers, p)
-	sh := sched.NewSharding(p, workers)
-	ns := sh.N
-	b.ensure(p, nm, ns)
-
-	// Pass 1: per-chunk work maxima, send counts, and messages bucketed by
-	// destination shard.
-	sched.Blocks(workers, p, func(w, lo, hi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		var work int64
-		base := w * ns
-		for i := lo; i < hi; i++ {
-			s := r.sends[i]
-			work = max(work, s.work)
-			b.sent[i] = int64(len(s.msgs))
-			for j, msg := range s.msgs {
-				d := s.dsts[j]
-				k := base + sh.Shard(d)
-				b.msg[k] = append(b.msg[k], msg)
-				b.dst[k] = append(b.dst[k], d)
-			}
-		}
-		b.work[w] = work
-	})
-
-	// Pass 2: per-destination-shard fan-in counting and inbox filling.
-	// Inbox slices ping-pong with spare, so steady-state supersteps reuse
-	// the previous-but-one superstep's backing arrays.
-	next := r.spare
-	sched.Blocks(workers, ns, func(_, slo, shi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		for s := slo; s < shi; s++ {
-			dlo, dhi := sh.Range(s, p)
-			for d := dlo; d < dhi; d++ {
-				b.recv[d] = 0
-			}
-			for w := 0; w < nm; w++ {
-				for _, d := range b.dst[w*ns+s] {
-					b.recv[d]++
-				}
-			}
-			var hr int64
-			for d := dlo; d < dhi; d++ {
-				hr = max(hr, b.recv[d])
-				next[d] = next[d][:0]
-			}
-			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				dsts := b.dst[k]
-				for j, msg := range b.msg[k] {
-					d := dsts[j]
-					next[d] = append(next[d], msg)
-				}
-				b.msg[k] = b.msg[k][:0]
-				b.dst[k] = b.dst[k][:0]
-			}
-			b.hrecv[s] = hr
-		}
-	})
-
-	var w, h int64
-	for i := 0; i < nm; i++ {
-		w = max(w, b.work[i])
-	}
-	for i := 0; i < p; i++ {
-		h = max(h, b.sent[i])
-	}
-	for s := 0; s < ns; s++ {
-		h = max(h, b.hrecv[s])
-	}
-
-	if r.InjectorActive() {
-		switch v := r.consultInjector(0); v.Class {
-		case FaultPermanent:
-			// Nothing delivers; the machine poisons with the fault
-			// error. Staged buckets were already drained into next by
-			// pass 2, which ping-pongs on the retry-free path; here we
-			// simply abandon next's contents (buffers are reused).
-			r.RecordErr(fmt.Errorf("%s: superstep %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-				r.model.Name(), r.Report().NumPhases(), v.Err))
-			return PhaseAborted
-		case FaultTransient:
-			// The fault fires after delivery: charge, swap the inboxes,
-			// damage the target component's deliveries (drop or
-			// duplicate) — then "detect" it at the barrier and roll back
-			// to the superstep-start checkpoint. The aborted attempt
-			// emits no Request and no PhaseEnd events.
-			r.chargePhase(Outcome{MaxOps: w, MaxRW: h})
-			r.spare = r.inbox
-			r.inbox = next
-			r.corruptInbox(v.Addr, v.Drop)
-			r.Rollback()
-			return PhaseRetry
-		}
-	}
-
-	pc := r.chargePhase(Outcome{MaxOps: w, MaxRW: h})
-	if r.Observing() {
-		r.emitRequests()
-	}
-	r.spare = r.inbox
-	r.inbox = next
-	r.observePhaseEnd(pc)
-	return PhaseCommitted
-}
-
-// commitBackend is the routing column barrier, serving both the serial
-// commit (one worker, no backend) and the backend commit. One scan of the
-// staging buffers gathers w and the send side of the h-relation, lists
-// the components that sent anything, and truncates the spare inboxes.
-// The serial path counts the receive side with RouteMerger over the
-// senders' own destination columns; the backend path ships every column
-// (borrowed, index = component) to the attached Backend. Charging,
-// observer emission and delivery are shared: delivery fills the
-// ping-ponged inboxes by ascending sender — exactly the grouped-by-sender
-// order the sharded replay produces.
-func (r *Route[M]) commitBackend() PhaseStatus {
+// commit is the routing column barrier: it measures the h-relation,
+// consults the fault injector, charges the superstep and routes staged
+// messages, on the coordinating goroutine at every Workers setting. One
+// scan of the staging buffers gathers w and the send side of the
+// h-relation, lists the components that sent anything, and truncates
+// the spare inboxes. The receive side is counted by RouteMerger over the
+// senders' own destination columns, or — with a backend attached — by
+// the Backend over every column (borrowed, index = component). Delivery
+// fills the ping-ponged inboxes by ascending sender, so each inbox
+// receives its messages grouped by sender in issue order.
+func (r *Route[M]) commit() PhaseStatus {
 	p := r.P()
 	bk := r.backend != nil
 	var w, h int64
@@ -377,7 +219,7 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 		}
 		next[i] = next[i][:0]
 	}
-	r.active, r.bkDsts = active, dsts //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the serial and backend commit entry point
+	r.active, r.bkDsts = active, dsts
 	var st RouteStats
 	if bk {
 		var err error
@@ -404,7 +246,7 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 	h = max(h, st.HRecv)
 
 	if r.InjectorActive() {
-		switch v := r.consultInjector(0); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier on the serial and backend paths; one draw per attempt, same as the sharded path
+		switch v := r.consultInjector(0); v.Class {
 		case FaultPermanent:
 			// Nothing delivers; the machine poisons with the fault error
 			// (staged sends are simply abandoned).
@@ -412,9 +254,11 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 				r.model.Name(), r.Report().NumPhases(), v.Err))
 			return PhaseAborted
 		case FaultTransient:
-			// Mirror the sharded path: charge, deliver, damage the target
-			// component's inbox, then roll back to the superstep-start
-			// checkpoint. The aborted attempt emits no events.
+			// The fault fires after delivery: charge, deliver, damage the
+			// target component's inbox (drop or duplicate) — then
+			// "detect" it at the barrier and roll back to the
+			// superstep-start checkpoint. The aborted attempt emits no
+			// Request and no PhaseEnd events.
 			r.chargePhase(Outcome{MaxOps: w, MaxRW: h})
 			r.deliverFromSends()
 			r.corruptInbox(v.Addr, v.Drop)
@@ -433,9 +277,8 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 }
 
 // deliverFromSends routes the active senders' staged messages straight
-// into the spare inboxes (truncated by commitBackend's scan), by
-// ascending sender, and swaps them in (the column barrier's replacement
-// for the sharded pass-2 replay).
+// into the spare inboxes (truncated by commit's scan), by ascending
+// sender, and swaps them in.
 func (r *Route[M]) deliverFromSends() {
 	next := r.spare
 	for _, i := range r.active {
@@ -445,7 +288,7 @@ func (r *Route[M]) deliverFromSends() {
 			next[d] = append(next[d], msg)
 		}
 	}
-	r.spare, r.inbox = r.inbox, next //lint:commitpurity-ok the column barrier's delivery half: called only from commitBackend inside the barrier
+	r.spare, r.inbox = r.inbox, next //lint:commitpurity-ok the column barrier's delivery half: called only from commit inside the barrier
 }
 
 // emitRequests renders the superstep's sends as observer events, grouped

@@ -17,7 +17,7 @@
 // At the start of an algorithm each cell contains information about up to γ
 // inputs (disjoint across cells).
 //
-// The phase lifecycle — dispatch, the deterministic sharded barrier merge,
+// The phase lifecycle — dispatch, the deterministic column barrier merge,
 // cost accounting and observer events — lives in internal/engine; this
 // package is the model adapter binding that runtime to Info-valued cells,
 // the strong-queuing merge commit and big-step accounting.
@@ -214,13 +214,6 @@ func (md gsmModel) Grain() int       { return gsmGrain }
 func (md gsmModel) Apply(mem []Info, addrs []int32, vals []Info) {
 	for j, a := range addrs {
 		mem[a] = mem[a].Merge(vals[j])
-	}
-}
-
-// Scrub drops Info references so retained buckets don't pin sets.
-func (md gsmModel) Scrub(vals []Info) {
-	for j := range vals {
-		vals[j] = nil
 	}
 }
 

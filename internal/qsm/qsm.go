@@ -30,7 +30,7 @@
 //     location, "but not both") and aborts the run with an error.
 //
 // The phase lifecycle — chunked concurrent dispatch, the deterministic
-// sharded barrier merge, cost accounting and observer events — lives in
+// column barrier merge, cost accounting and observer events — lives in
 // internal/engine; this package is the thin model adapter binding that
 // runtime to the QSM-family cost rules and last-writer-wins commit.
 package qsm
@@ -162,16 +162,14 @@ func (md qsmModel) Prefix() string   { return "qsm" }
 func (md qsmModel) Violation() error { return ErrViolation }
 func (md qsmModel) Grain() int       { return 1 }
 
-// Apply commits one bucket of writes last-writer-wins; the engine replays
-// buckets in processor order, so the winner at each cell is the final
-// write of the highest-numbered processor.
+// Apply commits one processor's writes last-writer-wins; the engine
+// applies processors in ascending order, so the winner at each cell is
+// the final write of the highest-numbered processor.
 func (md qsmModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	for j, a := range addrs {
 		mem[a] = vals[j]
 	}
 }
-
-func (md qsmModel) Scrub([]int64) {}
 
 func (md qsmModel) Render(v int64) string { return strconv.FormatInt(v, 10) } //lint:hotpathalloc-ok strconv's small-int fast path returns shared constants; rendering runs only when tracing
 

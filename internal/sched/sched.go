@@ -1,13 +1,11 @@
 // Package sched provides the shared worker-pool machinery of the QSM, BSP
-// and GSM simulators: chunked dispatch of per-processor work and the
-// address-range sharding used by the parallel phase-commit pipeline.
+// and GSM simulators: chunked dispatch of per-processor work.
 //
 // All three simulators follow the same execution shape. A phase (or BSP
 // superstep) runs processor programs concurrently over contiguous chunks of
-// the processor range; the per-processor request buffers are then merged at
-// the barrier by a second parallel pass over contiguous shards of the
-// address space. Both passes dispatch through Blocks, so the chunk layout —
-// and with it the deterministic merge order — is identical everywhere.
+// the processor range through Blocks; the per-processor request buffers are
+// then merged at the barrier on the coordinating goroutine, in ascending
+// processor order, so the chunk layout never shows in the results.
 package sched
 
 import (
@@ -69,41 +67,4 @@ func Blocks(workers, n int, fn func(w, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
-}
-
-// Sharding describes a partition of an address space [0, size) into
-// contiguous power-of-two-sized shards, used to route memory requests to
-// independent merge workers at the phase barrier.
-type Sharding struct {
-	// Shift is the right-shift mapping an address to its shard index.
-	Shift uint
-	// N is the number of shards: ((size-1) >> Shift) + 1.
-	N int
-}
-
-// NewSharding partitions [0, size) into at most maxShards contiguous
-// shards. With size ≤ 0 or maxShards ≤ 1 the whole space is one shard.
-// Addresses are int32, so shift 32 maps everything to shard 0 without
-// overflowing Range arithmetic.
-func NewSharding(size, maxShards int) Sharding {
-	if size <= 0 || maxShards <= 1 {
-		return Sharding{Shift: 32, N: 1}
-	}
-	// Smallest power-of-two shard width w with size/w ≤ maxShards.
-	var shift uint
-	for (size-1)>>shift >= maxShards {
-		shift++
-	}
-	return Sharding{Shift: shift, N: ((size - 1) >> shift) + 1}
-}
-
-// Shard returns the shard index of an address.
-func (s Sharding) Shard(addr int32) int { return int(uint32(addr) >> s.Shift) }
-
-// Range returns the half-open address range [lo, hi) covered by shard i,
-// clipped to the given address-space size.
-func (s Sharding) Range(i, size int) (lo, hi int) {
-	lo = i << s.Shift
-	hi = min((i+1)<<s.Shift, size)
-	return lo, hi
 }

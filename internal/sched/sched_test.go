@@ -89,56 +89,3 @@ func TestBlocksSingleChunkRunsInline(t *testing.T) {
 		t.Errorf("fn called %d times, want 1", calls)
 	}
 }
-
-// Every address in [0, size) must land in exactly the shard whose Range
-// covers it, and shard count must respect maxShards.
-func TestShardingProperties(t *testing.T) {
-	f := func(size uint16, maxShards uint8) bool {
-		sz, ms := int(size%4096)+1, int(maxShards%32)
-		s := NewSharding(sz, ms)
-		if ms > 1 && s.N > ms {
-			return false
-		}
-		if s.N < 1 {
-			return false
-		}
-		for a := 0; a < sz; a++ {
-			i := s.Shard(int32(a))
-			if i < 0 || i >= s.N {
-				return false
-			}
-			lo, hi := s.Range(i, sz)
-			if a < lo || a >= hi {
-				return false
-			}
-		}
-		// Ranges tile [0, sz) without gaps or overlap.
-		next := 0
-		for i := 0; i < s.N; i++ {
-			lo, hi := s.Range(i, sz)
-			if lo != next || hi < lo {
-				return false
-			}
-			next = hi
-		}
-		return next == sz
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShardingDegenerate(t *testing.T) {
-	for _, s := range []Sharding{NewSharding(0, 8), NewSharding(100, 1), NewSharding(-5, 0)} {
-		if s.N != 1 {
-			t.Errorf("degenerate sharding N = %d, want 1", s.N)
-		}
-		if got := s.Shard(12345); got != 0 {
-			t.Errorf("degenerate Shard = %d, want 0", got)
-		}
-		lo, hi := s.Range(0, 100)
-		if lo != 0 || hi != 100 {
-			t.Errorf("degenerate Range = [%d, %d), want [0, 100)", lo, hi)
-		}
-	}
-}
