@@ -305,6 +305,52 @@ func TestDeterminismEventStreams(t *testing.T) {
 				return err
 			}
 		}},
+		{"QSM/sparse-forall", func(workers int) (Machine, func() error) {
+			// Shrinking ForAll prefixes: only the first k processors
+			// are dispatched, so the prefix splits into fewer and
+			// narrower chunks than p would.
+			const p = 256
+			in := workload.Bits(5, p)
+			m, err := qsm.New(qsm.Config{
+				Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 2 * p, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, func() error {
+				if err := m.Load(0, in); err != nil {
+					return err
+				}
+				for _, k := range []int{200, 37, 5, 1} {
+					m.ForAll(k, func(c *qsm.Ctx) {
+						v := c.Read(c.Proc() % 7)
+						c.Op(c.Proc() % 3)
+						c.Write(p+c.Proc(), v+int64(k))
+					})
+				}
+				return m.Err()
+			}
+		}},
+		{"QSM/parity-gadget", func(workers int) (Machine, func() error) {
+			// The contention gadget dispatches each level's active
+			// groups only, with every checker racing for its kill cell.
+			const n, groupBits = 64, 2
+			in := workload.Bits(5, n)
+			p := (n + groupBits - 1) / groupBits * groupBits << groupBits
+			m, err := qsm.New(qsm.Config{
+				Rule: cost.RuleQSM, P: p, G: 4, N: n, MemCells: n, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, func() error {
+				if err := m.Load(0, in); err != nil {
+					return err
+				}
+				_, err := parity.GadgetQSM(m, 0, n, groupBits)
+				return err
+			}
+		}},
 		{"BSP/parity", func(workers int) (Machine, func() error) {
 			const n, p = 256, 16
 			in := workload.Bits(5, n)

@@ -70,14 +70,15 @@ var sourceMethods = map[string]bool{
 // accessor call. The names mirror the commitpurity protected-state
 // table.
 var pooledFields = map[string]map[string]bool{
-	"Mem":    fields("mem", "ckMem", "ctxs"),
-	"BitMem": fields("words", "ckWords", "ctxs"),
-	"MemCtx": fields("readAddrs", "writeAddrs", "writeVals"),
-	"BitCtx": fields("reads", "writes"),
-	"memBuf": fields("rAddr", "rProc", "wAddr", "wProc", "wVal", "mOp", "mRW", "touched"),
-	"bitBuf": fields("rAddr", "rProc", "wPacked", "wProc", "mOp", "mRW", "touched"),
-	"Route":  fields("inbox", "spare", "ckInbox"),
-	"Sends":  fields("msgs", "dsts"),
+	"Mem":      fields("mem", "ckMem", "lanes"),
+	"BitMem":   fields("words", "ckWords", "lanes"),
+	"MemCtx":   fields("readAddrs", "writeAddrs", "writeVals"),
+	"BitCtx":   fields("readAddrs", "writes"),
+	"laneLog":  fields("spans"),
+	"memBuf":   fields("rAddr", "rProc", "wAddr", "wProc", "wVal", "mOp", "mRW", "touched"),
+	"bitBuf":   fields("rAddr", "rProc", "wPacked", "wProc", "mOp", "mRW", "touched"),
+	"Route":    fields("inbox", "spare", "ckInbox"),
+	"Sends":    fields("msgs", "dsts"),
 	"EventLog": fields("events", "ends"),
 }
 

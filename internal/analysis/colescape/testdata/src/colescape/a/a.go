@@ -80,3 +80,19 @@ func recycle(m *Mem, b []int64) {
 	m.free = b
 	_ = m.free
 }
+
+// BitCtx's read column is readAddrs; reads is a scalar counter. A leaked
+// read column is a borrow like the packed write column.
+type BitCtx struct {
+	reads     int64
+	readAddrs []int32
+	writes    []int32
+}
+
+func leakBitReads(c *BitCtx) []int32 {
+	return c.readAddrs // want `field readAddrs, derived from pooled engine storage, escapes the phase via return value`
+}
+
+func bitReadCount(c *BitCtx) int64 {
+	return c.reads
+}

@@ -47,7 +47,9 @@ var Analyzer = &analysis.Analyzer{
 // ensure), the per-processor request recorders (MemCtx/BitCtx and Sends
 // methods, per-cell and batch alike — a batch recorder appends to the
 // same struct-of-arrays columns as its per-cell twin, so it is part of
-// the same contract), and the fault-injection/recovery machinery (InjectFaults
+// the same contract), the request lanes' per-chunk and per-processor
+// cursor setup (clearCols, begin, and the laneLog's reset/note), and the
+// fault-injection/recovery machinery (InjectFaults
 // attachment, the barrier-side consult/accounting, and the
 // checkpoint/rollback/corruption path — all of which run on the
 // coordinating goroutine, see fault.go). Everything else must go through
@@ -56,14 +58,15 @@ var allowedWriters = map[string]map[string]bool{
 	"Core": set("Init", "RunPhase", "RecordErr", "AddObserver", "observePhaseStart",
 		"InjectFaults", "consultInjector", "noteCommitted", "chargeRecovery",
 		"ckCore", "rewindCore", "retriesExhausted"),
-	"Mem":    set("InitMem", "Grow", "Phase", "Checkpoint", "Rollback", "corruptCell", "commit"),
+	"Mem":    set("InitMem", "Grow", "Phase", "ForAll", "Checkpoint", "Rollback", "corruptCell", "commit"),
 	"memBuf": set("ensure", "commit", "finish"),
-	"MemCtx": set("Read", "Write", "Op", "failf", "reset",
+	"MemCtx": set("Read", "Write", "Op", "failf", "begin", "clearCols",
 		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
-	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "Checkpoint", "Rollback",
+	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "ForAll", "Checkpoint", "Rollback",
 		"corruptCell", "commit", "finish"),
 	"bitBuf":   set("ensure", "commit", "finish"),
-	"BitCtx":   set("Read", "ReadWord", "Write", "Op", "failf", "reset"),
+	"BitCtx":   set("Read", "ReadWord", "Write", "Op", "failf", "begin", "clearCols"),
+	"laneLog":  set("reset", "note"),
 	"Route":    set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),
 	"routeBuf": set("ensure", "commit"),
 	"Sends":    set("AddWork", "Stage", "Fail", "reset", "StageBatch"),

@@ -119,6 +119,35 @@ func (c *MemCtx) bulkPoke(addrs []int32) {
 	c.readAddrs = append(c.readAddrs, addrs...) // want `engine\.MemCtx\.readAddrs written in bulkPoke, outside the commit entry points`
 }
 
+// begin and clearCols are the lane cursor's sanctioned setup: a lane's
+// one context serves each processor of its chunk in turn.
+func (c *MemCtx) begin() {
+	c.reads = 0
+}
+
+func (c *MemCtx) clearCols() {
+	c.readAddrs = c.readAddrs[:0]
+}
+
+// laneLog mirrors a lane's span index, written only by reset and note.
+type laneLog struct {
+	spans []int32
+	mOp   int64
+}
+
+func (l *laneLog) reset() {
+	l.spans = l.spans[:0]
+}
+
+func (l *laneLog) note(proc int32, ops int64) {
+	l.spans = append(l.spans, proc)
+	l.mOp = max(l.mOp, ops)
+}
+
+func (l *laneLog) forge(proc int32) {
+	l.spans = append(l.spans, proc) // want `engine\.laneLog\.spans written in forge, outside the commit entry points`
+}
+
 // BitMem and BitCtx mirror the bit-packed engine: word-level storage,
 // packed write column, the same writer contract.
 type BitMem struct {

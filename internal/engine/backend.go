@@ -296,6 +296,15 @@ func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
 	g.touched, g.st.KWrite, g.st.Viol = touched, kw, viol
 }
 
+// cols counts read columns, or write columns when write is set.
+func (g *MemMerger) cols(procs []int32, cols [][]int32, write, packed bool) {
+	if write {
+		g.writes(procs, cols, packed)
+	} else {
+		g.reads(procs, cols)
+	}
+}
+
 // end finishes the merge: it zeroes the touched scratch and returns the
 // statistics.
 func (g *MemMerger) end() MergeStats {

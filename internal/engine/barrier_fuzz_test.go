@@ -15,6 +15,9 @@ import (
 //
 //   - the column barrier at Workers=1 and Workers=4, counting with
 //     MemMerger/RouteMerger in process;
+//   - the same barrier with each memory phase run as ForAll over the
+//     prefix of processors that have requests, at Workers=4, so idle
+//     processors past the prefix are never dispatched;
 //   - a Backend that answers with MemMerger/RouteMerger over two cell
 //     ranges, the way proc rank workers split the space, at Workers=1
 //     and Workers=4;
@@ -42,23 +45,43 @@ func FuzzBarrierDifferential(f *testing.F) {
 	})
 }
 
-// barrierConfig selects the worker count and, when backend is set, the
-// Backend that counts contention.
+// barrierConfig selects the worker count, when backend is set the
+// Backend that counts contention, and when forAll is set ForAll
+// dispatch of the memory phases.
 type barrierConfig struct {
 	name    string
 	workers int
 	backend func() engine.Backend
+	forAll  bool
 }
 
 func newRefBackend() engine.Backend   { return &refBackend{} }
 func newNaiveBackend() engine.Backend { return naiveBackend{} }
 
 var barrierConfigs = []barrierConfig{
-	{"serial", 1, nil},
-	{"W4", 4, nil},
-	{"backend", 1, newRefBackend},
-	{"backend-W4", 4, newRefBackend},
-	{"naive", 1, newNaiveBackend},
+	{"serial", 1, nil, false},
+	{"W4", 4, nil, false},
+	{"forall-W4", 4, nil, true},
+	{"backend", 1, newRefBackend, false},
+	{"backend-W4", 4, newRefBackend, false},
+	{"naive", 1, newNaiveBackend, false},
+}
+
+// runPhase runs one memory phase of a program: through phase, or for a
+// forAll config through forAll over the processors up to the last one
+// that has any op.
+func runPhase[C any](c barrierConfig, ops [][]reqOp, phase func(func(C)), forAll func(int, func(C)), body func(C)) {
+	if !c.forAll {
+		phase(body)
+		return
+	}
+	active := 0
+	for i, o := range ops {
+		if len(o) > 0 {
+			active = i + 1
+		}
+	}
+	forAll(active, body)
 }
 
 // barrierRun is everything a run exposes, rendered for comparison.
@@ -346,7 +369,7 @@ func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 		m.Data()[i] = int64(i * 7)
 	}
 	for _, phOps := range pr.ops {
-		m.Phase(func(ctx *engine.MemCtx[int64]) {
+		runPhase(c, phOps, m.Phase, m.ForAll, func(ctx *engine.MemCtx[int64]) {
 			for _, op := range phOps[ctx.Proc()] {
 				switch op.kind {
 				case opRead:
@@ -386,7 +409,7 @@ func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 		m.SetBit(i, true)
 	}
 	for _, phOps := range pr.ops {
-		m.Phase(func(ctx *engine.BitCtx) {
+		runPhase(c, phOps, m.Phase, m.ForAll, func(ctx *engine.BitCtx) {
 			for _, op := range phOps[ctx.Proc()] {
 				bit := op.val&1 == 1
 				switch op.kind {

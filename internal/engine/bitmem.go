@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/sched"
 )
 
 // BitMem is the bit-packed specialization of the shared-memory phase
@@ -16,7 +17,8 @@ import (
 // apply are word-level.
 //
 // The column barrier counts contention over the packed write columns
-// (addr<<1 | bit) with MemMerger and applies them per active processor.
+// (addr<<1 | bit) of the request lanes with MemMerger and applies them
+// lane by lane, in ascending processor order.
 // Checkpoint/rollback and corruptCell operate on the packed words too, so
 // a transient fault over n bits copies n/64 words.
 
@@ -47,18 +49,21 @@ type BitMem struct {
 	words []uint64
 	nbits int
 
-	// ctxs is the per-machine free list of phase contexts, one per
-	// processor, reset and reused every phase.
-	ctxs []*BitCtx
+	// lanes holds one request lane per dispatch chunk, as in Mem.
+	lanes []*bitLane
 	// ckWords is the word-level memory snapshot of the last Checkpoint.
 	ckWords []uint64
-	// Column-barrier scratch, as in Mem: the active processors, the
-	// in-process contention counter, and the column-of-columns headers handed
-	// to an attached Backend (the columns themselves are borrowed from the
-	// phase contexts).
-	active            []int32
+	// Column-barrier scratch, as in Mem: the in-process contention
+	// counter, and the column-of-columns headers handed to an attached
+	// Backend (the columns themselves are borrowed from the lanes).
 	merger            MemMerger
 	bkReads, bkWrites [][]int32
+}
+
+// bitLane is one dispatch chunk's request storage, as memLane is Mem's.
+type bitLane struct {
+	c BitCtx
+	laneLog
 }
 
 // InitBits prepares the engine for a machine with the given model,
@@ -100,25 +105,34 @@ func (m *BitMem) SetBit(addr int, v bool) {
 }
 
 // Grow extends the shared memory to at least size bits (zero valued).
+// Word capacity grows geometrically, as in Mem.Grow; slices previously
+// returned by Words are invalidated.
 func (m *BitMem) Grow(size int) error {
 	if size > maxBitCells {
 		return fmt.Errorf("%s: bit memory of %d cells exceeds the %d-cell address space",
 			m.model.Prefix(), size, maxBitCells)
 	}
-	if size > m.nbits {
-		m.nbits = size
-		if nw := (size + 63) / 64; nw > len(m.words) {
-			grown := make([]uint64, nw)
-			copy(grown, m.words)
-			m.words = grown
-		}
+	if size <= m.nbits {
+		return nil
+	}
+	m.nbits = size
+	old, nw := len(m.words), (size+63)/64
+	switch {
+	case nw <= old:
+	case nw > cap(m.words):
+		grown := make([]uint64, nw, max(nw, 2*cap(m.words)))
+		copy(grown, m.words)
+		m.words = grown
+	default:
+		m.words = m.words[:nw]
+		clear(m.words[old:])
 	}
 	return nil
 }
 
-// BitCtx is the per-processor handle available inside a phase of a
-// bit-valued machine. It is not safe to share a BitCtx across
-// processors.
+// BitCtx is the processor handle available inside a phase of a
+// bit-valued machine. Like MemCtx it is a cursor, valid only during one
+// processor's body call.
 type BitCtx struct {
 	proc  int
 	m     *BitMem
@@ -199,47 +213,65 @@ func (c *BitCtx) failf(format string, args ...any) {
 	}
 }
 
-func (c *BitCtx) reset() {
+// begin points the cursor at processor proc, as MemCtx.begin does.
+func (c *BitCtx) begin(proc int) {
+	c.proc = proc
 	c.reads, c.wrs, c.ops = 0, 0, 0
+	c.fail = nil
+}
+
+// clearCols empties the lane's columns at the start of a chunk.
+func (c *BitCtx) clearCols() {
 	c.readAddrs = c.readAddrs[:0]
 	c.writes = c.writes[:0]
-	c.fail = nil
+}
+
+// run executes the bodies of processors [lo, hi) on the lane's cursor,
+// as memLane.run does.
+func (l *bitLane) run(lo, hi int, body func(c *BitCtx)) (int32, error) {
+	c := &l.c
+	c.clearCols()
+	l.reset()
+	var nf int32
+	var first error
+	for i := lo; i < hi; i++ {
+		if c.m.CrashedProc(i) {
+			continue
+		}
+		r0, w0 := len(c.readAddrs), len(c.writes)
+		c.begin(i)
+		body(c)
+		if c.fail != nil {
+			if first == nil {
+				first = c.fail
+			}
+			nf++
+			continue
+		}
+		l.note(i, c.ops, max(c.reads, c.wrs), r0, len(c.readAddrs), w0, len(c.writes))
+	}
+	return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
 }
 
 // Phase runs one bulk-synchronous phase over the bit memory; the
 // lifecycle is identical to Mem.Phase.
-func (m *BitMem) Phase(body func(c *BitCtx)) {
+func (m *BitMem) Phase(body func(c *BitCtx)) { m.ForAll(m.P(), body) }
+
+// ForAll runs a phase in which only processors with index < active
+// participate; processors ≥ active are not dispatched, as in Mem.ForAll.
+func (m *BitMem) ForAll(active int, body func(c *BitCtx)) {
 	if m.Err() != nil {
 		return
 	}
-	p := m.P()
-	if m.ctxs == nil {
-		m.ctxs = make([]*BitCtx, p)
-		for i := range m.ctxs {
-			m.ctxs[i] = &BitCtx{proc: i, m: m}
-		}
-	}
+	n := min(max(active, 0), m.P())
 	if m.InjectorActive() {
 		m.Checkpoint()
 	}
-	m.RunPhase(m.Workers(), p, func(lo, hi int) (int32, error) {
-		var nf int32
-		var first error
-		for i := lo; i < hi; i++ {
-			c := m.ctxs[i]
-			c.reset()
-			if m.CrashedProc(i) {
-				continue
-			}
-			body(c)
-			if c.fail != nil {
-				if first == nil {
-					first = c.fail
-				}
-				nf++
-			}
-		}
-		return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
+	m.lanes = useLanes(m.lanes, sched.NumBlocks(m.Workers(), n), func() *bitLane {
+		return &bitLane{c: BitCtx{m: m}}
+	})
+	m.RunPhase(m.Workers(), n, func(k, lo, hi int) (int32, error) {
+		return m.lanes[k].run(lo, hi, body)
 	}, m.commit)
 }
 
@@ -274,41 +306,27 @@ func (m *BitMem) corruptCell(addr int) {
 	}
 }
 
-// ForAll runs a phase in which only processors with index < active
-// participate; the rest idle.
-func (m *BitMem) ForAll(active int, body func(c *BitCtx)) {
-	m.Phase(func(c *BitCtx) {
-		if c.proc < active {
-			body(c)
-		}
-	})
-}
-
 // commit is BitMem's column barrier: Mem.commit for the packed
 // representation. Write columns are packed (addr<<1 | bit, Packed set
-// for a backend) and the apply unpacks them per active processor in
-// ascending order, so each bit's last-writer-wins winner is the final
+// for a backend) and the apply unpacks them lane by lane in ascending
+// processor order, so each bit's last-writer-wins winner is the final
 // write of the highest-numbered processor — the word-valued engine's
 // outcome.
 func (m *BitMem) commit() PhaseStatus {
-	bk := m.backend != nil
 	var mOp, mRW int64
-	active := m.active[:0]
-	reads, writes := m.bkReads[:0], m.bkWrites[:0]
-	for i, c := range m.ctxs {
-		mOp = max(mOp, c.ops)
-		mRW = max(mRW, c.reads, c.wrs)
-		if len(c.readAddrs) > 0 || len(c.writes) > 0 {
-			active = append(active, int32(i))
-		}
-		if bk {
-			reads = append(reads, c.readAddrs)
-			writes = append(writes, c.writes)
-		}
+	for _, l := range m.lanes {
+		mOp, mRW = max(mOp, l.mOp), max(mRW, l.mRW)
 	}
-	m.active, m.bkReads, m.bkWrites = active, reads, writes
 	var st MergeStats
-	if bk {
+	if m.backend != nil {
+		reads, writes := backendViews(m.bkReads, m.bkWrites, m.P())
+		for _, l := range m.lanes {
+			for _, s := range l.spans {
+				reads[s.proc] = l.c.readAddrs[s.r0:s.r1]
+				writes[s.proc] = l.c.writes[s.w0:s.w1]
+			}
+		}
+		m.bkReads, m.bkWrites = reads, writes
 		var err error
 		st, err = m.backend.MergeMem(MemMergeReq{
 			Phase: m.curPhase, Attempt: m.attempt, Cells: m.nbits, Packed: true,
@@ -318,7 +336,7 @@ func (m *BitMem) commit() PhaseStatus {
 			return m.transportStatus(err)
 		}
 	} else {
-		st = m.mergeActive()
+		st = m.mergeLanes()
 	}
 	if st.Viol >= 0 {
 		m.recordViolation(m.model.Violation(), st.Viol)
@@ -333,7 +351,7 @@ func (m *BitMem) commit() PhaseStatus {
 			return PhaseAborted
 		case FaultTransient:
 			m.chargePhase(o)
-			m.applyCtxWrites()
+			m.applyLaneWrites()
 			m.corruptCell(v.Addr)
 			m.Rollback()
 			return PhaseRetry
@@ -344,40 +362,30 @@ func (m *BitMem) commit() PhaseStatus {
 	if m.Observing() {
 		m.emitRequests()
 	}
-	m.applyCtxWrites()
+	m.applyLaneWrites()
 	m.observePhaseEnd(pc)
 	return PhaseCommitted
 }
 
-// mergeActive is Mem.mergeActive over the packed write columns.
-func (m *BitMem) mergeActive() MergeStats {
+// mergeLanes is Mem.mergeLanes over the packed write columns.
+func (m *BitMem) mergeLanes() MergeStats {
 	g := &m.merger
 	g.begin(0, m.nbits)
-	var cols [colBatch][]int32
-	for rest := m.active; len(rest) > 0; {
-		n := min(len(rest), colBatch)
-		for j, i := range rest[:n] {
-			cols[j] = m.ctxs[i].readAddrs
-		}
-		g.reads(rest[:n], cols[:n])
-		rest = rest[n:]
+	for _, l := range m.lanes {
+		countLane(g, l.spans, l.c.readAddrs, false, true)
 	}
-	for rest := m.active; len(rest) > 0; {
-		n := min(len(rest), colBatch)
-		for j, i := range rest[:n] {
-			cols[j] = m.ctxs[i].writes
-		}
-		g.writes(rest[:n], cols[:n], true)
-		rest = rest[n:]
+	for _, l := range m.lanes {
+		countLane(g, l.spans, l.c.writes, true, true)
 	}
 	return g.end()
 }
 
-// applyCtxWrites commits the phase's packed writes straight from the
-// active processors' contexts in ascending processor order.
-func (m *BitMem) applyCtxWrites() {
-	for _, i := range m.active {
-		for _, pk := range m.ctxs[i].writes {
+// applyLaneWrites commits the phase's packed writes straight from the
+// lanes' write columns in lane order: ascending processor order, each
+// processor's writes in issue order.
+func (m *BitMem) applyLaneWrites() {
+	for _, l := range m.lanes {
+		for _, pk := range l.c.writes {
 			m.SetBit(int(pk>>1), pk&1 == 1)
 		}
 	}
@@ -395,14 +403,17 @@ func bitPayload(bit bool) string {
 // emitRequests renders the phase's requests as observer events, grouped
 // by ascending processor and in issue order, before the writes apply.
 func (m *BitMem) emitRequests() {
-	for i, c := range m.ctxs {
-		for _, a := range c.readAddrs {
-			m.observeRequest(Request{Proc: i, Kind: KindRead, Addr: a,
-				Payload: bitPayload(m.words[a>>6]>>(uint32(a)&63)&1 == 1)})
-		}
-		for _, pk := range c.writes {
-			m.observeRequest(Request{Proc: i, Kind: KindWrite, Addr: pk >> 1,
-				Payload: bitPayload(pk&1 == 1)})
+	for _, l := range m.lanes {
+		c := &l.c
+		for _, s := range l.spans {
+			for _, a := range c.readAddrs[s.r0:s.r1] {
+				m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
+					Payload: bitPayload(m.words[a>>6]>>(uint32(a)&63)&1 == 1)})
+			}
+			for _, pk := range c.writes[s.w0:s.w1] {
+				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: pk >> 1,
+					Payload: bitPayload(pk&1 == 1)})
+			}
 		}
 	}
 }

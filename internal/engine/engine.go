@@ -9,21 +9,28 @@
 //     budget, per-chunk failure tallies, machine-error poisoning, the
 //     accumulated cost.Report, and the Observer hook.
 //   - Mem[V] is the shared-memory phase engine (QSM family and GSM,
-//     generic over the write payload): per-processor request contexts on
-//     a free list, the commit barrier with contention counting and
-//     read+write violation detection, and deterministic write
-//     application.
+//     generic over the write payload): per-chunk request lanes (lane.go),
+//     the commit barrier with contention counting and read+write
+//     violation detection, and deterministic write application.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
 //     over the message type): staged sends, h-relation measurement and
 //     deterministic inbox delivery with ping-ponged buffers.
 //
+// A shared-memory phase costs O(processors dispatched) plus O(requests),
+// not O(p): each dispatch chunk owns one lane, whose cursor context
+// serves the chunk's processors in turn and whose columns they append
+// to, and ForAll dispatches only its active prefix. A processor that
+// records nothing leaves nothing behind. The MemCtx or BitCtx a body
+// receives is that cursor, valid only during the body call.
+//
 // Every phase commits through one barrier, the column barrier, on the
-// coordinating goroutine: one scan of the processor contexts, contention
-// counted by MemMerger or RouteMerger straight off the active
-// processors' own request columns, and the apply or delivery over those
-// processors in ascending order. An attached Backend replaces only the
-// contention count. Workers sets how many goroutines run the processor
-// bodies; it does not change how a phase commits.
+// coordinating goroutine: m_op and m_rw from the lanes' maxima (BSP: one
+// scan of the staging buffers), contention counted by MemMerger or
+// RouteMerger straight off the active processors' own request columns,
+// and the apply or delivery over those processors in ascending order.
+// An attached Backend replaces only the contention count. Workers sets
+// how many goroutines run the processor bodies; it does not change how
+// a phase commits.
 //
 // A simulator package is a thin adapter: it supplies a Model (naming,
 // cost rule, round classification, commit semantics — last-writer-wins,
@@ -34,9 +41,10 @@
 // Determinism contract: every result observable through a machine —
 // memory contents, cost reports, traces, and the Observer event stream —
 // is byte-identical for every Workers setting. Bodies only record
-// requests into their own processor's context; the barrier reads those
-// contexts in ascending processor order, and all observer events are
-// emitted from the coordinating goroutine.
+// requests through their own processor's cursor into their chunk's lane;
+// the barrier reads the lanes in chunk order, which is ascending
+// processor order, and all observer events are emitted from the
+// coordinating goroutine.
 package engine
 
 import (
@@ -199,11 +207,13 @@ const (
 // RunPhase executes the model-generic phase lifecycle: the phase-start
 // observer event, chunked dispatch of the per-processor bodies, failure
 // merging with error poisoning, and — only if every body succeeded — the
-// model's commit. chunk runs the bodies of processors [lo, hi) inline
-// (keeping the per-processor loop free of dispatch overhead) and reports
-// its failure tally: how many bodies failed and the first failure in
-// processor order. Callers must check Err before invoking (an erred
-// machine skips phases entirely).
+// model's commit. p is the number of processors dispatched: the phase's
+// active prefix [0, p). chunk runs the bodies of processors [lo, hi) of
+// chunk k inline (keeping the per-processor loop free of dispatch
+// overhead; chunk indexes ascend with the processor range, and each is
+// run by one goroutine) and reports its failure tally: how many bodies
+// failed and the first failure in processor order. Callers must check
+// Err before invoking (an erred machine skips phases entirely).
 //
 // A commit that returns PhaseRetry (transient fault, already rolled back
 // by the commit closure) charges a model-time recovery stall and
@@ -212,7 +222,7 @@ const (
 // re-execution idempotent. Poisoning always routes through RecordErr, so
 // the first recorded error is stable: repeated Err() calls and
 // post-failure phase attempts observe the same wrapped chain.
-func (c *Core) RunPhase(workers, p int, chunk func(lo, hi int) (int32, error), commit func() PhaseStatus) {
+func (c *Core) RunPhase(workers, p int, chunk func(k, lo, hi int) (int32, error), commit func() PhaseStatus) {
 	c.attempt = 1
 	for {
 		c.observePhaseStart()
@@ -222,7 +232,7 @@ func (c *Core) RunPhase(workers, p int, chunk func(lo, hi int) (int32, error), c
 			c.failE = make([]error, nb)
 		}
 		sched.Blocks(workers, p, func(w, lo, hi int) {
-			c.failN[w], c.failE[w] = chunk(lo, hi)
+			c.failN[w], c.failE[w] = chunk(w, lo, hi)
 		})
 		// Failed processors short-circuit the commit: nothing is counted
 		// and nothing commits. The first error in processor order wins

@@ -119,6 +119,77 @@ func TestMemPhaseLifecycle(t *testing.T) {
 	})
 }
 
+// ForAll dispatches only its prefix on both shared-memory engines: the
+// body runs exactly once for each processor in [0, active) and never for
+// a processor ≥ active, crash masking still applies inside the prefix,
+// and active is clamped to [0, p].
+func TestForAllDispatchesPrefix(t *testing.T) {
+	const p, k, victim = 64, 10, 3
+	crash := func() engine.Injector {
+		return scripted(map[int]engine.Verdict{
+			0: {Class: engine.FaultCrash, Err: errScripted, Proc: victim, Addr: -1},
+		})
+	}
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		mem := newMemMachine(t, p, p, workers)
+		bit := newBitMachine(t, p, p, workers)
+		mem.InjectFaults(crash(), engine.RetryPolicy{}, true)
+		bit.InjectFaults(crash(), engine.RetryPolicy{}, true)
+		for _, e := range []struct {
+			name   string
+			m      engine.Machine
+			forAll func(active int, calls []int)
+		}{
+			{"mem", mem, func(active int, calls []int) {
+				mem.ForAll(active, func(c *engine.MemCtx[int64]) {
+					calls[c.Proc()]++
+					c.Write(c.Proc(), 1)
+				})
+			}},
+			{"bit", bit, func(active int, calls []int) {
+				bit.ForAll(active, func(c *engine.BitCtx) {
+					calls[c.Proc()]++
+					c.Write(c.Proc(), true)
+				})
+			}},
+		} {
+			calls := make([]int, p)
+			e.forAll(k, calls) // the victim crashes at this phase's barrier
+			e.forAll(k, calls) // and is masked from here on
+			for i, n := range calls {
+				want := 0
+				switch {
+				case i == victim:
+					want = 1
+				case i < k:
+					want = 2
+				}
+				if n != want {
+					t.Errorf("%s: processor %d ran %d times over two ForAll(%d) phases, want %d", e.name, i, n, k, want)
+				}
+			}
+			clear(calls)
+			e.forAll(p+5, calls)
+			e.forAll(-1, calls)
+			for i, n := range calls {
+				want := 1
+				if i == victim {
+					want = 0
+				}
+				if n != want {
+					t.Errorf("%s: processor %d ran %d times under ForAll(p+5) and ForAll(-1), want %d", e.name, i, n, want)
+				}
+			}
+			if err := e.m.Err(); err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			if got := e.m.Report().NumPhases(); got != 4 {
+				t.Errorf("%s: NumPhases = %d, want 4 (an empty prefix still charges its phase)", e.name, got)
+			}
+		}
+	})
+}
+
 func TestMemFailurePoisoning(t *testing.T) {
 	forEachBarrier(t, func(t *testing.T, workers int) {
 		m := newMemMachine(t, 3, 4, workers)

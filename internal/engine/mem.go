@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/sched"
 )
 
 // MemModel is the adapter contract of a shared-memory machine (the QSM
@@ -23,10 +24,12 @@ type MemModel[V any] interface {
 	// The GSM's proof-machinery enumerations run thousands of tiny-p
 	// machines and use a grain to stay on the inline fast path.
 	Grain() int
-	// Apply commits one processor's writes to memory, in issue order.
-	// The barrier applies processors in ascending order, so a
-	// last-writer-wins Apply deterministically commits the final write of
-	// the highest-numbered processor; a merging Apply is order-insensitive.
+	// Apply commits a run of writes to memory, in issue order. The
+	// barrier hands it each dispatch chunk's write columns, which hold the
+	// chunk's processors in ascending order, and the chunks in ascending
+	// order, so a last-writer-wins Apply deterministically commits the
+	// final write of the highest-numbered processor; a merging Apply is
+	// order-insensitive.
 	Apply(mem []V, addrs []int32, vals []V)
 	// Render formats a cell/payload value for observer events.
 	Render(v V) string
@@ -42,22 +45,31 @@ type Mem[V any] struct {
 	model MemModel[V]
 	mem   []V
 
-	// ctxs is the per-machine free list of phase contexts: one per
-	// processor, reset and reused every phase so request buffers keep
-	// their capacity instead of being reallocated O(p) times per phase.
-	ctxs []*MemCtx[V]
+	// lanes holds one request lane per dispatch chunk of the current
+	// phase (len) and keeps the lanes of wider phases past it (cap), so
+	// a lane's columns keep their capacity across phases. A phase costs
+	// O(processors dispatched) plus O(requests), whatever p is.
+	lanes []*memLane[V]
 	// ckMem is the memory snapshot of the last Checkpoint (reused across
 	// phases). A shallow element copy suffices: the engine's Apply
 	// contract replaces cell values rather than mutating them in place
 	// (last-writer-wins stores, GSM's copy-on-write Merge).
 	ckMem []V
-	// Column-barrier scratch (see commit): active lists the processors
-	// that issued requests this phase, merger counts their columns in
-	// process, and bkReads/bkWrites are the column views handed to a
-	// commit backend (one borrowed slice per processor).
-	active            []int32
+	// Column-barrier scratch (see commit): merger counts the lanes'
+	// columns in process, and bkReads/bkWrites are the p-long column
+	// views handed to a commit backend (one borrowed slice per
+	// processor, nil for a processor that recorded nothing).
 	merger            MemMerger
 	bkReads, bkWrites [][]int32
+}
+
+// memLane is one dispatch chunk's request storage. Its cursor context
+// serves every processor of the chunk in turn: they append to the
+// cursor's columns one after another, and the lane's log keeps one span
+// per processor that recorded a request, plus the chunk's maxima.
+type memLane[V any] struct {
+	c MemCtx[V]
+	laneLog
 }
 
 // InitMem prepares the engine for a machine with the given model,
@@ -70,7 +82,7 @@ func (m *Mem[V]) InitMem(model MemModel[V], params cost.Params, n, workers, cell
 }
 
 // Data returns the live memory slice for adapter-side access (input
-// loading, host-side peeks, trace snapshots).
+// loading, host-side peeks, trace snapshots). Grow invalidates it.
 func (m *Mem[V]) Data() []V { return m.mem } //lint:colescape-ok documented borrow point: the live cell image; callers are policed at their use sites
 
 // MemSize returns the current shared-memory size in cells.
@@ -78,17 +90,28 @@ func (m *Mem[V]) MemSize() int { return len(m.mem) }
 
 // Grow extends the shared memory to at least size cells (zero valued).
 // Growing memory is free in the models: it allocates address space, not
-// work.
+// work. Capacity grows geometrically, so an algorithm that grows its
+// memory every level copies each cell O(1) times amortised. Slices
+// previously returned by Data are invalidated.
 func (m *Mem[V]) Grow(size int) {
-	if size > len(m.mem) {
-		grown := make([]V, size)
+	old := len(m.mem)
+	if size <= old {
+		return
+	}
+	if size > cap(m.mem) {
+		grown := make([]V, size, max(size, 2*cap(m.mem)))
 		copy(grown, m.mem)
 		m.mem = grown
+		return
 	}
+	m.mem = m.mem[:size]
+	clear(m.mem[old:])
 }
 
-// MemCtx is the per-processor handle available inside a phase. It is not
-// safe to share a MemCtx across processors.
+// MemCtx is the processor handle available inside a phase. It is a
+// cursor: the engine points it at one processor at a time, so it is
+// valid only during that processor's body call and must not be retained
+// or shared across processors.
 type MemCtx[V any] struct {
 	proc  int
 	m     *Mem[V]
@@ -152,22 +175,60 @@ func (c *MemCtx[V]) failf(format string, args ...any) {
 	}
 }
 
-func (c *MemCtx[V]) reset() {
+// begin points the cursor at processor proc: its charges and failure
+// start from zero, and its requests append to the lane's columns.
+func (c *MemCtx[V]) begin(proc int) {
+	c.proc = proc
 	c.reads, c.wrs, c.ops = 0, 0, 0
-	c.readAddrs = c.readAddrs[:0]
-	c.writeAddrs = c.writeAddrs[:0]
-	c.writeVals = c.writeVals[:0]
 	c.fail = nil
 }
 
-// phaseWorkers returns the effective worker count for this machine's p
-// under the model's grain.
-func (m *Mem[V]) phaseWorkers() int {
+// clearCols empties the lane's columns at the start of a chunk.
+func (c *MemCtx[V]) clearCols() {
+	c.readAddrs = c.readAddrs[:0]
+	c.writeAddrs = c.writeAddrs[:0]
+	c.writeVals = c.writeVals[:0]
+}
+
+// run executes the bodies of processors [lo, hi) on the lane's cursor and
+// reports the chunk's failure tally. Masked processors and processors
+// that record nothing leave no trace in the lane.
+func (l *memLane[V]) run(lo, hi int, body func(c *MemCtx[V])) (int32, error) {
+	c := &l.c
+	c.clearCols()
+	l.reset()
+	var nf int32
+	var first error
+	for i := lo; i < hi; i++ {
+		if c.m.CrashedProc(i) {
+			// Masked processors idle: no body, no requests. The crash
+			// flag is written at the previous phase's barrier, so
+			// masking is visible here race-free.
+			continue
+		}
+		r0, w0 := len(c.readAddrs), len(c.writeAddrs)
+		c.begin(i)
+		body(c)
+		if c.fail != nil {
+			if first == nil {
+				first = c.fail
+			}
+			nf++
+			continue
+		}
+		l.note(i, c.ops, max(c.reads, c.wrs), r0, len(c.readAddrs), w0, len(c.writeAddrs))
+	}
+	return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
+}
+
+// phaseWorkers returns the effective worker count for a phase that
+// dispatches n processors, under the model's grain.
+func (m *Mem[V]) phaseWorkers(n int) int {
 	g := m.model.Grain()
 	if g <= 1 {
 		return m.Workers()
 	}
-	return min(m.Workers(), (m.P()+g-1)/g)
+	return min(m.Workers(), (n+g-1)/g)
 }
 
 // Phase runs one bulk-synchronous phase: body is invoked once per
@@ -175,41 +236,27 @@ func (m *Mem[V]) phaseWorkers() int {
 // the barrier (see commit), the phase is charged under
 // the model's cost rule, and writes commit. Phase is a no-op once the
 // machine has erred.
-func (m *Mem[V]) Phase(body func(c *MemCtx[V])) {
+func (m *Mem[V]) Phase(body func(c *MemCtx[V])) { m.ForAll(m.P(), body) }
+
+// ForAll runs a phase in which only processors with index < active
+// participate: processors ≥ active are not dispatched at all, so the
+// phase costs O(min(active, p)) host work plus its requests. The idle
+// processors contribute nothing to the charge, exactly as if their
+// bodies had returned without a request.
+func (m *Mem[V]) ForAll(active int, body func(c *MemCtx[V])) {
 	if m.Err() != nil {
 		return
 	}
-	p := m.P()
-	if m.ctxs == nil {
-		m.ctxs = make([]*MemCtx[V], p)
-		for i := range m.ctxs {
-			m.ctxs[i] = &MemCtx[V]{proc: i, m: m}
-		}
-	}
+	n := min(max(active, 0), m.P())
 	if m.InjectorActive() {
 		m.Checkpoint()
 	}
-	m.RunPhase(m.phaseWorkers(), p, func(lo, hi int) (int32, error) {
-		var nf int32
-		var first error
-		for i := lo; i < hi; i++ {
-			c := m.ctxs[i]
-			c.reset()
-			if m.CrashedProc(i) {
-				// Masked processors idle: no body, no requests. The
-				// crash flag is written at the previous phase's barrier,
-				// so masking is visible here race-free.
-				continue
-			}
-			body(c)
-			if c.fail != nil {
-				if first == nil {
-					first = c.fail
-				}
-				nf++
-			}
-		}
-		return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
+	w := m.phaseWorkers(n)
+	m.lanes = useLanes(m.lanes, sched.NumBlocks(w, n), func() *memLane[V] {
+		return &memLane[V]{c: MemCtx[V]{m: m}}
+	})
+	m.RunPhase(w, n, func(k, lo, hi int) (int32, error) {
+		return m.lanes[k].run(lo, hi, body)
 	}, m.commit)
 }
 
@@ -249,50 +296,34 @@ func (m *Mem[V]) corruptCell(addr int) {
 	}
 }
 
-// ForAll is a convenience wrapper: it runs a phase in which only
-// processors with index < active participate; the rest idle.
-func (m *Mem[V]) ForAll(active int, body func(c *MemCtx[V])) {
-	m.Phase(func(c *MemCtx[V]) {
-		if c.proc < active {
-			body(c)
-		}
-	})
-}
-
 // commit is the column barrier: it merges the phase's requests,
 // validates access rules, consults the fault injector, charges the phase
 // and applies writes, on the coordinating goroutine at every Workers
-// setting. One scan of the phase contexts gathers m_op/m_rw and the
-// ascending list of processors that issued any request. Contention is
-// then counted by MemMerger over those processors' own read and write
-// columns, or — with a backend attached — by the Backend over every
-// column (borrowed, index = processor). The tail (violation, injector
-// consult, charge, emission and the write apply) walks only the active
-// processors. Writes apply per processor in ascending order, so the
-// winner at every cell is the last write of the highest-numbered
-// processor (merging Applies are order-insensitive). A failed backend
-// merge schedules a phase retry or poisons the machine per
-// transportStatus; nothing was charged or applied, so state is already
-// consistent.
+// setting. m_op and m_rw are the maxima of the lanes' maxima. Contention
+// is counted by MemMerger over the lanes' spans, or — with a backend
+// attached — by the Backend over a p-long view of the same columns. The
+// tail (violation, injector consult, charge, emission and the write
+// apply) walks only the lanes and their spans, which hold the active
+// processors in ascending order, so the winner at every cell is the last
+// write of the highest-numbered processor (merging Applies are
+// order-insensitive). A failed backend merge schedules a phase retry or
+// poisons the machine per transportStatus; nothing was charged or
+// applied, so state is already consistent.
 func (m *Mem[V]) commit() PhaseStatus {
-	bk := m.backend != nil
 	var mOp, mRW int64
-	active := m.active[:0]
-	reads, writes := m.bkReads[:0], m.bkWrites[:0]
-	for i, c := range m.ctxs {
-		mOp = max(mOp, c.ops)
-		mRW = max(mRW, c.reads, c.wrs)
-		if len(c.readAddrs) > 0 || len(c.writeAddrs) > 0 {
-			active = append(active, int32(i))
-		}
-		if bk {
-			reads = append(reads, c.readAddrs)
-			writes = append(writes, c.writeAddrs)
-		}
+	for _, l := range m.lanes {
+		mOp, mRW = max(mOp, l.mOp), max(mRW, l.mRW)
 	}
-	m.active, m.bkReads, m.bkWrites = active, reads, writes
 	var st MergeStats
-	if bk {
+	if m.backend != nil {
+		reads, writes := backendViews(m.bkReads, m.bkWrites, m.P())
+		for _, l := range m.lanes {
+			for _, s := range l.spans {
+				reads[s.proc] = l.c.readAddrs[s.r0:s.r1]
+				writes[s.proc] = l.c.writeAddrs[s.w0:s.w1]
+			}
+		}
+		m.bkReads, m.bkWrites = reads, writes
 		var err error
 		st, err = m.backend.MergeMem(MemMergeReq{
 			Phase: m.curPhase, Attempt: m.attempt, Cells: len(m.mem),
@@ -302,7 +333,7 @@ func (m *Mem[V]) commit() PhaseStatus {
 			return m.transportStatus(err)
 		}
 	} else {
-		st = m.mergeActive()
+		st = m.mergeLanes()
 	}
 	if st.Viol >= 0 {
 		m.recordViolation(m.model.Violation(), st.Viol)
@@ -322,7 +353,7 @@ func (m *Mem[V]) commit() PhaseStatus {
 			// The aborted attempt emits no Request and no PhaseEnd
 			// events, per the Observer contract.
 			m.chargePhase(o)
-			m.applyCtxWrites()
+			m.applyLaneWrites()
 			m.corruptCell(v.Addr)
 			m.Rollback()
 			return PhaseRetry
@@ -333,42 +364,32 @@ func (m *Mem[V]) commit() PhaseStatus {
 	if m.Observing() {
 		m.emitRequests()
 	}
-	m.applyCtxWrites()
+	m.applyLaneWrites()
 	m.observePhaseEnd(pc)
 	return PhaseCommitted
 }
 
-// mergeActive counts the active processors' columns with MemMerger in
-// place, handing their headers over in batches held on the stack.
-func (m *Mem[V]) mergeActive() MergeStats {
+// mergeLanes counts the lanes' spans with MemMerger in place: every
+// lane's reads, then every lane's writes.
+func (m *Mem[V]) mergeLanes() MergeStats {
 	g := &m.merger
 	g.begin(0, len(m.mem))
-	var cols [colBatch][]int32
-	for rest := m.active; len(rest) > 0; {
-		n := min(len(rest), colBatch)
-		for j, i := range rest[:n] {
-			cols[j] = m.ctxs[i].readAddrs
-		}
-		g.reads(rest[:n], cols[:n])
-		rest = rest[n:]
+	for _, l := range m.lanes {
+		countLane(g, l.spans, l.c.readAddrs, false, false)
 	}
-	for rest := m.active; len(rest) > 0; {
-		n := min(len(rest), colBatch)
-		for j, i := range rest[:n] {
-			cols[j] = m.ctxs[i].writeAddrs
-		}
-		g.writes(rest[:n], cols[:n], false)
-		rest = rest[n:]
+	for _, l := range m.lanes {
+		countLane(g, l.spans, l.c.writeAddrs, true, false)
 	}
 	return g.end()
 }
 
-// applyCtxWrites commits the phase's writes straight from the active
-// processors' contexts in ascending processor order.
-func (m *Mem[V]) applyCtxWrites() {
-	for _, i := range m.active {
-		if c := m.ctxs[i]; len(c.writeAddrs) > 0 {
-			m.model.Apply(m.mem, c.writeAddrs, c.writeVals)
+// applyLaneWrites commits the phase's writes straight from the lanes'
+// write columns, one Apply per lane in lane order: ascending processor
+// order, each processor's writes in issue order.
+func (m *Mem[V]) applyLaneWrites() {
+	for _, l := range m.lanes {
+		if len(l.c.writeAddrs) > 0 {
+			m.model.Apply(m.mem, l.c.writeAddrs, l.c.writeVals)
 		}
 	}
 }
@@ -378,14 +399,17 @@ func (m *Mem[V]) applyCtxWrites() {
 // apply, so read payloads render the start-of-phase contents the readers
 // actually observed.
 func (m *Mem[V]) emitRequests() {
-	for i, c := range m.ctxs {
-		for _, a := range c.readAddrs {
-			m.observeRequest(Request{Proc: i, Kind: KindRead, Addr: a,
-				Payload: m.model.Render(m.mem[a])})
-		}
-		for j, a := range c.writeAddrs {
-			m.observeRequest(Request{Proc: i, Kind: KindWrite, Addr: a,
-				Payload: m.model.Render(c.writeVals[j])})
+	for _, l := range m.lanes {
+		c := &l.c
+		for _, s := range l.spans {
+			for _, a := range c.readAddrs[s.r0:s.r1] {
+				m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
+					Payload: m.model.Render(m.mem[a])})
+			}
+			for j := s.w0; j < s.w1; j++ {
+				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: c.writeAddrs[j],
+					Payload: m.model.Render(c.writeVals[j])})
+			}
 		}
 	}
 }

@@ -119,7 +119,7 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 	if r.InjectorActive() {
 		r.Checkpoint()
 	}
-	r.RunPhase(r.Workers(), p, func(lo, hi int) (int32, error) {
+	r.RunPhase(r.Workers(), p, func(_, lo, hi int) (int32, error) {
 		var nf int32
 		var first error
 		for i := lo; i < hi; i++ {

@@ -211,9 +211,19 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			needed, n, gb, m.P())
 	}
 
+	// Checker state (the bit each checker read, the kill flag each scout
+	// read) is carried across phases in host slices, which model the
+	// processors' private memory. They are sized once for the first
+	// level; each level dispatches only its groups' processors and clears
+	// their entries, so every level starts from zeroed private state.
+	readVal := make([]int64, needed)
+	killed := make([]int64, needed)
 	cur, width := base, n
 	for width > 1 {
 		groups := (width + gb - 1) / gb
+		active := groups * perGroup
+		clear(readVal[:active])
+		clear(killed[:active])
 		// Fresh cells: kill cells (groups · 2^m), output (groups).
 		kills := m.MemSize()
 		out := kills + groups<<uint(gb)
@@ -230,15 +240,9 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		}
 
 		// Phase 1+2 are split to respect the no-read-and-write rule per
-		// cell set; checker state (the bit it read) is carried in the host
-		// closure via a staging slice, which models the processor's private
-		// memory across phases.
-		readVal := make([]int64, m.P())
-		m.Phase(func(c *qsm.Ctx) {
+		// cell set. Processors past the active groups are not dispatched.
+		m.ForAll(active, func(c *qsm.Ctx) {
 			grp := c.Proc() / perGroup
-			if grp >= groups {
-				return
-			}
 			r := c.Proc() % perGroup
 			a := r / gb
 			bit := r % gb
@@ -248,11 +252,8 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			}
 			readVal[c.Proc()] = c.Read(curL+grp*gb+bit) & 1
 		})
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			grp := c.Proc() / perGroup
-			if grp >= groups {
-				return
-			}
 			r := c.Proc() % perGroup
 			a := r / gb
 			bit := r % gb
@@ -266,12 +267,8 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			}
 		})
 		// Phase 3: scout (a, bit 0) reads its kill cell.
-		killed := make([]int64, m.P())
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			grp := c.Proc() / perGroup
-			if grp >= groups {
-				return
-			}
 			r := c.Proc() % perGroup
 			a := r / gb
 			bit := r % gb
@@ -282,11 +279,8 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			killed[c.Proc()] = c.Read(kills + grp<<uint(gb) + a)
 		})
 		// Phase 4: the surviving scout writes its assignment's parity.
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			grp := c.Proc() / perGroup
-			if grp >= groups {
-				return
-			}
 			r := c.Proc() % perGroup
 			a := r / gb
 			bit := r % gb

@@ -162,8 +162,8 @@ func (md qsmModel) Prefix() string   { return "qsm" }
 func (md qsmModel) Violation() error { return ErrViolation }
 func (md qsmModel) Grain() int       { return 1 }
 
-// Apply commits one processor's writes last-writer-wins; the engine
-// applies processors in ascending order, so the winner at each cell is
+// Apply commits a run of writes last-writer-wins; the engine hands it
+// the writes in ascending processor order, so the winner at each cell is
 // the final write of the highest-numbered processor.
 func (md qsmModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	for j, a := range addrs {

@@ -3,6 +3,7 @@ package qsm
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +283,36 @@ func TestOpAccounting(t *testing.T) {
 	})
 	if got := m.Report().Phases[0].MaxOps; got != 10 {
 		t.Errorf("m_op = %d, want 10", got)
+	}
+}
+
+// coldSparseAllocLimit bounds the allocations of the first phase of a
+// fresh machine with 16 of 2^16 processors active: 32 objects on go1.24,
+// for the one lane, the append growth of its columns and span list, the
+// merger scratch, the failure tallies, the dispatch closure and the
+// first report entry. One context per processor would be over 65,536.
+const coldSparseAllocLimit = 40
+
+// TestColdSparsePhaseAllocs pins that a phase costs O(active
+// processors), not O(p), from the very first phase on.
+func TestColdSparsePhaseAllocs(t *testing.T) {
+	m := mk(t, Config{Rule: cost.RuleQSM, P: 1 << 16, G: 1, N: 16, MemCells: 64, Workers: 1})
+	body := func(c *Ctx) {
+		c.Read(c.Proc())
+		c.Write(32+c.Proc(), 1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.ForAll(16, body)
+	runtime.ReadMemStats(&after)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Mallocs - before.Mallocs; got > coldSparseAllocLimit {
+		t.Errorf("first sparse phase allocated %d objects, want ≤ %d (per-processor state for all p?)", got, coldSparseAllocLimit)
+	}
+	if got := m.Peek(32 + 15); got != 1 {
+		t.Errorf("cell %d = %d, want the active processor's write", 32+15, got)
 	}
 }
 
