@@ -111,6 +111,7 @@ func benchQSMCommit(b *testing.B, p, cells int, body func(c *qsm.Ctx)) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	m.Phase(body) // untimed: grow the machine to its steady state first
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -51,6 +51,8 @@ func TestCLIErrors(t *testing.T) {
 			"resume needs a JSONL output path"},
 		{"negative proc workers", []string{"-backend", "proc", "-proc-workers", "-1", "-n", "8"},
 			"negative proc worker count -1"},
+		{"input past int32", []string{"-n", "3000000000"},
+			"qsm: 3000000000 processors exceed the 2147483647-processor limit"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

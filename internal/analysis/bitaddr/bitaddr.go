@@ -15,9 +15,9 @@
 // in a way only a large, adversarial test would notice.
 //
 // The analyzer therefore tracks packed values with a forward CFG taint:
-// reads of the packed columns (the writes/wPacked fields of
-// BitCtx/bitBuf shaped types, and ranges/indexes over them) are packed
-// sources, and a packed value may only be unpacked (>>1, &1),
+// reads of the packed columns (the writes field of BitCtx shaped types,
+// and ranges/indexes over it) are packed sources, and a packed value
+// may only be unpacked (>>1, &1),
 // bit-or-ed with the payload (|1), compared, copied, or appended back
 // into a packed column. Any other arithmetic or an indexing use is
 // reported. Conversely every value stored into a packed column must be
@@ -54,8 +54,6 @@ var Analyzer = &analysis.Analyzer{
 // fixtures and future engines match without importing repro packages).
 var packedColumns = map[string]map[string]bool{
 	"BitCtx": {"writes": true},
-	"bitBuf": {"wPacked": true},
-	"BitMem": {"wPacked": true},
 }
 
 // Taint bits.

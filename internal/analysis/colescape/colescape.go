@@ -75,8 +75,6 @@ var pooledFields = map[string]map[string]bool{
 	"MemCtx":   fields("readAddrs", "writeAddrs", "writeVals"),
 	"BitCtx":   fields("readAddrs", "writes"),
 	"laneLog":  fields("spans"),
-	"memBuf":   fields("rAddr", "rProc", "wAddr", "wProc", "wVal", "mOp", "mRW", "touched"),
-	"bitBuf":   fields("rAddr", "rProc", "wPacked", "wProc", "mOp", "mRW", "touched"),
 	"Route":    fields("inbox", "spare", "ckInbox"),
 	"Sends":    fields("msgs", "dsts"),
 	"EventLog": fields("events", "ends"),

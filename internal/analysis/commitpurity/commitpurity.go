@@ -43,8 +43,7 @@ var Analyzer = &analysis.Analyzer{
 
 // allowedWriters maps each protected engine type to the functions that
 // may write its fields: the lifecycle entry points (Init*, Phase,
-// Superstep, RunPhase), the two-pass commit pipeline (commit, finish,
-// ensure), the per-processor request recorders (MemCtx/BitCtx and Sends
+// Superstep, RunPhase), the commit barrier (commit), the per-processor request recorders (MemCtx/BitCtx and Sends
 // methods, per-cell and batch alike — a batch recorder appends to the
 // same struct-of-arrays columns as its per-cell twin, so it is part of
 // the same contract), the request lanes' per-chunk and per-processor
@@ -58,18 +57,15 @@ var allowedWriters = map[string]map[string]bool{
 	"Core": set("Init", "RunPhase", "RecordErr", "AddObserver", "observePhaseStart",
 		"InjectFaults", "consultInjector", "noteCommitted", "chargeRecovery",
 		"ckCore", "rewindCore", "retriesExhausted"),
-	"Mem":    set("InitMem", "Grow", "Phase", "ForAll", "Checkpoint", "Rollback", "corruptCell", "commit"),
-	"memBuf": set("ensure", "commit", "finish"),
+	"Mem": set("InitMem", "Grow", "Phase", "ForAll", "Checkpoint", "Rollback", "corruptCell", "commit"),
 	"MemCtx": set("Read", "Write", "Op", "failf", "begin", "clearCols",
 		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
 	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "ForAll", "Checkpoint", "Rollback",
-		"corruptCell", "commit", "finish"),
-	"bitBuf":   set("ensure", "commit", "finish"),
-	"BitCtx":   set("Read", "ReadWord", "Write", "Op", "failf", "begin", "clearCols"),
-	"laneLog":  set("reset", "note"),
-	"Route":    set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),
-	"routeBuf": set("ensure", "commit"),
-	"Sends":    set("AddWork", "Stage", "Fail", "reset", "StageBatch"),
+		"corruptCell", "commit"),
+	"BitCtx":  set("Read", "ReadWord", "Write", "Op", "failf", "begin", "clearCols"),
+	"laneLog": set("reset", "note"),
+	"Route":   set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),
+	"Sends":   set("AddWork", "Stage", "Fail", "reset", "StageBatch"),
 }
 
 func set(names ...string) map[string]bool {

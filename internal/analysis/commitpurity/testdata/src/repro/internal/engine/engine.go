@@ -26,7 +26,7 @@ func (c *Core) poke() {
 	c.failN = 7 // want `engine\.Core\.failN written in poke, outside the commit entry points`
 }
 
-// Mem mirrors the sharded shared-memory engine; Core is embedded as in
+// Mem mirrors the shared-memory engine; Core is embedded as in
 // the real package, so promoted writes must attribute to Core.
 type Mem struct {
 	Core
@@ -59,26 +59,6 @@ func (m *Mem) bump() {
 func (m *Mem) sanctioned() {
 	//lint:commitpurity-ok fixture exercises the allowlist
 	m.mem[0] = 2
-}
-
-type memBuf struct {
-	vals    []int64
-	touched map[int]bool
-}
-
-func (b *memBuf) ensure(n int) {
-	if b.touched == nil {
-		b.touched = make(map[int]bool, n)
-	}
-}
-
-func (b *memBuf) commit() {
-	b.vals = b.vals[:0]
-}
-
-func (b *memBuf) sneak() {
-	b.vals = append(b.vals, 9) // want `engine\.memBuf\.vals written in sneak, outside the commit entry points`
-	(b.touched)[1] = true      // want `engine\.memBuf\.touched written in sneak, outside the commit entry points`
 }
 
 // MemCtx mirrors the per-processor request recorder with its
@@ -148,12 +128,17 @@ func (l *laneLog) forge(proc int32) {
 	l.spans = append(l.spans, proc) // want `engine\.laneLog\.spans written in forge, outside the commit entry points`
 }
 
+func (l *laneLog) sneak() {
+	l.mOp = 9        // want `engine\.laneLog\.mOp written in sneak, outside the commit entry points`
+	(l.spans)[0] = 1 // want `engine\.laneLog\.spans written in sneak, outside the commit entry points`
+}
+
 // BitMem and BitCtx mirror the bit-packed engine: word-level storage,
 // packed write column, the same writer contract.
 type BitMem struct {
 	Core
 	words []uint64
-	cb    bitBuf
+	lane  laneLog
 }
 
 func (m *BitMem) InitBits(nwords int) {
@@ -164,15 +149,15 @@ func (m *BitMem) SetBit(addr int) {
 	m.words[addr>>6] |= 1 << (uint(addr) & 63)
 }
 
-func (m *BitMem) finish(addr int) {
-	// finish both applies packed writes and drains the scratch: clean.
+func (m *BitMem) commit(addr int) {
+	// commit both applies packed writes and resets a lane: clean.
 	m.words[addr>>6] &^= 1 << (uint(addr) & 63)
-	m.cb.wPacked = m.cb.wPacked[:0]
+	m.lane.reset()
 }
 
 func (m *BitMem) hotPatch(addr int) {
 	m.words[addr>>6] = 0            // want `engine\.BitMem\.words written in hotPatch, outside the commit entry points`
-	m.cb.wPacked = m.cb.wPacked[:0] // want `engine\.bitBuf\.wPacked written in hotPatch, outside the commit entry points`
+	m.lane.spans = m.lane.spans[:0] // want `engine\.laneLog\.spans written in hotPatch, outside the commit entry points`
 }
 
 type BitCtx struct {
@@ -191,16 +176,6 @@ func (c *BitCtx) Write(addr int32, bit bool) {
 
 func (c *BitCtx) replay(ws []int32) {
 	c.writes = ws // want `engine\.BitCtx\.writes written in replay, outside the commit entry points`
-}
-
-type bitBuf struct {
-	wPacked []int32
-}
-
-func (b *bitBuf) ensure(n int) {
-	if cap(b.wPacked) < n {
-		b.wPacked = make([]int32, 0, n)
-	}
 }
 
 // Sends mirrors the routing-side stager; StageBatch is the sanctioned

@@ -183,8 +183,10 @@ const colBatch = 64
 // the read+write clash check, applied serially over one contiguous cell
 // range [lo, hi). The column barrier (no backend) feeds it the active
 // processors' own columns; backend workers run it over their owned range
-// via Merge. The scratch persists across merges, so a steady-state merge
-// allocates nothing.
+// via Merge. The scratch is one epoch-stamped record per cell, reused
+// across merges: begin advances the epoch, and a record stamped with an
+// older epoch reads as untouched, so a merge neither lists nor clears the
+// cells it counted, and a steady-state merge allocates nothing.
 //
 // Rules (paper §2): contention counts *processors* per cell — duplicate requests by one processor dedupe via
 // the last mark; all reads are counted before all writes, so a positive
@@ -196,10 +198,18 @@ const colBatch = 64
 // ascending processor order, in as many reads/writes calls as the
 // caller likes.
 type MemMerger struct {
-	count, last []int32
-	touched     []int32
-	lo, hi      int32
-	st          MergeStats
+	marks  []cellMark
+	epoch  uint32
+	lo, hi int32
+	st     MergeStats
+}
+
+// cellMark is one cell's merge scratch, valid only while epoch equals the
+// merger's: last is the last counted processor (+pr+1 for a read, −pr−1
+// for a write) and count the readers (> 0) or the negated writers (< 0).
+type cellMark struct {
+	epoch       uint32
+	last, count int32
 }
 
 // Merge computes the merge statistics for the cells in [lo, hi);
@@ -215,20 +225,22 @@ func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
 // begin starts a merge over the cells in [lo, hi).
 func (g *MemMerger) begin(lo, hi int) {
 	width := max(hi-lo, 0)
-	if len(g.count) < width {
-		g.count, g.last = make([]int32, width), make([]int32, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+	if len(g.marks) < width {
+		g.marks = make([]cellMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+	}
+	if g.epoch++; g.epoch == 0 {
+		clear(g.marks)
+		g.epoch = 1
 	}
 	g.lo, g.hi = int32(lo), int32(lo+width)
 	g.st = MergeStats{Viol: -1}
-	g.touched = g.touched[:0]
 }
 
 // reads counts read columns: cols[k] belongs to processor procs[k], or
 // to processor k when procs is nil.
 func (g *MemMerger) reads(procs []int32, cols [][]int32) {
 	lo, hi := g.lo, g.hi
-	count, last := g.count, g.last
-	touched := g.touched
+	marks, ep := g.marks, g.epoch
 	kr := g.st.KRead
 	for k, col := range cols {
 		pr := int32(k) + 1
@@ -239,27 +251,28 @@ func (g *MemMerger) reads(procs []int32, cols [][]int32) {
 			if a < lo || a >= hi {
 				continue
 			}
-			x := a - lo
-			if last[x] == pr {
+			m := &marks[a-lo]
+			if m.epoch != ep {
+				*m = cellMark{epoch: ep, last: pr, count: 1}
+				kr = max(kr, 1)
 				continue
 			}
-			last[x] = pr
-			if count[x] == 0 {
-				touched = append(touched, x)
+			if m.last == pr {
+				continue
 			}
-			count[x]++
-			kr = max(kr, int64(count[x]))
+			m.last = pr
+			m.count++
+			kr = max(kr, int64(m.count))
 		}
 	}
-	g.touched, g.st.KRead = touched, kr
+	g.st.KRead = kr
 }
 
 // writes counts write columns, indexed like reads; packed columns hold
 // addr<<1 | bit entries.
 func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
 	lo, hi := g.lo, g.hi
-	count, last := g.count, g.last
-	touched := g.touched
+	marks, ep := g.marks, g.epoch
 	kw, viol := g.st.KWrite, g.st.Viol
 	var shift uint
 	if packed {
@@ -275,25 +288,27 @@ func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
 			if a < lo || a >= hi {
 				continue
 			}
-			x := a - lo
-			if count[x] > 0 {
+			m := &marks[a-lo]
+			if m.epoch != ep {
+				*m = cellMark{epoch: ep, last: pr, count: -1}
+				kw = max(kw, 1)
+				continue
+			}
+			if m.count > 0 {
 				if viol < 0 || a < viol {
 					viol = a
 				}
 				continue
 			}
-			if last[x] == pr {
+			if m.last == pr {
 				continue
 			}
-			last[x] = pr
-			if count[x] == 0 {
-				touched = append(touched, x)
-			}
-			count[x]--
-			kw = max(kw, int64(-count[x]))
+			m.last = pr
+			m.count--
+			kw = max(kw, int64(-m.count))
 		}
 	}
-	g.touched, g.st.KWrite, g.st.Viol = touched, kw, viol
+	g.st.KWrite, g.st.Viol = kw, viol
 }
 
 // cols counts read columns, or write columns when write is set.
@@ -305,29 +320,29 @@ func (g *MemMerger) cols(procs []int32, cols [][]int32, write, packed bool) {
 	}
 }
 
-// end finishes the merge: it zeroes the touched scratch and returns the
-// statistics.
-func (g *MemMerger) end() MergeStats {
-	for _, x := range g.touched {
-		g.count[x] = 0
-		g.last[x] = 0
-	}
-	g.touched = g.touched[:0]
-	return g.st
-}
+// end finishes the merge and returns its statistics; the scratch needs
+// no clearing, since the next begin's epoch retires every record.
+func (g *MemMerger) end() MergeStats { return g.st }
 
 // RouteMerger is the routing rule set: per-destination fan-in counting
 // (messages per destination) over one contiguous component range
 // [lo, hi). The column barrier (no backend) feeds it the senders' own
 // destination columns; backend workers run it via Merge.
-// The scratch persists across merges, and only the counted destinations
-// are cleared afterwards. A merge is begin, dsts over every sender's
-// column (in as many calls as the caller likes), then end.
+// The scratch is one epoch-stamped count per destination, reused across
+// merges without clearing, as in MemMerger. A merge is begin, dsts over
+// every sender's column (in as many calls as the caller likes), then end.
 type RouteMerger struct {
-	recv    []int64
-	touched []int32
-	lo, hi  int32
-	hrecv   int64
+	recv   []dstMark
+	epoch  uint32
+	lo, hi int32
+	hrecv  int64
+}
+
+// dstMark is one destination's fan-in so far, valid only while epoch
+// equals the merger's.
+type dstMark struct {
+	epoch uint32
+	n     int32
 }
 
 // Merge returns the maximum fan-in over destinations in [lo, hi);
@@ -342,41 +357,36 @@ func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
 func (g *RouteMerger) begin(lo, hi int) {
 	width := max(hi-lo, 0)
 	if len(g.recv) < width {
-		g.recv = make([]int64, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		g.recv = make([]dstMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+	}
+	if g.epoch++; g.epoch == 0 {
+		clear(g.recv)
+		g.epoch = 1
 	}
 	g.lo, g.hi = int32(lo), int32(lo+width)
 	g.hrecv = 0
-	g.touched = g.touched[:0]
 }
 
 // dsts counts destination columns.
 func (g *RouteMerger) dsts(cols [][]int32) {
 	lo, hi := g.lo, g.hi
-	recv := g.recv
-	touched := g.touched
+	recv, ep := g.recv, g.epoch
 	hr := g.hrecv
 	for _, col := range cols {
 		for _, d := range col {
 			if d < lo || d >= hi {
 				continue
 			}
-			x := d - lo
-			if recv[x] == 0 {
-				touched = append(touched, x)
+			m := &recv[d-lo]
+			if m.epoch != ep {
+				*m = dstMark{epoch: ep}
 			}
-			recv[x]++
-			hr = max(hr, recv[x])
+			m.n++
+			hr = max(hr, int64(m.n))
 		}
 	}
-	g.touched, g.hrecv = touched, hr
+	g.hrecv = hr
 }
 
-// end finishes the merge: it clears the counted destinations and returns
-// the maximum fan-in.
-func (g *RouteMerger) end() RouteStats {
-	for _, x := range g.touched {
-		g.recv[x] = 0
-	}
-	g.touched = g.touched[:0]
-	return RouteStats{HRecv: g.hrecv}
-}
+// end finishes the merge and returns the maximum fan-in.
+func (g *RouteMerger) end() RouteStats { return RouteStats{HRecv: g.hrecv} }

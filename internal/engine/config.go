@@ -2,9 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 )
+
+// maxAddr bounds memory sizes and processor counts: request columns,
+// spans and the merger's marks hold addresses and processor indices as
+// int32.
+const maxAddr = math.MaxInt32
 
 // ValidateConfig is the shared constructor-side validation of the three
 // simulators. prefix is the package's error prefix ("qsm", "bsp", "gsm");
@@ -22,11 +28,17 @@ func ValidateConfig(prefix string, p cost.Params, n, cells, workers int, needL b
 	if needL && p.L < 1 {
 		return fmt.Errorf("%s: latency L must be ≥ 1, got %d", prefix, p.L)
 	}
+	if p.P > maxAddr {
+		return fmt.Errorf("%s: %d processors exceed the %d-processor limit", prefix, p.P, maxAddr)
+	}
 	if n < 1 {
 		return fmt.Errorf("%s: input size N must be ≥ 1, got %d", prefix, n)
 	}
 	if cells < 0 {
 		return fmt.Errorf("%s: negative memory size %d", prefix, cells)
+	}
+	if cells > maxAddr {
+		return fmt.Errorf("%s: memory of %d cells exceeds the %d-cell address space", prefix, cells, maxAddr)
 	}
 	return nil
 }

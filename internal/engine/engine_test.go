@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -438,6 +439,18 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 
 // --- shared config validation ----------------------------------------------
 
+func TestMemGrowPastAddressSpace(t *testing.T) {
+	m := newMemMachine(t, 4, 8, 1)
+	m.Grow(math.MaxInt32 + 1)
+	const want = "test: memory of 2147483648 cells exceeds the 2147483647-cell address space"
+	if err := m.Err(); err == nil || err.Error() != want {
+		t.Fatalf("Err after Grow = %v, want %q", err, want)
+	}
+	if m.MemSize() != 8 {
+		t.Fatalf("MemSize after refused Grow = %d, want 8", m.MemSize())
+	}
+}
+
 func TestValidateConfig(t *testing.T) {
 	ok := cost.Params{G: 2, L: 4, P: 8}
 	cases := []struct {
@@ -458,6 +471,9 @@ func TestValidateConfig(t *testing.T) {
 		{"missing L", "bsp", cost.Params{G: 2, P: 8}, 8, 16, 0, true, "bsp: latency L must be ≥ 1, got 0"},
 		{"zero n", "gsm", ok, 0, 16, 0, false, "gsm: input size N must be ≥ 1, got 0"},
 		{"negative cells", "gsm", ok, 8, -1, 0, false, "gsm: negative memory size -1"},
+		{"cells past int32", "qsm", ok, 8, math.MaxInt32 + 1, 0, false, "qsm: memory of 2147483648 cells exceeds the 2147483647-cell address space"},
+		{"cells at int32", "qsm", ok, 8, math.MaxInt32, 0, false, ""},
+		{"P past int32", "bsp", cost.Params{G: 2, L: 4, P: math.MaxInt32 + 1}, 8, 16, 0, true, "bsp: 2147483648 processors exceed the 2147483647-processor limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

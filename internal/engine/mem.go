@@ -92,10 +92,16 @@ func (m *Mem[V]) MemSize() int { return len(m.mem) }
 // Growing memory is free in the models: it allocates address space, not
 // work. Capacity grows geometrically, so an algorithm that grows its
 // memory every level copies each cell O(1) times amortised. Slices
-// previously returned by Data are invalidated.
+// previously returned by Data are invalidated. Growing past the int32
+// address space poisons the machine and leaves the memory as it is.
 func (m *Mem[V]) Grow(size int) {
 	old := len(m.mem)
 	if size <= old {
+		return
+	}
+	if size > maxAddr {
+		m.RecordErr(fmt.Errorf("%s: memory of %d cells exceeds the %d-cell address space",
+			m.model.Prefix(), size, maxAddr))
 		return
 	}
 	if size > cap(m.mem) {

@@ -1,0 +1,163 @@
+package engine
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// mergeCase is one merge of a reuse sequence: a request and the range it
+// is counted over.
+type mergeCase struct {
+	mem    MemMergeReq
+	route  RouteMergeReq
+	lo, hi int
+}
+
+// genMergeCase draws a small merge over a 96-cell space: up to 12
+// processors with duplicate requests, read+write clashes on half the
+// cases (disjoint read and write cells on the rest), packed write
+// columns on a third, and a [lo, hi) range that shrinks, grows and
+// shifts between calls, now and then past the scratch high-water mark.
+func genMergeCase(r *rand.Rand) mergeCase {
+	const space = 96
+	p := 1 + r.IntN(12)
+	clash, packed := r.IntN(2) == 0, r.IntN(3) == 0
+	c := mergeCase{
+		mem:   MemMergeReq{Cells: space, Packed: packed, Reads: make([][]int32, p), Writes: make([][]int32, p)},
+		route: RouteMergeReq{P: space, Dsts: make([][]int32, p)},
+		lo:    r.IntN(space / 2),
+	}
+	width := r.IntN(space)
+	if r.IntN(8) == 0 {
+		width = space + r.IntN(4*space)
+	}
+	c.hi = c.lo + width
+	cell := func(parity int) int32 {
+		a := int32(r.IntN(space))
+		if !clash {
+			a = a&^1 | int32(parity)
+		}
+		return a
+	}
+	for pr := range p {
+		if r.IntN(4) == 0 {
+			continue // idle processor
+		}
+		for range r.IntN(6) {
+			a := cell(0)
+			c.mem.Reads[pr] = append(c.mem.Reads[pr], a)
+			if r.IntN(3) == 0 {
+				c.mem.Reads[pr] = append(c.mem.Reads[pr], a) // duplicate
+			}
+		}
+		for range r.IntN(6) {
+			a := cell(1)
+			if packed {
+				a = a<<1 | int32(r.IntN(2))
+			}
+			c.mem.Writes[pr] = append(c.mem.Writes[pr], a)
+			if r.IntN(3) == 0 {
+				c.mem.Writes[pr] = append(c.mem.Writes[pr], a) // duplicate
+			}
+		}
+		for range r.IntN(8) {
+			c.route.Dsts[pr] = append(c.route.Dsts[pr], int32(r.IntN(space)))
+		}
+	}
+	return c
+}
+
+// mergeActive feeds the merger the way the column barrier does: only the
+// processors that recorded a request, with their ids, in two calls per
+// side.
+func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
+	var procs []int32
+	var reads, writes [][]int32
+	for pr := range req.Reads {
+		if len(req.Reads[pr]) > 0 || len(req.Writes[pr]) > 0 {
+			procs = append(procs, int32(pr))
+			reads, writes = append(reads, req.Reads[pr]), append(writes, req.Writes[pr])
+		}
+	}
+	half := len(procs) / 2
+	g.begin(lo, hi)
+	g.cols(procs[:half], reads[:half], false, req.Packed)
+	g.cols(procs[half:], reads[half:], false, req.Packed)
+	g.cols(procs[:half], writes[:half], true, req.Packed)
+	g.cols(procs[half:], writes[half:], true, req.Packed)
+	return g.end()
+}
+
+// checkReuse runs c on the long-lived mergers and compares each answer
+// with a freshly constructed merger's. Odd merges take the column
+// barrier's path, even ones Merge; either way one merge is one epoch.
+func checkReuse(t *testing.T, i int, mem *MemMerger, route *RouteMerger, c mergeCase) {
+	t.Helper()
+	var fresh MemMerger
+	want := fresh.Merge(c.mem, c.lo, c.hi)
+	var got MergeStats
+	if i%2 == 0 {
+		got = mem.Merge(c.mem, c.lo, c.hi)
+	} else {
+		got = mergeActive(mem, c.mem, c.lo, c.hi)
+	}
+	if got != want {
+		t.Fatalf("merge %d [%d,%d) epoch %d: reused MemMerger = %+v, fresh = %+v", i, c.lo, c.hi, mem.epoch, got, want)
+	}
+	var freshRoute RouteMerger
+	if got, want := route.Merge(c.route, c.lo, c.hi), freshRoute.Merge(c.route, c.lo, c.hi); got != want {
+		t.Fatalf("merge %d [%d,%d) epoch %d: reused RouteMerger = %+v, fresh = %+v", i, c.lo, c.hi, route.epoch, got, want)
+	}
+}
+
+// TestMergerScratchReuse pins that the epoch-stamped scratch forgets
+// every earlier merge: one MemMerger and one RouteMerger answer a long
+// seeded sequence exactly as fresh mergers do.
+func TestMergerScratchReuse(t *testing.T) {
+	r := rand.New(rand.NewPCG(1998, 17))
+	var mem MemMerger
+	var route RouteMerger
+	for i := range 2000 {
+		checkReuse(t, i, &mem, &route, genMergeCase(r))
+	}
+}
+
+// TestMergerEpochWrap runs merges across the epoch wrap. The first merge
+// stamps every cell with epoch 1; when the epoch next comes round to 1
+// those stamps must read as stale, which only the clear at the wrap
+// guarantees.
+func TestMergerEpochWrap(t *testing.T) {
+	const cells = 64
+	dense := mergeCase{
+		mem:   MemMergeReq{Cells: cells, Reads: make([][]int32, 2), Writes: make([][]int32, 2)},
+		route: RouteMergeReq{P: cells, Dsts: make([][]int32, 2)},
+		hi:    cells,
+	}
+	for a := range int32(cells) {
+		dense.mem.Reads[0] = append(dense.mem.Reads[0], a)
+		dense.mem.Writes[1] = append(dense.mem.Writes[1], a)
+		dense.route.Dsts[0] = append(dense.route.Dsts[0], a)
+	}
+	// writes is dense's write side alone, so an epoch-1 reader left over
+	// from dense shows as a spurious violation.
+	writes := dense
+	writes.mem.Reads = [][]int32{nil, nil}
+	writes.route.Dsts = [][]int32{nil, dense.route.Dsts[0]}
+
+	var mem MemMerger
+	var route RouteMerger
+	checkReuse(t, 0, &mem, &route, dense)
+	mem.epoch, route.epoch = math.MaxUint32-2, math.MaxUint32-2
+	r := rand.New(rand.NewPCG(4099, 17))
+	for i := 1; i <= 6; i++ {
+		c := genMergeCase(r)
+		if i == 3 {
+			c = writes // the first merge after the wrap, at epoch 1
+		}
+		checkReuse(t, i, &mem, &route, c)
+	}
+	if mem.epoch != 4 || route.epoch != 4 {
+		t.Fatalf("epochs after the wrap = %d, %d, want 4 (the wrap restarts at 1)", mem.epoch, route.epoch)
+	}
+}

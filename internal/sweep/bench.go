@@ -196,6 +196,9 @@ func benchQSMCommit(name string, cells int, body func(c *qsm.Ctx)) (BenchResult,
 		if err != nil {
 			b.Fatal(err)
 		}
+		// One untimed phase grows the machine to its steady state, so the
+		// timed loop measures steady-state phases, not warm-up.
+		m.Phase(body)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -266,6 +269,7 @@ func benchBoolWord(name string) (BenchResult, error) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		m.Phase(body) // untimed warm-up, as in benchQSMCommit
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -301,6 +305,7 @@ func benchBSPShift(name string) (BenchResult, error) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		m.Superstep(body) // untimed warm-up, as in benchQSMCommit
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -334,6 +339,7 @@ func benchGSMGather(name string) (BenchResult, error) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		m.Phase(body) // untimed warm-up, as in benchQSMCommit
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
