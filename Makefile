@@ -25,7 +25,7 @@ baseline:
 
 # Dump the control-flow graph the dataflow and concurrency analyzers
 # build for one function, e.g.
-#   make cfg-debug FN=internal/engine/bitmem.go:commit
+#   make cfg-debug FN=internal/engine/engine.go:commit
 # or, to see spawn sites, select clause kinds and defer-unlock edges on
 # the distributed coordinator:
 #   make cfg-debug FN=internal/backend/proc/coord.go:acceptLoop

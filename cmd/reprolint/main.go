@@ -13,7 +13,7 @@
 //	go run ./cmd/reprolint ./...
 //	go run ./cmd/reprolint -json ./...
 //	go run ./cmd/reprolint -sarif reprolint.sarif -baseline .reprolint-baseline.json ./...
-//	go run ./cmd/reprolint -cfg-debug internal/engine/bitmem.go:commit
+//	go run ./cmd/reprolint -cfg-debug internal/engine/engine.go:commit
 //
 // and as a plain `go vet -vettool` (which the standalone mode spawns
 // under the hood, so results and caching are identical):

@@ -15,8 +15,9 @@
 // in a way only a large, adversarial test would notice.
 //
 // The analyzer therefore tracks packed values with a forward CFG taint:
-// reads of the packed columns (the writes field of BitCtx shaped types,
-// and ranges/indexes over it) are packed sources, and a packed value
+// reads of the packed columns (the writes field read through a BitCtx
+// shaped type, and ranges/indexes over it) are packed sources, and a
+// packed value
 // may only be unpacked (>>1, &1),
 // bit-or-ed with the payload (|1), compared, copied, or appended back
 // into a packed column. Any other arithmetic or an indexing use is
@@ -50,8 +51,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // packedColumns names the fields holding packed addr<<1|bit values, by
-// owning type (same structural matching as the other engine analyzers:
-// fixtures and future engines match without importing repro packages).
+// the type they are read through rather than the type declaring them:
+// the engine's write column is one cursor field that a word store fills
+// with plain addresses and the packed store (BitCtx) with packed
+// entries. Matching is structural, as in the other engine analyzers, so
+// fixtures and future engines match without importing repro packages;
+// a test checks that each entry still exists in the engine.
 var packedColumns = map[string]map[string]bool{
 	"BitCtx": {"writes": true},
 }
@@ -227,7 +232,7 @@ func (c *checker) taintOf(e ast.Expr, state cfg.Facts) uint64 {
 }
 
 // isPackedColumn reports whether e reads a packed write-column field
-// (directly or through one level of indexing: b.wPacked[k]).
+// (directly or through one level of indexing: c.writes[k]).
 func (c *checker) isPackedColumn(e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if idx, ok := e.(*ast.IndexExpr); ok {
@@ -241,8 +246,7 @@ func (c *checker) isPackedColumn(e ast.Expr) bool {
 	if selection == nil || selection.Kind() != types.FieldVal {
 		return false
 	}
-	owner, field := fieldOwner(selection.Recv(), selection.Index())
-	return packedColumns[owner][field]
+	return packedColumns[interproc.RecvTypeName(selection.Recv())][selection.Obj().Name()]
 }
 
 // packExpr recognizes the blessed packing shape: base<<1 or base<<1|bit
@@ -525,32 +529,6 @@ func (c *checker) report(pos token.Pos, format string, args ...any) {
 func isIntLit(e ast.Expr, text string) bool {
 	lit, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok && lit.Kind == token.INT && lit.Value == text
-}
-
-// fieldOwner resolves the named struct type declaring a selected field,
-// walking the embedding path.
-func fieldOwner(t types.Type, index []int) (owner, field string) {
-	for _, i := range index {
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		name := ""
-		if n, ok := t.(*types.Named); ok {
-			name = n.Obj().Name()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || i >= st.NumFields() {
-			return "", ""
-		}
-		fv := st.Field(i)
-		owner, field = name, fv.Name()
-		t = fv.Type()
-	}
-	return owner, field
 }
 
 // identObj resolves an identifier through Uses or Defs.

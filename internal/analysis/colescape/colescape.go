@@ -4,7 +4,7 @@
 //
 // The columnar engines hand out aliases instead of copies on their fast
 // paths — MemCtx.ReadBlock returns a sub-slice of the live memory
-// image, Mem.Data/BitMem.Words expose the backing arrays, and
+// image, Mem.Data/BitMem.Words expose the backing store, and
 // Route.Incoming returns a superstep's pooled inbox row. All of them
 // are documented "do not retain": the next phase commit rewrites the
 // storage in place (or swaps it into the ping-pong spare), so a
@@ -65,18 +65,16 @@ var sourceMethods = map[string]bool{
 	"ReadBlock": true, "Data": true, "Words": true, "Incoming": true,
 }
 
-// pooledFields lists the engine's pooled column fields by owning type;
-// reading one of these through a selector is a borrow even without an
-// accessor call. The names mirror the commitpurity protected-state
-// table.
+// pooledFields lists the engine's pooled column fields by declaring
+// type; reading one of these through a selector is a borrow even without
+// an accessor call. The names mirror the commitpurity protected-state
+// table, and a test checks that each still exists in the engine.
 var pooledFields = map[string]map[string]bool{
-	"Mem":      fields("mem", "ckMem", "lanes"),
-	"BitMem":   fields("words", "ckWords", "lanes"),
-	"MemCtx":   fields("readAddrs", "writeAddrs", "writeVals"),
-	"BitCtx":   fields("readAddrs", "writes"),
-	"laneLog":  fields("spans"),
-	"Route":    fields("inbox", "spare", "ckInbox"),
-	"Sends":    fields("msgs", "dsts"),
+	"store":    fields("mem"),
+	"shared":   fields("ck", "lanes", "bkReads", "bkWrites"),
+	"cursor":   fields("readAddrs", "writes", "writeVals"),
+	"lane":     fields("spans"),
+	"Route":    fields("inbox", "spare", "ckInbox", "lanes", "bkDsts"),
 	"EventLog": fields("events", "ends"),
 }
 

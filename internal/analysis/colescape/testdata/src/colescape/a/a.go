@@ -2,13 +2,14 @@
 // the copy idioms and the reasoned allowlist that must stay silent.
 package a
 
-type Mem struct {
+// store mirrors the engine's cell storage, whose mem field is pooled.
+type store struct {
 	mem  []int64
 	free []int64
 }
 
 type MemCtx struct {
-	m *Mem
+	m *store
 }
 
 // ReadBlock is a borrow point: it hands out an alias into pooled
@@ -19,7 +20,7 @@ func (c *MemCtx) ReadBlock(addr, k int) []int64 {
 
 // Data is the documented accessor exemption: reason-carrying allowlist,
 // callers are policed at their use sites instead.
-func (m *Mem) Data() []int64 {
+func (m *store) Data() []int64 {
 	return m.mem //lint:colescape-ok documented borrow point: callers are policed at their use sites
 }
 
@@ -37,10 +38,10 @@ func keep(h *holder, b []int64) {
 
 func stash(c *MemCtx, h *holder, ch chan []int64) {
 	b := c.ReadBlock(0, 4)
-	h.ref = b    // want `"b", derived from pooled engine storage, escapes the phase via store to field ref`
-	global = b   // want `"b", derived from pooled engine storage, escapes the phase via store to package variable global`
-	ch <- b      // want `"b", derived from pooled engine storage, escapes the phase via channel send`
-	keep(h, b)   // want `"b", derived from pooled engine storage, escapes the phase via call to keep, which retains its argument`
+	h.ref = b  // want `"b", derived from pooled engine storage, escapes the phase via store to field ref`
+	global = b // want `"b", derived from pooled engine storage, escapes the phase via store to package variable global`
+	ch <- b    // want `"b", derived from pooled engine storage, escapes the phase via channel send`
+	keep(h, b) // want `"b", derived from pooled engine storage, escapes the phase via call to keep, which retains its argument`
 }
 
 func leak(c *MemCtx) []int64 {
@@ -76,23 +77,24 @@ func spawn(c *MemCtx, h *holder, run func(func())) {
 
 // recycle writes INTO a pooled field: pool management, not an escape
 // (commitpurity owns that contract).
-func recycle(m *Mem, b []int64) {
+func recycle(m *store, b []int64) {
 	m.free = b
 	_ = m.free
 }
 
-// BitCtx's read column is readAddrs; reads is a scalar counter. A leaked
-// read column is a borrow like the packed write column.
-type BitCtx struct {
+// A processor context's cursor holds its lane's columns: readAddrs is
+// the read column, reads a scalar counter. A leaked read column is a
+// borrow like the write column.
+type cursor struct {
 	reads     int64
 	readAddrs []int32
 	writes    []int32
 }
 
-func leakBitReads(c *BitCtx) []int32 {
+func leakReads(c *cursor) []int32 {
 	return c.readAddrs // want `field readAddrs, derived from pooled engine storage, escapes the phase via return value`
 }
 
-func bitReadCount(c *BitCtx) int64 {
+func readCount(c *cursor) int64 {
 	return c.reads
 }

@@ -1,24 +1,28 @@
-// Package commitpurity guards the engine's sharded-merge invariant: the
-// internal state of the commit engines (engine.Mem, engine.Route, their
-// scratch buffers and per-processor contexts) may be written only from
-// the two-pass commit entry points and the request-recording methods.
+// Package commitpurity guards the engine's commit-barrier invariant: the
+// internal state of the engines (engine.Core, the shared-memory engine
+// and its two stores, engine.Route, their request lanes and the
+// processor-context cursors) may be written only from the lifecycle and
+// barrier entry points and the request-recording methods.
 //
-// The determinism proof of the parallel phase commit (DESIGN.md §4) rests
-// on a closed-world argument: request buckets are filled in ascending
-// processor order, replayed in ascending chunk order, and nothing else
-// touches the engine state between the barrier and the apply. A write
-// from a new helper — a debug poke into Mem.mem, an eager inbox tweak, an
-// out-of-band scratch reset — re-opens that world silently; the runtime
-// determinism suite only notices if a sampled schedule happens to expose
-// it. This analyzer closes it at compile time: any assignment (or ++/--)
-// whose target is a field of a protected engine type is reported unless
-// the enclosing function is one of that type's sanctioned writers.
+// The determinism proof of the phase commit (DESIGN.md §4) rests on a
+// closed-world argument: request lanes are filled in ascending processor
+// order, read in lane order by the one barrier (Core.commit and the
+// engines' column sources), and nothing else touches the engine state
+// between the dispatch and the apply. A write from a new helper — a
+// debug poke into the cell store, an eager inbox tweak, an out-of-band
+// lane reset — re-opens that world silently; the runtime determinism
+// suite only notices if a sampled schedule happens to expose it. This
+// analyzer closes it at compile time: any assignment (or ++/--) whose
+// target is a field of a protected engine type is reported unless the
+// enclosing function is one of that type's sanctioned writers.
 //
 // The analyzer runs only on the engine package itself (unexported fields
 // make cross-package writes impossible). Extending a protected type with
 // a new sanctioned writer means editing the allowed-writers table here —
 // a deliberate speed bump that turns "mutate the engine" into a reviewed
-// contract change. One-off exceptions take //lint:commitpurity-ok <reason>.
+// contract change; a test checks that every name in the table still
+// exists in the engine. One-off exceptions take
+// //lint:commitpurity-ok <reason>.
 package commitpurity
 
 import (
@@ -34,7 +38,7 @@ import (
 // Analyzer guards engine commit state against out-of-contract writes.
 var Analyzer = &analysis.Analyzer{
 	Name: "commitpurity",
-	Doc:  "flag writes to engine.Mem/engine.Route internal state outside the commit entry points",
+	Doc:  "flag writes to engine internal state outside the commit entry points",
 	AppliesTo: func(pkgPath string) bool {
 		return strings.HasSuffix(pkgPath, "internal/engine")
 	},
@@ -42,30 +46,30 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // allowedWriters maps each protected engine type to the functions that
-// may write its fields: the lifecycle entry points (Init*, Phase,
-// Superstep, RunPhase), the commit barrier (commit), the per-processor request recorders (MemCtx/BitCtx and Sends
-// methods, per-cell and batch alike — a batch recorder appends to the
-// same struct-of-arrays columns as its per-cell twin, so it is part of
-// the same contract), the request lanes' per-chunk and per-processor
-// cursor setup (clearCols, begin, and the laneLog's reset/note), and the
-// fault-injection/recovery machinery (InjectFaults
-// attachment, the barrier-side consult/accounting, and the
-// checkpoint/rollback/corruption path — all of which run on the
-// coordinating goroutine, see fault.go). Everything else must go through
-// these.
+// may write its fields (a write is attributed to the type that declares
+// the field, through any embedding): the lifecycle entry points (Init*,
+// init, Grow, ForAll, Superstep, runPhase), the barrier's column sources
+// (gather, apply, corrupt), the request recorders (the MemCtx, BitCtx and
+// Sends methods, per-cell and batch alike — a batch recorder appends to
+// the same cursor columns as its per-cell twin, so it is part of the same
+// contract), the lanes' setup and run loop (useLanes, run), and the
+// fault-injection/recovery machinery (InjectFaults attachment, the
+// barrier-side consult/accounting, and the checkpoint/rollback path — all
+// of which run on the coordinating goroutine, see fault.go). Everything
+// else must go through these.
 var allowedWriters = map[string]map[string]bool{
-	"Core": set("Init", "RunPhase", "RecordErr", "AddObserver", "observePhaseStart",
-		"InjectFaults", "consultInjector", "noteCommitted", "chargeRecovery",
-		"ckCore", "rewindCore", "retriesExhausted"),
-	"Mem": set("InitMem", "Grow", "Phase", "ForAll", "Checkpoint", "Rollback", "corruptCell", "commit"),
-	"MemCtx": set("Read", "Write", "Op", "failf", "begin", "clearCols",
-		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
-	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "ForAll", "Checkpoint", "Rollback",
-		"corruptCell", "commit"),
-	"BitCtx":  set("Read", "ReadWord", "Write", "Op", "failf", "begin", "clearCols"),
-	"laneLog": set("reset", "note"),
-	"Route":   set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),
-	"Sends":   set("AddWork", "Stage", "Fail", "reset", "StageBatch"),
+	"Core": set("Init", "runPhase", "RecordErr", "AddObserver", "observePhaseStart",
+		"InjectFaults", "consultInjector", "chargeRecovery", "ckCore", "rewindCore",
+		"retriesExhausted", "Grow"),
+	"store":  set("init", "Grow", "SetBit", "corrupt"),
+	"shared": set("init", "ForAll", "Checkpoint", "gather"),
+	"Mem":    set("InitMem"),
+	"cursor": set("useLanes", "run", "failf", "Op", "Read", "ReadWord", "Write",
+		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit",
+		"AddWork", "Stage", "Fail", "StageBatch"),
+	"lane":  set("useLanes", "run"),
+	"Route": set("InitRoute", "Superstep", "Checkpoint", "Rollback", "corrupt", "gather", "apply"),
+	"Sends": set(),
 }
 
 func set(names ...string) map[string]bool {
@@ -94,8 +98,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkFunc scans one function body (function literals inherit the
-// enclosing declaration's identity: the commit pipeline dispatches its
-// passes through sched.Blocks closures).
+// enclosing declaration's identity: phases dispatch their chunks through
+// sched.Blocks closures).
 func checkFunc(pass *analysis.Pass, f *ast.File, fd *ast.FuncDecl) {
 	fnName := fd.Name.Name
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

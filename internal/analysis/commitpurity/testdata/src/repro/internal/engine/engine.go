@@ -7,6 +7,7 @@ package engine
 type Core struct {
 	failN int
 	err   error
+	cells int
 }
 
 func (c *Core) Init() {
@@ -14,7 +15,7 @@ func (c *Core) Init() {
 	c.err = nil
 }
 
-func (c *Core) RunPhase() {
+func (c *Core) runPhase() {
 	c.failN++
 }
 
@@ -26,49 +27,102 @@ func (c *Core) poke() {
 	c.failN = 7 // want `engine\.Core\.failN written in poke, outside the commit entry points`
 }
 
-// Mem mirrors the shared-memory engine; Core is embedded as in
-// the real package, so promoted writes must attribute to Core.
-type Mem struct {
+// store mirrors the storage a processor context reads; Core is embedded
+// as in the real package, so promoted writes must attribute to Core.
+type store struct {
 	Core
 	mem []int64
 }
 
-func (m *Mem) InitMem(n int) {
+// shared mirrors the shared-memory engine both stores embed; writes
+// through it attribute to the type declaring the field.
+type shared struct {
+	store
+	lanes []*lane
+	ck    []int64
+}
+
+func (m *shared) init(n int) {
 	m.mem = make([]int64, n)
 }
 
-func (m *Mem) Phase() {
+func (m *shared) Grow(n int) {
+	m.cells = n
+	m.mem = append(m.mem, make([]int64, n)...)
+}
+
+func (m *shared) ForAll() {
 	// Function literals inherit the enclosing declaration's identity:
-	// the real commit pipeline dispatches through closures.
-	apply := func(i int, v int64) { m.mem[i] = v }
-	apply(0, 1)
+	// the real phase dispatches its chunks through closures.
+	reset := func(i int) { m.lanes[i] = nil }
+	reset(0)
 }
 
-func (m *Mem) debugSet(i int, v int64) {
-	m.mem[i] = v // want `engine\.Mem\.mem written in debugSet, outside the commit entry points`
+func (m *shared) debugSet(i int, v int64) {
+	m.mem[i] = v // want `engine\.store\.mem written in debugSet, outside the commit entry points`
 }
 
-func (m *Mem) promotedWrite() {
+func (m *shared) promotedWrite() {
 	m.failN = 3 // want `engine\.Core\.failN written in promotedWrite, outside the commit entry points`
 }
 
-func (m *Mem) bump() {
+func (m *shared) bump() {
 	m.failN++ // want `engine\.Core\.failN written in bump, outside the commit entry points`
 }
 
-func (m *Mem) sanctioned() {
+func (m *shared) stash() {
+	m.ck = m.mem // want `engine\.shared\.ck written in stash, outside the commit entry points`
+}
+
+func (m *shared) sanctioned() {
 	//lint:commitpurity-ok fixture exercises the allowlist
 	m.mem[0] = 2
 }
 
-// MemCtx mirrors the per-processor request recorder with its
-// struct-of-arrays columns; the batch recorders (ReadBlock, WriteBatch,
-// Submit, …) are sanctioned writers exactly like their per-cell twins.
+// Mem and BitMem mirror the two cell stores: only their codecs and
+// initializers touch the engine state.
+type Mem struct {
+	shared
+	model int
+}
+
+func (m *Mem) InitMem() {
+	m.model = 1
+}
+
+func (m *Mem) corrupt(a int) {
+	m.mem[a] = 0 // clean: corrupt is a sanctioned store writer
+}
+
+func (m *Mem) remodel() {
+	m.model = 2 // want `engine\.Mem\.model written in remodel, outside the commit entry points`
+}
+
+type BitMem struct {
+	shared
+}
+
+func (m *BitMem) SetBit(addr int) {
+	m.mem[addr>>6] |= 1 << (uint(addr) & 63)
+}
+
+func (m *BitMem) hotPatch(addr int) {
+	m.mem[addr>>6] = 0 // want `engine\.store\.mem written in hotPatch, outside the commit entry points`
+}
+
+// cursor mirrors the store-independent half of a processor context with
+// its struct-of-arrays columns; the batch recorders (ReadBlock,
+// WriteBatch, Submit, …) are sanctioned writers exactly like their
+// per-cell twins.
+type cursor struct {
+	reads     int64
+	readAddrs []int32
+	writes    []int32
+	writeVals []int64
+}
+
 type MemCtx struct {
-	reads      int64
-	readAddrs  []int32
-	writeAddrs []int32
-	writeVals  []int64
+	cursor
 }
 
 func (c *MemCtx) Read(a int32) {
@@ -84,89 +138,26 @@ func (c *MemCtx) ReadBlock(a int32, k int) {
 }
 
 func (c *MemCtx) WriteBatch(addrs []int32, vals []int64) {
-	c.writeAddrs = append(c.writeAddrs, addrs...)
+	c.writes = append(c.writes, addrs...)
 	c.writeVals = append(c.writeVals, vals...)
 }
 
 func (c *MemCtx) Submit(reads, writes []int32, vals []int64) {
 	c.reads += int64(len(reads))
 	c.readAddrs = append(c.readAddrs, reads...)
-	c.writeAddrs = append(c.writeAddrs, writes...)
+	c.writes = append(c.writes, writes...)
 	c.writeVals = append(c.writeVals, vals...)
 }
 
 func (c *MemCtx) bulkPoke(addrs []int32) {
-	c.readAddrs = append(c.readAddrs, addrs...) // want `engine\.MemCtx\.readAddrs written in bulkPoke, outside the commit entry points`
-}
-
-// begin and clearCols are the lane cursor's sanctioned setup: a lane's
-// one context serves each processor of its chunk in turn.
-func (c *MemCtx) begin() {
-	c.reads = 0
-}
-
-func (c *MemCtx) clearCols() {
-	c.readAddrs = c.readAddrs[:0]
-}
-
-// laneLog mirrors a lane's span index, written only by reset and note.
-type laneLog struct {
-	spans []int32
-	mOp   int64
-}
-
-func (l *laneLog) reset() {
-	l.spans = l.spans[:0]
-}
-
-func (l *laneLog) note(proc int32, ops int64) {
-	l.spans = append(l.spans, proc)
-	l.mOp = max(l.mOp, ops)
-}
-
-func (l *laneLog) forge(proc int32) {
-	l.spans = append(l.spans, proc) // want `engine\.laneLog\.spans written in forge, outside the commit entry points`
-}
-
-func (l *laneLog) sneak() {
-	l.mOp = 9        // want `engine\.laneLog\.mOp written in sneak, outside the commit entry points`
-	(l.spans)[0] = 1 // want `engine\.laneLog\.spans written in sneak, outside the commit entry points`
-}
-
-// BitMem and BitCtx mirror the bit-packed engine: word-level storage,
-// packed write column, the same writer contract.
-type BitMem struct {
-	Core
-	words []uint64
-	lane  laneLog
-}
-
-func (m *BitMem) InitBits(nwords int) {
-	m.words = make([]uint64, nwords)
-}
-
-func (m *BitMem) SetBit(addr int) {
-	m.words[addr>>6] |= 1 << (uint(addr) & 63)
-}
-
-func (m *BitMem) commit(addr int) {
-	// commit both applies packed writes and resets a lane: clean.
-	m.words[addr>>6] &^= 1 << (uint(addr) & 63)
-	m.lane.reset()
-}
-
-func (m *BitMem) hotPatch(addr int) {
-	m.words[addr>>6] = 0            // want `engine\.BitMem\.words written in hotPatch, outside the commit entry points`
-	m.lane.spans = m.lane.spans[:0] // want `engine\.laneLog\.spans written in hotPatch, outside the commit entry points`
+	c.readAddrs = append(c.readAddrs, addrs...) // want `engine\.cursor\.readAddrs written in bulkPoke, outside the commit entry points`
 }
 
 type BitCtx struct {
-	wrs    int64
-	writes []int32
+	cursor
 }
 
 func (c *BitCtx) Write(addr int32, bit bool) {
-	c.wrs++
 	p := addr << 1
 	if bit {
 		p |= 1
@@ -175,29 +166,65 @@ func (c *BitCtx) Write(addr int32, bit bool) {
 }
 
 func (c *BitCtx) replay(ws []int32) {
-	c.writes = ws // want `engine\.BitCtx\.writes written in replay, outside the commit entry points`
+	c.writes = ws // want `engine\.cursor\.writes written in replay, outside the commit entry points`
 }
 
-// Sends mirrors the routing-side stager; StageBatch is the sanctioned
-// columnar twin of Stage.
+// lane mirrors a dispatch chunk's lane, written only by its run loop
+// (and useLanes at creation).
+type lane struct {
+	cur   *cursor
+	spans []int32
+	mOp   int64
+}
+
+func (l *lane) run(proc int32, ops int64) {
+	l.cur.reads = 0
+	l.spans = append(l.spans, proc)
+	l.mOp = max(l.mOp, ops)
+}
+
+func (l *lane) forge(proc int32) {
+	l.spans = append(l.spans, proc) // want `engine\.lane\.spans written in forge, outside the commit entry points`
+}
+
+func (l *lane) sneak() {
+	l.mOp = 9        // want `engine\.lane\.mOp written in sneak, outside the commit entry points`
+	(l.spans)[0] = 1 // want `engine\.lane\.spans written in sneak, outside the commit entry points`
+}
+
+// Sends mirrors the routing-side stager, a cursor under its own name;
+// StageBatch is the sanctioned columnar twin of Stage.
 type Sends struct {
-	dsts []int32
-	msgs []int64
+	c cursor
 }
 
 func (s *Sends) Stage(d int32, msg int64) {
-	s.dsts = append(s.dsts, d)
-	s.msgs = append(s.msgs, msg)
+	s.c.writes = append(s.c.writes, d)
+	s.c.writeVals = append(s.c.writeVals, msg)
 }
 
 func (s *Sends) StageBatch(dsts []int32, msgs []int64) {
-	s.dsts = append(s.dsts, dsts...)
-	s.msgs = append(s.msgs, msgs...)
+	s.c.writes = append(s.c.writes, dsts...)
+	s.c.writeVals = append(s.c.writeVals, msgs...)
 }
 
 func (s *Sends) inject(d int32, msg int64) {
-	s.dsts = append(s.dsts, d)   // want `engine\.Sends\.dsts written in inject, outside the commit entry points`
-	s.msgs = append(s.msgs, msg) // want `engine\.Sends\.msgs written in inject, outside the commit entry points`
+	s.c.writes = append(s.c.writes, d)         // want `engine\.cursor\.writes written in inject, outside the commit entry points`
+	s.c.writeVals = append(s.c.writeVals, msg) // want `engine\.cursor\.writeVals written in inject, outside the commit entry points`
+}
+
+// Route mirrors the routing engine: delivery is its barrier's apply.
+type Route struct {
+	Core
+	inbox [][]int64
+}
+
+func (r *Route) apply() {
+	r.inbox = nil
+}
+
+func (r *Route) drop() {
+	r.inbox[0] = nil // want `engine\.Route\.inbox written in drop, outside the commit entry points`
 }
 
 // helper is not a protected type: its fields may be written anywhere.

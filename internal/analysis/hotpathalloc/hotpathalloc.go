@@ -10,16 +10,18 @@
 // regression long after the review that introduced it. This analyzer
 // flags it at the line instead.
 //
-// Hot roots are the commit pipeline of the engine package (commit,
-// finish, Submit, StageBatch and the engine-declared observer triple
+// Hot roots are the commit pipeline of the engine package (the barrier
+// commit, Submit, StageBatch and the engine-declared observer triple
 // PhaseStart/Request/PhaseEnd) plus, in every package, the model
-// callbacks the commit loop dispatches into (Apply(mem, addrs, vals),
-// Scrub(vals), Render(v) — matched structurally so fixtures and future
-// models are covered without importing the engine). Everything reachable
-// from a root in the package's call graph is hot; allocation sites in
-// hot functions are reported, and every function additionally exports an
-// "allocates" fact so call sites into allocating dependencies are
-// flagged in the caller.
+// callbacks the barrier dispatches into (Apply(mem, addrs, vals) and
+// Render(v) — matched structurally so fixtures and future models are
+// covered without importing the engine). Everything reachable from a
+// root in the package's call graph is hot, where a call through one of
+// the package's own interfaces reaches every package method of that name
+// (the barrier reaches the engines' column sources only through an
+// interface); allocation sites in hot functions are reported, and every
+// function additionally exports an "allocates" fact so call sites into
+// allocating dependencies are flagged in the caller.
 //
 // Flagged allocation sites: make/new, slice and map composite literals,
 // address-taken composite literals, function literals (closure capture),
@@ -60,7 +62,7 @@ var Analyzer = &analysis.Analyzer{
 
 // engineRoots are hot entry points when declared in the engine package.
 var engineRoots = map[string]bool{
-	"commit": true, "finish": true, "Submit": true, "StageBatch": true,
+	"commit": true, "Submit": true, "StageBatch": true,
 	"PhaseStart": true, "Request": true, "PhaseEnd": true,
 }
 
@@ -147,7 +149,7 @@ func run(pass *analysis.Pass) error {
 	// root (in declaration order) that reaches it for the diagnostic.
 	rootOf := make(map[string]string)
 	for _, root := range hotRoots(pass, g) {
-		for sym := range g.ReachableFrom(root) { //lint:maporder-ok every member gets the same root; roots iterate in declaration order
+		for sym := range reachable(g, root) { //lint:maporder-ok every member gets the same root; roots iterate in declaration order
 			if _, seen := rootOf[sym]; !seen {
 				rootOf[sym] = root
 			}
@@ -210,10 +212,45 @@ func hotRoots(pass *analysis.Pass, g *interproc.Graph) []string {
 	return roots
 }
 
+// reachable returns the package-local symbols reachable from root
+// (included). A call through an interface declared in the package
+// reaches every package method of that name: name matching
+// over-approximates the implementations, which only widens the hot set.
+func reachable(g *interproc.Graph, root string) map[string]bool {
+	methods := make(map[string][]string)
+	for _, sym := range g.Order {
+		if d := g.Funcs[sym].Decl; d.Recv != nil {
+			methods[d.Name.Name] = append(methods[d.Name.Name], sym)
+		}
+	}
+	seen := make(map[string]bool)
+	var visit func(sym string)
+	visit = func(sym string) {
+		info, ok := g.Funcs[sym]
+		if !ok || seen[sym] {
+			return
+		}
+		seen[sym] = true
+		for _, c := range info.Calls {
+			switch {
+			case c.PkgPath != g.PkgPath:
+			case c.Iface:
+				for _, m := range methods[c.Name] {
+					visit(m)
+				}
+			default:
+				visit(c.Sym)
+			}
+		}
+	}
+	visit(root)
+	return seen
+}
+
 // isModelCallback matches the engine's model hooks structurally: the
-// commit loop calls Apply(mem, addrs []int32, vals), Scrub(vals) and
-// Render(v) string through the Model interface, so implementations are
-// hot at their definition site even though the dispatch is dynamic.
+// barrier calls Apply(mem, addrs []int32, vals) and Render(v) string
+// through the model interfaces, so implementations are hot at their
+// definition site even though the dispatch is dynamic.
 func isModelCallback(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil {
 		return false
@@ -231,12 +268,6 @@ func isModelCallback(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		}
 		s, ok := params.At(1).Type().(*types.Slice)
 		return ok && types.Identical(s.Elem(), types.Typ[types.Int32])
-	case "Scrub":
-		if params.Len() != 1 {
-			return false
-		}
-		_, ok := params.At(0).Type().Underlying().(*types.Slice)
-		return ok
 	case "Render":
 		return params.Len() == 1 && sig.Results().Len() == 1 &&
 			types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])

@@ -1,4 +1,4 @@
-// Fixture: model callbacks (Apply/Scrub/Render, matched structurally)
+// Fixture: model callbacks (Apply/Render, matched structurally)
 // are hot roots in any package, and closures are flagged then analyzed
 // recursively with their own sub-graph.
 package a
@@ -25,12 +25,10 @@ func (model) Render(v int64) string {
 	return fmt.Sprintf("%d", v) // want `call to fmt\.Sprintf allocates`
 }
 
-func (model) Scrub(vals []int64) {
-	for i := range vals {
-		vals[i] = 0
-	}
-	pad := []int64{0} //lint:hotpathalloc-ok fixture: reviewed one-off allocation
+func (model) Render2(v int64) string {
+	pad := []int64{v} //lint:hotpathalloc-ok fixture: reviewed one-off allocation
 	_ = pad
+	return ""
 }
 
 // helper is cold: no findings outside the hot set.

@@ -18,7 +18,3 @@ func (model) Apply(mem []int64, addrs []int32, vals []int64) {
 		mem[a] = vals[i]
 	}
 }
-
-func (m model) Scrub(vals []int64) {
-	clear(vals)
-}

@@ -1,6 +1,7 @@
 // Fixture: a miniature commit engine exercising the hot-root detection
 // (commit/Submit/StageBatch/observer methods in an engine-suffixed
-// package) and every allocation-site class.
+// package), dispatch through the package's own interfaces, and every
+// allocation-site class.
 package engine
 
 import "fmt"
@@ -11,8 +12,13 @@ type Mem struct {
 	err   error
 }
 
+// source mirrors the barrier's column source: commit reaches the
+// stores' codecs only through it.
+type source interface{ apply() }
+
 // commit is a hot root: everything it reaches must not allocate.
-func (m *Mem) commit(workers int) {
+func (m *Mem) commit(workers int, src source) {
+	src.apply()
 	for _, a := range m.rAddr {
 		m.mem[a] = 0
 	}
@@ -29,6 +35,18 @@ func (m *Mem) apply() {
 }
 
 func (m *Mem) drain() {}
+
+// Bits is a second store: its apply is hot through the interface call.
+type Bits struct{ words []uint64 }
+
+func (b *Bits) apply() {
+	b.words = append(b.words, 0) // staged: a pooled field
+	scratch := make([]uint64, 4) // want `make allocates .*Bits\.apply is reachable from Mem\.commit`
+	_ = scratch
+}
+
+// flush shares no name with a source method: it stays cold.
+func (b *Bits) flush() []uint64 { return make([]uint64, 4) }
 
 // Submit is a hot root; the abort path's formatting is the documented,
 // reason-carrying exemption — the directive must silence the finding
@@ -62,8 +80,8 @@ func (m *Mem) PhaseStart(phase int) {
 
 func box(v any) {}
 
-// finish is a hot root, but its dead tail is skipped via the CFG.
-func (m *Mem) finish() {
+// PhaseEnd is a hot root, but its dead tail is skipped via the CFG.
+func (m *Mem) PhaseEnd() {
 	return
 	_ = make([]int64, 1) // dead code: no finding
 }

@@ -9,7 +9,8 @@
 // Three rules, all structural so fixtures type-check against GOROOT:
 //
 //  1. a method named consultInjector may be called only from a method
-//     named commit (the barrier entry points, engine.Mem/Route);
+//     named commit (the one barrier, engine.Core.commit), and from one
+//     call site in the package;
 //  2. an Inject-shaped method (Inject(InjectCtx) Verdict) may be called
 //     only from consultInjector — the engine's one funnel;
 //  3. inside a package that implements an injector (a type with an
@@ -41,6 +42,7 @@ func run(pass *analysis.Pass) error {
 	pass.CheckDirectives()
 	g := interproc.Build(pass)
 
+	consults := 0
 	for _, sym := range g.Order {
 		info := g.Funcs[sym]
 		if pass.InTestFile(info.Decl.Pos()) {
@@ -49,12 +51,12 @@ func run(pass *analysis.Pass) error {
 		caller := info.Decl.Name.Name
 		for _, c := range info.Calls {
 			switch {
-			case c.Name == "consultInjector" && caller != "commit":
-				if pass.Allowlisted(info.File, c.Pos.Pos()) {
+			case c.Name == "consultInjector":
+				if consults++; caller == "commit" && consults == 1 || pass.Allowlisted(info.File, c.Pos.Pos()) {
 					continue
 				}
 				pass.Reportf(c.Pos.Pos(),
-					"consultInjector called from %s; the single-draw contract consults the injector only from the commit barrier (commit), or annotate //lint:injectoronce-ok <reason>", sym)
+					"consultInjector called from %s (call site %d); the single-draw contract consults the injector from one call site, in the commit barrier (commit), or annotate //lint:injectoronce-ok <reason>", sym, consults)
 			case caller != "consultInjector" && isInjectCall(pass, c):
 				if pass.Allowlisted(info.File, c.Pos.Pos()) {
 					continue

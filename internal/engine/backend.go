@@ -6,8 +6,9 @@ import (
 )
 
 // This file is the commit-barrier backend seam. Every engine commits
-// through one column barrier (commit in mem.go / bitmem.go / route.go),
-// which by default ("inproc") counts with MemMerger / RouteMerger below.
+// through the one barrier (Core.commit in engine.go), whose merge — the
+// engines' gather — by default ("inproc") counts with MemMerger /
+// RouteMerger below.
 // A Backend replaces only the *measurement* half of it: counting
 // per-cell contention, detecting read+write violations and measuring the
 // h-relation over the request columns. Everything value-carrying stays
@@ -31,8 +32,8 @@ import (
 // Permanent set), which poisons the machine diagnosably.
 
 // MemMergeReq is one shared-memory barrier merge: the per-processor
-// request columns of the phase attempt, borrowed from the engine's phase
-// contexts (valid only for the duration of the MergeMem call).
+// request columns of the phase attempt, borrowed from the engine's
+// request lanes (valid only for the duration of the MergeMem call).
 type MemMergeReq struct {
 	// Phase is the zero-based index the phase would commit as; Attempt
 	// the 1-based attempt counter. Both are diagnostic — the merge result
@@ -146,15 +147,6 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // machine does not own the backend: callers close it after the run.
 func (c *Core) SetBackend(b Backend) { c.backend = b } //lint:commitpurity-ok pre-run configuration, like InjectFaults: set once before the first phase, never during a barrier
 
-// BackendName returns the attached backend's name, or "inproc" for the
-// built-in merge.
-func (c *Core) BackendName() string {
-	if c.backend == nil {
-		return "inproc"
-	}
-	return c.backend.Name()
-}
-
 // transportStatus converts a failed backend merge into a phase status:
 // permanent transport faults poison the machine diagnosably; transient
 // ones become PhaseRetry, recovering through the same RetryPolicy (and
@@ -169,7 +161,7 @@ func (c *Core) transportStatus(err error) PhaseStatus {
 		return PhaseAborted
 	}
 	c.fstats.Transport++
-	c.lastFault = err //lint:commitpurity-ok transport-retry bookkeeping inside the commit barrier: transportStatus is called only from the backend commit paths, mirroring consultInjector
+	c.lastFault = err //lint:commitpurity-ok transport-retry bookkeeping inside the commit barrier: transportStatus is called only from Core.commit, mirroring consultInjector
 	return PhaseRetry
 }
 
@@ -225,15 +217,24 @@ func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
 // begin starts a merge over the cells in [lo, hi).
 func (g *MemMerger) begin(lo, hi int) {
 	width := max(hi-lo, 0)
-	if len(g.marks) < width {
-		g.marks = make([]cellMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	if g.epoch++; g.epoch == 0 {
-		clear(g.marks)
-		g.epoch = 1
-	}
+	g.marks, g.epoch = nextEpoch(g.marks, g.epoch, width)
 	g.lo, g.hi = int32(lo), int32(lo+width)
 	g.st = MergeStats{Viol: -1}
+}
+
+// nextEpoch readies a merger's epoch-stamped scratch for a merge over
+// width records: it grows marks to the high-water width and advances the
+// epoch, clearing the records only when the epoch wraps to 0 (and then
+// restarting at 1).
+func nextEpoch[T any](marks []T, epoch uint32, width int) ([]T, uint32) {
+	if len(marks) < width {
+		marks = make([]T, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+	}
+	if epoch++; epoch == 0 {
+		clear(marks)
+		epoch = 1
+	}
+	return marks, epoch
 }
 
 // reads counts read columns: cols[k] belongs to processor procs[k], or
@@ -356,13 +357,7 @@ func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
 // begin starts a merge over the destinations in [lo, hi).
 func (g *RouteMerger) begin(lo, hi int) {
 	width := max(hi-lo, 0)
-	if len(g.recv) < width {
-		g.recv = make([]dstMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	if g.epoch++; g.epoch == 0 {
-		clear(g.recv)
-		g.epoch = 1
-	}
+	g.recv, g.epoch = nextEpoch(g.recv, g.epoch, width)
 	g.lo, g.hi = int32(lo), int32(lo+width)
 	g.hrecv = 0
 }

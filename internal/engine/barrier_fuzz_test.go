@@ -32,6 +32,13 @@ import (
 // message faults, degraded crashes, injected violations). The memory
 // image or inboxes, the cost report, the event stream, the error text
 // and the fault accounting must all match the serial run.
+//
+// The word-vs-bit check then holds the packed store to being an encoding,
+// not a model change: in every config, clean and faulted, the program's
+// Boolean restriction (0/1 values over the same 0/1 initial memory, the
+// word side through the batch calls where the bit side issues per-cell
+// requests) must give Mem[int64] and BitMem equal event streams, cost
+// reports, error text, fault stats and unpacked memory images.
 func FuzzBarrierDifferential(f *testing.F) {
 	f.Add([]byte("\x07\x20\x04\x11\x03\x01\x05\x02\x09\x04\x30\x02\x07\x06\x05\x01\x02\x03"))
 	f.Add([]byte("\x0b\x9f\x05\x2a\x00\x02\x03\x04\x05\x06\x07\x08\x01\x02\x03\x04\x05\x06\x07\x08"))
@@ -41,6 +48,7 @@ func FuzzBarrierDifferential(f *testing.F) {
 			checkSame(t, "mem", faulted, func(c barrierConfig) barrierRun { return runMemProgram(t, prog, c, faulted) })
 			checkSame(t, "bit", faulted, func(c barrierConfig) barrierRun { return runBitProgram(t, prog, c, faulted) })
 			checkSame(t, "route", faulted, func(c barrierConfig) barrierRun { return runRouteProgram(t, prog, c, faulted) })
+			checkWordBit(t, prog, faulted)
 		}
 	})
 }
@@ -104,6 +112,27 @@ func checkSame(t *testing.T, engineName string, faulted bool, run func(barrierCo
 			if d.want != d.got {
 				t.Fatalf("%s faulted=%t: %s differs between serial and %s:\nserial: %s\n%s: %s",
 					engineName, faulted, d.what, c.name, d.want, c.name, d.got)
+			}
+		}
+	}
+}
+
+// checkWordBit runs the program's Boolean restriction on Mem[int64] and
+// on BitMem in every config and demands identical runs.
+func checkWordBit(t *testing.T, pr *program, faulted bool) {
+	t.Helper()
+	for _, c := range barrierConfigs {
+		word, bit := runBoolWordProgram(t, pr, c, faulted), runBitProgram(t, pr, c, faulted)
+		for _, d := range []struct{ what, word, bit string }{
+			{"memory image", word.state, bit.state},
+			{"report", word.report, bit.report},
+			{"events", word.events, bit.events},
+			{"error", word.err, bit.err},
+			{"fault stats", word.stats, bit.stats},
+		} {
+			if d.word != d.bit {
+				t.Fatalf("%s faulted=%t: %s differs between Mem and BitMem:\nMem:    %s\nBitMem: %s",
+					c.name, faulted, d.what, d.word, d.bit)
 			}
 		}
 	}
@@ -400,6 +429,50 @@ func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 	return finishRun(m.Data(), m, ev)
 }
 
+// runBoolWordProgram is runBitProgram's request sequence on Mem[int64]:
+// the same 0/1 initial memory and the same Boolean values, with the
+// word engine's batch calls wherever they issue the same requests.
+func runBoolWordProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
+	m := newMemMachine(t, pr.p, pr.cells, c.workers)
+	ev := &engine.EventLog{}
+	m.AddObserver(ev)
+	attach(m, c, memPlan(pr, faulted))
+	for i := 0; i < pr.cells; i += 3 {
+		m.Data()[i] = 1
+	}
+	for _, phOps := range pr.ops {
+		runPhase(c, phOps, m.Phase, m.ForAll, func(ctx *engine.MemCtx[int64]) {
+			for _, op := range phOps[ctx.Proc()] {
+				b := op.val & 1
+				switch op.kind {
+				case opRead:
+					ctx.Read(op.addr)
+				case opWrite:
+					ctx.Write(op.addr, b)
+				case opReadDup:
+					ctx.Read(op.addr)
+					ctx.Read(op.addr)
+				case opWriteDup:
+					ctx.Write(op.addr, b)
+					ctx.Write(op.addr, 1-b)
+				case opReadBlock:
+					ctx.ReadBlock(op.addr, op.wide)
+				case opWriteFill:
+					ctx.WriteFill(op.addr, op.k, b)
+				case opScatter:
+					ctx.WriteBatch([]int32{int32(op.addr), int32(op.addr2)}, []int64{b, 1 - b})
+				case opSubmit:
+					ctx.Submit(engine.Batch[int64]{Reads: []int32{int32(op.addr)},
+						Writes: []int32{int32(op.addr2)}, Vals: []int64{b}})
+				case opLocal:
+					ctx.Op(op.k)
+				}
+			}
+		})
+	}
+	return finishRun(m.Data(), m, ev)
+}
+
 func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
 	m := newBitMachine(t, pr.p, pr.cells, c.workers)
 	ev := &engine.EventLog{}
@@ -441,7 +514,13 @@ func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 			}
 		})
 	}
-	return finishRun(m.Words(), m, ev)
+	image := make([]int64, m.MemSize())
+	for i := range image {
+		if m.Bit(i) {
+			image[i] = 1
+		}
+	}
+	return finishRun(image, m, ev)
 }
 
 func runRouteProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {

@@ -70,20 +70,28 @@ func (c *MemCtx[V]) ReadBlock(addr, k int) []V {
 // ReadBatch reads the given cells (a gather), charging one read each,
 // and appends their start-of-phase contents to dst in order.
 func (c *MemCtx[V]) ReadBatch(addrs []int32, dst []V) []V {
-	mem := c.m.mem
-	for _, a := range addrs {
-		if a < 0 || int(a) >= len(mem) {
-			c.failf("read out of range: cell %d of %d", a, len(mem))
-			return dst
-		}
+	if !c.inRange("read", addrs) {
+		return dst
 	}
 	c.reads += int64(len(addrs))
 	c.readAddrs = append(c.readAddrs, addrs...)
 	dst = growCap(dst, len(addrs))
 	for _, a := range addrs {
-		dst = append(dst, mem[a])
+		dst = append(dst, c.m.mem[a])
 	}
 	return dst
+}
+
+// inRange reports whether every address lies in the memory, failing the
+// processor with the first that does not.
+func (c *MemCtx[V]) inRange(what string, addrs []int32) bool {
+	for _, a := range addrs {
+		if a < 0 || int(a) >= len(c.m.mem) {
+			c.failf("%s out of range: cell %d of %d", what, a, len(c.m.mem)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
+			return false
+		}
+	}
+	return true
 }
 
 // WriteBlock queues writes of vals to the consecutive cells
@@ -95,7 +103,7 @@ func (c *MemCtx[V]) WriteBlock(addr int, vals []V) {
 		return
 	}
 	c.wrs += int64(k)
-	c.writeAddrs = appendSeq(c.writeAddrs, int32(addr), k)
+	c.writes = appendSeq(c.writes, int32(addr), k)
 	c.writeVals = append(c.writeVals, vals...)
 }
 
@@ -107,7 +115,7 @@ func (c *MemCtx[V]) WriteFill(addr, k int, val V) {
 		return
 	}
 	c.wrs += int64(k)
-	c.writeAddrs = appendSeq(c.writeAddrs, int32(addr), k)
+	c.writes = appendSeq(c.writes, int32(addr), k)
 	c.writeVals = growCap(c.writeVals, k)
 	for i := 0; i < k; i++ {
 		c.writeVals = append(c.writeVals, val)
@@ -121,14 +129,11 @@ func (c *MemCtx[V]) WriteBatch(addrs []int32, vals []V) {
 		c.failf("write batch column mismatch: %d addresses, %d values", len(addrs), len(vals))
 		return
 	}
-	for _, a := range addrs {
-		if a < 0 || int(a) >= len(c.m.mem) {
-			c.failf("write out of range: cell %d of %d", a, len(c.m.mem))
-			return
-		}
+	if !c.inRange("write", addrs) {
+		return
 	}
 	c.wrs += int64(len(addrs))
-	c.writeAddrs = append(c.writeAddrs, addrs...)
+	c.writes = append(c.writes, addrs...)
 	c.writeVals = append(c.writeVals, vals...)
 }
 
@@ -140,23 +145,13 @@ func (c *MemCtx[V]) Submit(b Batch[V]) {
 		c.failf("submit column mismatch: %d write addresses, %d values", len(b.Writes), len(b.Vals)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
 		return
 	}
-	mem := c.m.mem
-	for _, a := range b.Reads {
-		if a < 0 || int(a) >= len(mem) {
-			c.failf("read out of range: cell %d of %d", a, len(mem)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
-			return
-		}
-	}
-	for _, a := range b.Writes {
-		if a < 0 || int(a) >= len(mem) {
-			c.failf("write out of range: cell %d of %d", a, len(mem)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
-			return
-		}
+	if !c.inRange("read", b.Reads) || !c.inRange("write", b.Writes) {
+		return
 	}
 	c.reads += int64(len(b.Reads))
 	c.readAddrs = append(c.readAddrs, b.Reads...)
 	c.wrs += int64(len(b.Writes))
-	c.writeAddrs = append(c.writeAddrs, b.Writes...)
+	c.writes = append(c.writes, b.Writes...)
 	c.writeVals = append(c.writeVals, b.Vals...)
 }
 
@@ -169,6 +164,7 @@ func (s *Sends[M]) StageBatch(dsts []int32, msgs []M) {
 			len(dsts), len(msgs)))
 		return
 	}
-	s.msgs = append(s.msgs, msgs...)
-	s.dsts = append(s.dsts, dsts...)
+	s.c.wrs += int64(len(dsts))
+	s.c.writes = append(s.c.writes, dsts...)
+	s.c.writeVals = append(s.c.writeVals, msgs...)
 }

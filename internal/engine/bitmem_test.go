@@ -172,18 +172,24 @@ func TestBitMemAddressSpaceCap(t *testing.T) {
 		t.Fatalf("InitBits over cap = %v, want address-space error", err)
 	}
 	m2 := newBitMachine(t, 1, 64, 1)
-	if err := m2.Grow(1 << 30 * 2); err == nil {
-		t.Fatal("Grow over cap succeeded, want error")
-	}
-	if err := m2.Grow(200); err != nil {
-		t.Fatal(err)
-	}
+	m2.Grow(200)
 	if m2.MemSize() != 200 {
 		t.Errorf("MemSize after Grow = %d, want 200", m2.MemSize())
 	}
 	m2.SetBit(199, true)
 	if !m2.Bit(199) {
 		t.Error("bit 199 lost after Grow")
+	}
+	if err := m2.Err(); err != nil {
+		t.Fatalf("Err after Grow within the cap = %v", err)
+	}
+	m2.Grow(1 << 30 * 2)
+	const want = "test: memory of 2147483648 cells exceeds the 1073741824-cell address space"
+	if err := m2.Err(); err == nil || err.Error() != want {
+		t.Fatalf("Err after Grow over the cap = %v, want %q", err, want)
+	}
+	if m2.MemSize() != 200 {
+		t.Fatalf("MemSize after refused Grow = %d, want 200", m2.MemSize())
 	}
 }
 

@@ -7,30 +7,37 @@
 //
 //   - Core carries the lifecycle state every machine shares: worker
 //     budget, per-chunk failure tallies, machine-error poisoning, the
-//     accumulated cost.Report, and the Observer hook.
-//   - Mem[V] is the shared-memory phase engine (QSM family and GSM,
-//     generic over the write payload): per-chunk request lanes (lane.go),
-//     the commit barrier with contention counting and read+write
-//     violation detection, and deterministic write application.
+//     accumulated cost.Report, the Observer hook, and the barrier tail
+//     every phase commits through (Core.commit).
+//   - shared is the one shared-memory phase engine (QSM family and GSM):
+//     per-chunk request lanes (lane.go), Phase/ForAll, Grow,
+//     Checkpoint/Rollback and the barrier's merge. It comes with two cell
+//     stores, which differ only in storage and codec: Mem[V] keeps one V
+//     per cell and commits through the model's Apply; BitMem packs 64
+//     Boolean cells into a word and records writes as addr<<1 | bit.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
-//     over the message type): staged sends, h-relation measurement and
-//     deterministic inbox delivery with ping-ponged buffers.
+//     over the message type): the same request lanes, with a send
+//     recorded as a write of the message to its destination, h-relation
+//     measurement and deterministic inbox delivery with ping-ponged
+//     buffers.
 //
-// A shared-memory phase costs O(processors dispatched) plus O(requests),
-// not O(p): each dispatch chunk owns one lane, whose cursor context
-// serves the chunk's processors in turn and whose columns they append
-// to, and ForAll dispatches only its active prefix. A processor that
-// records nothing leaves nothing behind. The MemCtx or BitCtx a body
-// receives is that cursor, valid only during the body call.
+// A phase costs O(processors dispatched) plus O(requests) host work: each
+// dispatch chunk owns one lane, whose cursor context serves the chunk's
+// processors in turn and whose columns they append to, and ForAll
+// dispatches only its active prefix. A processor that records nothing
+// leaves nothing behind. The MemCtx, BitCtx or Sends a body receives is
+// that cursor, valid only during the body call.
 //
-// Every phase commits through one barrier, the column barrier, on the
-// coordinating goroutine: m_op and m_rw from the lanes' maxima (BSP: one
-// scan of the staging buffers), contention counted by MemMerger or
-// RouteMerger straight off the active processors' own request columns,
-// and the apply or delivery over those processors in ascending order.
-// An attached Backend replaces only the contention count. Workers sets
-// how many goroutines run the processor bodies; it does not change how
-// a phase commits.
+// Every phase commits through one barrier, on the coordinating
+// goroutine: the engine's column source gathers m_op and m_rw from the
+// lanes' maxima and counts contention with MemMerger or RouteMerger
+// straight off the active processors' own request columns; the tail
+// then checks the access
+// rule, consults the fault injector, charges the phase, emits its
+// events and applies or delivers over those processors in ascending
+// order. An attached Backend replaces only the contention count.
+// Workers sets how many goroutines run the processor bodies; it does not
+// change how a phase commits.
 //
 // A simulator package is a thin adapter: it supplies a Model (naming,
 // cost rule, round classification, commit semantics — last-writer-wins,
@@ -119,6 +126,9 @@ type Core struct {
 
 	obs      []Observer
 	curPhase int
+	// cells is the shared-memory size in cells, the range memory fault
+	// verdicts target; a routing machine leaves it zero.
+	cells int
 
 	// failN/failE are per-chunk failure tallies (count, first failing
 	// error in chunk order), collected during body dispatch.
@@ -187,7 +197,7 @@ func (c *Core) RecordErr(err error) {
 // Report returns the accumulated cost report.
 func (c *Core) Report() *cost.Report { return &c.report }
 
-// PhaseStatus is what a commit closure tells RunPhase about the barrier's
+// PhaseStatus is what the barrier tells runPhase about a phase's
 // outcome.
 type PhaseStatus int
 
@@ -204,25 +214,32 @@ const (
 	PhaseRetry
 )
 
-// RunPhase executes the model-generic phase lifecycle: the phase-start
+// runPhase executes the model-generic phase lifecycle: the phase-start
 // observer event, chunked dispatch of the per-processor bodies, failure
 // merging with error poisoning, and — only if every body succeeded — the
-// model's commit. p is the number of processors dispatched: the phase's
-// active prefix [0, p). chunk runs the bodies of processors [lo, hi) of
-// chunk k inline (keeping the per-processor loop free of dispatch
-// overhead; chunk indexes ascend with the processor range, and each is
-// run by one goroutine) and reports its failure tally: how many bodies
-// failed and the first failure in processor order. Callers must check
-// Err before invoking (an erred machine skips phases entirely).
+// barrier over src's columns (see commit). p is the number of processors
+// dispatched: the phase's active prefix [0, p). chunk runs the bodies of
+// processors [lo, hi) of chunk k inline (keeping the per-processor loop
+// free of dispatch overhead; chunk indexes ascend with the processor
+// range, and each is run by one goroutine) and reports its failure
+// tally: how many bodies failed and the first failure in processor
+// order. An erred machine skips the phase entirely; with an injector
+// attached, the phase starts from a checkpoint.
 //
-// A commit that returns PhaseRetry (transient fault, already rolled back
-// by the commit closure) charges a model-time recovery stall and
-// re-dispatches the same bodies, up to RetryPolicy.MaxAttempts; model
-// discipline (requests are a function of start-of-phase state) makes the
-// re-execution idempotent. Poisoning always routes through RecordErr, so
-// the first recorded error is stable: repeated Err() calls and
-// post-failure phase attempts observe the same wrapped chain.
-func (c *Core) RunPhase(workers, p int, chunk func(k, lo, hi int) (int32, error), commit func() PhaseStatus) {
+// A barrier that returns PhaseRetry (transient fault, already rolled
+// back) charges a model-time recovery stall and re-dispatches the same
+// bodies, up to RetryPolicy.MaxAttempts; model discipline (requests are
+// a function of start-of-phase state) makes the re-execution idempotent.
+// Poisoning always routes through RecordErr, so the first recorded error
+// is stable: repeated Err() calls and post-failure phase attempts
+// observe the same wrapped chain.
+func (c *Core) runPhase(workers, p int, chunk func(k, lo, hi int) (int32, error), src columnSource) {
+	if c.err != nil {
+		return
+	}
+	if c.inj != nil {
+		src.Checkpoint()
+	}
 	c.attempt = 1
 	for {
 		c.observePhaseStart()
@@ -257,7 +274,7 @@ func (c *Core) RunPhase(workers, p int, chunk func(k, lo, hi int) (int32, error)
 			}
 			return
 		}
-		switch commit() {
+		switch c.commit(src) {
 		case PhaseRetry:
 			if c.attempt >= c.retry.attempts() {
 				c.retriesExhausted()
@@ -266,12 +283,83 @@ func (c *Core) RunPhase(workers, p int, chunk func(k, lo, hi int) (int32, error)
 			c.chargeRecovery()
 			c.attempt++
 		case PhaseCommitted:
-			c.noteCommitted()
+			if c.attempt > 1 {
+				c.fstats.Recovered++ // a commit after a retry is a recovery
+			}
 			return
 		default:
 			return
 		}
 	}
+}
+
+// columnSource is one engine's view of a phase's request columns, the
+// part of the barrier that differs between engines. The barrier calls
+// each method at most once per phase attempt; each walks the phase's
+// lanes itself, so nothing is dispatched per request.
+type columnSource interface {
+	// gather returns the phase's raw accounting: the m_op and m_rw
+	// maxima, plus the contention counted in process or by the attached
+	// backend. viol is the smallest cell both read and written (−1 for
+	// none); err is the backend's failed merge.
+	gather() (o Outcome, viol int32, err error)
+	// poison records why the phase aborts, in the engine's wording: the
+	// read+write clash at cell, or with cell < 0 the permanent fault v.
+	poison(cell int32, v Verdict)
+	// emit renders the phase's requests as observer events, by ascending
+	// processor and in issue order, before anything applies.
+	emit()
+	// apply commits the writes or delivers the messages.
+	apply()
+	// corrupt damages the applied phase as the transient fault v says.
+	corrupt(v Verdict)
+	// Checkpoint and Rollback save and restore the phase-start state.
+	Checkpoint()
+	Rollback() bool
+}
+
+// commit is the barrier every engine's phase ends in, run on the
+// coordinating goroutine at every Workers setting: merge (src.gather,
+// in process or through the backend), the access-rule check, the
+// injector consult, the charge, emission, the apply, and PhaseEnd. A
+// failed backend merge schedules a retry or poisons the machine per
+// transportStatus; nothing was charged or applied, so state is already
+// consistent.
+//
+// A transient fault fires after the apply: the barrier charges, lets the
+// writes land or the messages deliver, damages the target, then
+// "detects" it and rolls back to the phase-start checkpoint. The aborted
+// attempt emits no Request and no PhaseEnd events, per the Observer
+// contract.
+func (c *Core) commit(src columnSource) PhaseStatus {
+	o, viol, err := src.gather()
+	if err != nil {
+		return c.transportStatus(err)
+	}
+	if viol >= 0 {
+		src.poison(viol, Verdict{})
+		return PhaseAborted
+	}
+	if c.inj != nil {
+		switch v := c.consultInjector(); v.Class {
+		case FaultPermanent:
+			src.poison(-1, v)
+			return PhaseAborted
+		case FaultTransient:
+			c.chargePhase(o)
+			src.apply()
+			src.corrupt(v)
+			src.Rollback()
+			return PhaseRetry
+		}
+	}
+	pc := c.chargePhase(o)
+	if len(c.obs) > 0 { // untraced runs render nothing
+		src.emit()
+	}
+	src.apply()
+	c.observePhaseEnd(pc)
+	return PhaseCommitted
 }
 
 // chargePhase applies the model's cost rule to the merge outcome and
@@ -280,25 +368,4 @@ func (c *Core) chargePhase(o Outcome) cost.PhaseCost {
 	pc := c.model.PhaseCost(o)
 	c.report.Add(pc)
 	return pc
-}
-
-// recordViolation poisons a shared-memory machine whose phase both read
-// and wrote cell, wrapping the model's violation sentinel.
-func (c *Core) recordViolation(sentinel error, cell int32) {
-	c.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-		sentinel, cell, c.report.NumPhases()))
-}
-
-// recordPermanent poisons a shared-memory machine with a permanent
-// injected fault. Injected contention-rule violations wrap the model's
-// own sentinel too (multi-%w), so they satisfy errors.Is for both the
-// fault sentinel and the model's Violation — exactly like a real
-// access-rule breach. Other permanent faults keep the package prefix
-// wording.
-func (c *Core) recordPermanent(prefix string, sentinel error, v Verdict) {
-	if v.Violation {
-		c.RecordErr(fmt.Errorf("%w: %w in phase %d", sentinel, v.Err, c.report.NumPhases())) //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-		return
-	}
-	c.RecordErr(fmt.Errorf("%s: phase %d: %w", prefix, c.report.NumPhases(), v.Err)) //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
 }

@@ -209,9 +209,6 @@ func (c *Core) InjectFaults(inj Injector, rp RetryPolicy, degraded bool) {
 	}
 }
 
-// InjectorActive reports whether a fault injector is attached.
-func (c *Core) InjectorActive() bool { return c.inj != nil }
-
 // FaultStats returns the engine-side fault accounting of the run so far.
 func (c *Core) FaultStats() FaultStats { return c.fstats }
 
@@ -245,61 +242,43 @@ func (c *Core) Survivors() []int {
 // and owns all fault bookkeeping: crash masking (degraded) or promotion
 // to permanent (strict), stats, and the last-fault error used when
 // retries are exhausted.
-func (c *Core) consultInjector(cells int) Verdict {
-	if c.inj == nil {
-		return Verdict{}
-	}
+func (c *Core) consultInjector() Verdict {
 	ic := InjectCtx{
 		Phase:   c.curPhase,
 		Attempt: c.attempt,
 		P:       c.params.P,
-		Cells:   cells,
+		Cells:   c.cells,
 		Total:   c.report.TotalTime,
 	}
 	v := c.inj.Inject(ic)
+	if v.Class == FaultNone {
+		return v
+	}
+	c.fstats.Injected++
 	// Backends with physical failure modes mirror the verdict as a real
 	// fault (process kill, frame drop/dup). The model-level bookkeeping
-	// below is untouched: the verdict, not its physical echo, is the
+	// is untouched: the verdict, not its physical echo, is the
 	// deterministic source of truth.
-	if v.Class != FaultNone && c.backend != nil {
-		if fr, ok := c.backend.(FaultRealizer); ok {
-			fr.Realize(ic, v)
-		}
+	if fr, ok := c.backend.(FaultRealizer); ok {
+		fr.Realize(ic, v)
 	}
 	switch v.Class {
-	case FaultNone:
-		return v
 	case FaultCrash:
-		c.fstats.Injected++
+		// In degraded mode the crash phase itself still commits
+		// ("crashed at the barrier after its requests merged"); masking
+		// starts next phase.
 		if !c.degraded {
 			v.Class = FaultPermanent
-			return v
-		}
-		if p := v.Proc; p >= 0 && p < len(c.crashed) && !c.crashed[p] {
+		} else if p := v.Proc; p >= 0 && p < len(c.crashed) && !c.crashed[p] {
 			c.crashed[p] = true
 			c.ncrashed++
 			c.fstats.MaskedProcs++
 		}
-		// The crash phase itself still commits ("crashed at the barrier
-		// after its requests merged"); masking starts next phase.
-		return v
 	case FaultTransient:
-		c.fstats.Injected++
 		c.fstats.Transient++
 		c.lastFault = v.Err
-		return v
-	default:
-		c.fstats.Injected++
-		return v
 	}
-}
-
-// noteCommitted records a successful commit; a commit on attempt > 1 is a
-// recovery.
-func (c *Core) noteCommitted() {
-	if c.attempt > 1 {
-		c.fstats.Recovered++
-	}
+	return v
 }
 
 // Saturation bounds of the exponential recovery backoff. The exponent
@@ -321,16 +300,10 @@ const (
 // Rollback, so the stall occupies the index of the phase being retried
 // minus nothing — the retried attempt follows it.
 func (c *Core) chargeRecovery() {
-	shift := uint(c.attempt - 1)
-	if shift > maxRecoveryShift {
-		shift = maxRecoveryShift
-	}
-	ops := c.retry.backoff()
-	if ops >= maxRecoveryOps>>shift {
-		ops = maxRecoveryOps
-	} else {
-		ops <<= shift
-	}
+	// maxRecoveryOps is a power of two above 2^maxRecoveryShift, so
+	// capping before the shift saturates at exactly maxRecoveryOps.
+	shift := min(uint(c.attempt-1), maxRecoveryShift)
+	ops := min(c.retry.backoff(), maxRecoveryOps>>shift) << shift
 	c.observePhaseStart()
 	pc := c.model.PhaseCost(Outcome{MaxOps: ops})
 	c.report.Add(pc)
@@ -340,11 +313,15 @@ func (c *Core) chargeRecovery() {
 	// The stall is committed: advance the checkpoint mark past it so a
 	// transient fault on the next attempt does not uncharge it. Memory is
 	// unchanged since Rollback, so the snapshot itself stays valid.
-	c.ckCore()
+	c.ckMark = c.report.Mark()
 }
 
-// ckCore snapshots the Core side of a checkpoint (cost aggregates).
+// ckCore snapshots the Core side of a checkpoint: the cost aggregates,
+// and a Snapshotter model's host-side state.
 func (c *Core) ckCore() {
+	if s, ok := c.model.(Snapshotter); ok {
+		s.Snapshot()
+	}
 	c.ckMark = c.report.Mark()
 	c.ckOk = true
 }
@@ -356,6 +333,9 @@ func (c *Core) rewindCore() bool {
 		return false
 	}
 	c.report.Rewind(c.ckMark)
+	if s, ok := c.model.(Snapshotter); ok {
+		s.Restore()
+	}
 	return true
 }
 

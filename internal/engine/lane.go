@@ -1,15 +1,17 @@
 package engine
 
-// Request lanes of the shared-memory engines (Mem and BitMem).
+// Request lanes: the per-chunk request storage of every engine (Mem,
+// BitMem and Route alike).
 //
 // A phase dispatches its processors over contiguous chunks, and each
-// chunk owns one lane: a cursor context that serves the chunk's
-// processors one after another, the read, write and value columns they
-// append to in turn, and a laneLog. Lanes are created per chunk, not per
-// processor, and reused across phases, so a phase costs O(processors
-// dispatched) plus O(requests); a processor that records nothing leaves
-// nothing behind. Chunks ascend with the processor range, so reading the
-// lanes in order reads the requests in ascending processor order.
+// chunk owns one lane: a processor context whose cursor serves the
+// chunk's processors one after another, and the columns they append to
+// in turn (reads, and writes or sends with their values). Lanes are
+// created per chunk, not per processor, and reused across phases, so a
+// phase costs O(processors dispatched) plus O(requests); a processor
+// that records nothing leaves nothing behind. Chunks ascend with the
+// processor range, so reading the lanes in order reads the requests in
+// ascending processor order.
 
 // span is one processor's share of its lane's columns: reads [r0, r1)
 // and writes [w0, w1).
@@ -17,44 +19,72 @@ type span struct {
 	proc, r0, r1, w0, w1 int32
 }
 
-// laneLog is the barrier's index into one lane: a span per processor
-// that recorded a request, in ascending processor order, and the chunk's
-// running maxima of local work (m_op) and requests (m_rw).
-type laneLog struct {
+// lane is one dispatch chunk's request storage: the context c the
+// chunk's bodies receive and its cursor, plus the barrier's index into
+// the lane — a span per processor that recorded a request, in ascending
+// processor order, and the chunk's running maxima of local work (m_op)
+// and requests (m_rw).
+type lane[W, C any] struct {
+	c        C
+	cur      *cursor[W]
 	spans    []span
 	mOp, mRW int64
 }
 
-// reset empties the log at the start of a chunk.
-func (l *laneLog) reset() {
-	l.spans = l.spans[:0]
-	l.mOp, l.mRW = 0, 0
-}
-
-// note records one processor's charges and, if it recorded any request,
-// its span of the lane's columns.
-func (l *laneLog) note(proc int, ops, rw int64, r0, r1, w0, w1 int) {
-	l.mOp, l.mRW = max(l.mOp, ops), max(l.mRW, rw)
-	if r1 > r0 || w1 > w0 {
-		l.spans = append(l.spans, span{int32(proc), int32(r0), int32(r1), int32(w0), int32(w1)})
-	}
-}
-
 // useLanes returns lanes resliced to the phase's nb chunks, reusing the
-// lanes kept past its length and creating missing ones with newLane.
-func useLanes[L any](lanes []*L, nb int, newLane func() *L) []*L {
+// lanes kept past its length and creating missing ones, whose cursors
+// read st.
+func useLanes[W, C any](lanes []*lane[W, C], nb int, st *store[W]) []*lane[W, C] {
 	if cap(lanes) < nb {
-		grown := make([]*L, nb)
+		grown := make([]*lane[W, C], nb)
 		copy(grown, lanes[:cap(lanes)])
 		lanes = grown
 	}
 	lanes = lanes[:nb]
 	for k, l := range lanes {
 		if l == nil {
-			lanes[k] = newLane()
+			l = new(lane[W, C])
+			l.cur = any(&l.c).(interface{ base() *cursor[W] }).base()
+			l.cur.m = st
+			lanes[k] = l
 		}
 	}
 	return lanes
+}
+
+// run executes the bodies of processors [lo, hi) on the lane's cursor and
+// reports the chunk's failure tally. Masked processors and processors
+// that record nothing leave no trace in the lane.
+func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error) {
+	c := l.cur
+	c.readAddrs, c.writes, c.writeVals = c.readAddrs[:0], c.writes[:0], c.writeVals[:0]
+	spans, mOp, mRW := l.spans[:0], int64(0), int64(0)
+	var nf int32
+	var first error
+	for i := lo; i < hi; i++ {
+		if core.CrashedProc(i) {
+			// Masked processors idle: no body, no requests. The crash
+			// flag is written at the previous phase's barrier, so
+			// masking is visible here race-free.
+			continue
+		}
+		r0, w0 := len(c.readAddrs), len(c.writes)
+		c.proc, c.reads, c.wrs, c.ops, c.fail = i, 0, 0, 0, nil
+		body(&l.c)
+		if c.fail != nil {
+			if first == nil {
+				first = c.fail
+			}
+			nf++
+			continue
+		}
+		mOp, mRW = max(mOp, c.ops), max(mRW, c.reads, c.wrs)
+		if r1, w1 := len(c.readAddrs), len(c.writes); r1 > r0 || w1 > w0 {
+			spans = append(spans, span{int32(i), int32(r0), int32(r1), int32(w0), int32(w1)})
+		}
+	}
+	l.spans, l.mOp, l.mRW = spans, mOp, mRW
+	return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
 }
 
 // countLane counts one lane's read spans (write false) or write spans
@@ -82,15 +112,24 @@ func countLane(g *MemMerger, spans []span, col []int32, write, packed bool) {
 	g.cols(procs[:n], cols[:n], write, packed)
 }
 
-// backendViews returns the p-long column-of-columns headers an attached
-// Backend receives, reusing the given scratch, with every column nil;
-// the barrier then points each active processor's entry at its span.
-func backendViews(reads, writes [][]int32, p int) ([][]int32, [][]int32) {
-	if cap(reads) < p {
-		reads, writes = make([][]int32, p), make([][]int32, p) //lint:hotpathalloc-ok amortized scratch growth, once per machine; only an attached backend needs the p-long headers
+// colViews returns the p-long column-of-columns header an attached
+// Backend receives, reusing buf: entry i is processor i's read (or, with
+// write, write) column, borrowed from its lane, and nil for a processor
+// that recorded nothing.
+func colViews[W, C any](buf [][]int32, p int, lanes []*lane[W, C], write bool) [][]int32 {
+	if cap(buf) < p {
+		buf = make([][]int32, p) //lint:hotpathalloc-ok amortized scratch growth, once per machine; only an attached backend needs the p-long headers
 	}
-	reads, writes = reads[:p], writes[:p]
-	clear(reads)
-	clear(writes)
-	return reads, writes
+	buf = buf[:p]
+	clear(buf)
+	for _, l := range lanes {
+		for _, s := range l.spans {
+			if write {
+				buf[s.proc] = l.cur.writes[s.w0:s.w1]
+			} else {
+				buf[s.proc] = l.cur.readAddrs[s.r0:s.r1]
+			}
+		}
+	}
+	return buf
 }

@@ -78,10 +78,6 @@ type Observer interface {
 // observers receive every event in attachment order.
 func (c *Core) AddObserver(o Observer) { c.obs = append(c.obs, o) }
 
-// Observing reports whether any observer is attached. Request rendering
-// is skipped entirely when it returns false, so untraced runs pay nothing.
-func (c *Core) Observing() bool { return len(c.obs) > 0 }
-
 func (c *Core) observePhaseStart() {
 	c.curPhase = c.report.NumPhases()
 	for _, o := range c.obs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/sched"
 )
 
 // RouteModel is the adapter contract of a message-routing machine (the
@@ -16,20 +17,18 @@ type RouteModel[M any] interface {
 	Render(msg M) string
 }
 
-// Sends is the per-component staging buffer of one superstep: local work
-// and outgoing messages, recycled on a free list across supersteps so
-// buffers keep their capacity.
+// Sends is a component's staging handle inside a superstep: local work
+// and outgoing messages. Like MemCtx it is a lane's cursor, pointed at
+// one component at a time and valid only during that component's body
+// call: a send is a write of the message to the destination component.
 type Sends[M any] struct {
-	work int64
-	msgs []M
-	dsts []int32
-	fail error
+	c cursor[M]
 }
 
 // AddWork charges k units of local computation.
 func (s *Sends[M]) AddWork(k int64) {
 	if k > 0 {
-		s.work += k
+		s.c.ops += k
 	}
 }
 
@@ -37,23 +36,19 @@ func (s *Sends[M]) AddWork(k int64) {
 // the next superstep. Destination validation is the adapter's job (it
 // owns the error wording); see Fail.
 func (s *Sends[M]) Stage(dst int32, msg M) {
-	s.msgs = append(s.msgs, msg)
-	s.dsts = append(s.dsts, dst)
+	s.c.wrs++
+	s.c.writes = append(s.c.writes, dst)
+	s.c.writeVals = append(s.c.writeVals, msg)
 }
 
 // Fail marks this component's superstep as failed (first error wins).
 func (s *Sends[M]) Fail(err error) {
-	if s.fail == nil {
-		s.fail = err
+	if s.c.fail == nil {
+		s.c.fail = err
 	}
 }
 
-func (s *Sends[M]) reset() {
-	s.work = 0
-	s.msgs = s.msgs[:0]
-	s.dsts = s.dsts[:0]
-	s.fail = nil
-}
+func (s *Sends[M]) base() *cursor[M] { return &s.c }
 
 // Route is the message-routing superstep engine. Machine adapters embed
 // it and gain the superstep lifecycle: chunked body dispatch, the routing
@@ -63,9 +58,9 @@ type Route[M any] struct {
 	Core
 	model RouteModel[M]
 
-	// sends is the per-machine free list of staging buffers, one per
-	// component, reset and reused every superstep.
-	sends []*Sends[M]
+	// lanes holds one request lane per dispatch chunk, as in the
+	// shared-memory engine.
+	lanes []*lane[M, Sends[M]]
 	inbox [][]M
 	// spare ping-pongs with inbox: last superstep's inbox slices are
 	// truncated and refilled as the next superstep's delivery target.
@@ -73,12 +68,10 @@ type Route[M any] struct {
 	// ckInbox is the inbox snapshot of the last Checkpoint (per-component
 	// message copies, buffers reused across supersteps).
 	ckInbox [][]M
-	// Column-barrier scratch (see commit): active lists the components
-	// that sent messages this superstep, merger counts their fan-in in
-	// process, and bkDsts is the column-of-columns
+	// Column-barrier scratch (see gather): merger counts the senders'
+	// fan-in in process, and bkDsts is the p-long column-of-columns
 	// header handed to an attached Backend (the destination columns are
-	// borrowed from the staging buffers).
-	active []int32
+	// borrowed from the lanes).
 	merger RouteMerger
 	bkDsts [][]int32
 }
@@ -100,47 +93,16 @@ func (r *Route[M]) Incoming(i int) []M { return r.inbox[i] } //lint:colescape-ok
 
 // Superstep runs one superstep: body is invoked once per component
 // (concurrently over contiguous chunks) with the component's staging
-// buffer; at the barrier the h-relation is measured, the superstep is
+// handle; at the barrier the h-relation is measured, the superstep is
 // charged under the model's cost rule, and staged messages are routed
-// into the inboxes for the next superstep by the routing commit (see
-// commit).
+// into the inboxes for the next superstep (see Core.commit and gather).
 // Superstep is a no-op once the machine has erred.
 func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
-	if r.Err() != nil {
-		return
-	}
-	p := r.P()
-	if r.sends == nil {
-		r.sends = make([]*Sends[M], p)
-		for i := range r.sends {
-			r.sends[i] = &Sends[M]{}
-		}
-	}
-	if r.InjectorActive() {
-		r.Checkpoint()
-	}
-	r.RunPhase(r.Workers(), p, func(_, lo, hi int) (int32, error) {
-		var nf int32
-		var first error
-		for i := lo; i < hi; i++ {
-			s := r.sends[i]
-			s.reset()
-			if r.CrashedProc(i) {
-				// Masked components idle: no work, no sends. The crash
-				// flag is written at the previous superstep's barrier,
-				// so masking is visible here race-free.
-				continue
-			}
-			body(i, s)
-			if s.fail != nil {
-				if first == nil {
-					first = s.fail
-				}
-				nf++
-			}
-		}
-		return nf, first
-	}, r.commit)
+	p, w := r.P(), r.Workers()
+	r.lanes = useLanes(r.lanes, sched.NumBlocks(w, p), nil)
+	r.runPhase(w, p, func(k, lo, hi int) (int32, error) {
+		return r.lanes[k].run(&r.Core, lo, hi, func(s *Sends[M]) { body(s.c.proc, s) })
+	}, r)
 }
 
 // Checkpoint snapshots the inboxes and cost aggregates at a committed-
@@ -152,9 +114,6 @@ func (r *Route[M]) Checkpoint() {
 	}
 	for i, in := range r.inbox {
 		r.ckInbox[i] = append(r.ckInbox[i][:0], in...)
-	}
-	if s, ok := any(r.model).(Snapshotter); ok {
-		s.Snapshot()
 	}
 	r.ckCore()
 }
@@ -170,135 +129,96 @@ func (r *Route[M]) Rollback() bool {
 	for i := range r.inbox {
 		r.inbox[i] = append(r.inbox[i][:0], r.ckInbox[i]...)
 	}
-	if s, ok := any(r.model).(Snapshotter); ok {
-		s.Restore()
-	}
 	return true
 }
 
-// corruptInbox damages one component's delivered inbox to model a faulty
-// message channel: drop the first delivery, or duplicate it. Rollback
-// repairs it.
-func (r *Route[M]) corruptInbox(comp int, drop bool) {
+// corrupt damages one component's delivered inbox to model a faulty
+// message channel: drop the last delivery, or duplicate the first.
+// Rollback repairs it.
+func (r *Route[M]) corrupt(v Verdict) {
+	comp := v.Addr
 	if comp < 0 || comp >= len(r.inbox) || len(r.inbox[comp]) == 0 {
 		return
 	}
 	in := r.inbox[comp]
-	if drop {
+	if v.Drop {
 		r.inbox[comp] = in[:len(in)-1]
 	} else {
 		r.inbox[comp] = append(in, in[0])
 	}
 }
 
-// commit is the routing column barrier: it measures the h-relation,
-// consults the fault injector, charges the superstep and routes staged
-// messages, on the coordinating goroutine at every Workers setting. One
-// scan of the staging buffers gathers w and the send side of the
-// h-relation, lists the components that sent anything, and truncates
-// the spare inboxes. The receive side is counted by RouteMerger over the
-// senders' own destination columns, or — with a backend attached — by
-// the Backend over every column (borrowed, index = component). Delivery
-// fills the ping-ponged inboxes by ascending sender, so each inbox
-// receives its messages grouped by sender in issue order.
-func (r *Route[M]) commit() PhaseStatus {
-	p := r.P()
-	bk := r.backend != nil
-	var w, h int64
-	active := r.active[:0]
-	dsts := r.bkDsts[:0]
-	next := r.spare
-	for i, s := range r.sends {
-		w = max(w, s.work)
-		h = max(h, int64(len(s.msgs)))
-		if len(s.msgs) > 0 {
-			active = append(active, int32(i))
-		}
-		if bk {
-			dsts = append(dsts, s.dsts)
-		}
-		next[i] = next[i][:0]
+// gather is the routing half of the barrier's merge: w and the send side
+// of the h-relation are the maxima of the lanes' maxima, and the receive
+// side is counted by RouteMerger over the senders' own destination
+// columns, or — with a backend attached — by the Backend over a p-long
+// view of them. Routing has no access rule to violate.
+func (r *Route[M]) gather() (Outcome, int32, error) {
+	var o Outcome
+	for _, l := range r.lanes {
+		o.MaxOps, o.MaxRW = max(o.MaxOps, l.mOp), max(o.MaxRW, l.mRW)
 	}
-	r.active, r.bkDsts = active, dsts
 	var st RouteStats
-	if bk {
+	if r.backend != nil {
+		r.bkDsts = colViews(r.bkDsts, r.P(), r.lanes, true)
 		var err error
 		st, err = r.backend.MergeRoute(RouteMergeReq{
-			Phase: r.curPhase, Attempt: r.attempt, P: p, Dsts: dsts,
+			Phase: r.curPhase, Attempt: r.attempt, P: r.P(), Dsts: r.bkDsts,
 		})
 		if err != nil {
-			return r.transportStatus(err)
+			return o, -1, err
 		}
 	} else {
+		// Fan-in counts messages, not senders, so each lane's whole
+		// destination column counts at once.
 		g := &r.merger
-		g.begin(0, p)
-		var cols [colBatch][]int32
-		for rest := active; len(rest) > 0; {
-			n := min(len(rest), colBatch)
-			for j, i := range rest[:n] {
-				cols[j] = r.sends[i].dsts
-			}
-			g.dsts(cols[:n])
-			rest = rest[n:]
+		g.begin(0, r.P())
+		var col [1][]int32
+		for _, l := range r.lanes {
+			col[0] = l.cur.writes
+			g.dsts(col[:])
 		}
 		st = g.end()
 	}
-	h = max(h, st.HRecv)
-
-	if r.InjectorActive() {
-		switch v := r.consultInjector(0); v.Class {
-		case FaultPermanent:
-			// Nothing delivers; the machine poisons with the fault error
-			// (staged sends are simply abandoned).
-			r.RecordErr(fmt.Errorf("%s: superstep %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-				r.model.Name(), r.Report().NumPhases(), v.Err))
-			return PhaseAborted
-		case FaultTransient:
-			// The fault fires after delivery: charge, deliver, damage the
-			// target component's inbox (drop or duplicate) — then
-			// "detect" it at the barrier and roll back to the
-			// superstep-start checkpoint. The aborted attempt emits no
-			// Request and no PhaseEnd events.
-			r.chargePhase(Outcome{MaxOps: w, MaxRW: h})
-			r.deliverFromSends()
-			r.corruptInbox(v.Addr, v.Drop)
-			r.Rollback()
-			return PhaseRetry
-		}
-	}
-
-	pc := r.chargePhase(Outcome{MaxOps: w, MaxRW: h})
-	if r.Observing() {
-		r.emitRequests()
-	}
-	r.deliverFromSends()
-	r.observePhaseEnd(pc)
-	return PhaseCommitted
+	o.MaxRW = max(o.MaxRW, st.HRecv)
+	return o, -1, nil
 }
 
-// deliverFromSends routes the active senders' staged messages straight
-// into the spare inboxes (truncated by commit's scan), by ascending
-// sender, and swaps them in.
-func (r *Route[M]) deliverFromSends() {
+// poison records a permanent fault: nothing delivers, and the staged
+// sends are simply abandoned.
+func (r *Route[M]) poison(_ int32, v Verdict) {
+	r.RecordErr(fmt.Errorf("%s: superstep %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		r.model.Name(), r.Report().NumPhases(), v.Err))
+}
+
+// apply routes the staged messages straight from the lanes into the
+// spare inboxes, truncated first, by ascending sender, and swaps them
+// in, so each inbox receives its messages grouped by sender in issue
+// order.
+func (r *Route[M]) apply() {
 	next := r.spare
-	for _, i := range r.active {
-		s := r.sends[i]
-		for j, msg := range s.msgs {
-			d := s.dsts[j]
-			next[d] = append(next[d], msg)
+	for i := range next {
+		next[i] = next[i][:0]
+	}
+	for _, l := range r.lanes {
+		msgs := l.cur.writeVals
+		for j, d := range l.cur.writes {
+			next[d] = append(next[d], msgs[j])
 		}
 	}
-	r.spare, r.inbox = r.inbox, next //lint:commitpurity-ok the column barrier's delivery half: called only from commit inside the barrier
+	r.spare, r.inbox = r.inbox, next
 }
 
-// emitRequests renders the superstep's sends as observer events, grouped
-// by ascending sender and in issue order. Addr carries the destination
+// emit renders the superstep's sends as observer events, grouped by
+// ascending sender and in issue order. Addr carries the destination
 // component.
-func (r *Route[M]) emitRequests() {
-	for i, s := range r.sends {
-		for j, msg := range s.msgs {
-			r.observeRequest(Request{Proc: i, Kind: KindSend, Addr: s.dsts[j],
-				Payload: r.model.Render(msg)})
+func (r *Route[M]) emit() {
+	for _, l := range r.lanes {
+		for _, s := range l.spans {
+			for j := s.w0; j < s.w1; j++ {
+				r.observeRequest(Request{Proc: int(s.proc), Kind: KindSend, Addr: l.cur.writes[j],
+					Payload: r.model.Render(l.cur.writeVals[j])})
+			}
 		}
 	}
 }

@@ -83,9 +83,7 @@ func TreeBool(m *qsm.BoolMachine, base, n, fanin int) (int, error) {
 	for width > 1 {
 		next := m.MemSize()
 		nw := (width + fanin - 1) / fanin
-		if err := m.Grow(next + nw); err != nil {
-			return 0, err
-		}
+		m.Grow(next + nw)
 		curL, widthL := cur, width
 		m.Phase(func(c *qsm.BoolCtx) {
 			for j := c.Proc(); j < nw; j += p {
