@@ -3,10 +3,14 @@
 // commitpurity), the interprocedural fault/checkpoint/sentinel contracts
 // of PR 5 (sentinelwrap, snapshotdeep, costbalance, injectoronce,
 // observerpurity) built on per-function fact summaries, the CFG-based
-// dataflow contracts of PR 8 (hotpathalloc, colescape, bitaddr), and
-// the concurrency contracts of PR 10 (goleak, lockorder, atomicmix,
-// framestate) covering goroutine lifecycle, lock discipline, atomic
-// access discipline and the proc backend's wire-protocol frame state.
+// dataflow contracts of PR 8 (hotpathalloc, colescape), and the
+// concurrency contracts of PR 10 (goleak, lockorder, atomicmix) covering
+// goroutine lifecycle, lock discipline and atomic access discipline.
+// Two invariants once policed here are structural instead: the packed
+// bit-write encoding has one codec, engine.PackWrite (pinned by
+// TestPackWriteRoundTrip and FuzzBarrierDifferential's word-vs-bit
+// check), and each proc wire frame has one encode/decode pair in
+// internal/backend/proc/proto.go (pinned by FuzzFrameCodec).
 //
 // It runs two ways. As a standalone driver over package patterns:
 //

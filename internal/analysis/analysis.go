@@ -265,3 +265,33 @@ func StripVariant(path string) string {
 	}
 	return path
 }
+
+// FieldOwner resolves which named struct type declares the field a
+// selection reaches through the given index path, walking the embedding
+// path, so a field promoted through an embedded type is attributed to the
+// type that declares it. It is the one structural identity rule the
+// analyzers key their field tables on: (type name, field name), so
+// fixtures and engines match without importing repro packages.
+func FieldOwner(t types.Type, index []int) (owner, field string) {
+	for _, i := range index {
+		for {
+			p, ok := t.(*types.Pointer)
+			if !ok {
+				break
+			}
+			t = p.Elem()
+		}
+		name := ""
+		if n, ok := t.(*types.Named); ok {
+			name = n.Obj().Name()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok || i >= st.NumFields() {
+			return "", ""
+		}
+		fv := st.Field(i)
+		owner, field = name, fv.Name()
+		t = fv.Type()
+	}
+	return owner, field
+}

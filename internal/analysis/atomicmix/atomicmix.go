@@ -190,7 +190,7 @@ func (c *checker) locKey(e ast.Expr) string {
 		if fs == nil || fs.Kind() != types.FieldVal {
 			return ""
 		}
-		owner, field := fieldOwner(fs.Recv(), fs.Index())
+		owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
 		if owner == "" {
 			return ""
 		}
@@ -221,7 +221,7 @@ func (c *checker) checkPlainAccess(sel *ast.SelectorExpr) {
 	if fs == nil || fs.Kind() != types.FieldVal {
 		return
 	}
-	owner, field := fieldOwner(fs.Recv(), fs.Index())
+	owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
 	if owner == "" {
 		return
 	}
@@ -338,32 +338,6 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// fieldOwner resolves a field index path to (owner type name, field
-// name) — the shared structural identity rule (see bitaddr).
-func fieldOwner(t types.Type, index []int) (owner, field string) {
-	for _, i := range index {
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		name := ""
-		if n, ok := t.(*types.Named); ok {
-			name = n.Obj().Name()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || i >= st.NumFields() {
-			return "", ""
-		}
-		fv := st.Field(i)
-		owner, field = name, fv.Name()
-		t = fv.Type()
-	}
-	return owner, field
 }
 
 // identObj resolves an identifier through Uses or Defs.

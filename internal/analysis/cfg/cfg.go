@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over Go
 // function bodies for the reprolint dataflow analyzers (hotpathalloc,
-// colescape, bitaddr). Like the rest of the analysis framework it is a
+// colescape) and concurrency analyzers (goleak, lockorder). Like the rest of the analysis framework it is a
 // deliberately small, dependency-free mirror of the x/tools shape
 // (golang.org/x/tools/go/cfg): this build environment has no module
 // proxy, so the builder is implemented on the standard library alone.
@@ -108,15 +108,19 @@ func New(name string, body *ast.BlockStmt) *Graph {
 // Analyzers use it to skip dead code (statements after an unconditional
 // return never execute, so a finding there would be noise).
 func (g *Graph) Reachable() map[*Block]bool {
-	return g.reachableFrom(g.Entry, nil)
-}
-
-// ReachableWithout returns the blocks reachable from the entry when the
-// given blocks are removed from the graph — the primitive behind guard
-// checking: if a site stays reachable with every guard block deleted,
-// some path reaches it unguarded.
-func (g *Graph) ReachableWithout(removed map[*Block]bool) map[*Block]bool {
-	return g.reachableFrom(g.Entry, removed)
+	seen := map[*Block]bool{g.Entry: true}
+	stack := []*Block{g.Entry}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
 }
 
 // ReachesExit returns the set of blocks from which the exit block is
@@ -141,26 +145,6 @@ func (g *Graph) ReachesExit() map[*Block]bool {
 			if !seen[p] {
 				seen[p] = true
 				stack = append(stack, p)
-			}
-		}
-	}
-	return seen
-}
-
-func (g *Graph) reachableFrom(start *Block, removed map[*Block]bool) map[*Block]bool {
-	seen := make(map[*Block]bool)
-	if removed[start] {
-		return seen
-	}
-	stack := []*Block{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range b.Succs {
-			if !seen[s] && !removed[s] {
-				seen[s] = true
-				stack = append(stack, s)
 			}
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // per object. An absent object is the bottom element (no facts). What
 // the bits mean is analyzer-defined — colescape uses bit 0 for
 // "tainted by pooled storage" and one bit per parameter for escape
-// summaries; bitaddr uses bits for "packed value" and "blessed pack
-// expression".
+// summaries. (The packed bit-write encoding, once tracked as such bits,
+// is now structural: engine.PackWrite is its one codec, pinned by
+// engine.TestPackWriteRoundTrip.)
 type Facts map[types.Object]uint64
 
 // Clone copies the fact set; analyzers use it to replay a block's

@@ -616,7 +616,7 @@ func (a *analyzer) isPooledField(sel *ast.SelectorExpr) bool {
 	if selection == nil || selection.Kind() != types.FieldVal {
 		return false
 	}
-	owner, field := fieldOwner(selection.Recv(), selection.Index())
+	owner, field := analysis.FieldOwner(selection.Recv(), selection.Index())
 	return pooledFields[owner][field]
 }
 
@@ -669,33 +669,6 @@ func describe(e ast.Expr) string {
 		return "column-derived pointer"
 	}
 	return "column-derived reference"
-}
-
-// fieldOwner resolves the named struct type declaring the selected
-// field, walking the embedding path (same helper shape as commitpurity).
-func fieldOwner(t types.Type, index []int) (owner, field string) {
-	for _, i := range index {
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		name := ""
-		switch n := t.(type) {
-		case *types.Named:
-			name = n.Obj().Name()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || i >= st.NumFields() {
-			return "", ""
-		}
-		fv := st.Field(i)
-		owner, field = name, fv.Name()
-		t = fv.Type()
-	}
-	return owner, field
 }
 
 // identObj resolves an identifier through Uses or Defs.

@@ -126,7 +126,7 @@ func checkWrite(pass *analysis.Pass, f *ast.File, fnName string, lhs ast.Expr, t
 	if selection == nil || selection.Kind() != types.FieldVal {
 		return
 	}
-	owner, field := fieldOwner(selection.Recv(), selection.Index())
+	owner, field := analysis.FieldOwner(selection.Recv(), selection.Index())
 	writers, protected := allowedWriters[owner]
 	if !protected || writers[fnName] {
 		return
@@ -157,33 +157,6 @@ func rootSelector(e ast.Expr) *ast.SelectorExpr {
 			return nil
 		}
 	}
-}
-
-// fieldOwner resolves which named struct type declares the field a
-// selection writes, walking the embedding path so a write promoted
-// through Mem's embedded Core is attributed to Core.
-func fieldOwner(t types.Type, index []int) (owner, field string) {
-	for _, i := range index {
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		name := ""
-		if n, ok := t.(*types.Named); ok {
-			name = n.Obj().Name()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || i >= st.NumFields() {
-			return "", ""
-		}
-		fv := st.Field(i)
-		owner, field = name, fv.Name()
-		t = fv.Type()
-	}
-	return owner, field
 }
 
 // writerList renders an allowed-writer set deterministically for the

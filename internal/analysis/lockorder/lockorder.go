@@ -482,7 +482,7 @@ func (c *checker) lockOp(call *ast.CallExpr) (key, op string) {
 	// The last index entry is the method; any prefix is the field path of
 	// an embedded mutex.
 	if path := selc.Index()[:len(selc.Index())-1]; len(path) > 0 {
-		owner, field := fieldOwner(selc.Recv(), path)
+		owner, field := analysis.FieldOwner(selc.Recv(), path)
 		if owner == "" {
 			return "", ""
 		}
@@ -501,7 +501,7 @@ func (c *checker) lockOp(call *ast.CallExpr) (key, op string) {
 		if fs == nil {
 			return "", ""
 		}
-		owner, field := fieldOwner(fs.Recv(), fs.Index())
+		owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
 		if owner == "" {
 			return "", ""
 		}
@@ -577,32 +577,6 @@ func (c *checker) reportAt(file *ast.File, pos token.Pos, format string, args ..
 		return
 	}
 	c.pass.Reportf(pos, format, args...)
-}
-
-// fieldOwner resolves a field index path to (owner type name, field
-// name) — same structural identity rule as bitaddr's packed-field keys.
-func fieldOwner(t types.Type, index []int) (owner, field string) {
-	for _, i := range index {
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		name := ""
-		if n, ok := t.(*types.Named); ok {
-			name = n.Obj().Name()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || i >= st.NumFields() {
-			return "", ""
-		}
-		fv := st.Field(i)
-		owner, field = name, fv.Name()
-		t = fv.Type()
-	}
-	return owner, field
 }
 
 // identObj resolves an identifier through Uses or Defs.

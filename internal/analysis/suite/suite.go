@@ -7,11 +7,9 @@ package suite
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
-	"repro/internal/analysis/bitaddr"
 	"repro/internal/analysis/colescape"
 	"repro/internal/analysis/commitpurity"
 	"repro/internal/analysis/costbalance"
-	"repro/internal/analysis/framestate"
 	"repro/internal/analysis/globalrand"
 	"repro/internal/analysis/goleak"
 	"repro/internal/analysis/hotpathalloc"
@@ -28,7 +26,7 @@ import (
 // checks of PR 3 first, then the interprocedural contract analyzers,
 // then the CFG-based dataflow analyzers of PR 8, then the concurrency
 // analyzers of PR 10 (goroutine lifecycle, lock discipline, atomic
-// access discipline, wire-protocol frame state).
+// access discipline).
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maporder.Analyzer,
@@ -42,10 +40,8 @@ func Analyzers() []*analysis.Analyzer {
 		observerpurity.Analyzer,
 		hotpathalloc.Analyzer,
 		colescape.Analyzer,
-		bitaddr.Analyzer,
 		goleak.Analyzer,
 		lockorder.Analyzer,
 		atomicmix.Analyzer,
-		framestate.Analyzer,
 	}
 }

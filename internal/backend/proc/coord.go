@@ -134,6 +134,9 @@ type Coordinator struct {
 	// that rank is suppressed (a real lost frame) or sent twice.
 	dropNext, dupNext []bool
 
+	// live holds the barrier's workers, rank-ordered, between shipping
+	// the requests and collecting the responses.
+	live  []*workerProc
 	enc   enc
 	stats Stats
 }
@@ -167,6 +170,7 @@ func New(opt Options) (*Coordinator, error) {
 		backoff:  make([]time.Duration, opt.Workers),
 		dropNext: make([]bool, opt.Workers),
 		dupNext:  make([]bool, opt.Workers),
+		live:     make([]*workerProc, opt.Workers),
 	}
 	for i := range c.hello {
 		c.hello[i] = make(chan net.Conn, 1)
@@ -205,13 +209,11 @@ func (c *Coordinator) acceptLoop() {
 			conn.SetReadDeadline(time.Now().Add(c.opt.HeartbeatTimeout)) //lint:wallclock-ok real transport handshake deadline, not model time
 			payload, _, err := readFrame(conn, nil)
 			conn.SetReadDeadline(time.Time{})
-			if err != nil || len(payload) < 5 || payload[0] != fHello {
-				conn.Close()
-				return
+			rank := -1
+			if err == nil {
+				rank, err = decodeRank(payload, fHello)
 			}
-			d := dec{b: payload, off: 1}
-			rank := int(d.u32())
-			if d.err != nil || rank < 0 || rank >= len(c.hello) {
+			if err != nil || rank < 0 || rank >= len(c.hello) {
 				conn.Close()
 				return
 			}
@@ -408,29 +410,27 @@ func (c *Coordinator) liveWorker(rank int) (*workerProc, error) {
 	return w, nil
 }
 
-// await reads rank's response of the wanted type for (phase, attempt),
-// discarding stale frames (duplicate echoes of earlier attempts), within
-// the heartbeat deadline. On deadline or connection loss it kills and
-// revives the rank and returns the resulting transport error.
-func (c *Coordinator) await(w *workerProc, want byte, phase, attempt int) ([]byte, error) {
+// await reads the response with header want from a worker, discarding
+// stale frames (another frame type, or duplicate echoes of earlier
+// attempts), within the heartbeat deadline, and returns its body. It is
+// the only path from a response frame to its body. On deadline or
+// connection loss it kills and revives the rank and returns the
+// resulting transport error.
+func (c *Coordinator) await(w *workerProc, want header) (body dec, err error) {
 	timer := time.NewTimer(c.opt.HeartbeatTimeout)
 	defer timer.Stop()
 	for {
 		select {
 		case p := <-w.frames:
-			if len(p) < 9 || p[0] != want {
-				continue // stale frame of another kind
+			var h header
+			if h, body = response(p); h == want && body.err == nil {
+				return body, nil
 			}
-			d := dec{b: p, off: 1}
-			if int(d.u32()) != phase || int(d.u32()) != attempt {
-				continue // stale response from a duplicated or aborted attempt
-			}
-			return p, nil
 		case <-w.dead:
-			return nil, c.reviveRank(w.rank, fmt.Errorf("connection lost awaiting response"))
+			return body, c.reviveRank(w.rank, fmt.Errorf("connection lost awaiting response"))
 		case <-timer.C:
 			stale := time.Since(time.Unix(0, w.lastBeat.Load())) //lint:wallclock-ok real transport liveness measurement, not model time
-			return nil, c.reviveRank(w.rank, fmt.Errorf(
+			return body, c.reviveRank(w.rank, fmt.Errorf(
 				"response deadline %v exceeded (last heartbeat %v ago)",
 				c.opt.HeartbeatTimeout, stale.Round(time.Millisecond)))
 		}
@@ -474,45 +474,49 @@ func (c *Coordinator) rangeFor(rank, cells int) (lo, hi int) {
 	return rank * cells / w, (rank + 1) * cells / w
 }
 
+// ship sends every rank its request, built by frame over the rank's
+// [lo, hi) slice of a space of the given size, rank-ordered and
+// pipelined ahead of any response, and records the ranks' workers in
+// c.live for the collection that follows.
+func (c *Coordinator) ship(size int, frame func(lo, hi int) []byte) error {
+	if c.closed.Load() {
+		return c.permanent(-1, fmt.Errorf("coordinator closed"))
+	}
+	for rank := range c.live {
+		w, err := c.liveWorker(rank)
+		if err != nil {
+			return err
+		}
+		c.live[rank] = w
+		if err := c.sendTo(w, frame(c.rangeFor(rank, size))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MergeMem implements engine.Backend: the request columns are filtered
 // per rank (count-backpatched single pass), shipped rank-ordered, and
 // the per-rank statistics merge in rank order — contention maxima by
 // max, the violating cell by smallest address.
 func (c *Coordinator) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error) {
 	st := engine.MergeStats{Viol: -1}
-	if c.closed.Load() {
-		return st, c.permanent(-1, fmt.Errorf("coordinator closed"))
+	if err := c.ship(req.Cells, func(lo, hi int) []byte { return c.enc.memReq(req, lo, hi) }); err != nil {
+		return st, err
 	}
-	// Ship rank-ordered requests first (pipelined), then collect
-	// rank-ordered responses.
-	live := make([]*workerProc, c.opt.Workers) //lint:hotpathalloc-ok W-element bookkeeping per barrier; dwarfed by the socket round trip
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		w, err := c.liveWorker(rank)
+	for rank, w := range c.live {
+		body, err := c.await(w, header{fMemRes, req.Phase, req.Attempt})
 		if err != nil {
 			return st, err
 		}
-		live[rank] = w
-		lo, hi := c.rangeFor(rank, req.Cells)
-		if err := c.sendTo(w, c.encodeMemReq(req, lo, hi)); err != nil {
-			return st, err
-		}
-	}
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		p, err := c.await(live[rank], fMemRes, req.Phase, req.Attempt)
+		rs, err := body.memRes()
 		if err != nil {
-			return st, err
+			return st, c.reviveRank(rank, err)
 		}
-		d := dec{b: p, off: 9} // past type, phase, attempt
-		kr := d.i64()
-		kw := d.i64()
-		viol := d.i32()
-		if d.err != nil {
-			return st, c.reviveRank(rank, d.err)
-		}
-		st.KRead = max(st.KRead, kr)
-		st.KWrite = max(st.KWrite, kw)
-		if viol >= 0 && (st.Viol < 0 || viol < st.Viol) {
-			st.Viol = viol
+		st.KRead = max(st.KRead, rs.KRead)
+		st.KWrite = max(st.KWrite, rs.KWrite)
+		if rs.Viol >= 0 && (st.Viol < 0 || rs.Viol < st.Viol) {
+			st.Viol = rs.Viol
 		}
 	}
 	return st, nil
@@ -521,105 +525,21 @@ func (c *Coordinator) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error
 // MergeRoute implements engine.Backend for the routing barrier.
 func (c *Coordinator) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, error) {
 	var st engine.RouteStats
-	if c.closed.Load() {
-		return st, c.permanent(-1, fmt.Errorf("coordinator closed"))
+	if err := c.ship(req.P, func(lo, hi int) []byte { return c.enc.routeReq(req, lo, hi) }); err != nil {
+		return st, err
 	}
-	live := make([]*workerProc, c.opt.Workers) //lint:hotpathalloc-ok W-element bookkeeping per barrier; dwarfed by the socket round trip
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		w, err := c.liveWorker(rank)
+	for rank, w := range c.live {
+		body, err := c.await(w, header{fRouteRes, req.Phase, req.Attempt})
 		if err != nil {
 			return st, err
 		}
-		live[rank] = w
-		lo, hi := c.rangeFor(rank, req.P)
-		if err := c.sendTo(w, c.encodeRouteReq(req, lo, hi)); err != nil {
-			return st, err
-		}
-	}
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		p, err := c.await(live[rank], fRouteRes, req.Phase, req.Attempt)
+		rs, err := body.routeRes()
 		if err != nil {
-			return st, err
+			return st, c.reviveRank(rank, err)
 		}
-		d := dec{b: p, off: 9}
-		hr := d.i64()
-		if d.err != nil {
-			return st, c.reviveRank(rank, d.err)
-		}
-		st.HRecv = max(st.HRecv, hr)
+		st.HRecv = max(st.HRecv, rs.HRecv)
 	}
 	return st, nil
-}
-
-// encodeMemReq builds one rank's merge request: columns filtered to the
-// rank's [lo, hi) cell range in a single pass, with the per-column entry
-// counts backpatched after the fact.
-func (c *Coordinator) encodeMemReq(req engine.MemMergeReq, lo, hi int) []byte {
-	e := &c.enc
-	e.reset(fMemReq)
-	e.u32(uint32(req.Phase))
-	e.u32(uint32(req.Attempt))
-	e.u32(uint32(req.Cells))
-	if req.Packed {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.u32(uint32(lo))
-	e.u32(uint32(hi))
-	e.u32(uint32(len(req.Reads)))
-	for _, col := range req.Reads {
-		m := e.mark()
-		n := uint32(0)
-		for _, a := range col {
-			if int(a) >= lo && int(a) < hi {
-				e.i32(a)
-				n++
-			}
-		}
-		e.patch(m, n)
-	}
-	for _, col := range req.Writes {
-		m := e.mark()
-		n := uint32(0)
-		for _, v := range col {
-			a := v
-			if req.Packed {
-				a = v >> 1
-			}
-			if int(a) >= lo && int(a) < hi {
-				e.i32(v)
-				n++
-			}
-		}
-		e.patch(m, n)
-	}
-	return e.finish()
-}
-
-// encodeRouteReq builds one rank's routing request, destination columns
-// filtered to the rank's [lo, hi) component range.
-func (c *Coordinator) encodeRouteReq(req engine.RouteMergeReq, lo, hi int) []byte {
-	e := &c.enc
-	e.reset(fRouteReq)
-	e.u32(uint32(req.Phase))
-	e.u32(uint32(req.Attempt))
-	e.u32(uint32(req.P))
-	e.u32(uint32(lo))
-	e.u32(uint32(hi))
-	e.u32(uint32(len(req.Dsts)))
-	for _, col := range req.Dsts {
-		m := e.mark()
-		n := uint32(0)
-		for _, d := range col {
-			if int(d) >= lo && int(d) < hi {
-				e.i32(d)
-				n++
-			}
-		}
-		e.patch(m, n)
-	}
-	return e.finish()
 }
 
 // Realize implements engine.FaultRealizer: injected verdicts echo as
@@ -670,8 +590,7 @@ func (c *Coordinator) Close() error {
 	workers := append([]*workerProc(nil), c.workers...)
 	c.mu.Unlock()
 	var e enc
-	e.reset(fShutdown)
-	frame := e.finish()
+	frame := e.shutdown()
 	for _, w := range workers {
 		if w == nil {
 			continue

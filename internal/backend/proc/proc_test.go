@@ -51,7 +51,7 @@ func randomMemReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMerge
 		for i := rng.Intn(20); i > 0; i-- {
 			w := int32(rng.Intn(cells))
 			if packed {
-				w = w<<1 | int32(rng.Intn(2))
+				w = engine.PackWrite(int(w), rng.Intn(2) == 1)
 			}
 			writes = append(writes, w)
 		}
@@ -165,15 +165,19 @@ func TestDropRealizeTimesOutTransient(t *testing.T) {
 
 // TestDupRealizeIsHarmless arms a frame duplication: the duplicate
 // response must be filtered out and both this and the next barrier
-// answer correctly.
+// answer correctly. Only rank 0's cells are requested, and the write
+// contention grows with the trial, so a stale response of an earlier
+// trial cannot pass for the current one.
 func TestDupRealizeIsHarmless(t *testing.T) {
 	c := newCoord(t, 2)
-	rng := rand.New(rand.NewSource(5))
 	var ref engine.MemMerger
 	c.Realize(engine.InjectCtx{}, engine.Verdict{Class: engine.FaultTransient, Addr: 0, Drop: false})
 	for trial := 0; trial < 3; trial++ {
-		req := randomMemReq(rng, 4, 48, false)
-		req.Phase = trial
+		req := engine.MemMergeReq{Phase: trial, Attempt: 1, Cells: 48}
+		for p := 0; p <= trial; p++ {
+			req.Reads = append(req.Reads, []int32{int32(10 + p)})
+			req.Writes = append(req.Writes, []int32{3})
+		}
 		want := ref.Merge(req, 0, req.Cells)
 		got, err := c.MergeMem(req)
 		if err != nil {

@@ -74,9 +74,7 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 	}
 
 	var e enc
-	e.reset(fHello)
-	e.u32(uint32(rank))
-	if err := send(append([]byte(nil), e.finish()...)); err != nil {
+	if err := send(e.rank(fHello, rank)); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 
@@ -84,9 +82,7 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 	defer close(stop)
 	go func() {
 		var be enc
-		be.reset(fBeat)
-		be.u32(uint32(rank))
-		frame := append([]byte(nil), be.finish()...)
+		frame := be.rank(fBeat, rank)
 		t := time.NewTicker(beat)
 		defer t.Stop()
 		for {
@@ -146,73 +142,18 @@ type workerState struct {
 	res  enc
 }
 
-// columns sizes the reusable column set to n rows starting at row base
-// and decodes one u32-counted i32 column from d into each.
-func (w *workerState) columns(d *dec, base, n int) [][]int32 {
-	for len(w.cols) < base+n {
-		w.cols = append(w.cols, nil)
-	}
-	out := w.cols[base : base+n]
-	for i := range out {
-		out[i] = d.col(out[i])
-	}
-	return out
-}
-
 func (w *workerState) serveMem(payload []byte) ([]byte, error) {
-	d := dec{b: payload, off: 1}
-	phase := d.u32()
-	attempt := d.u32()
-	cells := int(d.u32())
-	packed := d.u8() == 1
-	lo := int(d.u32())
-	hi := int(d.u32())
-	nprocs := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	req, lo, hi, err := decodeMemReq(payload, &w.cols)
+	if err != nil {
+		return nil, err
 	}
-	req := engine.MemMergeReq{
-		Phase: int(phase), Attempt: int(attempt), Cells: cells, Packed: packed,
-		Reads:  w.columns(&d, 0, nprocs),
-		Writes: w.columns(&d, nprocs, nprocs),
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	st := w.mm.Merge(req, lo, hi)
-	e := &w.res
-	e.reset(fMemRes)
-	e.u32(phase)
-	e.u32(attempt)
-	e.i64(st.KRead)
-	e.i64(st.KWrite)
-	e.i32(st.Viol)
-	return e.finish(), nil
+	return w.res.memRes(header{fMemRes, req.Phase, req.Attempt}, w.mm.Merge(req, lo, hi)), nil
 }
 
 func (w *workerState) serveRoute(payload []byte) ([]byte, error) {
-	d := dec{b: payload, off: 1}
-	phase := d.u32()
-	attempt := d.u32()
-	p := int(d.u32())
-	lo := int(d.u32())
-	hi := int(d.u32())
-	nsenders := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	req, lo, hi, err := decodeRouteReq(payload, &w.cols)
+	if err != nil {
+		return nil, err
 	}
-	req := engine.RouteMergeReq{
-		Phase: int(phase), Attempt: int(attempt), P: p,
-		Dsts: w.columns(&d, 0, nsenders),
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	st := w.rm.Merge(req, lo, hi)
-	e := &w.res
-	e.reset(fRouteRes)
-	e.u32(phase)
-	e.u32(attempt)
-	e.i64(st.HRecv)
-	return e.finish(), nil
+	return w.res.routeRes(header{fRouteRes, req.Phase, req.Attempt}, w.rm.Merge(req, lo, hi)), nil
 }

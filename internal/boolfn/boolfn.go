@@ -195,7 +195,7 @@ func (f *Fn) Restrict(i int, val int64) (*Fn, error) {
 		mm := uint32(m)
 		full := (mm & low) | ((mm &^ low) << 1)
 		if val == 1 {
-			full |= 1 << uint(i) //lint:bitaddr-ok truth-table row index built by bit interleaving; not an engine packed address
+			full |= 1 << uint(i)
 		}
 		t[m] = f.table[full]
 	}

@@ -41,9 +41,9 @@ type MemMergeReq struct {
 	Phase, Attempt int
 	// Cells is the current shared-memory size (bits for packed columns).
 	Cells int
-	// Packed marks bit-engine write columns: entries are addr<<1 | bit
-	// and the cell address is entry>>1. Read columns are plain addresses
-	// either way.
+	// Packed marks bit-engine write columns of PackWrite entries, whose
+	// cells EntryAddr recovers. Read columns are plain addresses either
+	// way.
 	Packed bool
 	// Reads and Writes hold one column per processor, index = processor
 	// id. Crashed (masked) processors contribute empty columns.
@@ -270,22 +270,18 @@ func (g *MemMerger) reads(procs []int32, cols [][]int32) {
 }
 
 // writes counts write columns, indexed like reads; packed columns hold
-// addr<<1 | bit entries.
+// PackWrite entries.
 func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
 	lo, hi := g.lo, g.hi
 	marks, ep := g.marks, g.epoch
 	kw, viol := g.st.KWrite, g.st.Viol
-	var shift uint
-	if packed {
-		shift = 1
-	}
 	for k, col := range cols {
 		pr := -(int32(k) + 1)
 		if procs != nil {
 			pr = -(procs[k] + 1)
 		}
 		for _, e := range col {
-			a := e >> shift
+			a := EntryAddr(e, packed)
 			if a < lo || a >= hi {
 				continue
 			}

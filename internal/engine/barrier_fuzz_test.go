@@ -189,10 +189,7 @@ func (naiveBackend) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error) 
 	}
 	for proc, col := range req.Writes {
 		for _, e := range col {
-			if req.Packed {
-				e >>= 1
-			}
-			add(writers, e, proc)
+			add(writers, engine.EntryAddr(e, req.Packed), proc)
 		}
 	}
 	st := engine.MergeStats{Viol: -1}

@@ -18,9 +18,32 @@ type BitModel interface {
 	Violation() error
 }
 
-// maxBitCells bounds the bit-address space so a packed write record
-// (addr<<1 | bit) fits an int32 column entry.
+// maxBitCells bounds the bit-address space so a packed write entry fits
+// an int32.
 const maxBitCells = 1 << 30
+
+// PackWrite is the packed-write codec, with unpackWrite and EntryAddr its
+// only implementation: a write of bit to cell addr is one int32 entry,
+// the address shifted up by one over the bit. BitMem's write columns, and
+// a Packed MemMergeReq's, hold these entries.
+func PackWrite(addr int, bit bool) int32 {
+	e := int32(addr) << 1
+	if bit {
+		e |= 1
+	}
+	return e
+}
+
+func unpackWrite(e int32) (addr int32, bit uint32) { return e >> 1, uint32(e) & 1 }
+
+// EntryAddr returns the cell of a request-column entry: a packed write
+// entry's, or a plain entry itself.
+func EntryAddr(e int32, packed bool) int32 {
+	if packed {
+		e, _ = unpackWrite(e)
+	}
+	return e
+}
 
 // BitMem is the shared-memory engine over a packed-bit store for Boolean
 // workloads (Parity, OR): one bit per cell instead of one V per cell, 64
@@ -29,7 +52,7 @@ const maxBitCells = 1 << 30
 // the shared engine's, as in Mem — a Boolean algorithm run on a BitMem
 // machine produces the same cost report and the same event stream as the
 // equivalent word-valued run. Only the storage and the codec differ:
-// write columns hold addr<<1 | bit entries, the apply sets bits, and a
+// write columns hold PackWrite entries, the apply sets bits, and a
 // checkpoint over n bits copies n/64 words. Adapters embed it exactly
 // like Mem.
 type BitMem struct {
@@ -114,11 +137,7 @@ func (c *BitCtx) Write(addr int, bit bool) {
 		return
 	}
 	c.wrs++
-	p := int32(addr) << 1
-	if bit {
-		p |= 1
-	}
-	c.writes = append(c.writes, p)
+	c.writes = append(c.writes, PackWrite(addr, bit))
 }
 
 // apply commits the phase's packed writes straight from the lanes' write
@@ -128,7 +147,8 @@ func (c *BitCtx) Write(addr int, bit bool) {
 func (m *BitMem) apply() {
 	for _, l := range m.lanes {
 		for _, pk := range l.c.writes {
-			m.SetBit(int(pk>>1), pk&1 == 1)
+			a, bit := unpackWrite(pk)
+			m.SetBit(int(a), bit == 1)
 		}
 	}
 }
@@ -148,8 +168,9 @@ func (m *BitMem) emit() {
 					Payload: bitPayloads[m.mem[a>>6]>>(uint32(a)&63)&1]})
 			}
 			for _, pk := range c.writes[s.w0:s.w1] {
-				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: pk >> 1,
-					Payload: bitPayloads[pk&1]})
+				a, bit := unpackWrite(pk)
+				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a,
+					Payload: bitPayloads[bit]})
 			}
 		}
 	}

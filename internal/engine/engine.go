@@ -14,7 +14,7 @@
 //     Checkpoint/Rollback and the barrier's merge. It comes with two cell
 //     stores, which differ only in storage and codec: Mem[V] keeps one V
 //     per cell and commits through the model's Apply; BitMem packs 64
-//     Boolean cells into a word and records writes as addr<<1 | bit.
+//     Boolean cells into a word and records writes as PackWrite entries.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
 //     over the message type): the same request lanes, with a send
 //     recorded as a write of the message to its destination, h-relation

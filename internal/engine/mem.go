@@ -142,9 +142,9 @@ type cursor[W any] struct {
 	ops   int64
 
 	readAddrs []int32
-	// writes is the write column: cell addresses, or addr<<1 | bit
-	// entries in a packed store. writeVals holds a word store's values
-	// and stays empty in a packed one.
+	// writes is the write column: cell addresses, or PackWrite entries
+	// in a packed store. writeVals holds a word store's values and stays
+	// empty in a packed one.
 	writes    []int32
 	writeVals []W
 	fail      error

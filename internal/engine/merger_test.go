@@ -54,7 +54,7 @@ func genMergeCase(r *rand.Rand) mergeCase {
 		for range r.IntN(6) {
 			a := cell(1)
 			if packed {
-				a = a<<1 | int32(r.IntN(2))
+				a = PackWrite(int(a), r.IntN(2) == 1)
 			}
 			c.mem.Writes[pr] = append(c.mem.Writes[pr], a)
 			if r.IntN(3) == 0 {
@@ -159,5 +159,27 @@ func TestMergerEpochWrap(t *testing.T) {
 	}
 	if mem.epoch != 4 || route.epoch != 4 {
 		t.Fatalf("epochs after the wrap = %d, %d, want 4 (the wrap restarts at 1)", mem.epoch, route.epoch)
+	}
+}
+
+// TestPackWriteRoundTrip pins the packed-write codec at the edges of the
+// bit-address space: every (cell, bit) pair packs and unpacks to itself,
+// and EntryAddr reads the cell back from a packed entry and passes a
+// plain one through.
+func TestPackWriteRoundTrip(t *testing.T) {
+	for _, addr := range []int{0, 1, maxBitCells - 1} {
+		for _, bit := range []bool{false, true} {
+			e := PackWrite(addr, bit)
+			a, b := unpackWrite(e)
+			if int(a) != addr || (b == 1) != bit || b > 1 {
+				t.Errorf("unpackWrite(PackWrite(%d, %v)) = (%d, %d)", addr, bit, a, b)
+			}
+			if got := EntryAddr(e, true); int(got) != addr {
+				t.Errorf("EntryAddr(PackWrite(%d, %v), packed) = %d", addr, bit, got)
+			}
+			if got := EntryAddr(int32(addr), false); int(got) != addr {
+				t.Errorf("EntryAddr(%d, plain) = %d", addr, got)
+			}
+		}
 	}
 }
