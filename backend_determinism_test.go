@@ -57,13 +57,14 @@ type backendRun struct {
 }
 
 // procWorkerCounts are the worker-process fan-outs compared against the
-// in-process baseline.
-var procWorkerCounts = []int{1, 4}
+// in-process baseline; 3 splits the power-of-two spaces unevenly, so rank
+// boundaries fall inside request runs.
+var procWorkerCounts = []int{1, 3, 4}
 
 // TestBackendDeterminism runs one algorithm per family — parity tree,
 // Boolean OR contention tree, dart-throwing compaction (all QSM), and
 // the BSP parity tree for the routing barrier — on the in-process
-// backend and on proc backends at 1 and 4 worker processes, and demands
+// backend and on proc backends at 1, 3 and 4 worker processes, and demands
 // byte-identical observables.
 func TestBackendDeterminism(t *testing.T) {
 	const n = 256

@@ -61,9 +61,51 @@ func randomMemReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMerge
 	return req
 }
 
+// block appends the k consecutive values base, base+1, …, base+k−1 to
+// col.
+func block(col []int32, base, k int) []int32 {
+	for i := 0; i < k; i++ {
+		col = append(col, int32(base+i))
+	}
+	return col
+}
+
+// blockMemReq builds a merge request of the shapes the batch API submits,
+// which the wire encodes as runs. Each processor reads one block, then an
+// interleaving of a block in the lower half of the space with one in the
+// upper half, so every rank's entries alternate with another rank's. It
+// writes one block; packed, that is a run of consecutive PackWrite
+// entries, both bits of each cell in turn. Whenever the worker count does
+// not divide cells, blocks straddle rank boundaries that fall between
+// entries of one run.
+func blockMemReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMergeReq {
+	req := engine.MemMergeReq{Phase: 1, Attempt: 1, Cells: cells, Packed: packed}
+	half := cells / 2
+	for p := 0; p < procs; p++ {
+		base := rng.Intn(cells - 1)
+		reads := block(nil, base, min(2+rng.Intn(half), cells-base))
+		lo, hi := rng.Intn(half-6), half+rng.Intn(half-6)
+		for i := 0; i < 6; i++ {
+			reads = append(reads, int32(lo+i), int32(hi+i))
+		}
+		base = rng.Intn(cells - 1)
+		k := min(2+rng.Intn(half), cells-base)
+		var writes []int32
+		if packed {
+			writes = block(nil, int(engine.PackWrite(base, rng.Intn(2) == 1)), 2*k-1)
+		} else {
+			writes = block(nil, base, k)
+		}
+		req.Reads = append(req.Reads, reads)
+		req.Writes = append(req.Writes, writes)
+	}
+	return req
+}
+
 // TestMergeMemMatchesReference pins the distributed merge to the
 // reference merger over the full cell space, across worker counts,
-// packed and plain.
+// packed and plain, on random requests and on block-structured ones
+// (blockMemReq; 64 cells split 21/21/22 at 3 workers).
 func TestMergeMemMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, packed := range []bool{false, true} {
@@ -71,8 +113,12 @@ func TestMergeMemMatchesReference(t *testing.T) {
 				c := newCoord(t, workers)
 				rng := rand.New(rand.NewSource(7))
 				var ref engine.MemMerger
-				for trial := 0; trial < 25; trial++ {
-					req := randomMemReq(rng, 5, 64, packed)
+				for trial := 0; trial < 50; trial++ {
+					shape := randomMemReq
+					if trial%2 == 1 {
+						shape = blockMemReq
+					}
+					req := shape(rng, 5, 64, packed)
 					req.Phase = trial
 					want := ref.Merge(req, 0, req.Cells)
 					got, err := c.MergeMem(req)
@@ -88,19 +134,31 @@ func TestMergeMemMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMergeRouteMatchesReference does the same for the routing barrier.
+// TestMergeRouteMatchesReference does the same for the routing barrier:
+// random destinations over 9 components, and, on odd trials, blocks of
+// consecutive destinations over 10 components, which 3 workers split
+// 3/3/4, so blocks straddle rank boundaries.
 func TestMergeRouteMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			c := newCoord(t, workers)
 			rng := rand.New(rand.NewSource(11))
 			var ref engine.RouteMerger
-			for trial := 0; trial < 25; trial++ {
+			for trial := 0; trial < 50; trial++ {
 				req := engine.RouteMergeReq{Phase: trial, Attempt: 1, P: 9}
+				if trial%2 == 1 {
+					req.P = 10
+				}
 				for s := 0; s < req.P; s++ {
 					var col []int32
-					for i := rng.Intn(15); i > 0; i-- {
-						col = append(col, int32(rng.Intn(req.P)))
+					if trial%2 == 1 {
+						base := rng.Intn(req.P - 1)
+						col = block(col, base, 2+rng.Intn(req.P-base-1))
+						col = block(col, rng.Intn(req.P-1), 2)
+					} else {
+						for i := rng.Intn(15); i > 0; i-- {
+							col = append(col, int32(rng.Intn(req.P)))
+						}
 					}
 					req.Dsts = append(req.Dsts, col)
 				}

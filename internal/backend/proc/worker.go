@@ -138,7 +138,7 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 type workerState struct {
 	mm   engine.MemMerger
 	rm   engine.RouteMerger
-	cols [][]int32
+	cols colBuf
 	res  enc
 }
 
