@@ -73,6 +73,29 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLISweepHugeRange is a regression test: every value of a range
+// used to be materialised before -max-cells applied, so this argv was
+// killed out of memory. The spec is now counted and rejected first.
+func TestCLISweepHugeRange(t *testing.T) {
+	code, stdout, stderr := runCLI("sweep", "-models", "qsm", "-algs", "or", "-n", "1..2147483647:+1", "-max-cells", "1")
+	if code == 0 {
+		t.Fatalf("exit code 0, stdout %q", stdout)
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "parsim: -n: ") {
+		t.Fatalf("stderr %q, want one parsim: line naming -n", stderr)
+	}
+}
+
+// TestCLISweepGridCap checks the cell cap: each spec is within its own
+// cap, but the product of the axes is not.
+func TestCLISweepGridCap(t *testing.T) {
+	code, _, stderr := runCLI("sweep", "-models", "qsm", "-algs", "or", "-n", "1..65536", "-seeds", "1..65536")
+	if code == 0 || !strings.HasPrefix(stderr, "parsim: ") || !strings.Contains(stderr, "grid of 4294967296 cells exceeds the 1048576-cell cap") {
+		t.Fatalf("exit %d, stderr %q; want the cell-cap error", code, stderr)
+	}
+}
+
 func TestCLIUnknownModelSkipsInGrid(t *testing.T) {
 	// In a grid an unknown model is a reason-coded skip, not an error:
 	// the cell is recorded and the sweep succeeds.

@@ -165,6 +165,9 @@ func gridCells(models, algs, ns, ps, gs, ds, ls, alphas, betas, gammas, fanins, 
 	if len(g.Models) == 0 || len(g.Algs) == 0 {
 		return nil, fmt.Errorf("empty -models or -algs")
 	}
+	if n := g.Count(); n > sweep.MaxGridCells {
+		return nil, fmt.Errorf("-models × -algs × -faults × axis specs: grid of %d cells exceeds the %d-cell cap; split the sweep", n, sweep.MaxGridCells)
+	}
 	return g.Cells(), nil
 }
 

@@ -1,11 +1,17 @@
 // Command reprolint is the project's static-analysis tool. It enforces
-// the determinism/engine contracts (maporder, globalrand, wallclock,
-// commitpurity), the interprocedural fault/checkpoint/sentinel contracts
-// of PR 5 (sentinelwrap, snapshotdeep, costbalance, injectoronce,
-// observerpurity) built on per-function fact summaries, the CFG-based
-// dataflow contracts of PR 8 (hotpathalloc, colescape), and the
-// concurrency contracts of PR 10 (goleak, lockorder, atomicmix) covering
-// goroutine lifecycle, lock discipline and atomic access discipline.
+// the determinism contracts (maporder, globalrand, wallclock), the
+// commit-barrier contract (barrier: sanctioned engine writers, read-only
+// observers, one injector consult from Core.commit), the interprocedural
+// fault/checkpoint/sentinel contracts (sentinelwrap, snapshotdeep,
+// costbalance) built on per-function fact summaries, the CFG-based
+// dataflow contracts (hotpathalloc, colescape), and the concurrency
+// contracts (goleak, lockorder, atomicmix) covering goroutine lifecycle,
+// lock discipline and atomic access discipline. The directives check
+// reports //lint:<name>-ok directives that name no analyzer and unknown
+// or misplaced //repro: markers. The engine declares the facts the
+// dataflow checks need at the declaration itself: //repro:pooled on the
+// fields holding phase-scoped pooled storage (colescape) and //repro:hot
+// on the commit-path roots (hotpathalloc).
 // Two invariants once policed here are structural instead: the packed
 // bit-write encoding has one codec, engine.PackWrite (pinned by
 // TestPackWriteRoundTrip and FuzzBarrierDifferential's word-vs-bit

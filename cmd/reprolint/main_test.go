@@ -77,7 +77,7 @@ func TestVetToolProtocol(t *testing.T) {
 	for _, fl := range flags {
 		names[fl.Name] = true
 	}
-	for _, want := range []string{"json", "maporder", "sentinelwrap", "snapshotdeep", "costbalance", "injectoronce", "observerpurity", "hotpathalloc", "colescape", "goleak", "lockorder", "atomicmix"} {
+	for _, want := range []string{"json", "maporder", "sentinelwrap", "snapshotdeep", "costbalance", "barrier", "hotpathalloc", "colescape", "goleak", "lockorder", "atomicmix", "directives"} {
 		if !names[want] {
 			t.Errorf("-flags missing %q: %s", want, out)
 		}

@@ -269,10 +269,12 @@ func StripVariant(path string) string {
 // FieldOwner resolves which named struct type declares the field a
 // selection reaches through the given index path, walking the embedding
 // path, so a field promoted through an embedded type is attributed to the
-// type that declares it. It is the one structural identity rule the
-// analyzers key their field tables on: (type name, field name), so
-// fixtures and engines match without importing repro packages.
-func FieldOwner(t types.Type, index []int) (owner, field string) {
+// type that declares it. It returns that type's package path and name
+// and the field's name: (type name, field name) is the structural
+// identity the analyzers key on, so fixtures and engines match without
+// importing repro packages, and the package path tells engine state
+// (a type declared in an internal/engine package) from everything else.
+func FieldOwner(t types.Type, index []int) (pkg, owner, field string) {
 	for _, i := range index {
 		for {
 			p, ok := t.(*types.Pointer)
@@ -281,17 +283,20 @@ func FieldOwner(t types.Type, index []int) (owner, field string) {
 			}
 			t = p.Elem()
 		}
-		name := ""
+		pkg, owner = "", ""
 		if n, ok := t.(*types.Named); ok {
-			name = n.Obj().Name()
+			owner = n.Obj().Name()
+			if n.Obj().Pkg() != nil {
+				pkg = n.Obj().Pkg().Path()
+			}
 		}
 		st, ok := t.Underlying().(*types.Struct)
 		if !ok || i >= st.NumFields() {
-			return "", ""
+			return "", "", ""
 		}
 		fv := st.Field(i)
-		owner, field = name, fv.Name()
+		field = fv.Name()
 		t = fv.Type()
 	}
-	return owner, field
+	return pkg, owner, field
 }

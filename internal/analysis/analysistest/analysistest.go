@@ -174,10 +174,16 @@ var wantRE = regexp.MustCompile("(`[^`]*`|\"[^\"]*\")")
 
 // parseWant extracts the expectation regexps from one comment: a comment
 // whose text (after //) starts with "want" carries one or more quoted
-// patterns.
+// patterns. A //lint: directive or //repro: marker fills its whole
+// comment, so an expectation about one follows it inside that comment:
+//
+//	//repro:poold // want `unknown marker`
 func parseWant(comment string) ([]*regexp.Regexp, error) {
 	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
 	rest, ok := strings.CutPrefix(text, "want ")
+	if !ok && (strings.HasPrefix(text, "lint:") || strings.HasPrefix(text, "repro:")) {
+		_, rest, ok = strings.Cut(text, " // want ")
+	}
 	if !ok {
 		return nil, nil
 	}

@@ -1,9 +1,7 @@
 // Contract-analyzer fixture tests. Each fixture package under
 // testdata/src seeds positive findings (matched by // want regexps),
 // negative cases on the surrounding lines, and at least one reasoned
-// //lint:<check>-ok suppression. The observerpurity fixture lives at
-// the import path repro/internal/engine because that analyzer protects
-// types by package-path suffix.
+// //lint:<check>-ok suppression.
 package analysistest_test
 
 import (
@@ -11,8 +9,6 @@ import (
 
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/costbalance"
-	"repro/internal/analysis/injectoronce"
-	"repro/internal/analysis/observerpurity"
 	"repro/internal/analysis/sentinelwrap"
 	"repro/internal/analysis/snapshotdeep"
 )
@@ -31,12 +27,4 @@ func TestSnapshotDeep(t *testing.T) {
 
 func TestCostBalance(t *testing.T) {
 	analysistest.Run(t, costbalance.Analyzer, "costbalance/a")
-}
-
-func TestInjectorOnce(t *testing.T) {
-	analysistest.Run(t, injectoronce.Analyzer, "injectoronce/a")
-}
-
-func TestObserverPurity(t *testing.T) {
-	analysistest.Run(t, observerpurity.Analyzer, "repro/internal/engine")
 }

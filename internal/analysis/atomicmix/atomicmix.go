@@ -38,6 +38,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -125,7 +126,7 @@ func run(pass *analysis.Pass) error {
 			continue // local variable: key is meaningless outside this package
 		}
 		pos := pass.Fset.Position(c.atomicKey[key])
-		pass.ExportFact(key, fmt.Sprintf("atomic %s:%d", shortName(pos.Filename), pos.Line))
+		pass.ExportFact(key, fmt.Sprintf("atomic %s:%d", filepath.Base(pos.Filename), pos.Line))
 	}
 	return nil
 }
@@ -190,13 +191,13 @@ func (c *checker) locKey(e ast.Expr) string {
 		if fs == nil || fs.Kind() != types.FieldVal {
 			return ""
 		}
-		owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
+		_, owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
 		if owner == "" {
 			return ""
 		}
 		return owner + "." + field
 	case *ast.Ident:
-		obj := identObj(c.pass, x)
+		obj := c.pass.TypesInfo.ObjectOf(x)
 		v, ok := obj.(*types.Var)
 		if !ok || v.IsField() || v.Pkg() == nil {
 			return ""
@@ -205,7 +206,7 @@ func (c *checker) locKey(e ast.Expr) string {
 			return "var:" + v.Name()
 		}
 		p := c.pass.Fset.Position(v.Pos())
-		return fmt.Sprintf("%s@%s:%d", v.Name(), shortName(p.Filename), p.Line)
+		return fmt.Sprintf("%s@%s:%d", v.Name(), filepath.Base(p.Filename), p.Line)
 	}
 	return ""
 }
@@ -221,14 +222,14 @@ func (c *checker) checkPlainAccess(sel *ast.SelectorExpr) {
 	if fs == nil || fs.Kind() != types.FieldVal {
 		return
 	}
-	owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
+	_, owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
 	if owner == "" {
 		return
 	}
 	key := owner + "." + field
 	if first, ok := c.atomicKey[key]; ok {
 		p := c.pass.Fset.Position(first)
-		c.report(sel.Pos(), "non-atomic access to %s, which is accessed atomically at %s:%d", key, shortName(p.Filename), p.Line)
+		c.report(sel.Pos(), "non-atomic access to %s, which is accessed atomically at %s:%d", key, filepath.Base(p.Filename), p.Line)
 		return
 	}
 	// Cross-package: the owner type may belong to a dependency that
@@ -246,7 +247,7 @@ func (c *checker) checkPlainIdent(id *ast.Ident) {
 	if c.exempt[id.Pos()] {
 		return
 	}
-	v, ok := identObj(c.pass, id).(*types.Var)
+	v, ok := c.pass.TypesInfo.ObjectOf(id).(*types.Var)
 	if !ok || v.IsField() || v.Pkg() == nil {
 		return
 	}
@@ -255,14 +256,14 @@ func (c *checker) checkPlainIdent(id *ast.Ident) {
 		key = "var:" + v.Name()
 	} else {
 		p := c.pass.Fset.Position(v.Pos())
-		key = fmt.Sprintf("%s@%s:%d", v.Name(), shortName(p.Filename), p.Line)
+		key = fmt.Sprintf("%s@%s:%d", v.Name(), filepath.Base(p.Filename), p.Line)
 	}
 	first, ok := c.atomicKey[key]
 	if !ok || id.Pos() == v.Pos() {
 		return // not atomic, or this is the declaration itself
 	}
 	p := c.pass.Fset.Position(first)
-	c.report(id.Pos(), "non-atomic access to %s, which is accessed atomically at %s:%d", trimVarKey(key), shortName(p.Filename), p.Line)
+	c.report(id.Pos(), "non-atomic access to %s, which is accessed atomically at %s:%d", trimVarKey(key), filepath.Base(p.Filename), p.Line)
 }
 
 // typedAtomics are the value types of sync/atomic whose copy semantics
@@ -338,20 +339,4 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// identObj resolves an identifier through Uses or Defs.
-func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Defs[id]
-}
-
-// shortName trims a path to its base name.
-func shortName(filename string) string {
-	if i := strings.LastIndexByte(filename, '/'); i >= 0 {
-		return filename[i+1:]
-	}
-	return filename
 }

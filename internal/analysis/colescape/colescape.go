@@ -15,7 +15,7 @@
 //
 // The analyzer runs a forward CFG taint: column-derived values (results
 // of ReadBlock/Data/Words/Incoming-shaped calls, and reads of the
-// pooled engine types' column fields) taint locals they flow into, and
+// fields declared //repro:pooled) taint locals they flow into, and
 // a tainted value hitting an escape sink — a store to a non-pooled
 // field, global or dereference, a channel send, a return, a composite
 // literal, or a call argument a callee summary says escapes — is
@@ -24,7 +24,7 @@
 // copies by construction), so ranging int64 cells out of a block is
 // free. Element-wise copies (append(dst, src...), copy) are copies, not
 // escapes. Writes INTO pooled fields are engine pool management and are
-// commitpurity's business, not an escape.
+// the barrier analyzer's business, not an escape.
 //
 // Interprocedural flow rides per-function facts: "e<i>" (parameter i
 // escapes) and "r<i>" (parameter i flows to the return value), so
@@ -53,37 +53,17 @@ import (
 // Analyzer flags phase-scoped engine references escaping the phase.
 var Analyzer = &analysis.Analyzer{
 	Name: "colescape",
-	Doc:  "flag references into pooled engine columns escaping the phase (stores, sends, returns)",
+	Doc:  "flag references into //repro:pooled engine columns escaping the phase (stores, sends, returns)",
 	Run:  run,
 }
 
 // sourceMethods are the borrow points: methods handing out aliases into
 // pooled storage, matched by name + "returns a reference" shape so the
 // check also covers fixtures and future engines without importing repro
-// packages.
+// packages. Pooled fields themselves are declared at the field, with a
+// //repro:pooled marker.
 var sourceMethods = map[string]bool{
 	"ReadBlock": true, "Data": true, "Words": true, "Incoming": true,
-}
-
-// pooledFields lists the engine's pooled column fields by declaring
-// type; reading one of these through a selector is a borrow even without
-// an accessor call. The names mirror the commitpurity protected-state
-// table, and a test checks that each still exists in the engine.
-var pooledFields = map[string]map[string]bool{
-	"store":    fields("mem"),
-	"shared":   fields("ck", "lanes", "bkReads", "bkWrites"),
-	"cursor":   fields("readAddrs", "writes", "writeVals"),
-	"lane":     fields("spans"),
-	"Route":    fields("inbox", "spare", "ckInbox", "lanes", "bkDsts"),
-	"EventLog": fields("events", "ends"),
-}
-
-func fields(names ...string) map[string]bool {
-	m := make(map[string]bool, len(names))
-	for _, n := range names {
-		m[n] = true
-	}
-	return m
 }
 
 // Taint bits: bit 0 marks a locally-borrowed column reference; bit i+1
@@ -135,6 +115,7 @@ func parsePayload(p string) summary {
 func run(pass *analysis.Pass) error {
 	pass.CheckDirectives()
 	g := interproc.Build(pass)
+	pooled := pass.Marked("pooled")
 
 	// Package-local fixpoint over escape summaries: re-analyze until no
 	// function's summary grows (callee summaries sharpen caller taint),
@@ -150,7 +131,7 @@ func run(pass *analysis.Pass) error {
 			if pass.InTestFile(info.Decl.Pos()) {
 				continue
 			}
-			s := analyzeFunc(pass, g, summaries, info, nil)
+			s := analyzeFunc(pass, g, summaries, pooled, info, nil)
 			if grewSummary(summaries[sym], s) {
 				summaries[sym] = s
 				changed = true
@@ -162,7 +143,7 @@ func run(pass *analysis.Pass) error {
 		if pass.InTestFile(info.Decl.Pos()) {
 			continue
 		}
-		analyzeFunc(pass, g, summaries, info, func(pos token.Pos, what, how string) {
+		analyzeFunc(pass, g, summaries, pooled, info, func(pos token.Pos, what, how string) {
 			if pass.Allowlisted(info.File, pos) {
 				return
 			}
@@ -197,13 +178,13 @@ func grewSummary(old, next *summary) bool {
 // analyzeFunc runs the escape taint over one function. When report is
 // nil only the summary is computed (fixpoint iterations); the final pass
 // reports sinks hit by locally-borrowed taint.
-func analyzeFunc(pass *analysis.Pass, g *interproc.Graph, summaries map[string]*summary, info *interproc.FuncInfo, report func(pos token.Pos, what, how string)) *summary {
+func analyzeFunc(pass *analysis.Pass, g *interproc.Graph, summaries map[string]*summary, pooled map[types.Object]bool, info *interproc.FuncInfo, report func(pos token.Pos, what, how string)) *summary {
 	fd := info.Decl
 	out := &summary{escapes: map[int]bool{}, returns: map[int]bool{}}
 	params := paramObjects(pass, fd)
 
 	a := &analyzer{
-		pass: pass, g: g, summaries: summaries, params: params,
+		pass: pass, g: g, summaries: summaries, params: params, pooled: pooled,
 		out: out, report: report, body: fd.Body,
 	}
 	analyzeBody := func(name string, body *ast.BlockStmt) {
@@ -261,6 +242,7 @@ type analyzer struct {
 	g         *interproc.Graph
 	summaries map[string]*summary
 	params    map[types.Object]int
+	pooled    map[types.Object]bool
 	out       *summary
 	report    func(pos token.Pos, what, how string)
 	body      *ast.BlockStmt
@@ -318,7 +300,7 @@ func (a *analyzer) flowInto(lhs ast.Expr, taint uint64, state cfg.Facts) {
 	if !ok || id.Name == "_" {
 		return
 	}
-	obj := identObj(a.pass, id)
+	obj := a.pass.TypesInfo.ObjectOf(id)
 	if obj == nil {
 		return
 	}
@@ -335,7 +317,7 @@ func (a *analyzer) taintOf(e ast.Expr, state cfg.Facts) uint64 {
 	e = ast.Unparen(e)
 	switch x := e.(type) {
 	case *ast.Ident:
-		obj := identObj(a.pass, x)
+		obj := a.pass.TypesInfo.ObjectOf(x)
 		if obj == nil {
 			return 0
 		}
@@ -490,7 +472,7 @@ func (a *analyzer) checkSinks(n ast.Node, state cfg.Facts) {
 // checkStore handles one assignment pair: stores through fields,
 // globals, indexes into non-local containers, and dereferences escape;
 // stores into the engine's own pooled fields are pool management
-// (commitpurity's contract) and are exempt.
+// (the barrier analyzer's contract) and are exempt.
 func (a *analyzer) checkStore(lhs, rhs ast.Expr, state cfg.Facts) {
 	t := a.taintOf(rhs, state)
 	if t == 0 {
@@ -502,7 +484,7 @@ func (a *analyzer) checkStore(lhs, rhs ast.Expr, state cfg.Facts) {
 	how := ""
 	switch target := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		obj := identObj(a.pass, target)
+		obj := a.pass.TypesInfo.ObjectOf(target)
 		if obj != nil && obj.Parent() == a.pass.Pkg.Scope() {
 			how = "store to package variable " + target.Name
 		}
@@ -526,7 +508,7 @@ func (a *analyzer) checkStore(lhs, rhs ast.Expr, state cfg.Facts) {
 			how = "store into field-held container"
 		case *ast.Ident:
 			id := ast.Unparen(target.X).(*ast.Ident)
-			obj := identObj(a.pass, id)
+			obj := a.pass.TypesInfo.ObjectOf(id)
 			if obj != nil && obj.Parent() == a.pass.Pkg.Scope() {
 				how = "store into package-level container"
 			}
@@ -609,15 +591,12 @@ func sortedParamIndexes(params map[types.Object]int) []int {
 	return out
 }
 
-// isPooledField reports whether a selector reads one of the engine's
-// pooled column fields (type-name + field-name pair from the table).
+// isPooledField reports whether a selector reads a field declared
+// //repro:pooled (of the generic declaration, for an instantiated type).
 func (a *analyzer) isPooledField(sel *ast.SelectorExpr) bool {
 	selection := a.pass.TypesInfo.Selections[sel]
-	if selection == nil || selection.Kind() != types.FieldVal {
-		return false
-	}
-	owner, field := analysis.FieldOwner(selection.Recv(), selection.Index())
-	return pooledFields[owner][field]
+	return selection != nil && selection.Kind() == types.FieldVal &&
+		a.pooled[selection.Obj().(*types.Var).Origin()]
 }
 
 // refLike reports whether values of t alias underlying storage: slices,
@@ -669,12 +648,4 @@ func describe(e ast.Expr) string {
 		return "column-derived pointer"
 	}
 	return "column-derived reference"
-}
-
-// identObj resolves an identifier through Uses or Defs.
-func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Defs[id]
 }

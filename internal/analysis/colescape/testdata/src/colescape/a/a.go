@@ -4,7 +4,7 @@ package a
 
 // store mirrors the engine's cell storage, whose mem field is pooled.
 type store struct {
-	mem  []int64
+	mem  []int64 //repro:pooled
 	free []int64
 }
 
@@ -76,7 +76,7 @@ func spawn(c *MemCtx, h *holder, run func(func())) {
 }
 
 // recycle writes INTO a pooled field: pool management, not an escape
-// (commitpurity owns that contract).
+// (the barrier analyzer owns that contract).
 func recycle(m *store, b []int64) {
 	m.free = b
 	_ = m.free
@@ -87,12 +87,16 @@ func recycle(m *store, b []int64) {
 // borrow like the write column.
 type cursor struct {
 	reads     int64
-	readAddrs []int32
-	writes    []int32
+	readAddrs []int32 //repro:pooled
+	writes    []int32 //repro:pooled
 }
 
 func leakReads(c *cursor) []int32 {
 	return c.readAddrs // want `field readAddrs, derived from pooled engine storage, escapes the phase via return value`
+}
+
+func leakWrites(c *cursor) []int32 {
+	return c.writes // want `field writes, derived from pooled engine storage, escapes the phase via return value`
 }
 
 func readCount(c *cursor) int64 {

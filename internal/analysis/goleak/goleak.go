@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -242,20 +243,11 @@ func bodyNoExit(pass *analysis.Pass, g *cfg.Graph) string {
 		at := "function body"
 		for _, n := range b.Nodes {
 			if p := pass.Fset.Position(n.Pos()); p.IsValid() {
-				at = fmt.Sprintf("%s:%d", shortName(p.Filename), p.Line)
+				at = fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 				break
 			}
 		}
 		return fmt.Sprintf("no path from the %s block at %s to a return", b.Kind, at)
 	}
 	return ""
-}
-
-// shortName trims the path to the file's base name for compact fact
-// payloads and diagnostics.
-func shortName(filename string) string {
-	if i := strings.LastIndexByte(filename, '/'); i >= 0 {
-		return filename[i+1:]
-	}
-	return filename
 }

@@ -10,18 +10,18 @@
 // regression long after the review that introduced it. This analyzer
 // flags it at the line instead.
 //
-// Hot roots are the commit pipeline of the engine package (the barrier
-// commit, Submit, StageBatch and the engine-declared observer triple
-// PhaseStart/Request/PhaseEnd) plus, in every package, the model
-// callbacks the barrier dispatches into (Apply(mem, addrs, vals) and
-// Render(v) — matched structurally so fixtures and future models are
-// covered without importing the engine). Everything reachable from a
-// root in the package's call graph is hot, where a call through one of
-// the package's own interfaces reaches every package method of that name
-// (the barrier reaches the engines' column sources only through an
-// interface); allocation sites in hot functions are reported, and every
-// function additionally exports an "allocates" fact so call sites into
-// allocating dependencies are flagged in the caller.
+// Hot roots are the functions declared //repro:hot (in the engine: the
+// barrier Core.commit, MemCtx.Submit, Sends.StageBatch and the EventLog
+// observer triple PhaseStart/Request/PhaseEnd) plus, in every package,
+// the model callbacks the barrier dispatches into (Apply(mem, addrs,
+// vals) and Render(v) — matched structurally so fixtures and future
+// models are covered without importing the engine). Everything
+// reachable from a root in the package's call graph is hot, where a
+// call through one of the package's own interfaces reaches every package
+// method of that name (the barrier reaches the engines' column sources
+// only through an interface); allocation sites in hot functions are
+// reported, and every function additionally exports an "allocates" fact
+// so call sites into allocating dependencies are flagged in the caller.
 //
 // Flagged allocation sites: make/new, slice and map composite literals,
 // address-taken composite literals, function literals (closure capture),
@@ -46,7 +46,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"path/filepath"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/cfg"
@@ -56,14 +56,8 @@ import (
 // Analyzer flags allocation on the engine's hot commit path.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "flag allocation in code reachable from commit/Submit/StageBatch/observer callbacks",
+	Doc:  "flag allocation in code reachable from //repro:hot roots (commit/Submit/StageBatch/observer) and model callbacks",
 	Run:  run,
-}
-
-// engineRoots are hot entry points when declared in the engine package.
-var engineRoots = map[string]bool{
-	"commit": true, "Submit": true, "StageBatch": true,
-	"PhaseStart": true, "Request": true, "PhaseEnd": true,
 }
 
 // knownAllocCalls lists stdlib calls that allocate on every (or the
@@ -190,22 +184,17 @@ func run(pass *analysis.Pass) error {
 }
 
 // hotRoots returns the hot entry-point symbols declared in this package:
-// the engine's commit pipeline and observer triple, and model callbacks
-// (matched structurally) everywhere.
+// the functions marked //repro:hot, and model callbacks (matched
+// structurally) everywhere.
 func hotRoots(pass *analysis.Pass, g *interproc.Graph) []string {
-	engine := strings.HasSuffix(pass.Path, "internal/engine")
+	marked := pass.Marked("hot")
 	var roots []string
 	for _, sym := range g.Order {
 		info := g.Funcs[sym]
 		if pass.InTestFile(info.Decl.Pos()) {
 			continue
 		}
-		name := info.Decl.Name.Name
-		if engine && info.Decl.Recv != nil && engineRoots[name] {
-			roots = append(roots, sym)
-			continue
-		}
-		if isModelCallback(pass, info.Decl) {
+		if marked[pass.TypesInfo.Defs[info.Decl.Name]] || isModelCallback(pass, info.Decl) {
 			roots = append(roots, sym)
 		}
 	}
@@ -298,7 +287,7 @@ func collectSites(pass *analysis.Pass, name string, body *ast.BlockStmt, emit fu
 				if !ok {
 					continue
 				}
-				if obj := identObj(pass, id); obj != nil && isStaged(pass, body, st.Rhs[i], state) {
+				if obj := pass.TypesInfo.ObjectOf(id); obj != nil && isStaged(pass, body, st.Rhs[i], state) {
 					state[obj] |= staged
 				}
 			}
@@ -308,7 +297,7 @@ func collectSites(pass *analysis.Pass, name string, body *ast.BlockStmt, emit fu
 				return
 			}
 			if id, ok := ast.Unparen(st.Value).(*ast.Ident); ok {
-				if obj := identObj(pass, id); obj != nil {
+				if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
 					state[obj] |= staged
 				}
 			}
@@ -451,7 +440,7 @@ func isStaged(pass *analysis.Pass, body *ast.BlockStmt, e ast.Expr, state cfg.Fa
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.Ident:
-			obj := identObj(pass, x)
+			obj := pass.TypesInfo.ObjectOf(x)
 			if obj == nil {
 				return false
 			}
@@ -473,15 +462,6 @@ func isStaged(pass *analysis.Pass, body *ast.BlockStmt, e ast.Expr, state cfg.Fa
 	}
 }
 
-// identObj resolves an identifier to its object through either Uses or
-// Defs (a := definition).
-func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Defs[id]
-}
-
 func isStringType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -499,9 +479,5 @@ func isBasicUntypedNil(pass *analysis.Pass, e ast.Expr) bool {
 // shortPos renders "file.go:123" for fact payloads.
 func shortPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -1,6 +1,6 @@
 // Fixture: a miniature commit engine exercising the hot-root detection
-// (commit/Submit/StageBatch/observer methods in an engine-suffixed
-// package), dispatch through the package's own interfaces, and every
+// (commit/Submit/StageBatch/observer methods marked //repro:hot),
+// dispatch through the package's own interfaces, and every
 // allocation-site class.
 package engine
 
@@ -17,6 +17,8 @@ type Mem struct {
 type source interface{ apply() }
 
 // commit is a hot root: everything it reaches must not allocate.
+//
+//repro:hot
 func (m *Mem) commit(workers int, src source) {
 	src.apply()
 	for _, a := range m.rAddr {
@@ -48,9 +50,15 @@ func (b *Bits) apply() {
 // flush shares no name with a source method: it stays cold.
 func (b *Bits) flush() []uint64 { return make([]uint64, 4) }
 
+// Request shares an observer method's name but carries no //repro:hot
+// marker: it stays cold.
+func (b *Bits) Request(phase int) []uint64 { return make([]uint64, 4) }
+
 // Submit is a hot root; the abort path's formatting is the documented,
 // reason-carrying exemption — the directive must silence the finding
 // and keep callers unflagged.
+//
+//repro:hot
 func (m *Mem) Submit(b []int32) {
 	if len(b) == 0 {
 		m.err = fmt.Errorf("empty batch") //lint:hotpathalloc-ok abort path: formats once, then the machine is poisoned
@@ -60,6 +68,8 @@ func (m *Mem) Submit(b []int32) {
 
 // StageBatch shows the staged-append classification: appends to fields
 // and parameters are staged, appends to fresh locals are not.
+//
+//repro:hot
 func (m *Mem) StageBatch(dsts []int32, scratch []int32) {
 	m.rAddr = append(m.rAddr, dsts...)
 	scratch = append(scratch, dsts...)
@@ -74,6 +84,8 @@ func (m *Mem) StageBatch(dsts []int32, scratch []int32) {
 
 // PhaseStart is an engine observer root: boxing into an interface
 // parameter allocates.
+//
+//repro:hot
 func (m *Mem) PhaseStart(phase int) {
 	box(phase) // want `implicit interface conversion \(boxing\) allocates`
 }
@@ -81,6 +93,8 @@ func (m *Mem) PhaseStart(phase int) {
 func box(v any) {}
 
 // PhaseEnd is a hot root, but its dead tail is skipped via the CFG.
+//
+//repro:hot
 func (m *Mem) PhaseEnd() {
 	return
 	_ = make([]int64, 1) // dead code: no finding

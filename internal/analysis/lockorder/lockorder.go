@@ -49,6 +49,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -482,7 +483,7 @@ func (c *checker) lockOp(call *ast.CallExpr) (key, op string) {
 	// The last index entry is the method; any prefix is the field path of
 	// an embedded mutex.
 	if path := selc.Index()[:len(selc.Index())-1]; len(path) > 0 {
-		owner, field := analysis.FieldOwner(selc.Recv(), path)
+		_, owner, field := analysis.FieldOwner(selc.Recv(), path)
 		if owner == "" {
 			return "", ""
 		}
@@ -490,18 +491,18 @@ func (c *checker) lockOp(call *ast.CallExpr) (key, op string) {
 	}
 	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.Ident:
-		obj := identObj(c.pass, x)
+		obj := c.pass.TypesInfo.ObjectOf(x)
 		if obj == nil {
 			return "", ""
 		}
 		p := c.pass.Fset.Position(obj.Pos())
-		return fmt.Sprintf("%s@%s:%d", obj.Name(), shortName(p.Filename), p.Line), sel.Sel.Name
+		return fmt.Sprintf("%s@%s:%d", obj.Name(), filepath.Base(p.Filename), p.Line), sel.Sel.Name
 	case *ast.SelectorExpr:
 		fs := c.pass.TypesInfo.Selections[x]
 		if fs == nil {
 			return "", ""
 		}
-		owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
+		_, owner, field := analysis.FieldOwner(fs.Recv(), fs.Index())
 		if owner == "" {
 			return "", ""
 		}
@@ -577,20 +578,4 @@ func (c *checker) reportAt(file *ast.File, pos token.Pos, format string, args ..
 		return
 	}
 	c.pass.Reportf(pos, format, args...)
-}
-
-// identObj resolves an identifier through Uses or Defs.
-func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Defs[id]
-}
-
-// shortName trims a path to its base name for compact lock keys.
-func shortName(filename string) string {
-	if i := strings.LastIndexByte(filename, '/'); i >= 0 {
-		return filename[i+1:]
-	}
-	return filename
 }

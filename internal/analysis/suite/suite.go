@@ -7,41 +7,39 @@ package suite
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
+	"repro/internal/analysis/barrier"
 	"repro/internal/analysis/colescape"
-	"repro/internal/analysis/commitpurity"
 	"repro/internal/analysis/costbalance"
 	"repro/internal/analysis/globalrand"
 	"repro/internal/analysis/goleak"
 	"repro/internal/analysis/hotpathalloc"
-	"repro/internal/analysis/injectoronce"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/observerpurity"
 	"repro/internal/analysis/sentinelwrap"
 	"repro/internal/analysis/snapshotdeep"
 	"repro/internal/analysis/wallclock"
 )
 
 // Analyzers returns the full reprolint suite: the per-file determinism
-// checks of PR 3 first, then the interprocedural contract analyzers,
-// then the CFG-based dataflow analyzers of PR 8, then the concurrency
-// analyzers of PR 10 (goroutine lifecycle, lock discipline, atomic
-// access discipline).
+// checks first, then the interprocedural contract analyzers (the commit
+// barrier among them), then the CFG-based dataflow analyzers, then the
+// concurrency analyzers (goroutine lifecycle, lock discipline, atomic
+// access discipline), and last the directives check, which knows every
+// other analyzer's name.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+	list := []*analysis.Analyzer{
 		maporder.Analyzer,
 		globalrand.Analyzer,
 		wallclock.Analyzer,
-		commitpurity.Analyzer,
+		barrier.Analyzer,
 		sentinelwrap.Analyzer,
 		snapshotdeep.Analyzer,
 		costbalance.Analyzer,
-		injectoronce.Analyzer,
-		observerpurity.Analyzer,
 		hotpathalloc.Analyzer,
 		colescape.Analyzer,
 		goleak.Analyzer,
 		lockorder.Analyzer,
 		atomicmix.Analyzer,
 	}
+	return append(list, analysis.Directives(list))
 }

@@ -145,7 +145,7 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // SetBackend attaches a commit-barrier backend to the machine; call
 // before the first phase (nil restores the built-in in-proc merge). The
 // machine does not own the backend: callers close it after the run.
-func (c *Core) SetBackend(b Backend) { c.backend = b } //lint:commitpurity-ok pre-run configuration, like InjectFaults: set once before the first phase, never during a barrier
+func (c *Core) SetBackend(b Backend) { c.backend = b } //lint:barrier-ok pre-run configuration, like InjectFaults: set once before the first phase, never during a barrier
 
 // transportStatus converts a failed backend merge into a phase status:
 // permanent transport faults poison the machine diagnosably; transient
@@ -161,7 +161,7 @@ func (c *Core) transportStatus(err error) PhaseStatus {
 		return PhaseAborted
 	}
 	c.fstats.Transport++
-	c.lastFault = err //lint:commitpurity-ok transport-retry bookkeeping inside the commit barrier: transportStatus is called only from Core.commit, mirroring consultInjector
+	c.lastFault = err //lint:barrier-ok transport-retry bookkeeping inside the commit barrier: transportStatus is called only from Core.commit, mirroring consultInjector
 	return PhaseRetry
 }
 

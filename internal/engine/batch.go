@@ -140,6 +140,8 @@ func (c *MemCtx[V]) WriteBatch(addrs []int32, vals []V) {
 // Submit enqueues a whole request bundle in one bounds-checked append
 // per column: the reads are charged and recorded (fetch values with
 // ReadBatch/ReadBlock), the writes queue for the barrier commit.
+//
+//repro:hot
 func (c *MemCtx[V]) Submit(b Batch[V]) {
 	if len(b.Writes) != len(b.Vals) {
 		c.failf("submit column mismatch: %d write addresses, %d values", len(b.Writes), len(b.Vals)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
@@ -158,6 +160,8 @@ func (c *MemCtx[V]) Submit(b Batch[V]) {
 // StageBatch queues len(dsts) messages in one append per column:
 // msgs[i] goes to dsts[i]. Destination validation remains the adapter's
 // job, exactly as for Stage.
+//
+//repro:hot
 func (s *Sends[M]) StageBatch(dsts []int32, msgs []M) {
 	if len(dsts) != len(msgs) {
 		s.Fail(fmt.Errorf("engine: StageBatch column mismatch: %d destinations, %d messages", //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned

@@ -27,7 +27,7 @@ type span struct {
 type lane[W, C any] struct {
 	c        C
 	cur      *cursor[W]
-	spans    []span
+	spans    []span //repro:pooled
 	mOp, mRW int64
 }
 

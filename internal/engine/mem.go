@@ -56,18 +56,18 @@ type shared[W, C any] struct {
 	// phase (len) and keeps the lanes of wider phases past it (cap), so
 	// a lane's columns keep their capacity across phases. A phase costs
 	// O(processors dispatched) plus O(requests), whatever p is.
-	lanes []*lane[W, C]
+	lanes []*lane[W, C] //repro:pooled
 	// ck is the storage snapshot of the last Checkpoint (reused across
 	// phases; n/64 words for n packed bits). A shallow element copy
 	// suffices: Apply replaces cell values rather than mutating them in
 	// place (last-writer-wins stores, GSM's copy-on-write Merge).
-	ck []W
+	ck []W //repro:pooled
 	// Column-barrier scratch (see gather): merger counts the lanes'
 	// columns in process, and bkReads/bkWrites are the p-long column
 	// views handed to a commit backend (one borrowed slice per
 	// processor, nil for a processor that recorded nothing).
 	merger            MemMerger
-	bkReads, bkWrites [][]int32
+	bkReads, bkWrites [][]int32 //repro:pooled
 }
 
 // store is the part of the engine a processor context reads: the
@@ -76,7 +76,7 @@ type shared[W, C any] struct {
 type store[W any] struct {
 	Core
 	model BitModel
-	mem   []W
+	mem   []W //repro:pooled
 }
 
 // init prepares the engine for a machine with the given store type,
@@ -141,12 +141,12 @@ type cursor[W any] struct {
 	wrs   int64
 	ops   int64
 
-	readAddrs []int32
+	readAddrs []int32 //repro:pooled
 	// writes is the write column: cell addresses, or PackWrite entries
 	// in a packed store. writeVals holds a word store's values and stays
 	// empty in a packed one.
-	writes    []int32
-	writeVals []W
+	writes    []int32 //repro:pooled
+	writeVals []W     //repro:pooled
 	fail      error
 }
 

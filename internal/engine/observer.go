@@ -106,10 +106,10 @@ func (c *Core) observePhaseEnd(pc cost.PhaseCost) {
 // Workers settings must produce byte-identical logs. It also backs
 // `parsim -events`.
 type EventLog struct {
-	events []logEvent
+	events []logEvent //repro:pooled
 	// ends holds the PhaseEnd cost records; an evEnd event stores its
 	// index here in the addr field.
-	ends []cost.PhaseCost
+	ends []cost.PhaseCost //repro:pooled
 }
 
 // logEvent is one recorded observer event in 32 bytes: a phase start, a
@@ -132,17 +132,23 @@ const (
 )
 
 // PhaseStart implements Observer.
+//
+//repro:hot
 func (l *EventLog) PhaseStart(phase int) {
 	l.events = append(l.events, logEvent{kind: evStart, phase: int32(phase)})
 }
 
 // Request implements Observer.
+//
+//repro:hot
 func (l *EventLog) Request(phase int, r Request) {
 	l.events = append(l.events, logEvent{kind: evRequest, reqKind: r.Kind,
 		phase: int32(phase), proc: int32(r.Proc), addr: r.Addr, payload: r.Payload})
 }
 
 // PhaseEnd implements Observer.
+//
+//repro:hot
 func (l *EventLog) PhaseEnd(phase int, pc cost.PhaseCost) {
 	l.events = append(l.events, logEvent{kind: evEnd, phase: int32(phase),
 		addr: int32(len(l.ends))})

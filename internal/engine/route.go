@@ -60,20 +60,20 @@ type Route[M any] struct {
 
 	// lanes holds one request lane per dispatch chunk, as in the
 	// shared-memory engine.
-	lanes []*lane[M, Sends[M]]
-	inbox [][]M
+	lanes []*lane[M, Sends[M]] //repro:pooled
+	inbox [][]M                //repro:pooled
 	// spare ping-pongs with inbox: last superstep's inbox slices are
 	// truncated and refilled as the next superstep's delivery target.
-	spare [][]M
+	spare [][]M //repro:pooled
 	// ckInbox is the inbox snapshot of the last Checkpoint (per-component
 	// message copies, buffers reused across supersteps).
-	ckInbox [][]M
+	ckInbox [][]M //repro:pooled
 	// Column-barrier scratch (see gather): merger counts the senders'
 	// fan-in in process, and bkDsts is the p-long column-of-columns
 	// header handed to an attached Backend (the destination columns are
 	// borrowed from the lanes).
 	merger RouteMerger
-	bkDsts [][]int32
+	bkDsts [][]int32 //repro:pooled
 }
 
 // InitRoute prepares the engine for a machine with the given model,

@@ -1,5 +1,7 @@
 package sweep
 
+import "math"
+
 // Grid is a declarative sweep: the cartesian product of its axes. Empty
 // machine-parameter axes expand to the single zero value ("model
 // default"); empty Models/Algs/Ns/Seeds axes make the grid empty, so a
@@ -38,21 +40,25 @@ func orInt64s(v []int64) []int64 {
 	return v
 }
 
-// Count returns the number of cells the grid expands to.
+// MaxGridCells caps the cells a command-line grid may expand to; the
+// caller checks Count against it before Cells materialises the grid.
+const MaxGridCells = 1 << 20
+
+// Count returns the number of cells the grid expands to, saturating at
+// math.MaxInt instead of overflowing.
 func (g Grid) Count() int {
-	faults := g.Faults
-	if len(faults) == 0 {
-		faults = []string{""}
-	}
-	n := len(faults) * len(g.Models) * len(g.Algs) * len(g.Ns) * len(g.Seeds)
-	for _, ax := range [][]int{orInts(g.Ps), orInts(g.Fanins)} {
-		n *= len(ax)
-	}
-	for _, ax := range [][]int64{
-		orInt64s(g.Gs), orInt64s(g.Ds), orInt64s(g.Ls),
-		orInt64s(g.Alphas), orInt64s(g.Betas), orInt64s(g.Gammas),
+	n := 1
+	for _, k := range []int{
+		max(len(g.Faults), 1), len(g.Models), len(g.Algs), len(g.Ns), len(g.Seeds),
+		len(orInts(g.Ps)), len(orInts(g.Fanins)),
+		len(orInt64s(g.Gs)), len(orInt64s(g.Ds)), len(orInt64s(g.Ls)),
+		len(orInt64s(g.Alphas)), len(orInt64s(g.Betas)), len(orInt64s(g.Gammas)),
 	} {
-		n *= len(ax)
+		if k > 0 && n > math.MaxInt/k {
+			n = math.MaxInt
+		} else {
+			n *= k
+		}
 	}
 	return n
 }

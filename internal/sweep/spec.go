@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -16,7 +17,12 @@ import (
 //
 // Ranges are inclusive of end when the step lands on it. Values must be
 // strictly increasing within a range (step > 1 for *, > 0 for +), so a
-// spec always expands to a finite list.
+// spec always expands to a finite list, and a spec may expand to at most
+// maxSpecValues values: a range is counted arithmetically and rejected
+// past the cap before any value is materialised.
+
+// maxSpecValues caps the values one grid-axis spec expands to.
+const maxSpecValues = 1 << 16
 
 // ParseInt64s expands a grid-axis spec into its value list.
 func ParseInt64s(spec string) ([]int64, error) {
@@ -26,7 +32,7 @@ func ParseInt64s(spec string) ([]int64, error) {
 		if item == "" {
 			continue
 		}
-		vals, err := expandItem(item)
+		vals, err := expandItem(item, maxSpecValues-len(out))
 		if err != nil {
 			return nil, err
 		}
@@ -54,13 +60,17 @@ func ParseInts(spec string) ([]int, error) {
 	return out, nil
 }
 
-// expandItem expands one spec item (a value or a range) into values.
-func expandItem(item string) ([]int64, error) {
+// expandItem expands one spec item (a value or a range) into values,
+// failing when it has more than room of them.
+func expandItem(item string, room int) ([]int64, error) {
 	lo, rest, isRange := strings.Cut(item, "..")
 	if !isRange {
 		v, err := strconv.ParseInt(item, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: bad grid value %q", item)
+		}
+		if room < 1 {
+			return nil, fmt.Errorf("sweep: grid spec has more than %d values", maxSpecValues)
 		}
 		return []int64{v}, nil
 	}
@@ -98,9 +108,27 @@ func expandItem(item string) ([]int64, error) {
 	if mul > 0 && start <= 0 {
 		return nil, fmt.Errorf("sweep: geometric range %q needs a positive start", item)
 	}
-	var out []int64
-	for v := start; v <= end; {
-		out = append(out, v)
+	// Count the values without stepping past end: v+add and v*mul may
+	// overflow int64 before they exceed it.
+	var n uint64
+	if mul == 0 {
+		n = (uint64(end)-uint64(start))/uint64(add) + 1 // 0 only when the range holds all 2^64 int64 values
+		if n == 0 {
+			n = math.MaxUint64
+		}
+	} else {
+		for v := start; ; v *= mul {
+			if n++; v > end/mul {
+				break
+			}
+		}
+	}
+	if n > uint64(room) {
+		return nil, fmt.Errorf("sweep: range %q expands to %d values, past the %d-value cap of a grid spec", item, n, maxSpecValues)
+	}
+	out := make([]int64, n)
+	for i, v := 0, start; i < len(out); i++ {
+		out[i] = v
 		if mul > 0 {
 			v *= mul
 		} else {

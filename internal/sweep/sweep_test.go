@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,6 +25,9 @@ func TestParseInt64s(t *testing.T) {
 		{"7", []int64{7}},
 		{"3..20:*3", []int64{3, 9}}, // end not hit: stop below it
 		{"2, 4 , 8", []int64{2, 4, 8}},
+		// Steps past end would overflow int64: the count stops first.
+		{"4611686018427387904..9223372036854775807:*2", []int64{4611686018427387904}},
+		{"9223372036854775800..9223372036854775807:+5", []int64{9223372036854775800, 9223372036854775805}},
 	}
 	for _, c := range cases {
 		got, err := ParseInt64s(c.spec)
@@ -43,6 +48,47 @@ func TestParseInt64sErrors(t *testing.T) {
 		if _, err := ParseInt64s(spec); err == nil {
 			t.Errorf("ParseInt64s(%q): expected error", spec)
 		}
+	}
+}
+
+// TestParseInt64sCap pins the per-spec value cap: a spec is counted
+// before it is expanded, so a huge range fails fast instead of
+// allocating its values.
+func TestParseInt64sCap(t *testing.T) {
+	if vals, err := ParseInt64s("1..65536"); err != nil || len(vals) != maxSpecValues {
+		t.Fatalf("ParseInt64s(1..65536) = %d values, %v; want %d values", len(vals), err, maxSpecValues)
+	}
+	for _, spec := range []string{
+		"1..65537", "1..65536,7", "0,1..65536", "1..2147483647:+1",
+		"-9223372036854775808..9223372036854775807",
+	} {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		_, err := ParseInt64s(spec)
+		runtime.ReadMemStats(&m)
+		if err == nil || !strings.Contains(err.Error(), "65536") {
+			t.Errorf("ParseInt64s(%q) error = %v, want the 65536-value cap", spec, err)
+		}
+		// At most a few copies of a capped spec, never the range itself.
+		if grew := m.TotalAlloc - before; grew > 16*8*maxSpecValues {
+			t.Errorf("ParseInt64s(%q) allocated %d bytes before failing", spec, grew)
+		}
+	}
+}
+
+// TestGridCountSaturates checks that Count cannot overflow: five axes of
+// 2^16 values have 2^80 cells, which reads as math.MaxInt.
+func TestGridCountSaturates(t *testing.T) {
+	wide := make([]int64, maxSpecValues)
+	g := Grid{Models: []string{"qsm"}, Algs: []string{"or"}, Ns: []int{8}, Seeds: wide,
+		Gs: wide, Ds: wide, Ls: wide, Alphas: wide}
+	if got := g.Count(); got != math.MaxInt {
+		t.Fatalf("Count() = %d, want math.MaxInt", got)
+	}
+	g.Algs = nil
+	if got := g.Count(); got != 0 {
+		t.Fatalf("Count() with no algorithms = %d, want 0", got)
 	}
 }
 
