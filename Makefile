@@ -38,11 +38,12 @@ sweep-smoke:
 	go run -race ./cmd/parsim sweep -preset smoke -o /tmp/sweep_smoke.jsonl -csv /tmp/sweep_smoke.csv
 
 # Re-measure the bench snapshot (model metrics + ns/op + allocs/op for
-# the bench_test.go hot paths) and overwrite the committed trajectory.
+# the internal/sweep bench registry) and overwrite the committed
+# baseline. GOMAXPROCS is pinned because allocs/op depend on it.
 bench:
-	go run ./cmd/parsim sweep -bench -bench-o BENCH_pr7.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-o BENCH_pr22.json
 
 # Same measurement, but gate against the committed snapshot: exact model
 # metrics, 3x ns/op tolerance, 1.25x allocs/op tolerance.
 bench-gate:
-	go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr7.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr22.json

@@ -1,7 +1,7 @@
 package repro
 
 // The benchmark harness regenerates every row of the paper's Table 1:
-// each BenchmarkT<table>_<model>_<problem> executes the matching Section 8
+// each BenchmarkTable1/<row ID> executes the matching Section 8
 // algorithm on the cost simulator at a representative size and reports
 //
 //	modelTime  — the simulated machine time charged by the cost rules
@@ -17,231 +17,49 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/gsm"
-	"repro/internal/qsm"
+	"repro/internal/sweep"
 )
 
-// benchExperiment runs one registered Table 1 experiment at a single
-// sweep point inside the benchmark loop.
-func benchExperiment(b *testing.B, id string, n int) {
-	b.Helper()
-	e := core.ExperimentByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	args := e.Args(n)
-	entry := BoundByID(id)
-	var measured float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		measured, _, err = e.Measure(n, int64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	bound := entry.Eval(args)
-	b.ReportMetric(measured, e.Quantity)
-	b.ReportMetric(bound, "bound")
-	if bound > 0 {
-		b.ReportMetric(measured/bound, "ratio")
+// BenchmarkTable1 runs every registered Table 1 experiment at its
+// sweep.Table1BenchN size inside the benchmark loop, one sub-benchmark
+// per row ID.
+func BenchmarkTable1(b *testing.B) {
+	for _, e := range core.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			n := sweep.Table1BenchN(e.ID)
+			var measured float64
+			for i := 0; i < b.N; i++ {
+				var err error
+				measured, _, err = e.Measure(n, int64(i)+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			bound := BoundByID(e.ID).Eval(e.Args(n))
+			b.ReportMetric(measured, e.Quantity)
+			b.ReportMetric(bound, "bound")
+			if bound > 0 {
+				b.ReportMetric(measured/bound, "ratio")
+			}
+		})
 	}
 }
-
-// --- Table 1a: time lower bounds, QSM ---
-
-func BenchmarkT1_QSM_LAC_Det(b *testing.B)        { benchExperiment(b, "T1.LAC.det", 1<<12) }
-func BenchmarkT1_QSM_LAC_Rand(b *testing.B)       { benchExperiment(b, "T1.LAC.rand", 1<<12) }
-func BenchmarkT1_QSM_LAC_RandNProcs(b *testing.B) { benchExperiment(b, "T1.LAC.rand.nprocs", 1<<12) }
-func BenchmarkT1_QSM_OR_Det(b *testing.B)         { benchExperiment(b, "T1.OR.det", 1<<12) }
-func BenchmarkT1_QSM_OR_Rand(b *testing.B)        { benchExperiment(b, "T1.OR.rand", 1<<12) }
-func BenchmarkT1_QSM_Parity_Det(b *testing.B)     { benchExperiment(b, "T1.Parity.det", 1<<11) }
-func BenchmarkT1_QSM_Parity_Rand(b *testing.B)    { benchExperiment(b, "T1.Parity.rand", 1<<11) }
-
-// --- Table 1b: time lower bounds, s-QSM ---
-
-func BenchmarkT2_SQSM_LAC_Det(b *testing.B)     { benchExperiment(b, "T2.LAC.det", 1<<12) }
-func BenchmarkT2_SQSM_LAC_Rand(b *testing.B)    { benchExperiment(b, "T2.LAC.rand", 1<<12) }
-func BenchmarkT2_SQSM_OR_Det(b *testing.B)      { benchExperiment(b, "T2.OR.det", 1<<12) }
-func BenchmarkT2_SQSM_OR_Rand(b *testing.B)     { benchExperiment(b, "T2.OR.rand", 1<<12) }
-func BenchmarkT2_SQSM_Parity_Det(b *testing.B)  { benchExperiment(b, "T2.Parity.det", 1<<12) }
-func BenchmarkT2_SQSM_Parity_Rand(b *testing.B) { benchExperiment(b, "T2.Parity.rand", 1<<12) }
-
-// --- Table 1c: time lower bounds, BSP ---
-
-func BenchmarkT3_BSP_LAC_Det(b *testing.B)     { benchExperiment(b, "T3.LAC.det", 1<<12) }
-func BenchmarkT3_BSP_LAC_Rand(b *testing.B)    { benchExperiment(b, "T3.LAC.rand", 1<<12) }
-func BenchmarkT3_BSP_OR_Det(b *testing.B)      { benchExperiment(b, "T3.OR.det", 1<<12) }
-func BenchmarkT3_BSP_OR_Rand(b *testing.B)     { benchExperiment(b, "T3.OR.rand", 1<<12) }
-func BenchmarkT3_BSP_Parity_Det(b *testing.B)  { benchExperiment(b, "T3.Parity.det", 1<<12) }
-func BenchmarkT3_BSP_Parity_Rand(b *testing.B) { benchExperiment(b, "T3.Parity.rand", 1<<12) }
-
-// --- Table 1d: rounds for p-processor algorithms ---
-
-func BenchmarkT4_Rounds_LAC_QSM(b *testing.B)     { benchExperiment(b, "T4.LAC.qsm", 1<<12) }
-func BenchmarkT4_Rounds_LAC_SQSM(b *testing.B)    { benchExperiment(b, "T4.LAC.sqsm", 1<<12) }
-func BenchmarkT4_Rounds_LAC_BSP(b *testing.B)     { benchExperiment(b, "T4.LAC.bsp", 1<<12) }
-func BenchmarkT4_Rounds_OR_QSM(b *testing.B)      { benchExperiment(b, "T4.OR.qsm", 1<<12) }
-func BenchmarkT4_Rounds_OR_SQSM(b *testing.B)     { benchExperiment(b, "T4.OR.sqsm", 1<<12) }
-func BenchmarkT4_Rounds_OR_BSP(b *testing.B)      { benchExperiment(b, "T4.OR.bsp", 1<<12) }
-func BenchmarkT4_Rounds_Parity_QSM(b *testing.B)  { benchExperiment(b, "T4.Parity.qsm", 1<<12) }
-func BenchmarkT4_Rounds_Parity_SQSM(b *testing.B) { benchExperiment(b, "T4.Parity.sqsm", 1<<12) }
-func BenchmarkT4_Rounds_Parity_BSP(b *testing.B)  { benchExperiment(b, "T4.Parity.bsp", 1<<12) }
 
 // --- simulator microbenchmarks -------------------------------------------------
 
-// The BenchmarkPhaseCommit_* family isolates the phase/superstep *commit*
-// stage — contention counting, winner resolution, message routing — which
-// dominates Table 1 sweeps at large p. Bodies are deliberately trivial so
-// ns/op tracks the barrier merge, across contention profiles:
-//
-//	Low   — every processor touches its own cells (κ = 1)
-//	High  — p processors funnel into a handful of cells (κ = Θ(p))
-//	Tree  — fan-in-8 write tree level (κ = 8), the common algorithmic shape
-//
-// Run with -benchmem; before/after numbers are recorded in EXPERIMENTS.md.
-
-func benchQSMCommit(b *testing.B, p, cells int, body func(c *qsm.Ctx)) {
-	b.Helper()
-	m, err := qsm.New(qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: cells})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Phase(body) // untimed: grow the machine to its steady state first
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Phase(body)
-	}
-	b.StopTimer()
-	if m.Err() != nil {
-		b.Fatal(m.Err())
-	}
-}
-
-func BenchmarkPhaseCommit_QSM_LowContention(b *testing.B) {
-	for _, p := range []int{1 << 14, 1 << 17, 1 << 20} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchQSMCommit(b, p, 2*p, func(c *qsm.Ctx) {
-				v := c.Read(c.Proc())
-				c.Write(p+c.Proc(), v+1)
-			})
-		})
-	}
-}
-
-func BenchmarkPhaseCommit_QSM_HighContention(b *testing.B) {
-	for _, p := range []int{1 << 14, 1 << 17, 1 << 20} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchQSMCommit(b, p, 64, func(c *qsm.Ctx) {
-				c.Write(c.Proc()%64, int64(c.Proc()))
-			})
-		})
-	}
-}
-
-func BenchmarkPhaseCommit_QSM_TreeFanin8(b *testing.B) {
-	for _, p := range []int{1 << 14, 1 << 17, 1 << 20} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchQSMCommit(b, p, p+p/8+1, func(c *qsm.Ctx) {
-				v := c.Read(c.Proc())
-				c.Write(p+c.Proc()/8, v|1)
-			})
-		})
-	}
-}
-
-// BenchmarkPhaseCommit_QSM_BatchBlock drives the columnar submission
-// path: each processor reads a k-cell block and fills a k-cell block, so
-// one phase carries 2·p·k requests. The largest point (p=2^17, k=80) is
-// ~21M requests — roughly 10× the per-cell envelope above — and the
-// struct-of-arrays columns keep allocs/op flat across the whole sweep.
-func BenchmarkPhaseCommit_QSM_BatchBlock(b *testing.B) {
-	for _, sz := range []struct{ p, k int }{{1 << 14, 16}, {1 << 17, 16}, {1 << 17, 80}} {
-		b.Run(fmt.Sprintf("p=%d/k=%d", sz.p, sz.k), func(b *testing.B) {
-			p, k := sz.p, sz.k
-			benchQSMCommit(b, p, 2*p*k, func(c *qsm.Ctx) {
-				pr := c.Proc()
-				c.ReadBlock(pr*k, k)
-				c.WriteFill(p*k+pr*k, k, int64(pr))
-			})
-		})
-	}
-}
-
-// BenchmarkPhaseCommit_Bool_WordScan drives the bit-packed memory: each
-// processor reads a 64-bit word (64 charged cell reads through one
-// ReadWord) and writes a summary bit. At p=2^18 a phase carries ~17M
-// requests over a shared memory of only 2 MB of packed words.
-func BenchmarkPhaseCommit_Bool_WordScan(b *testing.B) {
-	for _, p := range []int{1 << 14, 1 << 17, 1 << 18} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			m, err := qsm.NewBool(qsm.Config{
-				Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Phase(func(c *qsm.BoolCtx) {
-					w := c.ReadWord(c.Proc()*64, 64)
-					c.Write(64*p+c.Proc(), w != 0)
-				})
-			}
-			b.StopTimer()
-			if m.Err() != nil {
-				b.Fatal(m.Err())
-			}
-		})
-	}
-}
-
-func BenchmarkPhaseCommit_BSP_Shift(b *testing.B) {
-	for _, p := range []int{1 << 14, 1 << 17} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			m, err := bsp.New(bsp.Config{P: p, G: 2, L: 8, N: p, PrivCells: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Superstep(func(c *bsp.Ctx) {
-					for k := 0; k < 4; k++ {
-						c.Send((c.Comp()+k+1)%p, int64(k), int64(c.Comp()))
-					}
-				})
-			}
-			b.StopTimer()
-			if m.Err() != nil {
-				b.Fatal(m.Err())
-			}
-		})
-	}
-}
-
-func BenchmarkPhaseCommit_GSM_Gather(b *testing.B) {
-	const p = 1 << 14
-	m, err := gsm.New(gsm.Config{P: p, Alpha: 4, Beta: 4, Gamma: 1, N: p, Cells: p + p/4 + 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Phase(func(c *gsm.Ctx) {
-			c.Write(p+c.Proc()/4, gsm.NewInfo(int64(c.Proc())))
-		})
-	}
-	b.StopTimer()
-	if m.Err() != nil {
-		b.Fatal(m.Err())
+// BenchmarkPhaseCommit isolates the phase/superstep *commit* stage —
+// contention counting, winner resolution, message routing — which
+// dominates Table 1 sweeps at large p. It runs every body of the
+// sweep.CommitBenches registry (which the CI bench gate times too) at
+// each of its sizes. Run with -benchmem; before/after numbers are
+// recorded in EXPERIMENTS.md.
+func BenchmarkPhaseCommit(b *testing.B) {
+	for _, cb := range sweep.CommitBenches {
+		for _, pt := range cb.Points {
+			b.Run(cb.Name+"/"+pt.String(), func(b *testing.B) { cb.Time(b, pt) })
+		}
 	}
 }
 

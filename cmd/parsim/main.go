@@ -7,7 +7,7 @@
 //	parsim chaos [-model qsm -alg parity -specs "crash@2:p1,mem~0.05" -degraded] [-seeds 2] [-n 48]
 //	parsim sweep -models qsm,bsp -algs parity,bsp-parity -n 256..4096:*2 -seeds 1..3 -o out.jsonl
 //	parsim sweep -preset tables|chaos|smoke [-o out.jsonl] [-resume]
-//	parsim sweep -bench [-bench-o BENCH_pr6.json] [-bench-baseline BENCH_pr6.json]
+//	parsim sweep -bench [-bench-o BENCH_pr22.json] [-bench-baseline BENCH_pr22.json]
 //	parsim worker -socket PATH -rank R [-beat D]   (internal)
 //
 // The worker subcommand is internal plumbing: it is the explicit
@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/backend"
@@ -130,6 +131,24 @@ func parseFlags(fs *flag.FlagSet, argv []string, stdout io.Writer) error {
 	return err
 }
 
+// axisFloors are the smallest values the machine-axis flags accept, by
+// flag name. A sweep.Cell reads a zero axis as "model default", so an
+// explicit value below its floor must fail here, naming the flag, rather
+// than silently run with the default (-p 0 does mean p = n).
+var axisFloors = map[string]int64{
+	"n": 1, "p": 0, "g": 1, "d": 1, "L": 1,
+	"alpha": 1, "beta": 1, "gamma": 1, "fanin": 2,
+}
+
+// checkAxis rejects a value below the floor of the machine-axis flag
+// name; other flags pass.
+func checkAxis(name string, v int64) error {
+	if floor, ok := axisFloors[name]; ok && v < floor {
+		return fmt.Errorf("-%s: must be at least %d, got %d", name, floor, v)
+	}
+	return nil
+}
+
 // runWorker implements the `parsim worker` subcommand: the explicit
 // spelling of what MaybeWorker does from the environment. A coordinator
 // configured with Bin/Args can point at any binary that dispatches to
@@ -176,6 +195,15 @@ func runSingle(argv []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "print the per-phase table")
 	events := fs.Bool("events", false, "print the structured per-phase event stream (small n only)")
 	if err := parseFlags(fs, argv, stdout); err != nil {
+		return err
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if v, perr := strconv.ParseInt(f.Value.String(), 10, 64); err == nil && perr == nil {
+			err = checkAxis(f.Name, v)
+		}
+	})
+	if err != nil {
 		return err
 	}
 

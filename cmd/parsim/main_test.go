@@ -73,6 +73,58 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIExplicitZeroFails is a regression test: a sweep.Cell reads a
+// zero machine axis as "model default", so `-L 0` used to run with L=16
+// and `-n 0` failed naming processors, not the flag. Every out-of-domain
+// value now exits non-zero with one parsim: line naming the flag, in the
+// single-run mode and in the sweep axis specs alike.
+func TestCLIExplicitZeroFails(t *testing.T) {
+	cases := []struct{ flag, value, floor string }{
+		{"n", "0", "1"}, {"p", "-1", "0"}, {"g", "0", "1"}, {"d", "0", "1"},
+		{"L", "0", "1"}, {"alpha", "0", "1"}, {"beta", "-3", "1"},
+		{"gamma", "0", "1"}, {"fanin", "1", "2"},
+	}
+	for _, c := range cases {
+		for _, argv := range [][]string{
+			{"-model", "bsp", "-alg", "bsp-or", "-n", "16", "-" + c.flag, c.value},
+			{"sweep", "-models", "bsp", "-algs", "bsp-or", "-n", "16", "-" + c.flag, "4," + c.value},
+		} {
+			code, stdout, stderr := runCLI(argv...)
+			want := "parsim: -" + c.flag + ": must be at least " + c.floor + ", got " + c.value + "\n"
+			if code != 1 || stderr != want {
+				t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 1 and %q", argv, code, stderr, stdout, want)
+			}
+		}
+	}
+}
+
+// TestCLIUnsetFlagsKeepKeys pins the cell keys of a sweep that leaves
+// the machine axes unset, and shows -p 0 still means p = n, so resumes
+// over old JSONL stay byte-identical.
+func TestCLIUnsetFlagsKeepKeys(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "keys.jsonl")
+	code, _, stderr := runCLI("sweep", "-models", "qsm,bsp", "-algs", "parity,bsp-or", "-n", "16", "-p", "0", "-o", out)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		`"key":"qsm/parity/n16/p16/g4/d2/L16/a2/b2/c1/f2/seed7/none/strict"`,
+		`"key":"bsp/bsp-or/n16/p16/g4/d2/L16/a2/b2/c1/f2/seed7/none/strict"`,
+	} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("sweep output lacks %s:\n%s", key, data)
+		}
+	}
+	code, stdout, stderr := runCLI("-n", "16", "-p", "0")
+	if code != 0 || !strings.Contains(stdout, "n=16 p=16") {
+		t.Fatalf("-p 0: exit %d, stdout %q, stderr %q; want p = n", code, stdout, stderr)
+	}
+}
+
 // TestCLISweepHugeRange is a regression test: every value of a range
 // used to be materialised before -max-cells applied, so this argv was
 // killed out of memory. The spec is now counted and rejected first.

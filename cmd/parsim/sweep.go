@@ -45,9 +45,9 @@ func runSweep(argv []string, stdout, stderr io.Writer) error {
 	progress := fs.Bool("progress", false, "print a per-cell progress line to stderr")
 	render := fs.Bool("render", false, "render Table 1 from the experiment records (implied by -preset tables)")
 	bench := fs.Bool("bench", false, "measure the bench snapshot instead of running a grid")
-	benchLabel := fs.String("bench-label", "pr7", "bench snapshot label")
+	benchLabel := fs.String("bench-label", "pr22", "bench snapshot label")
 	benchFilter := fs.String("bench-filter", "", "only benches whose name contains this substring")
-	benchOut := fs.String("bench-o", "", "write the bench snapshot JSON here (e.g. BENCH_pr7.json)")
+	benchOut := fs.String("bench-o", "", "write the bench snapshot JSON here (e.g. BENCH_pr22.json)")
 	benchText := fs.String("bench-text", "", "write the benchstat-format text here")
 	benchBaseline := fs.String("bench-baseline", "", "compare against this committed snapshot and fail on regressions")
 	if err := parseFlags(fs, argv, stdout); err != nil {
@@ -141,11 +141,16 @@ func gridCells(models, algs, ns, ps, gs, ds, ls, alphas, betas, gammas, fanins, 
 		spec string
 		name string
 	}{
-		{&g.Ns, ns, "-n"}, {&g.Ps, ps, "-p"}, {&g.Fanins, fanins, "-fanin"},
+		{&g.Ns, ns, "n"}, {&g.Ps, ps, "p"}, {&g.Fanins, fanins, "fanin"},
 	}
 	for _, ax := range intAxes {
 		if *ax.dst, err = sweep.ParseInts(ax.spec); err != nil {
-			return nil, fmt.Errorf("%s: %w", ax.name, err)
+			return nil, fmt.Errorf("-%s: %w", ax.name, err)
+		}
+		for _, v := range *ax.dst {
+			if err := checkAxis(ax.name, int64(v)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	int64Axes := []struct {
@@ -153,13 +158,18 @@ func gridCells(models, algs, ns, ps, gs, ds, ls, alphas, betas, gammas, fanins, 
 		spec string
 		name string
 	}{
-		{&g.Gs, gs, "-g"}, {&g.Ds, ds, "-d"}, {&g.Ls, ls, "-L"},
-		{&g.Alphas, alphas, "-alpha"}, {&g.Betas, betas, "-beta"},
-		{&g.Gammas, gammas, "-gamma"}, {&g.Seeds, seeds, "-seeds"},
+		{&g.Gs, gs, "g"}, {&g.Ds, ds, "d"}, {&g.Ls, ls, "L"},
+		{&g.Alphas, alphas, "alpha"}, {&g.Betas, betas, "beta"},
+		{&g.Gammas, gammas, "gamma"}, {&g.Seeds, seeds, "seeds"},
 	}
 	for _, ax := range int64Axes {
 		if *ax.dst, err = sweep.ParseInt64s(ax.spec); err != nil {
-			return nil, fmt.Errorf("%s: %w", ax.name, err)
+			return nil, fmt.Errorf("-%s: %w", ax.name, err)
+		}
+		for _, v := range *ax.dst {
+			if err := checkAxis(ax.name, v); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if len(g.Models) == 0 || len(g.Algs) == 0 {

@@ -71,7 +71,7 @@ func (in Info) Merge(other Info) Info {
 			j++
 		}
 	}
-	out = append(out, in[i:]...) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
+	out = append(out, in[i:]...)    //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
 	out = append(out, other[j:]...) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
 	return out
 }

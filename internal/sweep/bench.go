@@ -13,6 +13,7 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/engine"
 	"repro/internal/gsm"
 	"repro/internal/qsm"
 )
@@ -26,9 +27,9 @@ import (
 //   - host performance (ns/op, B/op, allocs/op) — these are noisy, so
 //     the gate only fails on order-of-magnitude blowups.
 //
-// The committed snapshot (BENCH_pr7.json) is the baseline CI diffs
-// against; regenerate it with `parsim sweep -bench` after intentional
-// performance or cost-model changes.
+// The committed snapshot (BENCH_pr22.json) is the baseline CI diffs
+// against; regenerate it with `make bench` (GOMAXPROCS=2: allocs/op
+// depend on it) after intentional performance or cost-model changes.
 
 // BenchResult is one benchmark's snapshot entry.
 type BenchResult struct {
@@ -65,21 +66,187 @@ const (
 	allocSlack = 16
 )
 
-// benchExperiments mirrors the representative Table 1 rows of
-// bench_test.go, one per sub-table, at the bench_test sizes.
-var benchExperiments = []struct {
-	ID string
-	N  int
-}{
-	{"T1.Parity.det", 1 << 11},
-	{"T2.Parity.det", 1 << 12},
-	{"T3.Parity.det", 1 << 12},
-	{"T4.LAC.qsm", 1 << 12},
+// benchExperiments are the representative Table 1 rows the gate times,
+// one per sub-table, at their Table1BenchN sizes.
+var benchExperiments = []string{"T1.Parity.det", "T2.Parity.det", "T3.Parity.det", "T4.LAC.qsm"}
+
+// Table1BenchN is the input size a Table 1 row is benchmarked at, by the
+// root BenchmarkTable1 and the gate alike: 2^11 for the QSM parity rows,
+// whose gadget tree is the slowest to simulate, and 2^12 for the rest.
+func Table1BenchN(id string) int {
+	if strings.HasPrefix(id, "T1.Parity.") {
+		return 1 << 11
+	}
+	return 1 << 12
 }
 
-// benchCommitProcs matches the smallest phase-commit size bench_test.go
-// sweeps; one point is enough for a regression gate.
-const benchCommitProcs = 1 << 14
+// CommitPoint is one size a commit body is benchmarked at: p processors,
+// each submitting a k-cell block (k = 0 for the per-cell bodies).
+type CommitPoint struct{ P, K int }
+
+func (pt CommitPoint) String() string {
+	if pt.K == 0 {
+		return fmt.Sprintf("p=%d", pt.P)
+	}
+	return fmt.Sprintf("p=%d/k=%d", pt.P, pt.K)
+}
+
+// CommitBench is one phase-commit bench body. Bodies are deliberately
+// trivial, so the time per phase tracks the commit stage (contention
+// counting, winner resolution, message routing), across contention
+// profiles and request paths.
+type CommitBench struct {
+	// Name is the gate row suffix (Sweep/commit/<Name>) and the
+	// BenchmarkPhaseCommit sub-benchmark.
+	Name string
+	// Points are the sizes BenchmarkPhaseCommit sweeps; the gate times
+	// only the first.
+	Points []CommitPoint
+	// Build returns a fresh machine at one point and a closure that
+	// commits one phase of the body on it.
+	Build func(p, k int) (engine.Machine, func(), error)
+}
+
+// CommitBenches is the registry of phase-commit bench bodies. Each
+// builder makes its body once, outside the phase closure: a body literal
+// that captures p, built inside it, would allocate on every phase.
+var CommitBenches = []CommitBench{
+	// κ = 1: every processor touches its own cells.
+	{"qsm-low", commitPs(1<<14, 1<<17, 1<<20), func(p, _ int) (engine.Machine, func(), error) {
+		return qsmCommit(p, 2*p, func(c *qsm.Ctx) {
+			v := c.Read(c.Proc())
+			c.Write(p+c.Proc(), v+1)
+		})
+	}},
+	// κ = Θ(p): p processors funnel into 64 cells.
+	{"qsm-high", commitPs(1<<14, 1<<17, 1<<20), func(p, _ int) (engine.Machine, func(), error) {
+		return qsmCommit(p, 64, func(c *qsm.Ctx) {
+			c.Write(c.Proc()%64, int64(c.Proc()))
+		})
+	}},
+	// κ = 8: one level of a fan-in-8 write tree, the common algorithmic shape.
+	{"qsm-tree8", commitPs(1<<14, 1<<17, 1<<20), func(p, _ int) (engine.Machine, func(), error) {
+		return qsmCommit(p, p+p/8+1, func(c *qsm.Ctx) {
+			v := c.Read(c.Proc())
+			c.Write(p+c.Proc()/8, v|1)
+		})
+	}},
+	// The columnar submission path: each processor reads a k-cell block
+	// and fills a k-cell block, so one phase carries 2·p·k requests (~21M
+	// at the largest point) through the struct-of-arrays columns.
+	{"qsm-batch", []CommitPoint{{1 << 14, 16}, {1 << 17, 16}, {1 << 17, 80}}, func(p, k int) (engine.Machine, func(), error) {
+		return qsmCommit(p, 2*p*k, func(c *qsm.Ctx) {
+			pr := c.Proc()
+			c.ReadBlock(pr*k, k)
+			c.WriteFill(p*k+pr*k, k, int64(pr))
+		})
+	}},
+	// The bit-packed memory: one 64-bit ReadWord (64 charged cell reads)
+	// plus a summary-bit write per processor.
+	{"bool-word", commitPs(1<<14, 1<<17, 1<<18), func(p, _ int) (engine.Machine, func(), error) {
+		body := func(c *qsm.BoolCtx) {
+			w := c.ReadWord(c.Proc()*64, 64)
+			c.Write(64*p+c.Proc(), w != 0)
+		}
+		m, err := qsm.NewBool(qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p})
+		return m, func() { m.Phase(body) }, err
+	}},
+	// A BSP 4-relation: every component sends to its next four neighbours.
+	{"bsp-shift", commitPs(1<<14, 1<<17), func(p, _ int) (engine.Machine, func(), error) {
+		body := func(c *bsp.Ctx) {
+			for k := 0; k < 4; k++ {
+				c.Send((c.Comp()+k+1)%p, int64(k), int64(c.Comp()))
+			}
+		}
+		m, err := bsp.New(bsp.Config{P: p, G: 2, L: 8, N: p, PrivCells: 1})
+		return m, func() { m.Superstep(body) }, err
+	}},
+	// A GSM gather: groups of four processors merge into one cell.
+	{"gsm-gather", commitPs(1 << 14), func(p, _ int) (engine.Machine, func(), error) {
+		body := func(c *gsm.Ctx) {
+			c.Write(p+c.Proc()/4, gsm.NewInfo(int64(c.Proc())))
+		}
+		m, err := gsm.New(gsm.Config{P: p, Alpha: 4, Beta: 4, Gamma: 1, N: p, Cells: p + p/4 + 1})
+		return m, func() { m.Phase(body) }, err
+	}},
+}
+
+// commitPs returns the per-cell points (k = 0) at the given p.
+func commitPs(ps ...int) []CommitPoint {
+	pts := make([]CommitPoint, len(ps))
+	for i, p := range ps {
+		pts[i].P = p
+	}
+	return pts
+}
+
+// qsmCommit builds the QSM machine the shared-memory bodies run on.
+func qsmCommit(p, cells int, body func(c *qsm.Ctx)) (engine.Machine, func(), error) {
+	m, err := qsm.New(qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: cells})
+	return m, func() { m.Phase(body) }, err
+}
+
+// ModelTime commits one phase of the body on a fresh machine at pt and
+// returns the model time it charges.
+func (cb CommitBench) ModelTime(pt CommitPoint) (float64, error) {
+	m, phase, err := cb.Build(pt.P, pt.K)
+	if err != nil {
+		return 0, err
+	}
+	phase()
+	if m.Err() != nil {
+		return 0, m.Err()
+	}
+	return float64(m.Report().TotalTime), nil
+}
+
+// Time benchmarks the body at pt on a fresh machine: one untimed phase
+// grows the machine to its steady state, so the timed loop measures
+// steady-state phases, not warm-up.
+func (cb CommitBench) Time(b *testing.B, pt CommitPoint) {
+	m, phase, err := cb.Build(pt.P, pt.K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	phase()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		phase()
+	}
+	b.StopTimer()
+	if m.Err() != nil {
+		b.Fatal(m.Err())
+	}
+}
+
+// gateRow is one snapshot row: its name and a run that returns the
+// deterministic metrics and the timed result.
+type gateRow struct {
+	name string
+	run  func() (map[string]float64, testing.BenchmarkResult, error)
+}
+
+// gateRows lists the snapshot rows in order: the representative Table 1
+// cells, each commit body at its first point, and the per-cell harness.
+func gateRows() []gateRow {
+	var rows []gateRow
+	for _, id := range benchExperiments {
+		n := Table1BenchN(id)
+		rows = append(rows, gateRow{fmt.Sprintf("Sweep/exp/%s/n=%d", id, n),
+			func() (map[string]float64, testing.BenchmarkResult, error) { return benchExperimentCell(id, n) }})
+	}
+	for _, cb := range CommitBenches {
+		rows = append(rows, gateRow{"Sweep/commit/" + cb.Name,
+			func() (map[string]float64, testing.BenchmarkResult, error) {
+				pt := cb.Points[0]
+				mt, err := cb.ModelTime(pt)
+				metrics := map[string]float64{"modelTime": mt}
+				return metrics, testing.Benchmark(func(b *testing.B) { cb.Time(b, pt) }), err
+			}})
+	}
+	return append(rows, gateRow{"Sweep/cell/qsm-parity", benchRunCell})
+}
 
 // RunBenchSnapshot measures every bench whose name contains filter
 // ("" = all) and returns the labelled snapshot. It uses
@@ -87,293 +254,76 @@ const benchCommitProcs = 1 << 14
 // the deterministic metrics are computed once, outside the timed loops.
 func RunBenchSnapshot(label, filter string) (*BenchSnapshot, error) {
 	s := &BenchSnapshot{Label: label}
-	add := func(r BenchResult, err error) error {
+	for _, row := range gateRows() {
+		if !strings.Contains(row.name, filter) {
+			continue
+		}
+		metrics, r, err := row.run()
 		if err != nil {
-			return err
-		}
-		if filter == "" || strings.Contains(r.Name, filter) {
-			s.Benches = append(s.Benches, r)
-		}
-		return nil
-	}
-	for _, be := range benchExperiments {
-		// Matching against the name before running would be cheaper, but
-		// the names are fixed and few; clarity wins.
-		name := fmt.Sprintf("Sweep/exp/%s/n=%d", be.ID, be.N)
-		if filter != "" && !strings.Contains(name, filter) {
-			continue
-		}
-		if err := add(benchExperimentCell(name, be.ID, be.N)); err != nil {
 			return nil, err
 		}
-	}
-	commits := []struct {
-		name string
-		run  func(name string) (BenchResult, error)
-	}{
-		{"Sweep/commit/qsm-low", benchQSMLow},
-		{"Sweep/commit/qsm-high", benchQSMHigh},
-		{"Sweep/commit/qsm-tree8", benchQSMTree8},
-		{"Sweep/commit/qsm-batch", benchQSMBatch},
-		{"Sweep/commit/bool-word", benchBoolWord},
-		{"Sweep/commit/bsp-shift", benchBSPShift},
-		{"Sweep/commit/gsm-gather", benchGSMGather},
-		{"Sweep/cell/qsm-parity", benchRunCell},
-	}
-	for _, c := range commits {
-		if filter != "" && !strings.Contains(c.name, filter) {
-			continue
+		// testing.Benchmark returns a zeroed result when the bench fails.
+		if r.N <= 0 {
+			return nil, fmt.Errorf("sweep: benchmark %s failed", row.name)
 		}
-		if err := add(c.run(c.name)); err != nil {
-			return nil, err
-		}
+		s.Benches = append(s.Benches, BenchResult{
+			Name:        row.name,
+			Iters:       r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+			Metrics:     metrics,
+		})
 	}
 	return s, nil
 }
 
-// result converts a testing.BenchmarkResult, rejecting failed runs
-// (testing.Benchmark returns a zeroed result when the bench fails).
-func result(name string, metrics map[string]float64, r testing.BenchmarkResult) (BenchResult, error) {
-	if r.N <= 0 {
-		return BenchResult{}, fmt.Errorf("sweep: benchmark %s failed", name)
-	}
-	return BenchResult{
-		Name:        name,
-		Iters:       r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		Metrics:     metrics,
-	}, nil
-}
-
 // benchExperimentCell times one experiment Measure call and records the
 // row's deterministic quantities at seed 1.
-func benchExperimentCell(name, id string, n int) (BenchResult, error) {
+func benchExperimentCell(id string, n int) (map[string]float64, testing.BenchmarkResult, error) {
 	e := core.ExperimentByID(id)
 	if e == nil {
-		return BenchResult{}, fmt.Errorf("sweep: unknown experiment %q", id)
+		return nil, testing.BenchmarkResult{}, fmt.Errorf("sweep: unknown experiment %q", id)
 	}
 	row, err := e.RunPoint(n, 1)
 	if err != nil {
-		return BenchResult{}, err
+		return nil, testing.BenchmarkResult{}, err
 	}
 	metrics := map[string]float64{
 		e.Quantity: row.Measured,
 		"bound":    row.Bound,
 		"ratio":    row.Ratio,
 	}
-	r := testing.Benchmark(func(b *testing.B) {
+	return metrics, testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := e.Measure(n, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	return result(name, metrics, r)
-}
-
-// qsmCommitMachine builds the phase-commit benchmark machine.
-func qsmCommitMachine(p, cells int) (*qsm.Machine, error) {
-	return qsm.New(qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: cells})
-}
-
-// benchQSMCommit times one phase body on a fresh machine, recording the
-// model time the first committed phase charges.
-func benchQSMCommit(name string, cells int, body func(c *qsm.Ctx)) (BenchResult, error) {
-	probe, err := qsmCommitMachine(benchCommitProcs, cells)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	probe.Phase(body)
-	if probe.Err() != nil {
-		return BenchResult{}, probe.Err()
-	}
-	metrics := map[string]float64{"modelTime": float64(probe.Report().TotalTime)}
-	r := testing.Benchmark(func(b *testing.B) {
-		m, err := qsmCommitMachine(benchCommitProcs, cells)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// One untimed phase grows the machine to its steady state, so the
-		// timed loop measures steady-state phases, not warm-up.
-		m.Phase(body)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Phase(body)
-		}
-		b.StopTimer()
-		if m.Err() != nil {
-			b.Fatal(m.Err())
-		}
-	})
-	return result(name, metrics, r)
-}
-
-func benchQSMLow(name string) (BenchResult, error) {
-	const p = benchCommitProcs
-	return benchQSMCommit(name, 2*p, func(c *qsm.Ctx) {
-		v := c.Read(c.Proc())
-		c.Write(p+c.Proc(), v+1)
-	})
-}
-
-func benchQSMHigh(name string) (BenchResult, error) {
-	return benchQSMCommit(name, 64, func(c *qsm.Ctx) {
-		c.Write(c.Proc()%64, int64(c.Proc()))
-	})
-}
-
-func benchQSMTree8(name string) (BenchResult, error) {
-	const p = benchCommitProcs
-	return benchQSMCommit(name, p+p/8+1, func(c *qsm.Ctx) {
-		v := c.Read(c.Proc())
-		c.Write(p+c.Proc()/8, v|1)
-	})
-}
-
-// benchQSMBatch gates the columnar submission path: block reads and
-// fills through the struct-of-arrays request buffers, at a gate-sized
-// per-processor batch (the full envelope sweep lives in bench_test.go).
-func benchQSMBatch(name string) (BenchResult, error) {
-	const p, k = benchCommitProcs, 16
-	return benchQSMCommit(name, 2*p*k, func(c *qsm.Ctx) {
-		pr := c.Proc()
-		c.ReadBlock(pr*k, k)
-		c.WriteFill(p*k+pr*k, k, int64(pr))
-	})
-}
-
-// benchBoolWord gates the bit-packed memory: one 64-bit ReadWord (64
-// charged cell reads) plus a summary-bit write per processor.
-func benchBoolWord(name string) (BenchResult, error) {
-	const p = benchCommitProcs
-	cfg := qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p}
-	body := func(c *qsm.BoolCtx) {
-		w := c.ReadWord(c.Proc()*64, 64)
-		c.Write(64*p+c.Proc(), w != 0)
-	}
-	probe, err := qsm.NewBool(cfg)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	probe.Phase(body)
-	if probe.Err() != nil {
-		return BenchResult{}, probe.Err()
-	}
-	metrics := map[string]float64{"modelTime": float64(probe.Report().TotalTime)}
-	r := testing.Benchmark(func(b *testing.B) {
-		m, err := qsm.NewBool(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Phase(body) // untimed warm-up, as in benchQSMCommit
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Phase(body)
-		}
-		b.StopTimer()
-		if m.Err() != nil {
-			b.Fatal(m.Err())
-		}
-	})
-	return result(name, metrics, r)
-}
-
-func benchBSPShift(name string) (BenchResult, error) {
-	const p = benchCommitProcs
-	cfg := bsp.Config{P: p, G: 2, L: 8, N: p, PrivCells: 1}
-	body := func(c *bsp.Ctx) {
-		for k := 0; k < 4; k++ {
-			c.Send((c.Comp()+k+1)%p, int64(k), int64(c.Comp()))
-		}
-	}
-	probe, err := bsp.New(cfg)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	probe.Superstep(body)
-	if probe.Err() != nil {
-		return BenchResult{}, probe.Err()
-	}
-	metrics := map[string]float64{"modelTime": float64(probe.Report().TotalTime)}
-	r := testing.Benchmark(func(b *testing.B) {
-		m, err := bsp.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Superstep(body) // untimed warm-up, as in benchQSMCommit
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Superstep(body)
-		}
-		b.StopTimer()
-		if m.Err() != nil {
-			b.Fatal(m.Err())
-		}
-	})
-	return result(name, metrics, r)
-}
-
-func benchGSMGather(name string) (BenchResult, error) {
-	const p = benchCommitProcs
-	cfg := gsm.Config{P: p, Alpha: 4, Beta: 4, Gamma: 1, N: p, Cells: p + p/4 + 1}
-	body := func(c *gsm.Ctx) {
-		c.Write(p+c.Proc()/4, gsm.NewInfo(int64(c.Proc())))
-	}
-	probe, err := gsm.New(cfg)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	probe.Phase(body)
-	if probe.Err() != nil {
-		return BenchResult{}, probe.Err()
-	}
-	metrics := map[string]float64{"modelTime": float64(probe.Report().TotalTime)}
-	r := testing.Benchmark(func(b *testing.B) {
-		m, err := gsm.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Phase(body) // untimed warm-up, as in benchQSMCommit
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Phase(body)
-		}
-		b.StopTimer()
-		if m.Err() != nil {
-			b.Fatal(m.Err())
-		}
-	})
-	return result(name, metrics, r)
+	}), nil
 }
 
 // benchRunCell times the whole per-cell harness path (registry dispatch,
 // machine construction, algorithm, oracle, record assembly).
-func benchRunCell(name string) (BenchResult, error) {
+func benchRunCell() (map[string]float64, testing.BenchmarkResult, error) {
 	cell := Cell{Model: "qsm", Alg: "parity", N: 1 << 10, Seed: 1}
 	rec := RunCell(cell, RunConfig{})
 	if rec.Status != StatusOK {
-		return BenchResult{}, fmt.Errorf("sweep: bench cell %s: %s %s", rec.Key, rec.Status, rec.Error)
+		return nil, testing.BenchmarkResult{}, fmt.Errorf("sweep: bench cell %s: %s %s", rec.Key, rec.Status, rec.Error)
 	}
 	metrics := map[string]float64{
 		"modelTime": rec.Time,
 		"phases":    float64(rec.Phases),
 	}
-	r := testing.Benchmark(func(b *testing.B) {
+	return metrics, testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if out := RunCell(cell, RunConfig{}); out.Status != StatusOK {
 				b.Fatalf("cell %s: %s", out.Key, out.Status)
 			}
 		}
-	})
-	return result(name, metrics, r)
+	}), nil
 }
 
 // Benchstat renders the snapshot in the Go benchmark text format, so

@@ -1,112 +1,89 @@
 package sweep
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/cost"
-	"repro/internal/qsm"
+// benchBaseline is the committed snapshot the CI bench gate
+// (`parsim sweep -bench -bench-baseline BENCH_pr22.json`) diffs against;
+// benchTrajectory is the earlier snapshot it replaced.
+const (
+	benchBaseline   = "../../BENCH_pr22.json"
+	benchTrajectory = "../../BENCH_pr7.json"
 )
 
-// benchGateEntries are the snapshot names the CI bench gate
-// (`parsim sweep -bench -bench-baseline BENCH_pr7.json`) diffs; the
-// guard below fails fast if a refactor renames or drops one, which
-// would otherwise silently shrink the gate (CompareBenchSnapshots only
-// reports baseline entries missing from the *current* run, not the
-// other way around).
-var benchGateEntries = []string{
-	"Sweep/exp/T1.Parity.det/n=2048",
-	"Sweep/exp/T2.Parity.det/n=4096",
-	"Sweep/exp/T3.Parity.det/n=4096",
-	"Sweep/exp/T4.LAC.qsm/n=4096",
-	"Sweep/commit/qsm-low",
-	"Sweep/commit/qsm-high",
-	"Sweep/commit/qsm-tree8",
-	"Sweep/commit/qsm-batch",
-	"Sweep/commit/bool-word",
-	"Sweep/commit/bsp-shift",
-	"Sweep/commit/gsm-gather",
-	"Sweep/cell/qsm-parity",
-}
-
-// TestBenchBaselineGateEntries guards the committed BENCH_pr7.json
-// without paying for a timed benchmark run: every gate entry must be
-// present, and the deterministic modelTime of the two PR 7 columnar
-// entries (qsm-batch, bool-word) is re-derived from a single probe
-// phase and compared exactly. Hot-path edits forced by the lint sweep
-// can change allocation behavior without failing any functional test;
-// this pins the model-side half of the gate so such edits cannot
-// silently drift the priced execution, and CI's full bench-gate step
-// still covers ns/op and allocs/op.
-func TestBenchBaselineGateEntries(t *testing.T) {
-	base, err := ReadBenchSnapshot("../../BENCH_pr7.json")
+func readSnapshot(t *testing.T, path string) map[string]BenchResult {
+	t.Helper()
+	s, err := ReadBenchSnapshot(path)
 	if err != nil {
 		t.Fatalf("read committed snapshot: %v", err)
 	}
-	byName := make(map[string]BenchResult, len(base.Benches))
-	for _, b := range base.Benches {
+	byName := make(map[string]BenchResult, len(s.Benches))
+	for _, b := range s.Benches {
 		byName[b.Name] = b
 	}
-	for _, name := range benchGateEntries {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("gate entry %s missing from BENCH_pr7.json", name)
-		}
+	if len(byName) != len(s.Benches) {
+		t.Errorf("%s repeats a row name", path)
 	}
-	if len(base.Benches) != len(benchGateEntries) {
-		t.Errorf("BENCH_pr7.json has %d entries, guard expects %d: update benchGateEntries with the snapshot",
-			len(base.Benches), len(benchGateEntries))
-	}
-
 	// The comparator must accept a snapshot against itself; anything else
 	// means the gate would flag noise-free reruns.
-	if regs := CompareBenchSnapshots(base, base, 0, 0); len(regs) != 0 {
-		t.Errorf("self-comparison reports regressions: %v", regs)
+	if regs := CompareBenchSnapshots(s, s, 0, 0); len(regs) != 0 {
+		t.Errorf("%s: self-comparison reports regressions: %v", path, regs)
 	}
-
-	// qsm-batch: one columnar block-submission phase, same shape and
-	// sizes as benchQSMBatch's probe.
-	const p, k = benchCommitProcs, 16
-	batch, err := qsmCommitMachine(p, 2*p*k)
-	if err != nil {
-		t.Fatalf("qsm-batch machine: %v", err)
-	}
-	batch.Phase(func(c *qsm.Ctx) {
-		pr := c.Proc()
-		c.ReadBlock(pr*k, k)
-		c.WriteFill(p*k+pr*k, k, int64(pr))
-	})
-	if batch.Err() != nil {
-		t.Fatalf("qsm-batch phase: %v", batch.Err())
-	}
-	checkModelTime(t, byName, "Sweep/commit/qsm-batch", float64(batch.Report().TotalTime))
-
-	// bool-word: one bit-packed word-scan phase, same shape as
-	// benchBoolWord's probe.
-	word, err := qsm.NewBool(qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p})
-	if err != nil {
-		t.Fatalf("bool-word machine: %v", err)
-	}
-	word.Phase(func(c *qsm.BoolCtx) {
-		w := c.ReadWord(c.Proc()*64, 64)
-		c.Write(64*p+c.Proc(), w != 0)
-	})
-	if word.Err() != nil {
-		t.Fatalf("bool-word phase: %v", word.Err())
-	}
-	checkModelTime(t, byName, "Sweep/commit/bool-word", float64(word.Report().TotalTime))
+	return byName
 }
 
-func checkModelTime(t *testing.T, byName map[string]BenchResult, name string, got float64) {
-	t.Helper()
-	b, ok := byName[name]
-	if !ok {
-		return // already reported above
+// TestBenchBaselineGateEntries guards the committed baseline without
+// paying for a timed benchmark run. Its rows must be exactly the gate's
+// rows: CompareBenchSnapshots only reports baseline rows missing from
+// the current run, so a renamed or dropped row would otherwise silently
+// shrink the gate. The deterministic modelTime of every commit body is
+// re-derived from a single probe phase and compared exactly, so a
+// hot-path edit cannot silently drift the priced execution; CI's full
+// bench-gate step still covers ns/op and allocs/op.
+func TestBenchBaselineGateEntries(t *testing.T) {
+	base := readSnapshot(t, benchBaseline)
+	rows := gateRows()
+	for _, row := range rows {
+		if _, ok := base[row.name]; !ok {
+			t.Errorf("gate row %s missing from %s", row.name, benchBaseline)
+		}
 	}
-	want, ok := b.Metrics["modelTime"]
-	if !ok {
-		t.Errorf("%s: snapshot entry has no modelTime metric", name)
-		return
+	if len(base) != len(rows) {
+		t.Errorf("%s has %d rows, the gate runs %d: regenerate it with `make bench`", benchBaseline, len(base), len(rows))
 	}
-	if got != want {
-		t.Errorf("%s: deterministic modelTime drifted: snapshot %g, current %g", name, want, got)
+	for _, cb := range CommitBenches {
+		name := "Sweep/commit/" + cb.Name
+		got, err := cb.ModelTime(cb.Points[0])
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if want, ok := base[name].Metrics["modelTime"]; !ok || got != want {
+			t.Errorf("%s: deterministic modelTime drifted: snapshot %g (present %v), current %g", name, want, ok, got)
+		}
+	}
+}
+
+// TestBenchBaselineMatchesTrajectory pins the re-baselined snapshot to the
+// one it replaced: every row carries the same deterministic model metrics
+// as the matching trajectory row, so re-baselining moved only the host
+// numbers.
+func TestBenchBaselineMatchesTrajectory(t *testing.T) {
+	base := readSnapshot(t, benchBaseline)
+	old := readSnapshot(t, benchTrajectory)
+	for name, b := range base { //lint:maporder-ok each row is checked independently
+		o, ok := old[name]
+		if !ok {
+			t.Errorf("%s: row missing from %s", name, benchTrajectory)
+			continue
+		}
+		if len(b.Metrics) != len(o.Metrics) {
+			t.Errorf("%s: metrics %v, trajectory %v", name, b.Metrics, o.Metrics)
+			continue
+		}
+		for k, v := range o.Metrics { //lint:maporder-ok each metric is checked independently
+			if b.Metrics[k] != v {
+				t.Errorf("%s: metric %s = %g, trajectory %g", name, k, b.Metrics[k], v)
+			}
+		}
 	}
 }

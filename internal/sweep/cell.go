@@ -44,7 +44,8 @@ const (
 	ReasonUnsupportedAlg = "unsupported-alg"
 	// ReasonInvalidParams: a parameter violates a model precondition the
 	// grid can state up front (non-positive n, p or g, fan-in < 2, a
-	// malformed fault-spec string, …).
+	// malformed fault-spec string, a non-default machine axis on a fault
+	// cell, …).
 	ReasonInvalidParams = "invalid-params"
 	// ReasonUnknownExp: an experiment cell names an unregistered ID.
 	ReasonUnknownExp = "unknown-exp"

@@ -79,6 +79,14 @@ func Check(c Cell, maxCost int64) string {
 		if d.N < 1 {
 			return ReasonInvalidParams
 		}
+		// The chaos runner builds a fixed machine shape per model, so a
+		// fault cell with a non-default machine axis would record a run
+		// it never made.
+		def := Cell{N: d.N}.withDefaults()
+		if d.P != def.P || d.G != def.G || d.D != def.D || d.L != def.L ||
+			d.Alpha != def.Alpha || d.Beta != def.Beta || d.Gamma != def.Gamma || d.Fanin != def.Fanin {
+			return ReasonInvalidParams
+		}
 		if chaosFootprint(ms, d.N) > maxCost {
 			return ReasonTooLarge
 		}

@@ -117,6 +117,17 @@ func TestCheckReasonCodes(t *testing.T) {
 		{"faults on prefix", Cell{Model: "qsm", Alg: "prefix", N: 64, Seed: 1, Faults: "mem~0.1"}, ReasonUnsupportedAlg},
 		{"lac faults off shared", Cell{Model: "bsp", Alg: "lac", N: 64, Seed: 1, Faults: "mem~0.1"}, ReasonUnsupportedAlg},
 		{"bad fault spec", Cell{Model: "qsm", Alg: "parity", N: 64, Seed: 1, Faults: "zap~0.1"}, ReasonInvalidParams},
+		// The chaos runner builds a fixed machine shape per model, so a
+		// fault cell must not claim a non-default machine axis.
+		{"fault p", Cell{Model: "qsm", Alg: "parity", N: 64, P: 8, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault g", Cell{Model: "qsm", Alg: "parity", N: 64, G: 2, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault d", Cell{Model: "qsm", Alg: "parity", N: 64, D: 4, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault L", Cell{Model: "bsp", Alg: "parity", N: 64, L: 64, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault alpha", Cell{Model: "gsm", Alg: "or", N: 64, Alpha: 4, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault beta", Cell{Model: "gsm", Alg: "or", N: 64, Beta: 4, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault gamma", Cell{Model: "gsm", Alg: "or", N: 64, Gamma: 2, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault fanin", Cell{Model: "qsm", Alg: "or", N: 64, Fanin: 4, Seed: 1, Faults: "mem@1"}, ReasonInvalidParams},
+		{"fault explicit defaults", Cell{Model: "bsp", Alg: "parity", N: 64, P: 64, G: 4, L: 16, Seed: 1, Faults: "mem@1"}, ""},
 		{"unknown exp", Cell{Exp: "T9.Nope", N: 64, Seed: 1}, ReasonUnknownExp},
 		{"runnable", Cell{Model: "qsm", Alg: "parity", N: 64, Seed: 1}, ""},
 		{"runnable fault", Cell{Model: "qsm", Alg: "lac-dart", N: 64, Seed: 1, Faults: "mem~0.1"}, ""},
