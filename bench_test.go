@@ -28,20 +28,18 @@ func BenchmarkTable1(b *testing.B) {
 	for _, e := range core.Experiments() {
 		b.Run(e.ID, func(b *testing.B) {
 			n := sweep.Table1BenchN(e.ID)
-			var measured float64
+			var row core.Row
 			for i := 0; i < b.N; i++ {
 				var err error
-				measured, _, err = e.Measure(n, int64(i)+1)
-				if err != nil {
+				if row, err = e.RunPoint(n, int64(i)+1); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			bound := BoundByID(e.ID).Eval(e.Args(n))
-			b.ReportMetric(measured, e.Quantity)
-			b.ReportMetric(bound, "bound")
-			if bound > 0 {
-				b.ReportMetric(measured/bound, "ratio")
+			b.ReportMetric(row.Measured, e.Quantity)
+			b.ReportMetric(row.Bound, "bound")
+			if row.Bound > 0 {
+				b.ReportMetric(row.Ratio, "ratio")
 			}
 		})
 	}

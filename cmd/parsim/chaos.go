@@ -40,6 +40,9 @@ func runChaos(argv []string, stdout io.Writer) error {
 	if err := parseFlags(fs, argv, stdout); err != nil {
 		return err
 	}
+	if err := checkSetFlags(fs, map[string]int64{"n": 1, "seeds": 1, "proc-workers": 0}); err != nil {
+		return err
+	}
 	if !backend.Valid(*backendName) {
 		return fmt.Errorf("unknown backend %q (want %s)", *backendName, strings.Join(backend.Names(), " | "))
 	}

@@ -27,7 +27,7 @@
 // model-generic observer event stream (every committed request in
 // deterministic order), which is practical for small n only.
 //
-// The -model and -alg vocabularies are the internal/sweep registries;
+// The -model and -alg vocabularies are the internal/core registries;
 // the flag usage strings are derived from the same tables the dispatcher
 // reads, so the help text cannot drift from what actually runs.
 package main
@@ -43,7 +43,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/backend/proc"
-	"repro/internal/sweep"
+	"repro/internal/core"
 )
 
 func main() {
@@ -140,13 +140,25 @@ var axisFloors = map[string]int64{
 	"alpha": 1, "beta": 1, "gamma": 1, "fanin": 2,
 }
 
-// checkAxis rejects a value below the floor of the machine-axis flag
-// name; other flags pass.
-func checkAxis(name string, v int64) error {
-	if floor, ok := axisFloors[name]; ok && v < floor {
+// checkFloor rejects v when floors sets a larger minimum for flag name;
+// flags floors does not name pass.
+func checkFloor(floors map[string]int64, name string, v int64) error {
+	if floor, ok := floors[name]; ok && v < floor {
 		return fmt.Errorf("-%s: must be at least %d, got %d", name, floor, v)
 	}
 	return nil
+}
+
+// checkSetFlags applies the floors to every flag set on the command line;
+// unset flags keep their (valid) defaults.
+func checkSetFlags(fs *flag.FlagSet, floors map[string]int64) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if v, perr := strconv.ParseInt(f.Value.String(), 10, 64); err == nil && perr == nil {
+			err = checkFloor(floors, f.Name, v)
+		}
+	})
+	return err
 }
 
 // runWorker implements the `parsim worker` subcommand: the explicit
@@ -171,15 +183,15 @@ func runWorker(argv []string, stdout io.Writer) error {
 }
 
 // runSingle is the default mode: one algorithm on one machine, through
-// the same sweep.Execute path a grid cell takes.
+// the same core.Execute path a grid cell and a Table 1 row take.
 func runSingle(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("parsim", flag.ContinueOnError)
 	fs.Usage = func() {
 		usageHeader(fs.Output())
 		fs.PrintDefaults()
 	}
-	model := fs.String("model", "qsm", sweep.ModelUsage())
-	alg := fs.String("alg", "parity", sweep.AlgUsage())
+	model := fs.String("model", "qsm", core.ModelUsage())
+	alg := fs.String("alg", "parity", core.AlgUsage())
 	n := fs.Int("n", 1024, "input size")
 	p := fs.Int("p", 0, "processors (default n)")
 	g := fs.Int64("g", 4, "gap parameter")
@@ -197,13 +209,7 @@ func runSingle(argv []string, stdout io.Writer) error {
 	if err := parseFlags(fs, argv, stdout); err != nil {
 		return err
 	}
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if v, perr := strconv.ParseInt(f.Value.String(), 10, 64); err == nil && perr == nil {
-			err = checkAxis(f.Name, v)
-		}
-	})
-	if err != nil {
+	if err := checkSetFlags(fs, axisFloors); err != nil {
 		return err
 	}
 
@@ -214,11 +220,10 @@ func runSingle(argv []string, stdout io.Writer) error {
 	if bk != nil {
 		defer bk.Close()
 	}
-	out, err := sweep.ExecuteWith(sweep.Cell{
+	out, err := core.Execute(core.Point{
 		Model: *model, Alg: *alg, N: *n, P: *p,
 		G: *g, D: *d, L: *l, Alpha: *alpha, Beta: *beta, Gamma: *gamma,
 		Fanin: *fanin, Seed: *seed,
-		Backend: *backendName, ProcWorkers: *procWorkers,
 	}, *events, 0, bk)
 	if err != nil {
 		return err

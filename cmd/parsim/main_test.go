@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // runCLI invokes cliMain the way main does and captures both streams.
@@ -24,7 +27,7 @@ func TestCLIErrors(t *testing.T) {
 		{"unknown model", []string{"-model", "bogus", "-n", "64"},
 			`unknown model "bogus" (want qsm | sqsm | crqw | qsmgd | bsp | gsm)`},
 		{"unknown alg", []string{"-alg", "sort", "-n", "64"},
-			`unknown algorithm "sort" (want parity | or | or-contention | prefix | lac-det | lac-dart | listrank | bsp-parity | bsp-or | gsm-parity | gsm-or)`},
+			`unknown algorithm "sort" (want parity | parity-gadget | or | or-contention | or-rounds | prefix | lac-det | lac-dart | listrank | bsp-parity | bsp-or | bsp-lac-dart | bsp-lac-det | gsm-parity | gsm-or)`},
 		{"family mismatch", []string{"-model", "qsm", "-alg", "bsp-parity", "-n", "64"},
 			`algorithm "bsp-parity" is a bsp algorithm and does not run on model "qsm" (shared-memory)`},
 		{"bad flag", []string{"-no-such-flag"},
@@ -95,6 +98,74 @@ func TestCLIExplicitZeroFails(t *testing.T) {
 				t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 1 and %q", argv, code, stderr, stdout, want)
 			}
 		}
+	}
+	// The chaos subcommand and the chaos preset: a negative seed count
+	// used to panic in makeslice, n = 0 ran zero or diagnosed-only runs
+	// and exited 0, and a negative worker count silently ran one worker.
+	for _, c := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"chaos", "-seeds", "-1"}, "-seeds: must be at least 1, got -1"},
+		{[]string{"chaos", "-model", "qsm", "-n", "0"}, "-n: must be at least 1, got 0"},
+		{[]string{"chaos", "-backend", "proc", "-proc-workers", "-2"}, "-proc-workers: must be at least 0, got -2"},
+		{[]string{"sweep", "-preset", "chaos", "-chaos-seeds", "-1"}, "-chaos-seeds: must be at least 1, got -1"},
+		{[]string{"sweep", "-preset", "chaos", "-chaos-n", "0"}, "-chaos-n: must be at least 1, got 0"},
+	} {
+		code, stdout, stderr := runCLI(c.argv...)
+		if want := "parsim: " + c.want + "\n"; code != 1 || stderr != want {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 1 and %q", c.argv, code, stderr, stdout, want)
+		}
+	}
+}
+
+// TestCLIORContentionGapOne is a regression test: the contention tree
+// runs at fan-in g, so g = 1 used to record a failed cell naming a
+// fan-in of 1 the user never set. It now runs at fan-in 2.
+func TestCLIORContentionGapOne(t *testing.T) {
+	code, stdout, stderr := runCLI("sweep", "-models", "qsm", "-algs", "or-contention", "-g", "1", "-n", "64")
+	if code != 0 || !strings.Contains(stdout, "1 ok") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want one ok cell", code, stdout, stderr)
+	}
+}
+
+// TestCLIRunsEveryTable1Row runs each Table 1 row's registry point at its
+// smallest size through the single-run flags. The report must show the
+// time (T1–T3) or phase count (T4) the experiment records, so every row
+// is reproducible from parsim and the point-to-flags mapping is pinned.
+func TestCLIRunsEveryTable1Row(t *testing.T) {
+	const seed = 1998
+	for _, e := range core.Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			n := e.Ns[0]
+			row, err := e.RunPoint(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := e.Point(n, seed)
+			argv := []string{"-model", pt.Model, "-alg", pt.Alg, "-n", strconv.Itoa(n),
+				"-p", strconv.Itoa(pt.P), "-seed", strconv.Itoa(seed)}
+			for _, ax := range []struct {
+				flag string
+				v    int64
+			}{{"g", pt.G}, {"L", pt.L}, {"fanin", int64(pt.Fanin)}} {
+				if ax.v != 0 {
+					argv = append(argv, "-"+ax.flag, strconv.FormatInt(ax.v, 10))
+				}
+			}
+			code, stdout, stderr := runCLI(argv...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d, stderr %q", argv, code, stderr)
+			}
+			key := " time="
+			if e.Quantity == "rounds" {
+				key = " phases="
+			}
+			want := key + strconv.Itoa(int(row.Measured)) + " "
+			if !strings.Contains(stdout, want) {
+				t.Errorf("%v: output %q lacks %q", argv, stdout, want)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
@@ -18,8 +19,8 @@ import (
 func runSweep(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("parsim sweep", flag.ContinueOnError)
 	preset := fs.String("preset", "", "named grid: tables | chaos | smoke (replaces the axis flags)")
-	models := fs.String("models", "qsm", "comma-separated models: "+sweep.ModelUsage())
-	algs := fs.String("algs", "parity", "comma-separated algorithms: "+sweep.AlgUsage())
+	models := fs.String("models", "qsm", "comma-separated models: "+core.ModelUsage())
+	algs := fs.String("algs", "parity", "comma-separated algorithms: "+core.AlgUsage())
 	ns := fs.String("n", "1024", `input-size grid spec (lists and ranges, e.g. "256..8192:*2")`)
 	ps := fs.String("p", "0", "processor grid spec (0 = n)")
 	gs := fs.String("g", "4", "gap grid spec")
@@ -55,6 +56,9 @@ func runSweep(argv []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments after sweep flags: %q", fs.Args())
+	}
+	if err := checkSetFlags(fs, map[string]int64{"chaos-seeds": 1, "chaos-n": 1}); err != nil {
+		return err
 	}
 
 	if *bench {
@@ -148,7 +152,7 @@ func gridCells(models, algs, ns, ps, gs, ds, ls, alphas, betas, gammas, fanins, 
 			return nil, fmt.Errorf("-%s: %w", ax.name, err)
 		}
 		for _, v := range *ax.dst {
-			if err := checkAxis(ax.name, int64(v)); err != nil {
+			if err := checkFloor(axisFloors, ax.name, int64(v)); err != nil {
 				return nil, err
 			}
 		}
@@ -167,7 +171,7 @@ func gridCells(models, algs, ns, ps, gs, ds, ls, alphas, betas, gammas, fanins, 
 			return nil, fmt.Errorf("-%s: %w", ax.name, err)
 		}
 		for _, v := range *ax.dst {
-			if err := checkAxis(ax.name, v); err != nil {
+			if err := checkFloor(axisFloors, ax.name, v); err != nil {
 				return nil, err
 			}
 		}

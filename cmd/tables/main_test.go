@@ -29,7 +29,32 @@ func TestTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", fmt.Sprintf("tables_seed%d.golden", goldenSeed))
+	checkGolden(t, fmt.Sprintf("tables_seed%d.golden", goldenSeed), out)
+}
+
+// TestSweepsGolden locks the `tables -theorems -params` output: the
+// Theorem 3.1 and 6.3 GSM sweeps followed by the g and L/g parameter
+// sweeps, in the order the command prints them. Regenerate deliberately
+// with:
+//
+//	go test ./cmd/tables -run TestSweepsGolden -update
+func TestSweepsGolden(t *testing.T) {
+	theorems, err := repro.RenderTheoremSweeps(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := repro.RenderParamSweeps(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, fmt.Sprintf("sweeps_seed%d.golden", goldenSeed), theorems+params)
+}
+
+// checkGolden compares out with testdata/name (rewriting it first under
+// -update) and reports the first diverging line.
+func checkGolden(t *testing.T, name, out string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
@@ -46,9 +71,9 @@ func TestTablesGolden(t *testing.T) {
 	wantLines := strings.Split(string(want), "\n")
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if gotLines[i] != wantLines[i] {
-			t.Fatalf("tables output diverges from golden at line %d:\ngot:  %q\nwant: %q",
-				i+1, gotLines[i], wantLines[i])
+			t.Fatalf("%s: output diverges from golden at line %d:\ngot:  %q\nwant: %q",
+				name, i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("tables output length differs from golden: %d lines vs %d", len(gotLines), len(wantLines))
+	t.Fatalf("%s: output length differs from golden: %d lines vs %d", name, len(gotLines), len(wantLines))
 }

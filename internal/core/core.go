@@ -18,7 +18,7 @@ import (
 	"repro/internal/cost"
 )
 
-// Experiment binds one Table 1 row to a measurement procedure.
+// Experiment binds one Table 1 row to a registry point.
 type Experiment struct {
 	// ID matches the bounds registry entry that predicts this row.
 	ID string
@@ -29,14 +29,20 @@ type Experiment struct {
 	Quantity string
 	// Ns is the sweep of input sizes.
 	Ns []int
-	// Args yields the machine parameters used at size n (these feed the
-	// bound formula too).
-	Args func(n int) bounds.Args
-	// Measure runs the algorithm at size n and returns the measured
-	// quantity plus the cost report it came from.
-	Measure func(n int, seed int64) (float64, *cost.Report, error)
+	// At is the registry point the row measures, without its size: Point
+	// sets N = n, P = n/PDiv (PDiv 0 = p = n) and the seed. The bound is
+	// evaluated at the same point, so it cannot drift from the machine.
+	At   Point
+	PDiv int
 	// Algorithm names the §8 algorithm being measured.
 	Algorithm string
+}
+
+// Point is the registry point the experiment runs at size n.
+func (e *Experiment) Point(n int, seed int64) Point {
+	pt := e.At
+	pt.N, pt.P, pt.Seed = n, n/max(e.PDiv, 1), seed
+	return pt
 }
 
 // Row is one sweep point of a completed experiment.
@@ -62,9 +68,10 @@ type Result struct {
 	RatioSpread float64
 }
 
-// RunPoint executes one sweep point of the experiment: it measures the
-// algorithm at size n, evaluates the bound formulas at the same machine
-// parameters, and returns the completed row. The sweep harness
+// RunPoint executes one sweep point of the experiment: it runs the
+// registry point at size n, evaluates the bound formulas at the same
+// machine parameters, and returns the completed row. A rounds row fails
+// when any phase breaks the round budget. The sweep harness
 // (internal/sweep) runs experiments one point at a time through this so
 // that resumed sweeps re-run only the missing points.
 func (e *Experiment) RunPoint(n int, seed int64) (Row, error) {
@@ -72,26 +79,44 @@ func (e *Experiment) RunPoint(n int, seed int64) (Row, error) {
 	if entry == nil {
 		return Row{}, fmt.Errorf("core: experiment %q has no bounds entry", e.ID)
 	}
-	a := e.Args(n)
-	measured, rep, err := e.Measure(n, seed)
+	pt := e.Point(n, seed)
+	rep, err := measure(pt)
+	if err == nil && e.Quantity == "rounds" && !rep.AllRounds {
+		err = fmt.Errorf("%s broke the round budget", pt.Alg)
+	}
 	if err != nil {
 		return Row{}, fmt.Errorf("core: %s at n=%d: %w", e.ID, n, err)
 	}
-	row := Row{
-		N:        n,
-		Bound:    entry.Eval(a),
-		Measured: measured,
+	a := pt.boundArgs()
+	row := Row{N: n, Bound: entry.Eval(a), Measured: float64(rep.TotalTime), AllRounds: rep.AllRounds}
+	if e.Quantity == "rounds" {
+		row.Measured = float64(rep.NumPhases())
 	}
 	if entry.Upper != nil {
 		row.Upper = entry.Upper(a)
-	}
-	if rep != nil {
-		row.AllRounds = rep.AllRounds
 	}
 	if row.Bound > 0 {
 		row.Ratio = row.Measured / row.Bound
 	}
 	return row, nil
+}
+
+// boundArgs are the point's parameters as the bound formulas read them.
+func (pt Point) boundArgs() bounds.Args {
+	return bounds.Args{N: pt.N, P: pt.P, G: pt.G, L: pt.L}
+}
+
+// measure executes a registry point and fails unless the answer passes
+// the host-side oracle.
+func measure(pt Point) (*cost.Report, error) {
+	out, err := Execute(pt, false, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !out.Verified {
+		return nil, fmt.Errorf("core: %s on %s at n=%d: answer failed the host-side oracle", pt.Alg, pt.Model, pt.N)
+	}
+	return out.Report, nil
 }
 
 // Assemble builds a Result from rows computed elsewhere (RunPoint calls

@@ -23,8 +23,11 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 			t.Errorf("duplicate experiment for %s", e.ID)
 		}
 		want[e.ID] = true
-		if e.Measure == nil || e.Args == nil || len(e.Ns) == 0 {
-			t.Errorf("experiment %s incomplete", e.ID)
+		if len(e.Ns) == 0 {
+			t.Errorf("experiment %s has no sweep", e.ID)
+		}
+		if _, ok := AlgByName(e.At.Alg); !ok {
+			t.Errorf("experiment %s names unregistered algorithm %q", e.ID, e.At.Alg)
 		}
 		if e.Quantity != "time" && e.Quantity != "rounds" {
 			t.Errorf("experiment %s has bad quantity %q", e.ID, e.Quantity)

@@ -1,20 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/boolor"
-	"repro/internal/bounds"
-	"repro/internal/bsp"
-	"repro/internal/compaction"
-	"repro/internal/cost"
-	"repro/internal/engine"
-	"repro/internal/parity"
-	"repro/internal/qsm"
-	"repro/internal/workload"
-)
-
 // Default sweep parameters. The shapes in Table 1 are functions of n (and
 // n/p); the sweeps hold g, L and n/p fixed while n grows, which is the
 // regime the ratio analysis needs.
@@ -24,483 +9,98 @@ const (
 	sweepBSPL   = 16 // BSP latency (L/g = 8)
 	sweepNP     = 8  // n/p for the rounds table
 	sweepBSPDiv = 4  // BSP components = n/4 for the time table
-	gadgetBits  = 4  // gadget group width (2^4 = 16 checkers/assignment set)
 )
 
 // DefaultNs is the standard input-size sweep.
 func DefaultNs() []int { return []int{1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13} }
 
-func qsmArgs(n int) bounds.Args {
-	return bounds.Args{N: n, P: n, G: sweepG, L: 0}
+// qsmAt is a shared-memory row's registry point at gap sweepG.
+func qsmAt(model, alg string, fanin int) Point {
+	return Point{Model: model, Alg: alg, G: sweepG, Fanin: fanin}
 }
 
-func bspArgs(n int) bounds.Args {
-	return bounds.Args{N: n, P: n / sweepBSPDiv, G: sweepBSPG, L: sweepBSPL}
+// bspTimeAt is a Table 1c point: g = 2, L = 16 and the L/g tree fan-in.
+func bspTimeAt(alg string) Point {
+	return Point{Model: "bsp", Alg: alg, G: sweepBSPG, L: sweepBSPL, Fanin: sweepBSPL / sweepBSPG}
 }
 
-func roundsArgs(n int) bounds.Args {
-	return bounds.Args{N: n, P: n / sweepNP, G: sweepG, L: sweepBSPL}
-}
-
-// --- shared measurement helpers ------------------------------------------------
-
-func newQSM(rule cost.Rule, n, p int, g int64) (*qsm.Machine, error) {
-	return qsm.New(qsm.Config{Rule: rule, P: p, G: g, N: n, MemCells: n})
-}
-
-// measuredTime finishes a "time" measurement against the model-generic
-// machine interface: the measured quantity is the report's total model
-// time.
-func measuredTime(m engine.Machine) (float64, *cost.Report, error) {
-	return float64(m.Report().TotalTime), m.Report(), nil
-}
-
-// measuredRounds finishes a "rounds" measurement: every phase of the run
-// must have met the round budget, and the measured quantity is the phase
-// count. what names the algorithm in the budget-violation error.
-func measuredRounds(m engine.Machine, what string) (float64, *cost.Report, error) {
-	if !m.Report().AllRounds {
-		return 0, nil, fmt.Errorf("core: %s broke the round budget", what)
-	}
-	return float64(m.Report().NumPhases()), m.Report(), nil
-}
-
-func measureGadgetParity(rule cost.Rule, g int64, gb int) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		perGroup := gb << uint(gb)
-		procs := ((n + gb - 1) / gb) * perGroup
-		m, err := newQSM(rule, n, procs, g)
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		out, err := parity.GadgetQSM(m, 0, n, gb)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got := m.Peek(out); got != workload.Parity(in) {
-			return 0, nil, fmt.Errorf("core: gadget parity wrong answer")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureTreeParity(rule cost.Rule, g int64, fanin int) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n, g)
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		out, err := parity.TreeQSM(m, 0, n, fanin)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got := m.Peek(out); got != workload.Parity(in) {
-			return 0, nil, fmt.Errorf("core: tree parity wrong answer")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureContentionOR(rule cost.Rule, g int64) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n, g)
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		out, err := boolor.ContentionTree(m, 0, n, int(g))
-		if err != nil {
-			return 0, nil, err
-		}
-		if got := m.Peek(out); got != workload.Or(in) {
-			return 0, nil, fmt.Errorf("core: contention OR wrong answer")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureReadTreeOR(rule cost.Rule, g int64, fanin int) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n, g)
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		out, err := boolor.ReadTree(m, 0, n, fanin)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got := m.Peek(out); got != workload.Or(in) {
-			return 0, nil, fmt.Errorf("core: read-tree OR wrong answer")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureDartLAC(rule cost.Rule, g int64) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n, g)
-		if err != nil {
-			return 0, nil, err
-		}
-		in, err := workload.Sparse(seed, n, n/4)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		res, err := compaction.DartLAC(m, rng, 0, n)
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(res.Placed) != n/4 {
-			return 0, nil, fmt.Errorf("core: dart LAC lost items")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureBSPParity(fanin int, pFor func(int) int) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		p := pFor(n)
-		m, err := bsp.New(bsp.Config{
-			P: p, G: sweepBSPG, L: sweepBSPL, N: n,
-			PrivCells: parity.PrivNeedBSP(n, p),
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Scatter(in); err != nil {
-			return 0, nil, err
-		}
-		got, err := parity.RunBSP(m, n, fanin)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got != workload.Parity(in) {
-			return 0, nil, fmt.Errorf("core: BSP parity wrong answer")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureBSPOR(fanin int, pFor func(int) int) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		p := pFor(n)
-		m, err := bsp.New(bsp.Config{
-			P: p, G: sweepBSPG, L: sweepBSPL, N: n,
-			PrivCells: boolor.PrivNeedBSP(n, p),
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Scatter(in); err != nil {
-			return 0, nil, err
-		}
-		got, err := boolor.RunBSP(m, n, fanin)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got != workload.Or(in) {
-			return 0, nil, fmt.Errorf("core: BSP OR wrong answer")
-		}
-		return measuredTime(m)
-	}
-}
-
-func measureBSPDartLAC(pFor func(int) int) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		p := pFor(n)
-		m, err := bsp.New(bsp.Config{
-			P: p, G: sweepBSPG, L: sweepBSPL, N: n,
-			PrivCells: compaction.PrivNeedDartBSP(n, p),
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		in, err := workload.Sparse(seed, n, n/4)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := m.Scatter(in); err != nil {
-			return 0, nil, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		res, err := compaction.DartLACBSP(m, rng, n)
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(res.Placed) != n/4 {
-			return 0, nil, fmt.Errorf("core: BSP dart LAC lost items")
-		}
-		return measuredTime(m)
-	}
-}
-
-// rounds measurements return the phase count and require every phase to be
-// a round.
-
-func measureRoundsParityQSM(rule cost.Rule) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n/sweepNP, sweepG)
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		out, err := parity.TreeQSMRounds(m, 0, n)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got := m.Peek(out); got != workload.Parity(in) {
-			return 0, nil, fmt.Errorf("core: rounds parity wrong answer")
-		}
-		return measuredRounds(m, "parity rounds algorithm")
-	}
-}
-
-func measureRoundsOR(rule cost.Rule, qsmVariant bool) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n/sweepNP, sweepG)
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		var out int
-		if qsmVariant {
-			out, err = boolor.RoundsQSM(m, 0, n)
-		} else {
-			out, err = boolor.RoundsSQSM(m, 0, n)
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		if got := m.Peek(out); got != workload.Or(in) {
-			return 0, nil, fmt.Errorf("core: rounds OR wrong answer")
-		}
-		return measuredRounds(m, "OR rounds algorithm")
-	}
-}
-
-func measureRoundsLACQSM(rule cost.Rule) func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		m, err := newQSM(rule, n, n/sweepNP, sweepG)
-		if err != nil {
-			return 0, nil, err
-		}
-		in, err := workload.Sparse(seed, n, n/4)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := m.Load(0, in); err != nil {
-			return 0, nil, err
-		}
-		_, k, err := compaction.DetLAC(m, 0, n, sweepNP)
-		if err != nil {
-			return 0, nil, err
-		}
-		if k != n/4 {
-			return 0, nil, fmt.Errorf("core: rounds LAC lost items")
-		}
-		return measuredRounds(m, "LAC rounds algorithm")
-	}
-}
-
-func measureRoundsParityBSP() func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		p := n / sweepNP
-		m, err := bsp.New(bsp.Config{
-			P: p, G: 1, L: 2, N: n, PrivCells: parity.PrivNeedBSP(n, p),
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Scatter(in); err != nil {
-			return 0, nil, err
-		}
-		got, err := parity.RunBSP(m, n, sweepNP)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got != workload.Parity(in) {
-			return 0, nil, fmt.Errorf("core: BSP rounds parity wrong answer")
-		}
-		return measuredRounds(m, "BSP parity")
-	}
-}
-
-func measureRoundsORBSP() func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		p := n / sweepNP
-		m, err := bsp.New(bsp.Config{
-			P: p, G: 1, L: 2, N: n, PrivCells: boolor.PrivNeedBSP(n, p),
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		in := workload.Bits(seed, n)
-		if err := m.Scatter(in); err != nil {
-			return 0, nil, err
-		}
-		got, err := boolor.RunBSP(m, n, sweepNP)
-		if err != nil {
-			return 0, nil, err
-		}
-		if got != workload.Or(in) {
-			return 0, nil, fmt.Errorf("core: BSP rounds OR wrong answer")
-		}
-		return measuredRounds(m, "BSP OR")
-	}
-}
-
-func measureRoundsLACBSP() func(int, int64) (float64, *cost.Report, error) {
-	return func(n int, seed int64) (float64, *cost.Report, error) {
-		p := n / sweepNP
-		m, err := bsp.New(bsp.Config{
-			P: p, G: 1, L: 2, N: n,
-			PrivCells: compaction.PrivNeedDetLACBSP(n, p, sweepNP),
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		in, err := workload.Sparse(seed, n, n/4)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := m.Scatter(in); err != nil {
-			return 0, nil, err
-		}
-		_, h, err := compaction.DetLACBSP(m, n, sweepNP)
-		if err != nil {
-			return 0, nil, err
-		}
-		if h != n/4 {
-			return 0, nil, fmt.Errorf("core: BSP LAC lost items")
-		}
-		return measuredRounds(m, "BSP LAC")
-	}
+// bspRoundsAt is a Table 1d BSP point: g = 1, L = 2 and the n/p tree
+// fan-in.
+func bspRoundsAt(alg string) Point {
+	return Point{Model: "bsp", Alg: alg, G: 1, L: 2, Fanin: sweepNP}
 }
 
 // Experiments returns the full registry: one experiment per Table 1 row,
-// in paper order (DESIGN.md's per-experiment index).
+// in paper order (DESIGN.md's per-experiment index). Every row is a
+// registry point: p = n on the QSM and s-QSM, n/4 BSP components for
+// time and n/8 processors for rounds. The gadget's group width rides on
+// the fan-in axis, and the rounds rows use fan-in n/p.
 func Experiments() []*Experiment {
 	ns := DefaultNs()
 	return []*Experiment{
 		// --- Table 1a: QSM time ---
 		{ID: "T1.LAC.det", Title: "QSM LAC (det bound vs dart LAC)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "DartLAC",
-			Measure: measureDartLAC(cost.RuleQSM, sweepG)},
+			Ns: ns, At: qsmAt("qsm", "lac-dart", 0), Algorithm: "DartLAC"},
 		{ID: "T1.LAC.rand", Title: "QSM LAC (rand bound vs dart LAC)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "DartLAC",
-			Measure: measureDartLAC(cost.RuleQSM, sweepG)},
+			Ns: ns, At: qsmAt("qsm", "lac-dart", 0), Algorithm: "DartLAC"},
 		{ID: "T1.LAC.rand.nprocs", Title: "QSM LAC (n-procs rand bound)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "DartLAC",
-			Measure: measureDartLAC(cost.RuleQSM, sweepG)},
+			Ns: ns, At: qsmAt("qsm", "lac-dart", 0), Algorithm: "DartLAC"},
 		{ID: "T1.OR.det", Title: "QSM OR (det bound vs contention tree)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "ContentionTree(g)",
-			Measure: measureContentionOR(cost.RuleQSM, sweepG)},
+			Ns: ns, At: qsmAt("qsm", "or-contention", 0), Algorithm: "ContentionTree(g)"},
 		{ID: "T1.OR.rand", Title: "QSM OR (rand bound vs contention tree)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "ContentionTree(g)",
-			Measure: measureContentionOR(cost.RuleQSM, sweepG)},
+			Ns: ns, At: qsmAt("qsm", "or-contention", 0), Algorithm: "ContentionTree(g)"},
 		{ID: "T1.Parity.det", Title: "QSM Parity Θ w/ concurrent reads (gadget)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "GadgetQSM on CRQW",
-			Measure: measureGadgetParity(cost.RuleCRQW, sweepG, gadgetBits)},
+			Ns: ns, At: qsmAt("crqw", "parity-gadget", 4), Algorithm: "GadgetQSM on CRQW"},
 		{ID: "T1.Parity.rand", Title: "QSM Parity (rand bound vs gadget)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "GadgetQSM",
-			Measure: measureGadgetParity(cost.RuleQSM, sweepG, 3)},
+			Ns: ns, At: qsmAt("qsm", "parity-gadget", 3), Algorithm: "GadgetQSM"},
 
 		// --- Table 1b: s-QSM time ---
 		{ID: "T2.LAC.det", Title: "s-QSM LAC (det bound vs dart LAC)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "DartLAC",
-			Measure: measureDartLAC(cost.RuleSQSM, sweepG)},
+			Ns: ns, At: qsmAt("sqsm", "lac-dart", 0), Algorithm: "DartLAC"},
 		{ID: "T2.LAC.rand", Title: "s-QSM LAC (rand bound vs dart LAC)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "DartLAC",
-			Measure: measureDartLAC(cost.RuleSQSM, sweepG)},
+			Ns: ns, At: qsmAt("sqsm", "lac-dart", 0), Algorithm: "DartLAC"},
 		{ID: "T2.OR.det", Title: "s-QSM OR (det bound vs read tree)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "ReadTree(2)",
-			Measure: measureReadTreeOR(cost.RuleSQSM, sweepG, 2)},
+			Ns: ns, At: qsmAt("sqsm", "or", 2), Algorithm: "ReadTree(2)"},
 		{ID: "T2.OR.rand", Title: "s-QSM OR (rand bound vs read tree)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "ReadTree(2)",
-			Measure: measureReadTreeOR(cost.RuleSQSM, sweepG, 2)},
+			Ns: ns, At: qsmAt("sqsm", "or", 2), Algorithm: "ReadTree(2)"},
 		{ID: "T2.Parity.det", Title: "s-QSM Parity Θ (binary XOR tree)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "TreeQSM(2)",
-			Measure: measureTreeParity(cost.RuleSQSM, sweepG, 2)},
+			Ns: ns, At: qsmAt("sqsm", "parity", 2), Algorithm: "TreeQSM(2)"},
 		{ID: "T2.Parity.rand", Title: "s-QSM Parity (rand bound vs tree)", Quantity: "time",
-			Ns: ns, Args: qsmArgs, Algorithm: "TreeQSM(2)",
-			Measure: measureTreeParity(cost.RuleSQSM, sweepG, 2)},
+			Ns: ns, At: qsmAt("sqsm", "parity", 2), Algorithm: "TreeQSM(2)"},
 
 		// --- Table 1c: BSP time ---
 		{ID: "T3.LAC.det", Title: "BSP LAC (det bound vs dart LAC)", Quantity: "time",
-			Ns: ns, Args: bspArgs, Algorithm: "DartLACBSP",
-			Measure: measureBSPDartLAC(func(n int) int { return n / sweepBSPDiv })},
+			Ns: ns, At: bspTimeAt("bsp-lac-dart"), PDiv: sweepBSPDiv, Algorithm: "DartLACBSP"},
 		{ID: "T3.LAC.rand", Title: "BSP LAC (rand bound vs dart LAC)", Quantity: "time",
-			Ns: ns, Args: bspArgs, Algorithm: "DartLACBSP",
-			Measure: measureBSPDartLAC(func(n int) int { return n / sweepBSPDiv })},
+			Ns: ns, At: bspTimeAt("bsp-lac-dart"), PDiv: sweepBSPDiv, Algorithm: "DartLACBSP"},
 		{ID: "T3.OR.det", Title: "BSP OR (det bound vs L/g tree)", Quantity: "time",
-			Ns: ns, Args: bspArgs, Algorithm: "RunBSP(L/g)",
-			Measure: measureBSPOR(sweepBSPL/sweepBSPG, func(n int) int { return n / sweepBSPDiv })},
+			Ns: ns, At: bspTimeAt("bsp-or"), PDiv: sweepBSPDiv, Algorithm: "RunBSP(L/g)"},
 		{ID: "T3.OR.rand", Title: "BSP OR (rand bound vs L/g tree)", Quantity: "time",
-			Ns: ns, Args: bspArgs, Algorithm: "RunBSP(L/g)",
-			Measure: measureBSPOR(sweepBSPL/sweepBSPG, func(n int) int { return n / sweepBSPDiv })},
+			Ns: ns, At: bspTimeAt("bsp-or"), PDiv: sweepBSPDiv, Algorithm: "RunBSP(L/g)"},
 		{ID: "T3.Parity.det", Title: "BSP Parity Θ (L/g tree)", Quantity: "time",
-			Ns: ns, Args: bspArgs, Algorithm: "RunBSP(L/g)",
-			Measure: measureBSPParity(sweepBSPL/sweepBSPG, func(n int) int { return n / sweepBSPDiv })},
+			Ns: ns, At: bspTimeAt("bsp-parity"), PDiv: sweepBSPDiv, Algorithm: "RunBSP(L/g)"},
 		{ID: "T3.Parity.rand", Title: "BSP Parity (rand bound vs L/g tree)", Quantity: "time",
-			Ns: ns, Args: bspArgs, Algorithm: "RunBSP(L/g)",
-			Measure: measureBSPParity(sweepBSPL/sweepBSPG, func(n int) int { return n / sweepBSPDiv })},
+			Ns: ns, At: bspTimeAt("bsp-parity"), PDiv: sweepBSPDiv, Algorithm: "RunBSP(L/g)"},
 
 		// --- Table 1d: rounds ---
 		{ID: "T4.LAC.qsm", Title: "QSM LAC rounds (prefix compaction)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "DetLAC(n/p)",
-			Measure: measureRoundsLACQSM(cost.RuleQSM)},
+			Ns: ns, At: qsmAt("qsm", "lac-det", sweepNP), PDiv: sweepNP, Algorithm: "DetLAC(n/p)"},
 		{ID: "T4.LAC.sqsm", Title: "s-QSM LAC rounds (prefix compaction)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "DetLAC(n/p)",
-			Measure: measureRoundsLACQSM(cost.RuleSQSM)},
+			Ns: ns, At: qsmAt("sqsm", "lac-det", sweepNP), PDiv: sweepNP, Algorithm: "DetLAC(n/p)"},
 		{ID: "T4.LAC.bsp", Title: "BSP LAC rounds (prefix + route)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "prefix.RunBSP + route",
-			Measure: measureRoundsLACBSP()},
+			Ns: ns, At: bspRoundsAt("bsp-lac-det"), PDiv: sweepNP, Algorithm: "prefix.RunBSP + route"},
 		{ID: "T4.OR.qsm", Title: "QSM OR rounds Θ (block + contention tree)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "RoundsQSM",
-			Measure: measureRoundsOR(cost.RuleQSM, true)},
+			Ns: ns, At: qsmAt("qsm", "or-rounds", 0), PDiv: sweepNP, Algorithm: "RoundsQSM"},
 		{ID: "T4.OR.sqsm", Title: "s-QSM OR rounds Θ (n/p tree)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "RoundsSQSM",
-			Measure: measureRoundsOR(cost.RuleSQSM, false)},
+			Ns: ns, At: qsmAt("sqsm", "or", sweepNP), PDiv: sweepNP, Algorithm: "RoundsSQSM"},
 		{ID: "T4.OR.bsp", Title: "BSP OR rounds Θ (n/p tree)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "RunBSP(n/p)",
-			Measure: measureRoundsORBSP()},
+			Ns: ns, At: bspRoundsAt("bsp-or"), PDiv: sweepNP, Algorithm: "RunBSP(n/p)"},
 		{ID: "T4.Parity.qsm", Title: "QSM Parity rounds (n/p XOR tree)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "TreeQSMRounds",
-			Measure: measureRoundsParityQSM(cost.RuleQSM)},
+			Ns: ns, At: qsmAt("qsm", "parity", sweepNP), PDiv: sweepNP, Algorithm: "TreeQSMRounds"},
 		{ID: "T4.Parity.sqsm", Title: "s-QSM Parity rounds Θ (n/p XOR tree)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "TreeQSMRounds",
-			Measure: measureRoundsParityQSM(cost.RuleSQSM)},
+			Ns: ns, At: qsmAt("sqsm", "parity", sweepNP), PDiv: sweepNP, Algorithm: "TreeQSMRounds"},
 		{ID: "T4.Parity.bsp", Title: "BSP Parity rounds Θ (n/p tree)", Quantity: "rounds",
-			Ns: ns, Args: roundsArgs, Algorithm: "RunBSP(n/p)",
-			Measure: measureRoundsParityBSP()},
+			Ns: ns, At: bspRoundsAt("bsp-parity"), PDiv: sweepNP, Algorithm: "RunBSP(n/p)"},
 	}
 }
 

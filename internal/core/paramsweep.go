@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/boolor"
 	"repro/internal/bounds"
-	"repro/internal/bsp"
-	"repro/internal/cost"
-	"repro/internal/parity"
-	"repro/internal/workload"
 )
 
 // ParamSweeps renders the bound-parameter sweeps orthogonal to the n
@@ -24,74 +19,33 @@ func ParamSweeps(seed int64) (string, error) {
 	fmt.Fprintf(&b, "  %4s %16s %16s %16s %16s\n",
 		"g", "sQSM par bound", "sQSM par meas", "QSM OR bound", "QSM OR meas")
 	for _, g := range []int64{1, 2, 4, 8, 16, 32} {
-		in := workload.Bits(seed, n)
-
-		ms, err := newQSM(cost.RuleSQSM, n, n, g)
+		pt := Point{Model: "sqsm", Alg: "parity", N: n, P: n, G: g, Fanin: 2, Seed: seed}
+		par, err := measure(pt)
 		if err != nil {
 			return "", err
 		}
-		if err := ms.Load(0, in); err != nil {
-			return "", err
-		}
-		out, err := parity.TreeQSM(ms, 0, n, 2)
+		pt.Model, pt.Alg = "qsm", "or-contention"
+		or, err := measure(pt)
 		if err != nil {
 			return "", err
 		}
-		if ms.Peek(out) != workload.Parity(in) {
-			return "", fmt.Errorf("core: g-sweep parity wrong at g=%d", g)
-		}
-
-		mo, err := newQSM(cost.RuleQSM, n, n, g)
-		if err != nil {
-			return "", err
-		}
-		if err := mo.Load(0, in); err != nil {
-			return "", err
-		}
-		fan := int(g)
-		if fan < 2 {
-			fan = 2
-		}
-		outOr, err := boolor.ContentionTree(mo, 0, n, fan)
-		if err != nil {
-			return "", err
-		}
-		if mo.Peek(outOr) != workload.Or(in) {
-			return "", fmt.Errorf("core: g-sweep OR wrong at g=%d", g)
-		}
-
-		a := bounds.Args{N: n, P: n, G: g}
+		a := pt.boundArgs()
 		fmt.Fprintf(&b, "  %4d %16.1f %16d %16.1f %16d\n",
-			g, bounds.SQSMParityDet(a), ms.Report().TotalTime,
-			bounds.QSMORDet(a), mo.Report().TotalTime)
+			g, bounds.SQSMParityDet(a), par.TotalTime, bounds.QSMORDet(a), or.TotalTime)
 	}
 
 	fmt.Fprintf(&b, "\nL/g-sweep at n=%d, g=2 — BSP Parity Θ(L·log q/log(L/g))\n", n)
 	fmt.Fprintf(&b, "  %4s %6s %16s %16s %10s\n", "L/g", "L", "bound", "measured", "steps")
 	for _, lg := range []int64{2, 4, 8, 16, 32} {
-		g := int64(2)
-		L := g * lg
-		p := n / sweepBSPDiv
-		in := workload.Bits(seed+lg, n)
-		m, err := bsp.New(bsp.Config{
-			P: p, G: g, L: L, N: n, PrivCells: parity.PrivNeedBSP(n, p),
-		})
+		pt := Point{Model: "bsp", Alg: "bsp-parity", N: n, P: n / sweepBSPDiv,
+			G: 2, L: 2 * lg, Fanin: int(lg), Seed: seed + lg}
+		rep, err := measure(pt)
 		if err != nil {
 			return "", err
 		}
-		if err := m.Scatter(in); err != nil {
-			return "", err
-		}
-		got, err := parity.RunBSP(m, n, int(lg))
-		if err != nil {
-			return "", err
-		}
-		if got != workload.Parity(in) {
-			return "", fmt.Errorf("core: L/g-sweep parity wrong at L/g=%d", lg)
-		}
-		a := bounds.Args{N: n, P: p, G: g, L: L}
+		a := pt.boundArgs()
 		fmt.Fprintf(&b, "  %4d %6d %16.1f %16d %10d\n",
-			lg, L, bounds.BSPParityDet(a), m.Report().TotalTime, m.Report().NumPhases())
+			lg, pt.L, bounds.BSPParityDet(a), rep.TotalTime, rep.NumPhases())
 	}
 	return b.String(), nil
 }

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/bounds"
-	"repro/internal/gsm"
 	"repro/internal/gsmalg"
-	"repro/internal/workload"
 )
 
 // TheoremSweeps renders the GSM-level theorem experiments that feed the
@@ -22,27 +20,13 @@ func TheoremSweeps(seed int64) (string, error) {
 	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
 		for _, mu := range []int64{2, 4, 8} {
 			for _, gamma := range []int64{1, 4} {
-				r := (n + int(gamma) - 1) / int(gamma)
-				m, err := gsm.New(gsm.Config{
-					P: r, Alpha: mu, Beta: mu, Gamma: gamma, N: n,
-					Cells: gsmalg.CellsNeedGather(r),
-				})
+				rep, err := measure(Point{Model: "gsm", Alg: "gsm-parity", N: n,
+					Alpha: mu, Beta: mu, Gamma: gamma, Fanin: int(mu), Seed: seed + int64(n)})
 				if err != nil {
 					return "", err
-				}
-				bits := workload.Bits(seed+int64(n), n)
-				if err := m.LoadInputs(bits); err != nil {
-					return "", err
-				}
-				got, err := gsmalg.ParityGSM(m, n, int(mu))
-				if err != nil {
-					return "", err
-				}
-				if got != workload.Parity(bits) {
-					return "", fmt.Errorf("core: GSM parity wrong at n=%d μ=%d", n, mu)
 				}
 				bound := bounds.GSMParityDet(bounds.GSMArgs{N: n, Alpha: mu, Beta: mu, Gamma: gamma})
-				meas := float64(m.Report().TotalTime)
+				meas := float64(rep.TotalTime)
 				fmt.Fprintf(&b, "  %8d %6d %6d %14.1f %14.1f %8.2f\n",
 					n, mu, gamma, bound, meas, meas/bound)
 			}
@@ -54,25 +38,12 @@ func TheoremSweeps(seed int64) (string, error) {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		for _, h := range []int64{4, 16, 64} {
 			alpha := int64(2)
-			m, err := gsm.New(gsm.Config{
-				P: n, Alpha: alpha, Beta: alpha, Gamma: 1, N: n,
-				Cells: gsmalg.CellsNeedGather(n),
-			})
+			rep, err := measure(Point{Model: "gsm", Alg: "gsm-parity", N: n,
+				Alpha: alpha, Beta: alpha, Gamma: 1, Fanin: int(h), Seed: seed + int64(n) + h})
 			if err != nil {
 				return "", err
 			}
-			bits := workload.Bits(seed+int64(n)+h, n)
-			if err := m.LoadInputs(bits); err != nil {
-				return "", err
-			}
-			fanin := int(h)
-			if fanin < 2 {
-				fanin = 2
-			}
-			if _, err := gsmalg.ParityGSM(m, n, fanin); err != nil {
-				return "", err
-			}
-			rounds, all := gsmalg.RelaxedRounds(m.Report(), h, 1)
+			rounds, all := gsmalg.RelaxedRounds(rep, h, 1)
 			if !all {
 				return "", fmt.Errorf("core: GSM(h) gather broke the h=%d budget", h)
 			}

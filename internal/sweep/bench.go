@@ -278,7 +278,7 @@ func RunBenchSnapshot(label, filter string) (*BenchSnapshot, error) {
 	return s, nil
 }
 
-// benchExperimentCell times one experiment Measure call and records the
+// benchExperimentCell times one experiment RunPoint call and records the
 // row's deterministic quantities at seed 1.
 func benchExperimentCell(id string, n int) (map[string]float64, testing.BenchmarkResult, error) {
 	e := core.ExperimentByID(id)
@@ -297,7 +297,7 @@ func benchExperimentCell(id string, n int) (map[string]float64, testing.Benchmar
 	return metrics, testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := e.Measure(n, 1); err != nil {
+			if _, err := e.RunPoint(n, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -22,6 +22,8 @@ package sweep
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Skip reason codes. Infeasible cells are recorded with one of these
@@ -96,31 +98,18 @@ type Cell struct {
 // withDefaults fills zero axes with the parsim defaults so the runner and
 // Key always see explicit parameters.
 func (c Cell) withDefaults() Cell {
-	if c.P == 0 {
-		c.P = c.N
-	}
-	if c.G == 0 {
-		c.G = 4
-	}
-	if c.D == 0 {
-		c.D = 2
-	}
-	if c.L == 0 {
-		c.L = 16
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 2
-	}
-	if c.Beta == 0 {
-		c.Beta = 2
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 1
-	}
-	if c.Fanin == 0 {
-		c.Fanin = 2
-	}
+	d := c.point().WithDefaults()
+	c.P, c.G, c.D, c.L, c.Fanin = d.P, d.G, d.D, d.L, d.Fanin
+	c.Alpha, c.Beta, c.Gamma = d.Alpha, d.Beta, d.Gamma
 	return c
+}
+
+// point is the cell's registry point.
+func (c Cell) point() core.Point {
+	return core.Point{
+		Model: c.Model, Alg: c.Alg, N: c.N, P: c.P, G: c.G, D: c.D, L: c.L,
+		Alpha: c.Alpha, Beta: c.Beta, Gamma: c.Gamma, Fanin: c.Fanin, Seed: c.Seed,
+	}
 }
 
 // Key is the cell's stable identity: the resume scanner skips cells whose

@@ -88,8 +88,8 @@ func PresetChaos(seeds []int64, n int, degraded bool) []Cell {
 // machine family, and one experiment cell.
 func PresetSmoke() []Cell {
 	cells := Grid{
-		Models: ModelNames(),
-		Algs:   AlgNames(),
+		Models: core.ModelNames(),
+		Algs:   core.AlgNames(),
 		Ns:     []int{64},
 		Seeds:  []int64{1},
 	}.Cells()

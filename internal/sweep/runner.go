@@ -59,7 +59,7 @@ func Check(c Cell, maxCost int64) string {
 		return ""
 	}
 	d := c.withDefaults()
-	ms, ok := ModelByName(d.Model)
+	ms, ok := core.ModelByName(d.Model)
 	if !ok {
 		return ReasonUnknownModel
 	}
@@ -92,7 +92,7 @@ func Check(c Cell, maxCost int64) string {
 		}
 		return ""
 	}
-	as, ok := AlgByName(d.Alg)
+	as, ok := core.AlgByName(d.Alg)
 	if !ok {
 		return ReasonUnknownAlg
 	}
@@ -103,11 +103,11 @@ func Check(c Cell, maxCost int64) string {
 		return ReasonInvalidParams
 	}
 	switch ms.Family {
-	case FamilyShared:
+	case core.FamilyShared:
 		if d.D < 1 {
 			return ReasonInvalidParams
 		}
-	case FamilyBSP:
+	case core.FamilyBSP:
 		if d.L < 1 {
 			return ReasonInvalidParams
 		}
@@ -116,11 +116,7 @@ func Check(c Cell, maxCost int64) string {
 			return ReasonInvalidParams
 		}
 	}
-	p := d.P
-	if as.procs != nil {
-		p = as.procs(d)
-	}
-	if int64(d.N)*int64(p) > maxCost {
+	if int64(d.N)*int64(as.Procs(d.point())) > maxCost {
 		return ReasonTooLarge
 	}
 	return ""
@@ -131,15 +127,15 @@ func Check(c Cell, maxCost int64) string {
 // the chaos-native names (what `parsim chaos` always took) and registry
 // names via their FaultAlg mapping (so "lac-dart" under faults runs the
 // chaos lac harness). The second return is the skip reason ("" = ok).
-func chaosAlgFor(ms ModelSpec, alg string) (string, string) {
+func chaosAlgFor(ms core.ModelSpec, alg string) (string, string) {
 	chaosNative := alg == "parity" || alg == "or" || alg == "lac"
 	switch {
-	case ms.Family == FamilyShared && chaosNative:
+	case ms.Family == core.FamilyShared && chaosNative:
 		return alg, ""
-	case ms.Family != FamilyShared && (alg == "parity" || alg == "or"):
+	case ms.Family != core.FamilyShared && (alg == "parity" || alg == "or"):
 		return alg, ""
 	}
-	if as, ok := AlgByName(alg); ok {
+	if as, ok := core.AlgByName(alg); ok {
 		if as.Family != ms.Family {
 			return "", ReasonInvalidCombo
 		}
@@ -157,11 +153,11 @@ func chaosAlgFor(ms ModelSpec, alg string) (string, string) {
 
 // chaosFootprint mirrors the fixed machine shapes of the chaos runners:
 // p = n for the shared models, 8 components for BSP, ⌈n/2⌉ for GSM.
-func chaosFootprint(ms ModelSpec, n int) int64 {
+func chaosFootprint(ms core.ModelSpec, n int) int64 {
 	switch ms.Family {
-	case FamilyBSP:
+	case core.FamilyBSP:
 		return int64(n) * 8
-	case FamilyGSM:
+	case core.FamilyGSM:
 		return int64(n) * int64((n+1)/2)
 	default:
 		return int64(n) * int64(n)
@@ -210,7 +206,7 @@ func runExpCell(rec *Record) {
 // robustness invariant: verified → ok, diagnosable error → diagnosed,
 // invariant violation → failed.
 func runFaultCell(rec *Record, rc RunConfig) {
-	ms, _ := ModelByName(rec.Model)
+	ms, _ := core.ModelByName(rec.Model)
 	alg, _ := chaosAlgFor(ms, rec.Alg)
 	specs, _ := fault.ParseSpecs(rec.Faults) // Check already validated
 	o := chaos.Run(rc.ctx(), chaos.Scenario{
@@ -237,7 +233,7 @@ func runFaultCell(rec *Record, rc RunConfig) {
 	}
 }
 
-// runMachineCell runs one fault-free algorithm cell through Execute,
+// runMachineCell runs one fault-free algorithm cell through core.Execute,
 // constructing (and closing) the cell's commit-barrier backend around
 // the run.
 func runMachineCell(rec *Record, rc RunConfig) {
@@ -249,7 +245,7 @@ func runMachineCell(rec *Record, rc RunConfig) {
 	if bk != nil {
 		defer bk.Close()
 	}
-	out, err := ExecuteWith(rec.Cell, false, rc.Workers, bk)
+	out, err := core.Execute(rec.Cell.point(), false, rc.Workers, bk)
 	if err != nil {
 		rec.Status, rec.Error = StatusFailed, err.Error()
 		return
