@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // This file is the commit-barrier backend seam. Every engine commits
@@ -175,95 +176,100 @@ const colBatch = 64
 // the read+write clash check, applied serially over one contiguous cell
 // range [lo, hi). The column barrier (no backend) feeds it the active
 // processors' own columns; backend workers run it over their owned range
-// via Merge. The scratch is one epoch-stamped record per cell, reused
-// across merges: begin advances the epoch, and a record stamped with an
-// older epoch reads as untouched, so a merge neither lists nor clears the
-// cells it counted, and a steady-state merge allocates nothing.
+// via Merge.
 //
-// Rules (paper §2): contention counts *processors* per cell — duplicate requests by one processor dedupe via
-// the last mark; all reads are counted before all writes, so a positive
-// count at a written cell means the forbidden read+write mix, and the
-// smallest such cell is reported.
+// The scratch is one ticketed mark per cell, reused across merges. A
+// merge over p processors owns the 2p tickets above base: processor pr
+// reads under ticket base+1+pr and writes under base+1+p+pr, and the
+// next merge's base is past them all. A mark holds the last ticket that
+// counted the cell and how many processors it has counted; a ticket
+// ≤ base is stale, so a merge neither lists nor clears the cells it
+// counted, and a steady-state merge allocates nothing. The marks are
+// cleared only when the tickets would wrap.
+//
+// Rules (paper §2): contention counts *processors* per cell — duplicate
+// requests by one processor carry the same ticket and dedupe; all reads
+// are counted before all writes, so a write that finds a read ticket at
+// its cell is the forbidden read+write mix, and the smallest such cell
+// is reported.
 //
 // A merge is begin, then reads over every processor's read column, then
 // writes over every processor's write column, then end. Columns come in
 // ascending processor order, in as many reads/writes calls as the
 // caller likes.
 type MemMerger struct {
-	marks  []cellMark
-	epoch  uint32
-	lo, hi int32
-	st     MergeStats
+	marks []cellMark
+	// base is the merge's stale bound and p its processor count: reads
+	// take the tickets up to base+p, writes the p above them.
+	base, p uint32
+	lo, hi  int32
+	st      MergeStats
 }
 
-// cellMark is one cell's merge scratch, valid only while epoch equals the
-// merger's: last is the last counted processor (+pr+1 for a read, −pr−1
-// for a write) and count the readers (> 0) or the negated writers (< 0).
+// cellMark is one cell's merge scratch: t is the ticket of the last
+// processor counted there, and count how many readers (read ticket) or
+// writers (write ticket) have counted so far. A mark whose ticket is
+// ≤ the merger's base is untouched this merge.
 type cellMark struct {
-	epoch       uint32
-	last, count int32
+	t     uint32
+	count int32
 }
 
 // Merge computes the merge statistics for the cells in [lo, hi);
 // requests outside the range are ignored (the caller shards the columns
 // or passes the full space).
 func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
-	g.begin(lo, hi)
+	g.begin(lo, hi, max(len(req.Reads), len(req.Writes)))
 	g.reads(nil, req.Reads)
 	g.writes(nil, req.Writes, req.Packed)
 	return g.end()
 }
 
-// begin starts a merge over the cells in [lo, hi).
-func (g *MemMerger) begin(lo, hi int) {
+// begin starts a merge over the cells in [lo, hi) for processors
+// [0, p): it grows the marks to the high-water width and advances base
+// past the previous merge's tickets, clearing the marks first when this
+// merge's would pass 2^32−1.
+func (g *MemMerger) begin(lo, hi, p int) {
 	width := max(hi-lo, 0)
-	g.marks, g.epoch = nextEpoch(g.marks, g.epoch, width)
+	if len(g.marks) < width {
+		g.marks = make([]cellMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+	}
+	base := uint64(g.base) + 2*uint64(g.p) + 1
+	if base+2*uint64(p)+1 > math.MaxUint32 {
+		clear(g.marks)
+		base = 0
+	}
+	g.base, g.p = uint32(base), uint32(p)
 	g.lo, g.hi = int32(lo), int32(lo+width)
 	g.st = MergeStats{Viol: -1}
-}
-
-// nextEpoch readies a merger's epoch-stamped scratch for a merge over
-// width records: it grows marks to the high-water width and advances the
-// epoch, clearing the records only when the epoch wraps to 0 (and then
-// restarting at 1).
-func nextEpoch[T any](marks []T, epoch uint32, width int) ([]T, uint32) {
-	if len(marks) < width {
-		marks = make([]T, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-	}
-	if epoch++; epoch == 0 {
-		clear(marks)
-		epoch = 1
-	}
-	return marks, epoch
 }
 
 // reads counts read columns: cols[k] belongs to processor procs[k], or
 // to processor k when procs is nil.
 func (g *MemMerger) reads(procs []int32, cols [][]int32) {
 	lo, hi := g.lo, g.hi
-	marks, ep := g.marks, g.epoch
+	marks, base := g.marks, g.base
 	kr := g.st.KRead
 	for k, col := range cols {
-		pr := int32(k) + 1
+		pr := int32(k)
 		if procs != nil {
-			pr = procs[k] + 1
+			pr = procs[k]
 		}
+		t := base + 1 + uint32(pr)
 		for _, a := range col {
 			if a < lo || a >= hi {
 				continue
 			}
 			m := &marks[a-lo]
-			if m.epoch != ep {
-				*m = cellMark{epoch: ep, last: pr, count: 1}
+			switch {
+			case m.t <= base:
+				*m = cellMark{t: t, count: 1}
 				kr = max(kr, 1)
-				continue
+			case m.t != t:
+				m.t = t
+				m.count++
+				kr = max(kr, int64(m.count))
 			}
-			if m.last == pr {
-				continue
-			}
-			m.last = pr
-			m.count++
-			kr = max(kr, int64(m.count))
 		}
 	}
 	g.st.KRead = kr
@@ -273,36 +279,33 @@ func (g *MemMerger) reads(procs []int32, cols [][]int32) {
 // PackWrite entries.
 func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
 	lo, hi := g.lo, g.hi
-	marks, ep := g.marks, g.epoch
+	marks, base, wbase := g.marks, g.base, g.base+g.p
 	kw, viol := g.st.KWrite, g.st.Viol
 	for k, col := range cols {
-		pr := -(int32(k) + 1)
+		pr := int32(k)
 		if procs != nil {
-			pr = -(procs[k] + 1)
+			pr = procs[k]
 		}
+		t := wbase + 1 + uint32(pr)
 		for _, e := range col {
 			a := EntryAddr(e, packed)
 			if a < lo || a >= hi {
 				continue
 			}
 			m := &marks[a-lo]
-			if m.epoch != ep {
-				*m = cellMark{epoch: ep, last: pr, count: -1}
+			switch {
+			case m.t <= base:
+				*m = cellMark{t: t, count: 1}
 				kw = max(kw, 1)
-				continue
-			}
-			if m.count > 0 {
+			case m.t <= wbase:
 				if viol < 0 || a < viol {
 					viol = a
 				}
-				continue
+			case m.t != t:
+				m.t = t
+				m.count++
+				kw = max(kw, int64(m.count))
 			}
-			if m.last == pr {
-				continue
-			}
-			m.last = pr
-			m.count--
-			kw = max(kw, int64(-m.count))
 		}
 	}
 	g.st.KWrite, g.st.Viol = kw, viol
@@ -318,7 +321,7 @@ func (g *MemMerger) cols(procs []int32, cols [][]int32, write, packed bool) {
 }
 
 // end finishes the merge and returns its statistics; the scratch needs
-// no clearing, since the next begin's epoch retires every record.
+// no clearing, since the next begin's base retires every ticket.
 func (g *MemMerger) end() MergeStats { return g.st }
 
 // RouteMerger is the routing rule set: per-destination fan-in counting
@@ -326,7 +329,8 @@ func (g *MemMerger) end() MergeStats { return g.st }
 // [lo, hi). The column barrier (no backend) feeds it the senders' own
 // destination columns; backend workers run it via Merge.
 // The scratch is one epoch-stamped count per destination, reused across
-// merges without clearing, as in MemMerger. A merge is begin, dsts over
+// merges without clearing: begin advances the epoch, and a count
+// stamped with an older epoch reads as zero. A merge is begin, dsts over
 // every sender's column (in as many calls as the caller likes), then end.
 type RouteMerger struct {
 	recv   []dstMark
@@ -353,7 +357,13 @@ func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
 // begin starts a merge over the destinations in [lo, hi).
 func (g *RouteMerger) begin(lo, hi int) {
 	width := max(hi-lo, 0)
-	g.recv, g.epoch = nextEpoch(g.recv, g.epoch, width)
+	if len(g.recv) < width {
+		g.recv = make([]dstMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+	}
+	if g.epoch++; g.epoch == 0 {
+		clear(g.recv) // the epoch wrapped: retire every count, restart at 1
+		g.epoch = 1
+	}
 	g.lo, g.hi = int32(lo), int32(lo+width)
 	g.hrecv = 0
 }

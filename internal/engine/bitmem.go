@@ -162,16 +162,18 @@ var bitPayloads = [2]string{"0", "1"}
 func (m *BitMem) emit() {
 	for _, l := range m.lanes {
 		c := &l.c
+		r0, w0 := int32(0), int32(0)
 		for _, s := range l.spans {
-			for _, a := range c.readAddrs[s.r0:s.r1] {
+			for _, a := range c.readAddrs[r0:s.r1] {
 				m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
 					Payload: bitPayloads[m.mem[a>>6]>>(uint32(a)&63)&1]})
 			}
-			for _, pk := range c.writes[s.w0:s.w1] {
+			for _, pk := range c.writes[w0:s.w1] {
 				a, bit := unpackWrite(pk)
 				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a,
 					Payload: bitPayloads[bit]})
 			}
+			r0, w0 = s.r1, s.w1
 		}
 	}
 }

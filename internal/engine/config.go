@@ -7,9 +7,9 @@ import (
 	"repro/internal/cost"
 )
 
-// maxAddr bounds memory sizes and processor counts: request columns,
-// spans and the merger's marks hold addresses and processor indices as
-// int32.
+// maxAddr bounds memory sizes and processor counts: request columns and
+// spans hold addresses and processor indices as int32, and the 2p+1
+// merge tickets of p processors then fit the merger's uint32 marks.
 const maxAddr = math.MaxInt32
 
 // ValidateConfig is the shared constructor-side validation of the three

@@ -13,10 +13,12 @@ package engine
 // processor range, so reading the lanes in order reads the requests in
 // ascending processor order.
 
-// span is one processor's share of its lane's columns: reads [r0, r1)
-// and writes [w0, w1).
+// span is one processor's share of its lane's columns: the reads and
+// writes up to r1 and w1, starting where the previous span ended (at 0
+// for the lane's first span). The columns hold nothing but the spans'
+// requests, so a lane's spans tile its columns exactly.
 type span struct {
-	proc, r0, r1, w0, w1 int32
+	proc, r1, w1 int32
 }
 
 // lane is one dispatch chunk's request storage: the context c the
@@ -53,11 +55,16 @@ func useLanes[W, C any](lanes []*lane[W, C], nb int, st *store[W]) []*lane[W, C]
 }
 
 // run executes the bodies of processors [lo, hi) on the lane's cursor and
-// reports the chunk's failure tally. Masked processors and processors
-// that record nothing leave no trace in the lane.
+// reports the chunk's failure tally. Masked processors, processors that
+// record nothing and processors that fail leave no trace in the lane. The
+// span index is reserved at the dispatch width, which bounds how many
+// processors can record, so it never grows while the bodies run.
 func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error) {
 	c := l.cur
 	c.readAddrs, c.writes, c.writeVals = c.readAddrs[:0], c.writes[:0], c.writeVals[:0]
+	if cap(l.spans) < hi-lo {
+		l.spans = make([]span, 0, hi-lo)
+	}
 	spans, mOp, mRW := l.spans[:0], int64(0), int64(0)
 	var nf int32
 	var first error
@@ -68,7 +75,7 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 			// masking is visible here race-free.
 			continue
 		}
-		r0, w0 := len(c.readAddrs), len(c.writes)
+		r0, w0, v0 := len(c.readAddrs), len(c.writes), len(c.writeVals)
 		c.proc, c.reads, c.wrs, c.ops, c.fail = i, 0, 0, 0, nil
 		body(&l.c)
 		if c.fail != nil {
@@ -76,11 +83,14 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 				first = c.fail
 			}
 			nf++
+			// Drop what the failing body recorded, so the next span
+			// still starts where the last one ended.
+			c.readAddrs, c.writes, c.writeVals = c.readAddrs[:r0], c.writes[:w0], c.writeVals[:v0]
 			continue
 		}
 		mOp, mRW = max(mOp, c.ops), max(mRW, c.reads, c.wrs)
 		if r1, w1 := len(c.readAddrs), len(c.writes); r1 > r0 || w1 > w0 {
-			spans = append(spans, span{int32(i), int32(r0), int32(r1), int32(w0), int32(w1)})
+			spans = append(spans, span{int32(i), int32(r1), int32(w1)})
 		}
 	}
 	l.spans, l.mOp, l.mRW = spans, mOp, mRW
@@ -94,16 +104,16 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 func countLane(g *MemMerger, spans []span, col []int32, write, packed bool) {
 	var procs [colBatch]int32
 	var cols [colBatch][]int32
-	n := 0
+	n, lo := 0, int32(0)
 	for _, s := range spans {
-		lo, hi := s.r0, s.r1
+		hi := s.r1
 		if write {
-			lo, hi = s.w0, s.w1
+			hi = s.w1
 		}
 		if lo == hi {
 			continue
 		}
-		procs[n], cols[n] = s.proc, col[lo:hi]
+		procs[n], cols[n], lo = s.proc, col[lo:hi], hi
 		if n++; n == colBatch {
 			g.cols(procs[:n], cols[:n], write, packed)
 			n = 0
@@ -123,12 +133,17 @@ func colViews[W, C any](buf [][]int32, p int, lanes []*lane[W, C], write bool) [
 	buf = buf[:p]
 	clear(buf)
 	for _, l := range lanes {
+		col := l.cur.readAddrs
+		if write {
+			col = l.cur.writes
+		}
+		lo := int32(0)
 		for _, s := range l.spans {
+			hi := s.r1
 			if write {
-				buf[s.proc] = l.cur.writes[s.w0:s.w1]
-			} else {
-				buf[s.proc] = l.cur.readAddrs[s.r0:s.r1]
+				hi = s.w1
 			}
+			buf[s.proc], lo = col[lo:hi], hi
 		}
 	}
 	return buf

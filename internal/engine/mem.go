@@ -240,7 +240,7 @@ func (m *shared[W, C]) gather() (Outcome, int32, error) {
 		}
 	} else {
 		g := &m.merger
-		g.begin(0, m.cells)
+		g.begin(0, m.cells, m.P())
 		for _, l := range m.lanes {
 			countLane(g, l.spans, l.cur.readAddrs, false, false)
 		}
@@ -350,15 +350,17 @@ func (m *Mem[V]) apply() {
 func (m *Mem[V]) emit() {
 	for _, l := range m.lanes {
 		c := &l.c
+		r0, w0 := int32(0), int32(0)
 		for _, s := range l.spans {
-			for _, a := range c.readAddrs[s.r0:s.r1] {
+			for _, a := range c.readAddrs[r0:s.r1] {
 				m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
 					Payload: m.model.Render(m.mem[a])})
 			}
-			for j := s.w0; j < s.w1; j++ {
+			for j := w0; j < s.w1; j++ {
 				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: c.writes[j],
 					Payload: m.model.Render(c.writeVals[j])})
 			}
+			r0, w0 = s.r1, s.w1
 		}
 	}
 }

@@ -81,7 +81,7 @@ func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
 		}
 	}
 	half := len(procs) / 2
-	g.begin(lo, hi)
+	g.begin(lo, hi, len(req.Reads))
 	g.cols(procs[:half], reads[:half], false, req.Packed)
 	g.cols(procs[half:], reads[half:], false, req.Packed)
 	g.cols(procs[:half], writes[:half], true, req.Packed)
@@ -91,7 +91,8 @@ func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
 
 // checkReuse runs c on the long-lived mergers and compares each answer
 // with a freshly constructed merger's. Odd merges take the column
-// barrier's path, even ones Merge; either way one merge is one epoch.
+// barrier's path, even ones Merge; either way one merge is one ticket
+// block (MemMerger) or one epoch (RouteMerger).
 func checkReuse(t *testing.T, i int, mem *MemMerger, route *RouteMerger, c mergeCase) {
 	t.Helper()
 	var fresh MemMerger
@@ -103,7 +104,7 @@ func checkReuse(t *testing.T, i int, mem *MemMerger, route *RouteMerger, c merge
 		got = mergeActive(mem, c.mem, c.lo, c.hi)
 	}
 	if got != want {
-		t.Fatalf("merge %d [%d,%d) epoch %d: reused MemMerger = %+v, fresh = %+v", i, c.lo, c.hi, mem.epoch, got, want)
+		t.Fatalf("merge %d [%d,%d) base %d: reused MemMerger = %+v, fresh = %+v", i, c.lo, c.hi, mem.base, got, want)
 	}
 	var freshRoute RouteMerger
 	if got, want := route.Merge(c.route, c.lo, c.hi), freshRoute.Merge(c.route, c.lo, c.hi); got != want {
@@ -111,7 +112,7 @@ func checkReuse(t *testing.T, i int, mem *MemMerger, route *RouteMerger, c merge
 	}
 }
 
-// TestMergerScratchReuse pins that the epoch-stamped scratch forgets
+// TestMergerScratchReuse pins that the ticketed and epoch-stamped scratch forgets
 // every earlier merge: one MemMerger and one RouteMerger answer a long
 // seeded sequence exactly as fresh mergers do.
 func TestMergerScratchReuse(t *testing.T) {
@@ -123,11 +124,16 @@ func TestMergerScratchReuse(t *testing.T) {
 	}
 }
 
-// TestMergerEpochWrap runs merges across the epoch wrap. The first merge
-// stamps every cell with epoch 1; when the epoch next comes round to 1
-// those stamps must read as stale, which only the clear at the wrap
-// guarantees.
-func TestMergerEpochWrap(t *testing.T) {
+// TestMergerTicketWrap runs merges of varying width p across the wrap
+// of both mergers' scratch stamps. A dense read merge marks every cell
+// with tickets just below 2^32, and writes-only merges follow: the first
+// finds those read tickets stale only if begin advanced base past them,
+// and the first after the ticket wrap finds its predecessor's write
+// tickets stale only because the wrap cleared the marks. RouteMerger
+// counts nothing in between, so when its epoch wraps back to 1 the
+// counts its first, dense merge stamped with epoch 1 are still there,
+// and only the clear at the wrap retires them.
+func TestMergerTicketWrap(t *testing.T) {
 	const cells = 64
 	dense := mergeCase{
 		mem:   MemMergeReq{Cells: cells, Reads: make([][]int32, 2), Writes: make([][]int32, 2)},
@@ -139,26 +145,49 @@ func TestMergerEpochWrap(t *testing.T) {
 		dense.mem.Writes[1] = append(dense.mem.Writes[1], a)
 		dense.route.Dsts[0] = append(dense.route.Dsts[0], a)
 	}
-	// writes is dense's write side alone, so an epoch-1 reader left over
-	// from dense shows as a spurious violation.
-	writes := dense
-	writes.mem.Reads = [][]int32{nil, nil}
-	writes.route.Dsts = [][]int32{nil, dense.route.Dsts[0]}
+	// writes(p) is dense's write side alone, issued by the last of p
+	// processors, so a read or an earlier write left over from a merge
+	// before it shows as a spurious violation or a doubled count. With
+	// route set it also sends dense's messages from a second sender.
+	writes := func(p int, route bool) mergeCase {
+		c := dense
+		c.mem.Reads, c.mem.Writes = make([][]int32, p), make([][]int32, p)
+		c.mem.Writes[p-1] = dense.mem.Writes[1]
+		c.route.Dsts = nil
+		if route {
+			c.route.Dsts = [][]int32{nil, dense.route.Dsts[0]}
+		}
+		return c
+	}
+	denseMem := dense
+	denseMem.route.Dsts = nil
 
 	var mem MemMerger
 	var route RouteMerger
-	checkReuse(t, 0, &mem, &route, dense)
-	mem.epoch, route.epoch = math.MaxUint32-2, math.MaxUint32-2
-	r := rand.New(rand.NewPCG(4099, 17))
-	for i := 1; i <= 6; i++ {
-		c := genMergeCase(r)
-		if i == 3 {
-			c = writes // the first merge after the wrap, at epoch 1
-		}
-		checkReuse(t, i, &mem, &route, c)
+	checkReuse(t, 0, &mem, &route, dense) // RouteMerger's epoch 1
+	const top = math.MaxUint32
+	mem.base, mem.p, route.epoch = top-17, 0, top-3 // the next base is top-16
+	steps := []struct {
+		c        mergeCase
+		wantBase uint32
+	}{
+		{denseMem, top - 16},         // p=2: tickets up to top-12
+		{writes(4, false), top - 11}, // p=4: tickets up to top-3
+		{writes(2, false), 0},        // p=2 would pass 2^32−1: the marks clear
+		{writes(3, true), 5},         // RouteMerger's epoch wraps to 1
 	}
-	if mem.epoch != 4 || route.epoch != 4 {
-		t.Fatalf("epochs after the wrap = %d, %d, want 4 (the wrap restarts at 1)", mem.epoch, route.epoch)
+	for i, s := range steps {
+		checkReuse(t, i+1, &mem, &route, s.c)
+		if mem.base != s.wantBase {
+			t.Fatalf("merge %d: base = %d, want %d", i+1, mem.base, s.wantBase)
+		}
+	}
+	if route.epoch != 1 {
+		t.Fatalf("RouteMerger epoch after the wrap = %d, want 1 (the wrap restarts at 1)", route.epoch)
+	}
+	r := rand.New(rand.NewPCG(4099, 17))
+	for i := len(steps) + 1; i <= 12; i++ {
+		checkReuse(t, i, &mem, &route, genMergeCase(r))
 	}
 }
 

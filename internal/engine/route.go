@@ -214,11 +214,13 @@ func (r *Route[M]) apply() {
 // component.
 func (r *Route[M]) emit() {
 	for _, l := range r.lanes {
+		w0 := int32(0)
 		for _, s := range l.spans {
-			for j := s.w0; j < s.w1; j++ {
+			for j := w0; j < s.w1; j++ {
 				r.observeRequest(Request{Proc: int(s.proc), Kind: KindSend, Addr: l.cur.writes[j],
 					Payload: r.model.Render(l.cur.writeVals[j])})
 			}
+			w0 = s.w1
 		}
 	}
 }

@@ -24,10 +24,11 @@ import (
 //   - deterministic model metrics (measured cost, bound, ratio, model
 //     time per committed phase) — these must reproduce exactly, so the
 //     comparison gate treats any drift as a determinism regression;
-//   - host performance (ns/op, B/op, allocs/op) — these are noisy, so
-//     the gate only fails on order-of-magnitude blowups.
+//   - host performance (ns/op, B/op, allocs/op) — ns/op is noisy, so
+//     the gate fails it only on a blowup; allocation counts and volume
+//     are steadier and fail beyond a 25% growth.
 //
-// The committed snapshot (BENCH_pr22.json) is the baseline CI diffs
+// The committed snapshot (BENCH_pr24.json) is the baseline CI diffs
 // against; regenerate it with `make bench` (GOMAXPROCS=2: allocs/op
 // depend on it) after intentional performance or cost-model changes.
 
@@ -58,12 +59,13 @@ const (
 	// DefaultNsTolerance fails ns/op only beyond a 3× slowdown: CI boxes
 	// are noisy, and the deterministic metrics catch real model drift.
 	DefaultNsTolerance = 3.0
-	// DefaultAllocTolerance fails allocs/op beyond a 25% growth (with a
-	// small absolute slack for near-zero baselines).
+	// DefaultAllocTolerance fails allocs/op, and B/op, beyond a 25%
+	// growth (with a small absolute slack for near-zero baselines).
 	DefaultAllocTolerance = 1.25
-	// allocSlack is the absolute allocs/op growth ignored regardless of
-	// the relative tolerance.
+	// allocSlack and bytesSlack are the absolute allocs/op and B/op
+	// growth ignored regardless of the relative tolerance.
 	allocSlack = 16
+	bytesSlack = 4 << 10
 )
 
 // benchExperiments are the representative Table 1 rows the gate times,
@@ -371,8 +373,8 @@ func ReadBenchSnapshot(path string) (*BenchSnapshot, error) {
 
 // CompareBenchSnapshots diffs current against base and returns the
 // regressions (empty = gate passes). Deterministic metrics compare
-// exactly; ns/op and allocs/op compare against the tolerances
-// (0 = defaults). New benches absent from base pass — commit a fresh
+// exactly; ns/op compares against nsTol, and allocs/op and B/op against
+// allocTol (0 = defaults). New benches absent from base pass — commit a fresh
 // baseline to start gating them.
 func CompareBenchSnapshots(base, cur *BenchSnapshot, nsTol, allocTol float64) []string {
 	if nsTol <= 0 {
@@ -413,6 +415,11 @@ func CompareBenchSnapshots(base, cur *BenchSnapshot, nsTol, allocTol float64) []
 			float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*allocTol {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: allocs/op regressed beyond %.2gx: baseline %d, current %d", b.Name, allocTol, b.AllocsPerOp, c.AllocsPerOp))
+		}
+		if grew := c.BytesPerOp - b.BytesPerOp; grew > bytesSlack &&
+			float64(c.BytesPerOp) > float64(b.BytesPerOp)*allocTol {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: B/op regressed beyond %.2gx: baseline %d, current %d", b.Name, allocTol, b.BytesPerOp, c.BytesPerOp))
 		}
 	}
 	return regressions

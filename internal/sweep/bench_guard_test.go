@@ -3,12 +3,11 @@ package sweep
 import "testing"
 
 // benchBaseline is the committed snapshot the CI bench gate
-// (`parsim sweep -bench -bench-baseline BENCH_pr22.json`) diffs against;
-// benchTrajectory is the earlier snapshot it replaced.
-const (
-	benchBaseline   = "../../BENCH_pr22.json"
-	benchTrajectory = "../../BENCH_pr7.json"
-)
+// (`parsim sweep -bench -bench-baseline BENCH_pr24.json`) diffs against;
+// benchTrajectory lists the earlier snapshots it replaced, newest first.
+const benchBaseline = "../../BENCH_pr24.json"
+
+var benchTrajectory = []string{"../../BENCH_pr22.json", "../../BENCH_pr7.json"}
 
 func readSnapshot(t *testing.T, path string) map[string]BenchResult {
 	t.Helper()
@@ -63,26 +62,28 @@ func TestBenchBaselineGateEntries(t *testing.T) {
 	}
 }
 
-// TestBenchBaselineMatchesTrajectory pins the re-baselined snapshot to the
-// one it replaced: every row carries the same deterministic model metrics
-// as the matching trajectory row, so re-baselining moved only the host
-// numbers.
+// TestBenchBaselineMatchesTrajectory pins the re-baselined snapshot to
+// every one it replaced: each row carries the same deterministic model
+// metrics as the matching trajectory row, so re-baselining moved only the
+// host numbers.
 func TestBenchBaselineMatchesTrajectory(t *testing.T) {
 	base := readSnapshot(t, benchBaseline)
-	old := readSnapshot(t, benchTrajectory)
-	for name, b := range base { //lint:maporder-ok each row is checked independently
-		o, ok := old[name]
-		if !ok {
-			t.Errorf("%s: row missing from %s", name, benchTrajectory)
-			continue
-		}
-		if len(b.Metrics) != len(o.Metrics) {
-			t.Errorf("%s: metrics %v, trajectory %v", name, b.Metrics, o.Metrics)
-			continue
-		}
-		for k, v := range o.Metrics { //lint:maporder-ok each metric is checked independently
-			if b.Metrics[k] != v {
-				t.Errorf("%s: metric %s = %g, trajectory %g", name, k, b.Metrics[k], v)
+	for _, path := range benchTrajectory {
+		old := readSnapshot(t, path)
+		for name, b := range base { //lint:maporder-ok each row is checked independently
+			o, ok := old[name]
+			if !ok {
+				t.Errorf("%s: row missing from %s", name, path)
+				continue
+			}
+			if len(b.Metrics) != len(o.Metrics) {
+				t.Errorf("%s: metrics %v, %s %v", name, b.Metrics, path, o.Metrics)
+				continue
+			}
+			for k, v := range o.Metrics { //lint:maporder-ok each metric is checked independently
+				if b.Metrics[k] != v {
+					t.Errorf("%s: metric %s = %g, %s %g", name, k, b.Metrics[k], path, v)
+				}
 			}
 		}
 	}

@@ -392,24 +392,24 @@ func TestPresetChaosMatchesScenarios(t *testing.T) {
 
 func TestCompareBenchSnapshots(t *testing.T) {
 	base := &BenchSnapshot{Benches: []BenchResult{
-		{Name: "a", NsPerOp: 100, AllocsPerOp: 10, Metrics: map[string]float64{"modelTime": 42}},
-		{Name: "b", NsPerOp: 100, AllocsPerOp: 0},
+		{Name: "a", NsPerOp: 100, BytesPerOp: 1 << 20, AllocsPerOp: 10, Metrics: map[string]float64{"modelTime": 42}},
+		{Name: "b", NsPerOp: 100, BytesPerOp: 0, AllocsPerOp: 0},
 	}}
 	same := &BenchSnapshot{Benches: []BenchResult{
-		{Name: "a", NsPerOp: 250, AllocsPerOp: 12, Metrics: map[string]float64{"modelTime": 42}},
-		{Name: "b", NsPerOp: 90, AllocsPerOp: 4},
+		{Name: "a", NsPerOp: 250, BytesPerOp: 5 << 18, AllocsPerOp: 12, Metrics: map[string]float64{"modelTime": 42}},
+		{Name: "b", NsPerOp: 90, BytesPerOp: 4000, AllocsPerOp: 4},
 	}}
 	if regs := CompareBenchSnapshots(base, same, 0, 0); len(regs) != 0 {
 		t.Fatalf("within tolerance yet flagged: %v", regs)
 	}
 	bad := &BenchSnapshot{Benches: []BenchResult{
-		{Name: "a", NsPerOp: 500, AllocsPerOp: 100, Metrics: map[string]float64{"modelTime": 43}},
+		{Name: "a", NsPerOp: 500, BytesPerOp: 2 << 20, AllocsPerOp: 100, Metrics: map[string]float64{"modelTime": 43}},
 	}}
 	regs := CompareBenchSnapshots(base, bad, 0, 0)
-	if len(regs) != 4 { // metric drift, ns/op, allocs/op, missing "b"
-		t.Fatalf("got %d regressions, want 4: %v", len(regs), regs)
+	if len(regs) != 5 { // metric drift, ns/op, allocs/op, B/op, missing "b"
+		t.Fatalf("got %d regressions, want 5: %v", len(regs), regs)
 	}
-	for _, want := range []string{"drifted", "ns/op", "allocs/op", "missing"} {
+	for _, want := range []string{"drifted", "ns/op", "allocs/op", "B/op", "missing"} {
 		found := false
 		for _, r := range regs {
 			if strings.Contains(r, want) {
