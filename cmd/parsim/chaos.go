@@ -72,6 +72,12 @@ func runChaos(argv []string, stdout io.Writer) error {
 			Specs: specs, Degraded: *degraded,
 			Backend: *backendName, ProcWorkers: *procWorkers,
 		}
+		// The scenario is checked as the sweep cell it runs as, so a size
+		// the sweep records as too-large fails here instead of running
+		// the machine out of memory.
+		if reason := sweep.Check(scenarioCell(sc, *specStr), 0); reason != "" {
+			return fmt.Errorf("-n: %d is %s for a %s scenario (n·p over %d)", *n, reason, *model, sweep.DefaultMaxCost)
+		}
 		o := chaos.Run(ctx, sc, *deadline, *workers)
 		fmt.Fprintln(stdout, sc.Name())
 		switch {
@@ -119,6 +125,20 @@ func runChaos(argv []string, stdout io.Writer) error {
 			s.Failed, s.OK+s.Diagnosed+s.Failed)
 	}
 	return nil
+}
+
+// scenarioCell is the sweep cell a single scenario runs as: its fault
+// cell, or, when it has no fault specs, the machine cell of its registry
+// point.
+func scenarioCell(sc chaos.Scenario, specs string) sweep.Cell {
+	if strings.TrimSpace(specs) != "" {
+		return sweep.Cell{Model: sc.Model, Alg: sc.Alg, N: sc.N, Seed: sc.Seed, Faults: specs, Degraded: sc.Degraded}
+	}
+	pt := sc.Point()
+	return sweep.Cell{
+		Model: pt.Model, Alg: pt.Alg, N: pt.N, P: pt.P, G: pt.G, L: pt.L,
+		Alpha: pt.Alpha, Beta: pt.Beta, Gamma: pt.Gamma, Fanin: pt.Fanin, Seed: pt.Seed,
+	}
 }
 
 // contains reports whether list has item.

@@ -224,7 +224,7 @@ func runSingle(argv []string, stdout io.Writer) error {
 		Model: *model, Alg: *alg, N: *n, P: *p,
 		G: *g, D: *d, L: *l, Alpha: *alpha, Beta: *beta, Gamma: *gamma,
 		Fanin: *fanin, Seed: *seed,
-	}, *events, 0, bk)
+	}, *events, 0, bk, nil)
 	if err != nil {
 		return err
 	}
@@ -234,7 +234,7 @@ func runSingle(argv []string, stdout io.Writer) error {
 		fmt.Fprint(stdout, out.Report.Table())
 	}
 	if *events {
-		fmt.Fprintln(stdout, out.Stream)
+		fmt.Fprintln(stdout, out.Stream())
 	}
 	return nil
 }

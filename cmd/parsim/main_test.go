@@ -42,6 +42,8 @@ func TestCLIErrors(t *testing.T) {
 			`unknown kind "zap" in spec "zap~0.5"`},
 		{"chaos bad flag", []string{"chaos", "-no-such-flag"},
 			"flag provided but not defined: -no-such-flag"},
+		{"chaos too large", []string{"chaos", "-model", "qsm", "-alg", "parity", "-n", "300000000", "-specs", "mem@1"},
+			"-n: 300000000 is too-large for a qsm scenario"},
 		{"sweep bad preset", []string{"sweep", "-preset", "mega"},
 			`unknown preset "mega" (want tables | chaos | smoke)`},
 		{"sweep bad grid spec", []string{"sweep", "-n", "1024..256:*2"},
@@ -126,6 +128,32 @@ func TestCLIORContentionGapOne(t *testing.T) {
 	code, stdout, stderr := runCLI("sweep", "-models", "qsm", "-algs", "or-contention", "-g", "1", "-n", "64")
 	if code != 0 || !strings.Contains(stdout, "1 ok") {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want one ok cell", code, stdout, stderr)
+	}
+}
+
+// TestCLIORContentionHonorsFanin is a regression test: the contention
+// tree ran at fan-in max(g, 2), so an explicit -fanin above g was
+// silently ignored. It now runs at max(g, fan-in), and a wider tree is a
+// shallower one.
+func TestCLIORContentionHonorsFanin(t *testing.T) {
+	phases := func(fanin string) int {
+		t.Helper()
+		code, stdout, stderr := runCLI("-alg", "or-contention", "-g", "2", "-fanin", fanin, "-n", "64")
+		if code != 0 {
+			t.Fatalf("-fanin %s: exit %d, stderr %q", fanin, code, stderr)
+		}
+		_, rest, ok := strings.Cut(stdout, " phases=")
+		if !ok {
+			t.Fatalf("-fanin %s: output %q has no phase count", fanin, stdout)
+		}
+		n, err := strconv.Atoi(strings.Fields(rest)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if wide, narrow := phases("4"), phases("2"); wide >= narrow {
+		t.Fatalf("fan-in 4 takes %d phases, fan-in 2 takes %d; want fewer at fan-in 4", wide, narrow)
 	}
 }
 

@@ -49,15 +49,12 @@ var constructors = map[string]bool{
 // packages that turn explicit config seeds into injected *rand.Rand
 // values. internal/fault is on the boundary because a fault.Plan *is* a
 // seed turned into a generator (the seed is the identity of the fault
-// schedule and appears in every chaos report); internal/chaos derives
-// per-scenario plans from explicit sweep seeds the same way, and
-// internal/sweep turns each cell's explicit seed into the dart-throwing
-// RNG of its lac-dart runner.
+// schedule and appears in every chaos report); internal/core turns each
+// point's seed into the dart-throwing RNG of its lac-dart runners.
 func constructionBoundary(pkgPath string) bool {
 	switch pkgPath {
 	case "repro", "repro/internal/workload", "repro/internal/core",
-		"repro/internal/fault", "repro/internal/chaos",
-		"repro/internal/sweep":
+		"repro/internal/fault":
 		return true
 	}
 	return strings.HasPrefix(pkgPath, "repro/cmd/")

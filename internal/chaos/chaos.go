@@ -6,6 +6,10 @@
 // wrong output, and identical seeds produce byte-identical fault and
 // observer event streams at every Workers setting.
 //
+// A scenario runs through core.Execute, the registry path every other
+// §8 run takes; the harness adds only the watchdog, panic recovery,
+// backend ownership and the invariant.
+//
 // The harness is deliberately adversarial plumbing, not model code: model
 // time still comes exclusively from the cost formulas (the per-run
 // deadline is a watchdog against harness hangs, not a cost measurement),
@@ -16,23 +20,14 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/boolor"
-	"repro/internal/bsp"
-	"repro/internal/compaction"
-	"repro/internal/cost"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/gsm"
-	"repro/internal/gsmalg"
-	"repro/internal/parity"
-	"repro/internal/qsm"
-	"repro/internal/workload"
 )
 
 // DefaultDeadline is the per-run watchdog used when a Scenario run is
@@ -234,222 +229,51 @@ func Run(ctx context.Context, sc Scenario, deadline time.Duration, workers int) 
 	}
 }
 
-// execute dispatches to the per-family runner. All of them attach the
-// plan and backend, run the algorithm, check the oracle and collect the
-// fault log and the (unrendered) observer event log.
+// Point is the registry point a scenario runs, and the only statement of
+// the chaos machine shape. The shared-memory models run p = n at g = 2
+// (the dart LAC needs one processor per cell, and the trees share its
+// machine), the parity tree at fan-in 2 and the OR contention tree at
+// fan-in 4; BSP runs 8 components at g = 2, L = 8; GSM runs
+// α = β = γ = 2. The BSP and GSM trees run at fan-in 4.
+func (s Scenario) Point() core.Point {
+	pt := core.Point{Model: s.Model, Alg: s.Alg, N: s.N, G: 2, Fanin: 4, Seed: s.Seed}
+	switch s.Model {
+	case "bsp":
+		pt.Alg, pt.P, pt.L = "bsp-"+s.Alg, 8, 8
+	case "gsm":
+		pt.Alg, pt.Alpha, pt.Beta, pt.Gamma = "gsm-"+s.Alg, 2, 2, 2
+	default:
+		pt.P = s.N
+		switch s.Alg {
+		case "parity":
+			pt.Fanin = 2
+		case "or":
+			pt.Alg = "or-contention"
+		case "lac":
+			pt.Alg = "lac-dart"
+		}
+	}
+	return pt
+}
+
+// execute runs the scenario's point under its fault plan through
+// core.Execute and grades the result: a completed run is verified or
+// silently wrong, an unfinished one carries its diagnosable error. The
+// fault log and the unrendered event log are kept either way.
 func execute(sc Scenario, workers int, bk engine.Backend, out *Outcome) {
 	plan := fault.NewPlan(sc.Seed, sc.Specs...)
-	switch sc.Model {
-	case "bsp":
-		runBSP(sc, workers, bk, plan, out)
-	case "gsm":
-		runGSM(sc, workers, bk, plan, out)
-	default:
-		runShared(sc, workers, bk, plan, out)
-	}
+	o, err := core.Execute(sc.Point(), true, workers, bk, &core.Faults{Plan: plan, Degraded: sc.Degraded})
 	out.FaultLines = plan.EventLines()
-}
-
-// finish applies the oracle verdict: a completed run must match want.
-func (o *Outcome) finish(err error, got, want int64, what string) {
-	if err != nil {
-		o.Err = err
-		return
+	if o != nil {
+		out.Events, out.Report = o.Events, o.Faults
 	}
-	if got != want {
-		o.Wrong = true
-		o.Err = fmt.Errorf("chaos: %s = %d, oracle says %d", what, got, want)
-		return
-	}
-	o.Verified = true
-}
-
-// runShared covers the QSM-family models (qsm, sqsm, crqw): parity tree,
-// OR contention tree and dart-throwing LAC, each with a degraded variant.
-func runShared(sc Scenario, workers int, bk engine.Backend, plan *fault.Plan, out *Outcome) {
-	var rule cost.Rule
-	switch sc.Model {
-	case "qsm":
-		rule = cost.RuleQSM
-	case "sqsm":
-		rule = cost.RuleSQSM
-	case "crqw":
-		rule = cost.RuleCRQW
+	switch {
+	case err != nil:
+		out.Err = err
+	case !o.Verified:
+		out.Wrong = true
+		out.Err = fmt.Errorf("chaos: %s: answer failed the host-side oracle: %s", sc.Alg, o.Summary)
 	default:
-		out.Err = fmt.Errorf("chaos: unknown model %q", sc.Model)
-		return
+		out.Verified = true
 	}
-	// p = n so the dart LAC (which needs one processor per cell) and the
-	// trees share one machine shape.
-	m, err := qsm.New(qsm.Config{Rule: rule, P: sc.N, G: 2, N: sc.N, MemCells: sc.N, Workers: workers})
-	if err != nil {
-		out.Err = err
-		return
-	}
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	if bk != nil {
-		m.SetBackend(bk)
-	}
-	m.InjectFaults(plan, engine.RetryPolicy{}, sc.Degraded)
-	defer func() {
-		out.Events = ev
-		out.Report = plan.Report(m)
-	}()
-
-	switch sc.Alg {
-	case "parity", "or":
-		bits := workload.Bits(sc.Seed, sc.N)
-		if err := m.Load(0, bits); err != nil {
-			out.Err = err
-			return
-		}
-		var addr int
-		var want int64
-		if sc.Alg == "parity" {
-			want = workload.Parity(bits)
-			if sc.Degraded {
-				addr, err = parity.TreeQSMDegraded(m, 0, sc.N, 2)
-			} else {
-				addr, err = parity.TreeQSM(m, 0, sc.N, 2)
-			}
-		} else {
-			want = workload.Or(bits)
-			if sc.Degraded {
-				addr, err = boolor.ContentionTreeDegraded(m, 0, sc.N, 4)
-			} else {
-				addr, err = boolor.ContentionTree(m, 0, sc.N, 4)
-			}
-		}
-		if err == nil {
-			out.finish(m.Err(), m.Peek(addr), want, sc.Alg)
-		} else {
-			out.Err = err
-		}
-	case "lac":
-		items, err := workload.Sparse(sc.Seed, sc.N, sc.N/4)
-		if err != nil {
-			out.Err = err
-			return
-		}
-		if err := m.Load(0, items); err != nil {
-			out.Err = err
-			return
-		}
-		// The dart RNG is algorithmic randomness (Section 8.3), separate
-		// from the plan RNG so fault draws never perturb dart throws.
-		rng := rand.New(rand.NewSource(sc.Seed + 1))
-		var res *compaction.DartResult
-		if sc.Degraded {
-			res, err = compaction.DartLACDegraded(m, rng, 0, sc.N)
-		} else {
-			res, err = compaction.DartLAC(m, rng, 0, sc.N)
-		}
-		switch {
-		case err != nil:
-			out.Err = err
-		case m.Err() != nil:
-			out.Err = m.Err()
-		default:
-			if verr := compaction.VerifyPlacement(items, res); verr != nil {
-				out.Wrong = true
-				out.Err = fmt.Errorf("chaos: lac placement: %w", verr)
-			} else {
-				out.Verified = true
-			}
-		}
-	default:
-		out.Err = fmt.Errorf("chaos: unknown shared-memory algorithm %q", sc.Alg)
-	}
-}
-
-// bspComponents is the fixed component count of BSP chaos runs.
-const bspComponents = 8
-
-// runBSP covers the BSP component-tree algorithms. BSP has no degraded
-// runners, so crashes always run strict and poison diagnosably.
-func runBSP(sc Scenario, workers int, bk engine.Backend, plan *fault.Plan, out *Outcome) {
-	bits := workload.Bits(sc.Seed, sc.N)
-	var priv int
-	var want int64
-	switch sc.Alg {
-	case "parity":
-		priv = parity.PrivNeedBSP(sc.N, bspComponents)
-		want = workload.Parity(bits)
-	case "or":
-		priv = boolor.PrivNeedBSP(sc.N, bspComponents)
-		want = workload.Or(bits)
-	default:
-		out.Err = fmt.Errorf("chaos: unknown BSP algorithm %q", sc.Alg)
-		return
-	}
-	m, err := bsp.New(bsp.Config{P: bspComponents, G: 2, L: 8, N: sc.N, PrivCells: priv, Workers: workers})
-	if err != nil {
-		out.Err = err
-		return
-	}
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	if bk != nil {
-		m.SetBackend(bk)
-	}
-	m.InjectFaults(plan, engine.RetryPolicy{}, false)
-	defer func() {
-		out.Events = ev
-		out.Report = plan.Report(m)
-	}()
-	if err := m.Scatter(bits); err != nil {
-		out.Err = err
-		return
-	}
-	var got int64
-	if sc.Alg == "parity" {
-		got, err = parity.RunBSP(m, sc.N, 4)
-	} else {
-		got, err = boolor.RunBSP(m, sc.N, 4)
-	}
-	out.finish(err, got, want, "bsp "+sc.Alg)
-}
-
-// runGSM covers the GSM information-gather algorithms; like BSP it always
-// runs strict.
-func runGSM(sc Scenario, workers int, bk engine.Backend, plan *fault.Plan, out *Outcome) {
-	bits := workload.Bits(sc.Seed, sc.N)
-	const gamma = 2
-	r := (sc.N + gamma - 1) / gamma
-	m, err := gsm.New(gsm.Config{
-		P: r, Alpha: 2, Beta: 2, Gamma: gamma, N: sc.N,
-		Cells: gsmalg.CellsNeedGather(r), Workers: workers,
-	})
-	if err != nil {
-		out.Err = err
-		return
-	}
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	if bk != nil {
-		m.SetBackend(bk)
-	}
-	m.InjectFaults(plan, engine.RetryPolicy{}, false)
-	defer func() {
-		out.Events = ev
-		out.Report = plan.Report(m)
-	}()
-	if err := m.LoadInputs(bits); err != nil {
-		out.Err = err
-		return
-	}
-	var got, want int64
-	switch sc.Alg {
-	case "parity":
-		want = workload.Parity(bits)
-		got, err = gsmalg.ParityGSM(m, sc.N, 4)
-	case "or":
-		want = workload.Or(bits)
-		got, err = gsmalg.ORGSM(m, sc.N, 4)
-	default:
-		out.Err = fmt.Errorf("chaos: unknown GSM algorithm %q", sc.Alg)
-		return
-	}
-	out.finish(err, got, want, "gsm "+sc.Alg)
 }

@@ -1,10 +1,7 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -74,72 +71,4 @@ func Scenarios(seeds []int64, n int) ([]Scenario, error) {
 		}
 	}
 	return out, nil
-}
-
-// Summary aggregates a sweep: how many runs verified, errored
-// diagnosably, recovered transients or masked crashes — and every
-// invariant violation (empty Failures = sweep passed).
-type Summary struct {
-	Runs, Verified, Errored int
-	Injected, Recovered     int
-	MaskedProcs             int
-	// Cancelled counts runs cut short (plus scenarios never started) by
-	// context cancellation; a non-zero count marks a partial summary.
-	Cancelled int
-	Failures  []string
-}
-
-// String renders the sweep summary (and failures, if any).
-func (s *Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos sweep: %d runs, %d verified, %d diagnosable errors, %d faults injected, %d recovered, %d procs masked",
-		s.Runs, s.Verified, s.Errored, s.Injected, s.Recovered, s.MaskedProcs)
-	if s.Cancelled > 0 {
-		fmt.Fprintf(&b, " (interrupted: %d runs not finished)", s.Cancelled)
-	}
-	for _, f := range s.Failures {
-		b.WriteString("\n  FAIL ")
-		b.WriteString(f)
-	}
-	return b.String()
-}
-
-// Sweep runs every scenario under the deadline and aggregates outcomes.
-// Scenarios run sequentially — the simulators parallelize internally via
-// Workers, and sequential runs keep the summary order deterministic.
-// Context cancellation (nil = Background) stops the sweep between runs
-// and tears down the run in flight; the summary then reports the partial
-// tally with the unfinished count.
-func Sweep(ctx context.Context, scs []Scenario, deadline time.Duration, workers int) *Summary {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := &Summary{}
-	for i, sc := range scs {
-		if ctx.Err() != nil {
-			s.Cancelled += len(scs) - i
-			break
-		}
-		o := Run(ctx, sc, deadline, workers)
-		s.Runs++
-		if o.Cancelled {
-			s.Cancelled++
-			continue
-		}
-		if err := o.Invariant(); err != nil {
-			s.Failures = append(s.Failures, err.Error())
-			continue
-		}
-		if o.Verified {
-			s.Verified++
-		} else {
-			s.Errored++
-		}
-		if o.Report != nil {
-			s.Injected += o.Report.Injected
-			s.Recovered += o.Report.Recovered
-			s.MaskedProcs += o.Report.MaskedProcs
-		}
-	}
-	return s
 }

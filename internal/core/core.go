@@ -109,7 +109,7 @@ func (pt Point) boundArgs() bounds.Args {
 // measure executes a registry point and fails unless the answer passes
 // the host-side oracle.
 func measure(pt Point) (*cost.Report, error) {
-	out, err := Execute(pt, false, 0, nil)
+	out, err := Execute(pt, false, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}

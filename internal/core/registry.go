@@ -11,6 +11,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/gsm"
 	"repro/internal/gsmalg"
 	"repro/internal/parity"
@@ -60,6 +61,10 @@ type Point struct {
 	// (the group width of parity-gadget).
 	Fanin int
 	Seed  int64
+	// algSeed seeds the algorithm's own RNG (the dart throws). Execute
+	// derives it once: the point seed on a fault-free run, seed+1 under a
+	// fault plan, whose RNG fault.NewPlan draws from the seed itself.
+	algSeed int64
 }
 
 // WithDefaults fills zero axes with the parsim defaults.
@@ -94,8 +99,8 @@ type ModelSpec struct {
 	Family Family
 	// Rule is the cost rule of shared-family models.
 	Rule cost.Rule
-	// ChaosModel reports whether internal/chaos has a fault harness for
-	// this model (everything except qsmgd).
+	// ChaosModel reports whether Execute accepts a fault plan on this
+	// model (everything except qsmgd).
 	ChaosModel bool
 }
 
@@ -133,6 +138,10 @@ func ModelNames() []string {
 // so the help text cannot drift from what the dispatcher accepts.
 func ModelUsage() string { return strings.Join(ModelNames(), " | ") }
 
+// sharedRunner runs a shared-memory algorithm on a machine whose input
+// is already loaded.
+type sharedRunner func(pt Point, m *qsm.Machine, in []int64) (runOutcome, error)
+
 // runOutcome is what an algorithm runner reports back to Execute.
 type runOutcome struct {
 	// summary is the human-readable answer line(s) parsim prints.
@@ -159,16 +168,24 @@ type AlgSpec struct {
 	priv func(pt Point) int
 	// The family-specific runner; exactly one is set. Each gets the
 	// machine with the input in already loaded.
-	runShared func(pt Point, m *qsm.Machine, in []int64) (runOutcome, error)
+	runShared sharedRunner
 	runBSP    func(pt Point, m *bsp.Machine, in []int64) (runOutcome, error)
 	runGSM    func(pt Point, m *gsm.Machine, in []int64) (runOutcome, error)
+	// degraded is the crash-masking variant of a shared-memory runner,
+	// run under a degraded fault plan (nil = none).
+	degraded sharedRunner
 }
 
 // Procs is the processor count the algorithm's machine is built with at
-// the (defaulted) point.
+// the (defaulted) point: one GSM processor per γ inputs, P otherwise
+// unless the algorithm sets its own need.
 func (as AlgSpec) Procs(pt Point) int {
-	if as.procs != nil {
+	switch {
+	case as.procs != nil:
 		return as.procs(pt)
+	case as.Family == FamilyGSM:
+		gamma := int(max(pt.Gamma, 1))
+		return (pt.N + gamma - 1) / gamma
 	}
 	return pt.P
 }
@@ -184,14 +201,17 @@ func (as AlgSpec) input(pt Point) ([]int64, error) {
 // algRegistry is the single source of truth for -alg dispatch. Order is
 // the usage-string order (shared, then bsp, then gsm algorithms).
 var algRegistry = []AlgSpec{
-	{Name: "parity", Family: FamilyShared, FaultAlg: "parity", runShared: runParity},
+	{Name: "parity", Family: FamilyShared, FaultAlg: "parity",
+		runShared: parityTree(parity.TreeQSM), degraded: parityTree(parity.TreeQSMDegraded)},
 	{Name: "parity-gadget", Family: FamilyShared, procs: gadgetProcs, runShared: runGadgetParity},
 	{Name: "or", Family: FamilyShared, FaultAlg: "or", runShared: runORRead},
-	{Name: "or-contention", Family: FamilyShared, FaultAlg: "or", runShared: runORContention},
+	{Name: "or-contention", Family: FamilyShared, FaultAlg: "or",
+		runShared: orContention(boolor.ContentionTree), degraded: orContention(boolor.ContentionTreeDegraded)},
 	{Name: "or-rounds", Family: FamilyShared, runShared: runORRounds},
 	{Name: "prefix", Family: FamilyShared, runShared: runPrefix},
 	{Name: "lac-det", Family: FamilyShared, sparse: true, runShared: runDetLAC},
-	{Name: "lac-dart", Family: FamilyShared, FaultAlg: "lac", sparse: true, runShared: runDartLAC},
+	{Name: "lac-dart", Family: FamilyShared, FaultAlg: "lac", sparse: true,
+		runShared: dartLAC(compaction.DartLAC), degraded: dartLAC(compaction.DartLACDegraded)},
 	{Name: "listrank", Family: FamilyShared,
 		procs:     func(pt Point) int { return 2 * (pt.N + 1) },
 		runShared: runListRank},
@@ -233,25 +253,54 @@ func AlgNames() []string {
 // the help text cannot drift from what the dispatcher accepts.
 func AlgUsage() string { return strings.Join(AlgNames(), " | ") }
 
+// Faults attaches a seeded fault plan to an Execute run.
+type Faults struct {
+	// Plan is the injector, consulted once per phase.
+	Plan *fault.Plan
+	// Degraded masks crashes and re-partitions the work over the
+	// survivors. Only shared-memory algorithms have degraded runners;
+	// BSP and GSM runs stay strict.
+	Degraded bool
+}
+
 // Outcome is the result of executing one point.
 type Outcome struct {
 	// Summary is the human-readable answer line(s).
 	Summary string
-	// Report is the machine's accumulated cost report.
+	// Report is the machine's accumulated cost report (nil when the run
+	// errored).
 	Report *cost.Report
-	// Stream is the observer event stream (withEvents runs only).
-	Stream string
+	// Events is the observer event log (withEvents runs only), recorded
+	// as structured events; Stream renders it.
+	Events *engine.EventLog
+	// Faults is the fault report (runs with a plan only).
+	Faults *fault.Report
 	// Verified is the host-side oracle verdict.
 	Verified bool
 }
 
-// Execute runs one fault-free point: it resolves model and algorithm in
-// the registries, constructs the machine, loads the seeded input, runs
-// the algorithm, and checks the oracle. It is the only code that builds
-// a machine for a §8 algorithm run. workers caps simulation parallelism
+// Stream renders the observer event stream on demand ("" when no event
+// log was recorded).
+func (o *Outcome) Stream() string {
+	if o.Events == nil {
+		return ""
+	}
+	return o.Events.String()
+}
+
+// Execute runs one point: it resolves model and algorithm in the
+// registries, constructs the machine, attaches the observer, the backend
+// and the fault plan, loads the seeded input, runs the algorithm, and
+// checks the oracle. It is the only code that builds a machine for a §8
+// algorithm run, faulted or not. workers caps simulation parallelism
 // (0 = GOMAXPROCS); bk is the commit-barrier backend (nil = the built-in
-// merge), which the caller owns and the machine only borrows.
-func Execute(pt Point, withEvents bool, workers int, bk engine.Backend) (*Outcome, error) {
+// merge), which the caller owns and the machine only borrows; fl is the
+// fault plan (nil = fault-free).
+//
+// An error before the machine is built returns a nil Outcome. After
+// that, the Outcome comes back beside any error, so a poisoned run still
+// yields its event log and fault report.
+func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faults) (*Outcome, error) {
 	pt = pt.WithDefaults()
 	ms, ok := ModelByName(pt.Model)
 	if !ok {
@@ -264,6 +313,20 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend) (*Outcom
 	if as.Family != ms.Family {
 		return nil, fmt.Errorf("algorithm %q is a %s algorithm and does not run on model %q (%s)",
 			pt.Alg, as.Family, pt.Model, ms.Family)
+	}
+	pt.algSeed = pt.Seed
+	runShared, degraded := as.runShared, false
+	if fl != nil {
+		if !ms.ChaosModel {
+			return nil, fmt.Errorf("model %q does not take fault injection", pt.Model)
+		}
+		pt.algSeed = pt.Seed + 1
+		if degraded = fl.Degraded && ms.Family == FamilyShared; degraded {
+			if as.degraded == nil {
+				return nil, fmt.Errorf("algorithm %q has no degraded runner", pt.Alg)
+			}
+			runShared = as.degraded
+		}
 	}
 	// The machine is built before the input, so a bad size fails there.
 	var m engine.Machine
@@ -280,7 +343,7 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend) (*Outcom
 			if err := mm.Load(0, in); err != nil {
 				return runOutcome{}, err
 			}
-			return as.runShared(pt, mm, in)
+			return runShared(pt, mm, in)
 		}
 	case FamilyBSP:
 		mm, err := bsp.New(bsp.Config{
@@ -296,10 +359,9 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend) (*Outcom
 			return as.runBSP(pt, mm, in)
 		}
 	default:
-		gamma := max(pt.Gamma, 1)
-		r := (pt.N + int(gamma) - 1) / int(gamma)
+		r := as.Procs(pt)
 		mm, err := gsm.New(gsm.Config{
-			P: r, Alpha: pt.Alpha, Beta: pt.Beta, Gamma: gamma, N: pt.N,
+			P: r, Alpha: pt.Alpha, Beta: pt.Beta, Gamma: max(pt.Gamma, 1), N: pt.N,
 			Cells: gsmalg.CellsNeedGather(r), Workers: workers,
 		})
 		if err != nil {
@@ -313,31 +375,34 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend) (*Outcom
 		}
 	}
 
-	in, err := as.input(pt)
-	if err != nil {
-		return nil, err
-	}
-	var ev *engine.EventLog
+	out := &Outcome{}
 	if withEvents {
-		ev = &engine.EventLog{}
-		m.AddObserver(ev)
+		out.Events = &engine.EventLog{}
+		m.AddObserver(out.Events)
 	}
 	if bk != nil {
 		m.SetBackend(bk)
 	}
-	ro, err := run(in)
-	if err != nil {
-		return nil, err
+	if fl != nil {
+		m.InjectFaults(fl.Plan, engine.RetryPolicy{}, degraded)
+	}
+	in, err := as.input(pt)
+	var ro runOutcome
+	if err == nil {
+		ro, err = run(in)
 	}
 	// A machine poisoned after the runner returned (e.g. by a bad final
 	// Peek) must surface as an error, not render a poisoned report.
-	if err := m.Err(); err != nil {
-		return nil, err
+	if err == nil {
+		err = m.Err()
 	}
-	out := &Outcome{Summary: ro.summary, Report: m.Report(), Verified: ro.verified}
-	if ev != nil {
-		out.Stream = ev.String()
+	if fl != nil {
+		out.Faults = fl.Plan.Report(m)
 	}
+	if err != nil {
+		return out, err
+	}
+	out.Summary, out.Report, out.Verified = ro.summary, m.Report(), ro.verified
 	return out, nil
 }
 
@@ -370,9 +435,43 @@ func compacted(pt Point, k int, err error) (runOutcome, error) {
 
 // --- shared-memory runners -----------------------------------------------------
 
-func runParity(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
-	out, err := parity.TreeQSM(m, 0, pt.N, pt.Fanin)
-	return peekAnswer(m, "parity", out, err, workload.Parity(in))
+// parityTree, orContention and dartLAC take the algorithm as a
+// parameter, so an algorithm's strict and crash-masking (degraded)
+// runners are one body.
+func parityTree(tree func(m *qsm.Machine, base, n, fanin int) (int, error)) sharedRunner {
+	return func(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
+		out, err := tree(m, 0, pt.N, pt.Fanin)
+		return peekAnswer(m, "parity", out, err, workload.Parity(in))
+	}
+}
+
+// orContention runs the contention tree at fan-in max(g, fan-in): g is
+// the fan-in that balances κ against g, and the default fan-in of 2 is
+// the floor a tree needs.
+func orContention(tree func(m *qsm.Machine, base, n, fanin int) (int, error)) sharedRunner {
+	return func(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
+		out, err := tree(m, 0, pt.N, max(int(pt.G), pt.Fanin))
+		return peekAnswer(m, "OR", out, err, workload.Or(in))
+	}
+}
+
+func dartLAC(lac func(m *qsm.Machine, rng *rand.Rand, base, n int) (*compaction.DartResult, error)) sharedRunner {
+	return func(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
+		res, err := lac(m, rand.New(rand.NewSource(pt.algSeed)), 0, pt.N)
+		if err != nil {
+			return runOutcome{}, err
+		}
+		summary := fmt.Sprintf("placed %d items in %d cells over %d rounds",
+			len(res.Placed), res.OutSize, res.Rounds)
+		if len(res.Placed) > 0 {
+			lo, hi := math.MaxInt, math.MinInt
+			for _, cell := range res.Placed { //lint:maporder-ok min and max are order-independent
+				lo, hi = min(lo, cell), max(hi, cell)
+			}
+			summary += fmt.Sprintf("\noccupied cells span [%d, %d]", lo, hi)
+		}
+		return runOutcome{summary: summary, verified: compaction.VerifyPlacement(in, res) == nil}, nil
+	}
 }
 
 // gadgetProcs is the gadget's processor need: m·2^m checkers for each
@@ -390,13 +489,6 @@ func runGadgetParity(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
 
 func runORRead(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
 	out, err := boolor.ReadTree(m, 0, pt.N, pt.Fanin)
-	return peekAnswer(m, "OR", out, err, workload.Or(in))
-}
-
-// runORContention runs the contention tree at fan-in g, the fan-in that
-// balances κ against g; a tree needs fan-in ≥ 2, so g = 1 runs at 2.
-func runORContention(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
-	out, err := boolor.ContentionTree(m, 0, pt.N, max(int(pt.G), 2))
 	return peekAnswer(m, "OR", out, err, workload.Or(in))
 }
 
@@ -423,23 +515,6 @@ func runDetLAC(pt Point, m *qsm.Machine, _ []int64) (runOutcome, error) {
 	return compacted(pt, k, err)
 }
 
-func runDartLAC(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
-	res, err := compaction.DartLAC(m, rand.New(rand.NewSource(pt.Seed)), 0, pt.N)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	summary := fmt.Sprintf("placed %d items in %d cells over %d rounds",
-		len(res.Placed), res.OutSize, res.Rounds)
-	if len(res.Placed) > 0 {
-		lo, hi := math.MaxInt, math.MinInt
-		for _, cell := range res.Placed { //lint:maporder-ok min and max are order-independent
-			lo, hi = min(lo, cell), max(hi, cell)
-		}
-		summary += fmt.Sprintf("\noccupied cells span [%d, %d]", lo, hi)
-	}
-	return runOutcome{summary: summary, verified: compaction.VerifyPlacement(in, res) == nil}, nil
-}
-
 func runListRank(pt Point, m *qsm.Machine, in []int64) (runOutcome, error) {
 	got, err := sortrank.ParityViaList(m, 0, pt.N)
 	return answer("parity via list ranking", got, workload.Parity(in), err)
@@ -458,7 +533,7 @@ func runBSPOR(pt Point, m *bsp.Machine, in []int64) (runOutcome, error) {
 }
 
 func runBSPDartLAC(pt Point, m *bsp.Machine, _ []int64) (runOutcome, error) {
-	res, err := compaction.DartLACBSP(m, rand.New(rand.NewSource(pt.Seed)), pt.N)
+	res, err := compaction.DartLACBSP(m, rand.New(rand.NewSource(pt.algSeed)), pt.N)
 	if err != nil {
 		return runOutcome{}, err
 	}

@@ -161,9 +161,8 @@ func (s *Summary) String() string {
 	return b.String()
 }
 
-// ChaosString renders the summary in the historical `parsim chaos`
-// format, so the chaos preset through this runner prints what the
-// dedicated chaos sweep always printed.
+// ChaosString renders the summary as the `parsim chaos` report: one
+// totals line, then one line per invariant violation.
 func (s *Summary) ChaosString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos sweep: %d runs, %d verified, %d diagnosable errors, %d faults injected, %d recovered, %d procs masked",

@@ -67,7 +67,8 @@ func Check(c Cell, maxCost int64) string {
 		return ReasonInvalidParams
 	}
 	if d.Faults != "" {
-		if _, reason := chaosAlgFor(ms, d.Alg); reason != "" {
+		alg, reason := chaosAlgFor(ms, d.Alg)
+		if reason != "" {
 			return reason
 		}
 		if !ms.ChaosModel {
@@ -79,15 +80,16 @@ func Check(c Cell, maxCost int64) string {
 		if d.N < 1 {
 			return ReasonInvalidParams
 		}
-		// The chaos runner builds a fixed machine shape per model, so a
-		// fault cell with a non-default machine axis would record a run
-		// it never made.
+		// A fault cell runs at its scenario's registry point, so one with
+		// a non-default machine axis would record a run it never made.
 		def := Cell{N: d.N}.withDefaults()
 		if d.P != def.P || d.G != def.G || d.D != def.D || d.L != def.L ||
 			d.Alpha != def.Alpha || d.Beta != def.Beta || d.Gamma != def.Gamma || d.Fanin != def.Fanin {
 			return ReasonInvalidParams
 		}
-		if chaosFootprint(ms, d.N) > maxCost {
+		pt := chaos.Scenario{Model: d.Model, Alg: alg, N: d.N}.Point().WithDefaults()
+		as, _ := core.AlgByName(pt.Alg)
+		if int64(d.N)*int64(as.Procs(pt)) > maxCost {
 			return ReasonTooLarge
 		}
 		return ""
@@ -149,19 +151,6 @@ func chaosAlgFor(ms core.ModelSpec, alg string) (string, string) {
 		return "", ReasonUnsupportedAlg
 	}
 	return "", ReasonUnknownAlg
-}
-
-// chaosFootprint mirrors the fixed machine shapes of the chaos runners:
-// p = n for the shared models, 8 components for BSP, ⌈n/2⌉ for GSM.
-func chaosFootprint(ms core.ModelSpec, n int) int64 {
-	switch ms.Family {
-	case core.FamilyBSP:
-		return int64(n) * 8
-	case core.FamilyGSM:
-		return int64(n) * int64((n+1)/2)
-	default:
-		return int64(n) * int64(n)
-	}
 }
 
 // RunCell executes one cell end to end and always returns a record:
@@ -245,7 +234,7 @@ func runMachineCell(rec *Record, rc RunConfig) {
 	if bk != nil {
 		defer bk.Close()
 	}
-	out, err := core.Execute(rec.Cell.point(), false, rc.Workers, bk)
+	out, err := core.Execute(rec.Cell.point(), false, rc.Workers, bk, nil)
 	if err != nil {
 		rec.Status, rec.Error = StatusFailed, err.Error()
 		return
