@@ -85,6 +85,8 @@ func runChaos(argv []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout, "interrupted: run cancelled before completion")
 		case o.Verified:
 			fmt.Fprintln(stdout, "verified: answer matches the host-side oracle")
+		case o.Wrong:
+			fmt.Fprintf(stdout, "wrong: %v\n", o.Err)
 		case o.Err != nil:
 			fmt.Fprintf(stdout, "diagnosed: %v\n", o.Err)
 		}

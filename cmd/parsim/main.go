@@ -183,7 +183,8 @@ func runWorker(argv []string, stdout io.Writer) error {
 }
 
 // runSingle is the default mode: one algorithm on one machine, through
-// the same core.Execute path a grid cell and a Table 1 row take.
+// the same core.Runner.Execute path a grid cell and a Table 1 row take.
+// A wrong answer is an error, like any other failed run.
 func runSingle(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("parsim", flag.ContinueOnError)
 	fs.Usage = func() {
@@ -220,11 +221,11 @@ func runSingle(argv []string, stdout io.Writer) error {
 	if bk != nil {
 		defer bk.Close()
 	}
-	out, err := core.Execute(core.Point{
+	out, err := core.Runner{Backend: bk, Events: *events}.Execute(core.Point{
 		Model: *model, Alg: *alg, N: *n, P: *p,
 		G: *g, D: *d, L: *l, Alpha: *alpha, Beta: *beta, Gamma: *gamma,
 		Fanin: *fanin, Seed: *seed,
-	}, *events, 0, bk, nil)
+	})
 	if err != nil {
 		return err
 	}

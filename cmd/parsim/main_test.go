@@ -318,14 +318,26 @@ func TestCLIUsageListsEveryModelAndAlg(t *testing.T) {
 	}
 }
 
+// TestCLISingleRun runs one point per row. The gsm row at n = 17 is a
+// regression test: the gather tree needed one more cell than the machine
+// was built with, so the run failed with a write out of range.
 func TestCLISingleRun(t *testing.T) {
-	code, stdout, stderr := runCLI("-model", "sqsm", "-alg", "parity", "-n", "64")
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stdout, "parity = ") || !strings.Contains(stdout, "s-QSM[") ||
-		!strings.Contains(stdout, "phases=") {
-		t.Fatalf("unexpected single-run output: %q", stdout)
+	for _, c := range []struct {
+		argv  []string
+		wants []string
+	}{
+		{[]string{"-model", "sqsm", "-alg", "parity", "-n", "64"}, []string{"parity = ", "s-QSM[", "phases="}},
+		{[]string{"-model", "gsm", "-alg", "gsm-parity", "-n", "17"}, []string{"parity = ", "GSM[", "phases="}},
+	} {
+		code, stdout, stderr := runCLI(c.argv...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d, stderr %q", c.argv, code, stderr)
+		}
+		for _, want := range c.wants {
+			if !strings.Contains(stdout, want) {
+				t.Fatalf("%v: single-run output %q lacks %q", c.argv, stdout, want)
+			}
+		}
 	}
 }
 

@@ -6,8 +6,8 @@
 // wrong output, and identical seeds produce byte-identical fault and
 // observer event streams at every Workers setting.
 //
-// A scenario runs through core.Execute, the registry path every other
-// §8 run takes; the harness adds only the watchdog, panic recovery,
+// A scenario runs through core.Runner.Execute, the registry path every
+// other §8 run takes; the harness adds only the watchdog, panic recovery,
 // backend ownership and the invariant.
 //
 // The harness is deliberately adversarial plumbing, not model code: model
@@ -19,6 +19,7 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -257,23 +258,17 @@ func (s Scenario) Point() core.Point {
 }
 
 // execute runs the scenario's point under its fault plan through
-// core.Execute and grades the result: a completed run is verified or
-// silently wrong, an unfinished one carries its diagnosable error. The
-// fault log and the unrendered event log are kept either way.
+// core.Runner.Execute and grades the result: a completed run is verified
+// or silently wrong (core.ErrUnverified), an unfinished one carries its
+// diagnosable error. The fault log and the unrendered event log are kept
+// either way.
 func execute(sc Scenario, workers int, bk engine.Backend, out *Outcome) {
 	plan := fault.NewPlan(sc.Seed, sc.Specs...)
-	o, err := core.Execute(sc.Point(), true, workers, bk, &core.Faults{Plan: plan, Degraded: sc.Degraded})
+	rn := core.Runner{Workers: workers, Backend: bk, Faults: &core.Faults{Plan: plan, Degraded: sc.Degraded}, Events: true}
+	o, err := rn.Execute(sc.Point())
 	out.FaultLines = plan.EventLines()
 	if o != nil {
 		out.Events, out.Report = o.Events, o.Faults
 	}
-	switch {
-	case err != nil:
-		out.Err = err
-	case !o.Verified:
-		out.Wrong = true
-		out.Err = fmt.Errorf("chaos: %s: answer failed the host-side oracle: %s", sc.Alg, o.Summary)
-	default:
-		out.Verified = true
-	}
+	out.Err, out.Verified, out.Wrong = err, err == nil, errors.Is(err, core.ErrUnverified)
 }

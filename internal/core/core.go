@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/bounds"
-	"repro/internal/cost"
 )
 
 // Experiment binds one Table 1 row to a registry point.
@@ -68,25 +67,29 @@ type Result struct {
 	RatioSpread float64
 }
 
-// RunPoint executes one sweep point of the experiment: it runs the
-// registry point at size n, evaluates the bound formulas at the same
-// machine parameters, and returns the completed row. A rounds row fails
-// when any phase breaks the round budget. The sweep harness
-// (internal/sweep) runs experiments one point at a time through this so
-// that resumed sweeps re-run only the missing points.
-func (e *Experiment) RunPoint(n int, seed int64) (Row, error) {
+// RunPoint executes one sweep point of the experiment with the zero Runner.
+func (e *Experiment) RunPoint(n int, seed int64) (Row, error) { return Runner{}.RunPoint(e, n, seed) }
+
+// RunPoint executes one sweep point of experiment e: it runs the registry
+// point at size n, evaluates the bound formulas at the same machine
+// parameters, and returns the completed row. A rounds row fails when any
+// phase breaks the round budget. The sweep harness (internal/sweep) runs
+// experiments one point at a time through this so that resumed sweeps
+// re-run only the missing points.
+func (r Runner) RunPoint(e *Experiment, n int, seed int64) (Row, error) {
 	entry := bounds.ByID(e.ID)
 	if entry == nil {
 		return Row{}, fmt.Errorf("core: experiment %q has no bounds entry", e.ID)
 	}
 	pt := e.Point(n, seed)
-	rep, err := measure(pt)
-	if err == nil && e.Quantity == "rounds" && !rep.AllRounds {
+	out, err := r.Execute(pt)
+	if err == nil && e.Quantity == "rounds" && !out.Report.AllRounds {
 		err = fmt.Errorf("%s broke the round budget", pt.Alg)
 	}
 	if err != nil {
 		return Row{}, fmt.Errorf("core: %s at n=%d: %w", e.ID, n, err)
 	}
+	rep := out.Report
 	a := pt.boundArgs()
 	row := Row{N: n, Bound: entry.Eval(a), Measured: float64(rep.TotalTime), AllRounds: rep.AllRounds}
 	if e.Quantity == "rounds" {
@@ -104,19 +107,6 @@ func (e *Experiment) RunPoint(n int, seed int64) (Row, error) {
 // boundArgs are the point's parameters as the bound formulas read them.
 func (pt Point) boundArgs() bounds.Args {
 	return bounds.Args{N: pt.N, P: pt.P, G: pt.G, L: pt.L}
-}
-
-// measure executes a registry point and fails unless the answer passes
-// the host-side oracle.
-func measure(pt Point) (*cost.Report, error) {
-	out, err := Execute(pt, false, 0, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if !out.Verified {
-		return nil, fmt.Errorf("core: %s on %s at n=%d: answer failed the host-side oracle", pt.Alg, pt.Model, pt.N)
-	}
-	return out.Report, nil
 }
 
 // Assemble builds a Result from rows computed elsewhere (RunPoint calls

@@ -20,18 +20,18 @@ func ParamSweeps(seed int64) (string, error) {
 		"g", "sQSM par bound", "sQSM par meas", "QSM OR bound", "QSM OR meas")
 	for _, g := range []int64{1, 2, 4, 8, 16, 32} {
 		pt := Point{Model: "sqsm", Alg: "parity", N: n, P: n, G: g, Fanin: 2, Seed: seed}
-		par, err := measure(pt)
+		par, err := Runner{}.Execute(pt)
 		if err != nil {
 			return "", err
 		}
 		pt.Model, pt.Alg = "qsm", "or-contention"
-		or, err := measure(pt)
+		or, err := Runner{}.Execute(pt)
 		if err != nil {
 			return "", err
 		}
 		a := pt.boundArgs()
 		fmt.Fprintf(&b, "  %4d %16.1f %16d %16.1f %16d\n",
-			g, bounds.SQSMParityDet(a), par.TotalTime, bounds.QSMORDet(a), or.TotalTime)
+			g, bounds.SQSMParityDet(a), par.Report.TotalTime, bounds.QSMORDet(a), or.Report.TotalTime)
 	}
 
 	fmt.Fprintf(&b, "\nL/g-sweep at n=%d, g=2 — BSP Parity Θ(L·log q/log(L/g))\n", n)
@@ -39,13 +39,13 @@ func ParamSweeps(seed int64) (string, error) {
 	for _, lg := range []int64{2, 4, 8, 16, 32} {
 		pt := Point{Model: "bsp", Alg: "bsp-parity", N: n, P: n / sweepBSPDiv,
 			G: 2, L: 2 * lg, Fanin: int(lg), Seed: seed + lg}
-		rep, err := measure(pt)
+		out, err := Runner{}.Execute(pt)
 		if err != nil {
 			return "", err
 		}
 		a := pt.boundArgs()
 		fmt.Fprintf(&b, "  %4d %6d %16.1f %16d %10d\n",
-			lg, pt.L, bounds.BSPParityDet(a), rep.TotalTime, rep.NumPhases())
+			lg, pt.L, bounds.BSPParityDet(a), out.Report.TotalTime, out.Report.NumPhases())
 	}
 	return b.String(), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -253,7 +254,7 @@ func AlgNames() []string {
 // the help text cannot drift from what the dispatcher accepts.
 func AlgUsage() string { return strings.Join(AlgNames(), " | ") }
 
-// Faults attaches a seeded fault plan to an Execute run.
+// Faults attaches a seeded fault plan to a run.
 type Faults struct {
 	// Plan is the injector, consulted once per phase.
 	Plan *fault.Plan
@@ -263,20 +264,37 @@ type Faults struct {
 	Degraded bool
 }
 
+// ErrUnverified marks a completed run whose answer failed the host-side
+// oracle. Execute is the one place that checks the verdict.
+var ErrUnverified = errors.New("answer failed the host-side oracle")
+
+// Runner is the run context of a §8 algorithm run: what the caller hands
+// the machine beyond the point itself. The zero Runner runs fault-free on
+// the built-in merge at GOMAXPROCS workers and records no event log.
+type Runner struct {
+	// Workers caps simulation parallelism (0 = GOMAXPROCS).
+	Workers int
+	// Backend is the commit-barrier backend (nil = the built-in merge),
+	// owned by the caller and only borrowed by the machine.
+	Backend engine.Backend
+	// Faults is the fault plan (nil = fault-free).
+	Faults *Faults
+	// Events records the observer event log into Outcome.Events.
+	Events bool
+}
+
 // Outcome is the result of executing one point.
 type Outcome struct {
 	// Summary is the human-readable answer line(s).
 	Summary string
 	// Report is the machine's accumulated cost report (nil when the run
-	// errored).
+	// errored before it completed).
 	Report *cost.Report
-	// Events is the observer event log (withEvents runs only), recorded
-	// as structured events; Stream renders it.
+	// Events is the observer event log (Runner.Events runs only),
+	// recorded as structured events; Stream renders it.
 	Events *engine.EventLog
 	// Faults is the fault report (runs with a plan only).
 	Faults *fault.Report
-	// Verified is the host-side oracle verdict.
-	Verified bool
 }
 
 // Stream renders the observer event stream on demand ("" when no event
@@ -289,18 +307,17 @@ func (o *Outcome) Stream() string {
 }
 
 // Execute runs one point: it resolves model and algorithm in the
-// registries, constructs the machine, attaches the observer, the backend
-// and the fault plan, loads the seeded input, runs the algorithm, and
-// checks the oracle. It is the only code that builds a machine for a §8
-// algorithm run, faulted or not. workers caps simulation parallelism
-// (0 = GOMAXPROCS); bk is the commit-barrier backend (nil = the built-in
-// merge), which the caller owns and the machine only borrows; fl is the
-// fault plan (nil = fault-free).
+// registries, constructs the machine, attaches the run context's
+// observer, backend and fault plan, loads the seeded input, runs the
+// algorithm, and checks the oracle. It is the only code that builds a
+// machine for a §8 algorithm run, faulted or not.
 //
 // An error before the machine is built returns a nil Outcome. After
 // that, the Outcome comes back beside any error, so a poisoned run still
-// yields its event log and fault report.
-func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faults) (*Outcome, error) {
+// yields its event log and fault report. A completed run whose answer
+// fails the oracle returns its full Outcome beside an error wrapping
+// ErrUnverified.
+func (r Runner) Execute(pt Point) (*Outcome, error) {
 	pt = pt.WithDefaults()
 	ms, ok := ModelByName(pt.Model)
 	if !ok {
@@ -316,7 +333,7 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faul
 	}
 	pt.algSeed = pt.Seed
 	runShared, degraded := as.runShared, false
-	if fl != nil {
+	if fl := r.Faults; fl != nil {
 		if !ms.ChaosModel {
 			return nil, fmt.Errorf("model %q does not take fault injection", pt.Model)
 		}
@@ -334,7 +351,7 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faul
 	switch ms.Family {
 	case FamilyShared:
 		mm, err := qsm.New(qsm.Config{
-			Rule: ms.Rule, P: as.Procs(pt), G: pt.G, D: pt.D, N: pt.N, MemCells: pt.N, Workers: workers,
+			Rule: ms.Rule, P: as.Procs(pt), G: pt.G, D: pt.D, N: pt.N, MemCells: pt.N, Workers: r.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -347,7 +364,7 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faul
 		}
 	case FamilyBSP:
 		mm, err := bsp.New(bsp.Config{
-			P: pt.P, G: pt.G, L: pt.L, N: pt.N, PrivCells: as.priv(pt), Workers: workers,
+			P: pt.P, G: pt.G, L: pt.L, N: pt.N, PrivCells: as.priv(pt), Workers: r.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -359,10 +376,10 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faul
 			return as.runBSP(pt, mm, in)
 		}
 	default:
-		r := as.Procs(pt)
+		procs := as.Procs(pt)
 		mm, err := gsm.New(gsm.Config{
-			P: r, Alpha: pt.Alpha, Beta: pt.Beta, Gamma: max(pt.Gamma, 1), N: pt.N,
-			Cells: gsmalg.CellsNeedGather(r), Workers: workers,
+			P: procs, Alpha: pt.Alpha, Beta: pt.Beta, Gamma: max(pt.Gamma, 1), N: pt.N,
+			Cells: gsmalg.CellsNeedGather(procs), Workers: r.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -376,15 +393,15 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faul
 	}
 
 	out := &Outcome{}
-	if withEvents {
+	if r.Events {
 		out.Events = &engine.EventLog{}
 		m.AddObserver(out.Events)
 	}
-	if bk != nil {
-		m.SetBackend(bk)
+	if r.Backend != nil {
+		m.SetBackend(r.Backend)
 	}
-	if fl != nil {
-		m.InjectFaults(fl.Plan, engine.RetryPolicy{}, degraded)
+	if r.Faults != nil {
+		m.InjectFaults(r.Faults.Plan, engine.RetryPolicy{}, degraded)
 	}
 	in, err := as.input(pt)
 	var ro runOutcome
@@ -396,13 +413,16 @@ func Execute(pt Point, withEvents bool, workers int, bk engine.Backend, fl *Faul
 	if err == nil {
 		err = m.Err()
 	}
-	if fl != nil {
-		out.Faults = fl.Plan.Report(m)
+	if r.Faults != nil {
+		out.Faults = r.Faults.Plan.Report(m)
 	}
 	if err != nil {
 		return out, err
 	}
-	out.Summary, out.Report, out.Verified = ro.summary, m.Report(), ro.verified
+	out.Summary, out.Report = ro.summary, m.Report()
+	if !ro.verified {
+		return out, fmt.Errorf("%s on %s at n=%d: %w: %s", pt.Alg, pt.Model, pt.N, ErrUnverified, ro.summary)
+	}
 	return out, nil
 }
 

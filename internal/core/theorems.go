@@ -20,13 +20,13 @@ func TheoremSweeps(seed int64) (string, error) {
 	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
 		for _, mu := range []int64{2, 4, 8} {
 			for _, gamma := range []int64{1, 4} {
-				rep, err := measure(Point{Model: "gsm", Alg: "gsm-parity", N: n,
+				out, err := Runner{}.Execute(Point{Model: "gsm", Alg: "gsm-parity", N: n,
 					Alpha: mu, Beta: mu, Gamma: gamma, Fanin: int(mu), Seed: seed + int64(n)})
 				if err != nil {
 					return "", err
 				}
 				bound := bounds.GSMParityDet(bounds.GSMArgs{N: n, Alpha: mu, Beta: mu, Gamma: gamma})
-				meas := float64(rep.TotalTime)
+				meas := float64(out.Report.TotalTime)
 				fmt.Fprintf(&b, "  %8d %6d %6d %14.1f %14.1f %8.2f\n",
 					n, mu, gamma, bound, meas, meas/bound)
 			}
@@ -38,12 +38,12 @@ func TheoremSweeps(seed int64) (string, error) {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		for _, h := range []int64{4, 16, 64} {
 			alpha := int64(2)
-			rep, err := measure(Point{Model: "gsm", Alg: "gsm-parity", N: n,
+			out, err := Runner{}.Execute(Point{Model: "gsm", Alg: "gsm-parity", N: n,
 				Alpha: alpha, Beta: alpha, Gamma: 1, Fanin: int(h), Seed: seed + int64(n) + h})
 			if err != nil {
 				return "", err
 			}
-			rounds, all := gsmalg.RelaxedRounds(rep, h, 1)
+			rounds, all := gsmalg.RelaxedRounds(out.Report, h, 1)
 			if !all {
 				return "", fmt.Errorf("core: GSM(h) gather broke the h=%d budget", h)
 			}

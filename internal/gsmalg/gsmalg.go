@@ -18,6 +18,7 @@ package gsmalg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cost"
 	"repro/internal/gsm"
@@ -61,8 +62,10 @@ func GatherTree(m *gsm.Machine, r, fanin int) (int, error) {
 }
 
 // CellsNeedGather returns the number of cells GatherTree needs for r
-// loaded cells.
-func CellsNeedGather(r int) int { return 2*r + 2 }
+// loaded cells at any fan-in ≥ 2: the r inputs plus every tree level.
+// At fan-in 2 the levels hold r−1 cells plus one per level of odd width,
+// and there are at most bits.Len(r) levels; a wider fan-in needs fewer.
+func CellsNeedGather(r int) int { return 2*r + bits.Len(uint(r)) }
 
 // ParityGSM computes the parity of the n inputs loaded with
 // Machine.LoadInputs (γ per cell): it gathers all information and decodes

@@ -58,6 +58,26 @@ func TestORGSM(t *testing.T) {
 	}
 }
 
+// TestGatherFitsCellsNeedGather is a regression test: the bound was
+// 2r+2, which rounding overran whenever it added a tree level (r = 17
+// needs 37 cells at fan-in 2), so the gather wrote past the last cell.
+func TestGatherFitsCellsNeedGather(t *testing.T) {
+	for r := 1; r <= 1024; r++ {
+		for fanin := 2; fanin <= 5; fanin++ {
+			m, err := gsm.New(gsm.Config{P: r, Alpha: 2, Beta: 2, Gamma: 1, N: r, Cells: CellsNeedGather(r), Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadInputs(workload.ZeroBits(r)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := GatherTree(m, r, fanin); err != nil {
+				t.Fatalf("r=%d fan-in %d in %d cells: %v", r, fanin, CellsNeedGather(r), err)
+			}
+		}
+	}
+}
+
 func TestGatherTreeValidation(t *testing.T) {
 	m := machineFor(t, 4, 1, 1, 1, workload.ZeroBits(4))
 	if _, err := GatherTree(m, 0, 2); err == nil {

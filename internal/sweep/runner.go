@@ -166,7 +166,7 @@ func RunCell(c Cell, rc RunConfig) Record {
 	}
 	switch {
 	case c.Exp != "":
-		runExpCell(&rec)
+		runExpCell(&rec, rc)
 	case rec.Faults != "":
 		runFaultCell(&rec, rc)
 	default:
@@ -176,10 +176,10 @@ func RunCell(c Cell, rc RunConfig) Record {
 }
 
 // runExpCell measures one (experiment, n) point through the same
-// core.RunPoint path cmd/tables uses, so a sweep's experiment records
+// RunPoint path cmd/tables uses, so a sweep's experiment records
 // reassemble into the byte-identical golden tables.
-func runExpCell(rec *Record) {
-	row, err := core.ExperimentByID(rec.Exp).RunPoint(rec.N, rec.Seed)
+func runExpCell(rec *Record, rc RunConfig) {
+	row, err := core.Runner{Workers: rc.Workers}.RunPoint(core.ExperimentByID(rec.Exp), rec.N, rec.Seed)
 	if err != nil {
 		rec.Status, rec.Error = StatusFailed, err.Error()
 		return
@@ -222,9 +222,9 @@ func runFaultCell(rec *Record, rc RunConfig) {
 	}
 }
 
-// runMachineCell runs one fault-free algorithm cell through core.Execute,
-// constructing (and closing) the cell's commit-barrier backend around
-// the run.
+// runMachineCell runs one fault-free algorithm cell through
+// core.Runner.Execute, constructing (and closing) the cell's
+// commit-barrier backend around the run.
 func runMachineCell(rec *Record, rc RunConfig) {
 	bk, err := backend.New(backend.Config{Name: rec.Cell.Backend, ProcWorkers: rec.ProcWorkers})
 	if err != nil {
@@ -234,20 +234,15 @@ func runMachineCell(rec *Record, rc RunConfig) {
 	if bk != nil {
 		defer bk.Close()
 	}
-	out, err := core.Execute(rec.Cell.point(), false, rc.Workers, bk, nil)
+	out, err := core.Runner{Workers: rc.Workers, Backend: bk}.Execute(rec.Cell.point())
 	if err != nil {
 		rec.Status, rec.Error = StatusFailed, err.Error()
 		return
 	}
-	if rep := out.Report; rep != nil {
-		rec.Time = float64(rep.TotalTime)
-		rec.Phases = rep.NumPhases()
-		rec.Work = rep.Work
-		rec.AllRounds = rep.AllRounds
-	}
-	if !out.Verified {
-		rec.Status, rec.Error = StatusFailed, "answer failed the host-side oracle"
-		return
-	}
+	rep := out.Report
+	rec.Time = float64(rep.TotalTime)
+	rec.Phases = rep.NumPhases()
+	rec.Work = rep.Work
+	rec.AllRounds = rep.AllRounds
 	rec.Status, rec.Verified = StatusOK, true
 }
