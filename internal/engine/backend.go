@@ -232,7 +232,9 @@ func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
 func (g *MemMerger) begin(lo, hi, p int) {
 	width := max(hi-lo, 0)
 	if len(g.marks) < width {
-		g.marks = make([]cellMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		// Doubling keeps a machine that grows its memory every level
+		// from reallocating the marks at every level.
+		g.marks = make([]cellMark, max(width, 2*len(g.marks))) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 	}
 	base := uint64(g.base) + 2*uint64(g.p) + 1
 	if base+2*uint64(p)+1 > math.MaxUint32 {

@@ -102,3 +102,15 @@ func TestLaneFailureLeavesNoEntries(t *testing.T) {
 			len(c.readAddrs), len(c.writes), len(c.writeVals), r0, w0)
 	}
 }
+
+// TestMarksGrowByDoubling pins that the merger's marks at least double
+// when a machine's memory grows past them, so a machine that grows its
+// memory every level does not reallocate them at every level.
+func TestMarksGrowByDoubling(t *testing.T) {
+	var g MemMerger
+	g.begin(0, 100, 1)
+	g.begin(0, 101, 1)
+	if len(g.marks) < 200 {
+		t.Fatalf("marks grew from 100 to %d cells for a 101-cell merge, want at least 200", len(g.marks))
+	}
+}

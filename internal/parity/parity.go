@@ -209,22 +209,28 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			needed, n, gb, m.P())
 	}
 
+	// Checker (grp, a, i) of a level with s = groups·2^m scouts is
+	// processor i·s + grp·2^m + a, so the scouts (i = 0) are processors
+	// [0, s) and phases 3 and 4 dispatch only them.
+	//
 	// Checker state (the bit each checker read, the kill flag each scout
 	// read) is carried across phases in host slices, which model the
 	// processors' private memory. They are sized once for the first
 	// level; each level dispatches only its groups' processors and clears
 	// their entries, so every level starts from zeroed private state.
-	readVal := make([]int64, needed)
-	killed := make([]int64, needed)
+	readVal := make([]uint8, needed)
+	killed := make([]bool, needed/gb)
 	cur, width := base, n
+	mask := 1<<uint(gb) - 1
 	for width > 1 {
 		groups := (width + gb - 1) / gb
-		active := groups * perGroup
+		scouts := groups << uint(gb)
+		active := gb * scouts
 		clear(readVal[:active])
-		clear(killed[:active])
+		clear(killed[:scouts])
 		// Fresh cells: kill cells (groups · 2^m), output (groups).
 		kills := m.MemSize()
-		out := kills + groups<<uint(gb)
+		out := kills + scouts
 		m.Grow(out + groups)
 
 		curL, widthL := cur, width
@@ -240,53 +246,42 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		// Phase 1+2 are split to respect the no-read-and-write rule per
 		// cell set. Processors past the active groups are not dispatched.
 		m.ForAll(active, func(c *qsm.Ctx) {
-			grp := c.Proc() / perGroup
-			r := c.Proc() % perGroup
-			a := r / gb
-			bit := r % gb
+			bit := c.Proc() / scouts
+			sa := c.Proc() - bit*scouts
+			grp, a := sa>>uint(gb), sa&mask
 			sz := groupSize(grp)
 			if bit >= sz || a >= 1<<uint(sz) {
 				return
 			}
-			readVal[c.Proc()] = c.Read(curL+grp*gb+bit) & 1
+			readVal[c.Proc()] = uint8(c.Read(curL+grp*gb+bit) & 1)
 		})
 		m.ForAll(active, func(c *qsm.Ctx) {
-			grp := c.Proc() / perGroup
-			r := c.Proc() % perGroup
-			a := r / gb
-			bit := r % gb
+			bit := c.Proc() / scouts
+			sa := c.Proc() - bit*scouts
+			grp, a := sa>>uint(gb), sa&mask
 			sz := groupSize(grp)
 			if bit >= sz || a >= 1<<uint(sz) {
 				return
 			}
-			want := int64(a >> uint(bit) & 1)
-			if readVal[c.Proc()] != want {
-				c.Write(kills+grp<<uint(gb)+a, 1)
+			if readVal[c.Proc()] != uint8(a>>uint(bit)&1) {
+				c.Write(kills+sa, 1)
 			}
 		})
 		// Phase 3: scout (a, bit 0) reads its kill cell.
-		m.ForAll(active, func(c *qsm.Ctx) {
-			grp := c.Proc() / perGroup
-			r := c.Proc() % perGroup
-			a := r / gb
-			bit := r % gb
-			sz := groupSize(grp)
-			if bit != 0 || a >= 1<<uint(sz) {
+		m.ForAll(scouts, func(c *qsm.Ctx) {
+			grp, a := c.Proc()>>uint(gb), c.Proc()&mask
+			if a >= 1<<uint(groupSize(grp)) {
 				return
 			}
-			killed[c.Proc()] = c.Read(kills + grp<<uint(gb) + a)
+			killed[c.Proc()] = c.Read(kills+c.Proc()) != 0
 		})
 		// Phase 4: the surviving scout writes its assignment's parity.
-		m.ForAll(active, func(c *qsm.Ctx) {
-			grp := c.Proc() / perGroup
-			r := c.Proc() % perGroup
-			a := r / gb
-			bit := r % gb
-			sz := groupSize(grp)
-			if bit != 0 || a >= 1<<uint(sz) {
+		m.ForAll(scouts, func(c *qsm.Ctx) {
+			grp, a := c.Proc()>>uint(gb), c.Proc()&mask
+			if a >= 1<<uint(groupSize(grp)) {
 				return
 			}
-			if killed[c.Proc()] == 0 {
+			if !killed[c.Proc()] {
 				c.Op(1)
 				c.Write(out+grp, int64(bits.OnesCount32(uint32(a))&1))
 			}
