@@ -41,9 +41,9 @@ sweep-smoke:
 # the internal/sweep bench registry) and overwrite the committed
 # baseline. GOMAXPROCS is pinned because allocs/op depend on it.
 bench:
-	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-o BENCH_pr24.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-o BENCH_pr27.json
 
 # Same measurement, but gate against the committed snapshot: exact model
 # metrics, 3x ns/op tolerance, 1.25x allocs/op and B/op tolerance.
 bench-gate:
-	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr24.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr27.json

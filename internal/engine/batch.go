@@ -11,7 +11,9 @@ import "fmt"
 // same columns; a batch call records exactly the request sequence the
 // equivalent per-cell loop would have recorded (same addresses, same
 // order, same charges), which is what keeps cost reports and observer
-// event streams byte-identical between the two APIs.
+// event streams byte-identical between the two APIs. A block call stages
+// its cells as one run (see "Request columns" in lane.go), which stands
+// for that sequence.
 //
 // Model discipline is unchanged: batch reads return start-of-phase
 // contents, batch writes commit at the barrier under the model's Apply,
@@ -39,31 +41,19 @@ func growCap[T any](s []T, k int) []T {
 	return s
 }
 
-// appendSeq appends the k consecutive addresses base, base+1, …,
-// base+k−1 to the column.
-func appendSeq(s []int32, base int32, k int) []int32 {
-	s = growCap(s, k)
-	n := len(s)
-	s = s[:n+k]
-	for i := 0; i < k; i++ {
-		s[n+i] = base + int32(i)
-	}
-	return s
-}
-
 // ReadBlock reads the k consecutive cells [addr, addr+k), charging k
-// reads, and returns their start-of-phase contents. The returned slice
-// aliases the shared memory, which does not change during a phase (all
-// writes commit at the barrier), so it is exactly the snapshot a
-// per-cell read loop would have observed; callers must not retain it
-// across the phase boundary.
+// reads and staging one run, and returns their start-of-phase contents.
+// The returned slice aliases the shared memory, which does not change
+// during a phase (all writes commit at the barrier), so it is exactly the
+// snapshot a per-cell read loop would have observed; callers must not
+// retain it across the phase boundary.
 func (c *MemCtx[V]) ReadBlock(addr, k int) []V {
 	if k < 0 || addr < 0 || addr+k > len(c.m.mem) {
 		c.failf("read block out of range: cells [%d,%d) of %d", addr, addr+k, len(c.m.mem))
 		return nil
 	}
 	c.reads += int64(k)
-	c.readAddrs = appendSeq(c.readAddrs, int32(addr), k)
+	c.readAddrs, c.runs = appendRun(c.readAddrs, int32(addr), k), c.runs || k > 1
 	return c.m.mem[addr : addr+k] //lint:colescape-ok documented borrow point: ReadBlock returns a phase-scoped view; callers are policed at their use sites
 }
 
@@ -95,7 +85,7 @@ func (c *MemCtx[V]) inRange(what string, addrs []int32) bool {
 }
 
 // WriteBlock queues writes of vals to the consecutive cells
-// [addr, addr+len(vals)), charging one write each.
+// [addr, addr+len(vals)), charging one write each and staging one run.
 func (c *MemCtx[V]) WriteBlock(addr int, vals []V) {
 	k := len(vals)
 	if addr < 0 || addr+k > len(c.m.mem) {
@@ -103,19 +93,20 @@ func (c *MemCtx[V]) WriteBlock(addr int, vals []V) {
 		return
 	}
 	c.wrs += int64(k)
-	c.writes = appendSeq(c.writes, int32(addr), k)
+	c.writes, c.runs = appendRun(c.writes, int32(addr), k), c.runs || k > 1
 	c.writeVals = append(c.writeVals, vals...)
 }
 
 // WriteFill queues writes of val to the k consecutive cells
-// [addr, addr+k), charging k writes.
+// [addr, addr+k), charging k writes and staging one run; the value
+// column stays dense, one value per charged write.
 func (c *MemCtx[V]) WriteFill(addr, k int, val V) {
 	if k < 0 || addr < 0 || addr+k > len(c.m.mem) {
 		c.failf("write fill out of range: cells [%d,%d) of %d", addr, addr+k, len(c.m.mem))
 		return
 	}
 	c.wrs += int64(k)
-	c.writes = appendSeq(c.writes, int32(addr), k)
+	c.writes, c.runs = appendRun(c.writes, int32(addr), k), c.runs || k > 1
 	c.writeVals = growCap(c.writeVals, k)
 	for i := 0; i < k; i++ {
 		c.writeVals = append(c.writeVals, val)

@@ -9,12 +9,12 @@ import (
 	"repro/internal/engine"
 )
 
-// runObserved runs phases on a fresh 4-processor machine and returns the
-// event stream and cost report — the two artifacts the batch API must
-// reproduce byte-for-byte.
-func runObserved(t *testing.T, phases func(m *memMachine)) ([]string, string) {
+// runObserved runs phases on a fresh 4-processor machine of the given
+// size and returns the event stream and cost report — the two artifacts
+// the batch API must reproduce byte-for-byte.
+func runObserved(t *testing.T, cells int, phases func(m *memMachine)) ([]string, string) {
 	t.Helper()
-	m := newMemMachine(t, 4, 16, 1)
+	m := newMemMachine(t, 4, cells, 1)
 	ev := &engine.EventLog{}
 	m.AddObserver(ev)
 	for i := range m.Data() {
@@ -29,51 +29,76 @@ func runObserved(t *testing.T, phases func(m *memMachine)) ([]string, string) {
 	for _, pc := range rep.Phases {
 		fmt.Fprintf(&b, "%+v\n", pc)
 	}
-	return ev.Lines(), b.String()
+	var img strings.Builder
+	fmt.Fprint(&img, m.Data())
+	return append(ev.Lines(), img.String()), b.String()
 }
 
 // TestBatchPerCellEquivalence is the core contract of the batch API: a
 // batch call records exactly the request sequence of the equivalent
-// per-cell loop, so event streams and charged costs are identical.
+// per-cell loop, so event streams, charged costs and the committed
+// memory are identical. Blocks of k = 0, 1, 2 and 64 cells cover the
+// empty block, the lone plain word and runs; the read blocks overlap
+// pairwise and the write blocks of the second phase collide, so the
+// runs' contention is counted across processors.
 func TestBatchPerCellEquivalence(t *testing.T) {
-	perCell := func(m *memMachine) {
-		m.Phase(func(c *engine.MemCtx[int64]) {
-			p := c.Proc()
-			for i := 0; i < 3; i++ {
-				c.Read(p + i)
+	for _, k := range []int{0, 1, 2, 64} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			cells := 8*k + 16
+			perCell := func(m *memMachine) {
+				m.Phase(func(c *engine.MemCtx[int64]) {
+					p := c.Proc()
+					for i := 0; i < k; i++ {
+						c.Read(p/2*k + i)
+					}
+					for i := 0; i < k; i++ {
+						c.Write(4*k+p*k+i, int64(100+p))
+					}
+				})
+				m.Phase(func(c *engine.MemCtx[int64]) {
+					p := c.Proc()
+					for i := 0; i < k; i++ {
+						c.Write(4*k+p/2*k+i, int64(10*p+i))
+					}
+				})
+				m.Phase(func(c *engine.MemCtx[int64]) {
+					c.Read(0)
+					c.Read(5)
+					c.Write(15, int64(c.Proc()))
+				})
 			}
-			for i := 0; i < 2; i++ {
-				c.Write(8+2*p+i, int64(100+p))
+			batched := func(m *memMachine) {
+				m.Phase(func(c *engine.MemCtx[int64]) {
+					p := c.Proc()
+					c.ReadBlock(p/2*k, k)
+					c.WriteFill(4*k+p*k, k, int64(100+p))
+				})
+				m.Phase(func(c *engine.MemCtx[int64]) {
+					p := c.Proc()
+					vals := make([]int64, k)
+					for i := range vals {
+						vals[i] = int64(10*p + i)
+					}
+					c.WriteBlock(4*k+p/2*k, vals)
+				})
+				m.Phase(func(c *engine.MemCtx[int64]) {
+					c.Submit(engine.Batch[int64]{
+						Reads:  []int32{0, 5},
+						Writes: []int32{15},
+						Vals:   []int64{int64(c.Proc())},
+					})
+				})
+			}
+			wantEv, wantRep := runObserved(t, cells, perCell)
+			gotEv, gotRep := runObserved(t, cells, batched)
+			if !reflect.DeepEqual(wantEv, gotEv) {
+				t.Errorf("event streams or memory differ:\nper-cell:\n%s\nbatched:\n%s",
+					strings.Join(wantEv, "\n"), strings.Join(gotEv, "\n"))
+			}
+			if wantRep != gotRep {
+				t.Errorf("cost reports differ:\nper-cell:\n%s\nbatched:\n%s", wantRep, gotRep)
 			}
 		})
-		m.Phase(func(c *engine.MemCtx[int64]) {
-			c.Read(int(0))
-			c.Read(int(5))
-			c.Write(15, int64(c.Proc()))
-		})
-	}
-	batched := func(m *memMachine) {
-		m.Phase(func(c *engine.MemCtx[int64]) {
-			p := c.Proc()
-			c.ReadBlock(p, 3)
-			c.WriteFill(8+2*p, 2, int64(100+p))
-		})
-		m.Phase(func(c *engine.MemCtx[int64]) {
-			c.Submit(engine.Batch[int64]{
-				Reads:  []int32{0, 5},
-				Writes: []int32{15},
-				Vals:   []int64{int64(c.Proc())},
-			})
-		})
-	}
-	wantEv, wantRep := runObserved(t, perCell)
-	gotEv, gotRep := runObserved(t, batched)
-	if !reflect.DeepEqual(wantEv, gotEv) {
-		t.Errorf("event streams differ:\nper-cell:\n%s\nbatched:\n%s",
-			strings.Join(wantEv, "\n"), strings.Join(gotEv, "\n"))
-	}
-	if wantRep != gotRep {
-		t.Errorf("cost reports differ:\nper-cell:\n%s\nbatched:\n%s", wantRep, gotRep)
 	}
 }
 

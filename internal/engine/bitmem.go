@@ -108,16 +108,16 @@ func (c *BitCtx) Read(addr int) bool {
 }
 
 // ReadWord reads the k ≤ 64 consecutive bits [addr, addr+k) in one call,
-// charging k reads, and returns them packed with bit addr in the low
-// position. It records exactly the request sequence of k per-cell reads
-// at ascending addresses.
+// charging k reads and staging one run, and returns them packed with bit
+// addr in the low position. It records exactly the request sequence of k
+// per-cell reads at ascending addresses.
 func (c *BitCtx) ReadWord(addr, k int) uint64 {
 	if k < 0 || k > 64 || addr < 0 || addr+k > c.m.cells {
 		c.failf("read word out of range: cells [%d,%d) of %d", addr, addr+k, c.m.cells)
 		return 0
 	}
 	c.reads += int64(k)
-	c.readAddrs = appendSeq(c.readAddrs, int32(addr), k)
+	c.readAddrs, c.runs = appendRun(c.readAddrs, int32(addr), k), c.runs || k > 1
 	lo := uint(addr) & 63
 	w := c.m.mem[addr>>6] >> lo
 	if rest := 64 - int(lo); k > rest {
@@ -157,16 +157,20 @@ func (m *BitMem) apply() {
 // word-valued renderers produce for 0/1 data.
 var bitPayloads = [2]string{"0", "1"}
 
-// emit renders the phase's requests as observer events, before the
-// writes apply.
+// emit renders the phase's requests as observer events, one per cell of
+// every read run, before the writes apply.
 func (m *BitMem) emit() {
 	for _, l := range m.lanes {
 		c := &l.c
 		r0, w0 := int32(0), int32(0)
 		for _, s := range l.spans {
-			for _, a := range c.readAddrs[r0:s.r1] {
-				m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
-					Payload: bitPayloads[m.mem[a>>6]>>(uint32(a)&63)&1]})
+			for i := r0; i < s.r1; {
+				a, n, next := Run(c.readAddrs, int(i))
+				for ; n > 0; a, n = a+1, n-1 {
+					m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
+						Payload: bitPayloads[m.mem[a>>6]>>(uint32(a)&63)&1]})
+				}
+				i = int32(next)
 			}
 			for _, pk := range c.writes[w0:s.w1] {
 				a, bit := unpackWrite(pk)

@@ -29,8 +29,10 @@ func (memModel) Violation() error { return errTestViolation }
 func (memModel) Grain() int       { return 1 }
 
 func (memModel) Apply(mem []int64, addrs []int32, vals []int64) {
-	for j, a := range addrs {
-		mem[a] = vals[j]
+	for i, j := 0, 0; i < len(addrs); {
+		a, n, next := engine.Run(addrs, i)
+		j += copy(mem[a:int(a)+n], vals[j:j+n])
+		i = next
 	}
 }
 

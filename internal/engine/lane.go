@@ -1,5 +1,7 @@
 package engine
 
+import "math"
+
 // Request lanes: the per-chunk request storage of every engine (Mem,
 // BitMem and Route alike).
 //
@@ -12,6 +14,43 @@ package engine
 // that records nothing leaves nothing behind. Chunks ascend with the
 // processor range, so reading the lanes in order reads the requests in
 // ascending processor order.
+
+// Request columns: a lane's read and write columns are sequences of
+// int32 words in cell space. A plain word (bit 31 clear) is one cell. A
+// word with bit 31 set (RunTag) opens a run: its low 31 bits are the first
+// cell a, and the next word is the run's length n ≥ 2, standing for the
+// cells a, a+1, …, a+n−1. The block calls (ReadBlock, WriteBlock,
+// WriteFill, BitCtx.ReadWord) stage one run, so a k-cell block costs two
+// words whatever k is; the per-cell and batch calls stage plain words. The
+// merger, the models' Apply and an attached Backend take the runs as they
+// are, and the proc backend puts them on its wire split at its rank
+// bounds. Runs hold cells only: a packed store's write column holds
+// PackWrite entries, one plain word each. A send column holds plain
+// destinations.
+
+// RunTag is the bit of a request-column word that opens a run.
+const RunTag = 1 << 31
+
+// appendRun appends the k consecutive cells [a, a+k) to the column: a
+// run for k ≥ 2, a plain word for k = 1 and nothing for k = 0.
+func appendRun(col []int32, a int32, k int) []int32 {
+	switch {
+	case k == 1:
+		return append(col, a)
+	case k > 1:
+		return append(col, a|math.MinInt32, int32(k))
+	}
+	return col
+}
+
+// Run decodes the request-column word at col[i]: it stands for the n
+// cells [a, a+n), and the column's next word is at next.
+func Run(col []int32, i int) (a int32, n, next int) {
+	if a = col[i]; a >= 0 {
+		return a, 1, i + 1
+	}
+	return a &^ math.MinInt32, int(col[i+1]), i + 2
+}
 
 // span is one processor's share of its lane's columns: the reads and
 // writes up to r1 and w1, starting where the previous span ended (at 0
@@ -61,7 +100,7 @@ func useLanes[W, C any](lanes []*lane[W, C], nb int, st *store[W]) []*lane[W, C]
 // processors can record, so it never grows while the bodies run.
 func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error) {
 	c := l.cur
-	c.readAddrs, c.writes, c.writeVals = c.readAddrs[:0], c.writes[:0], c.writeVals[:0]
+	c.readAddrs, c.writes, c.writeVals, c.runs = c.readAddrs[:0], c.writes[:0], c.writeVals[:0], false
 	if cap(l.spans) < hi-lo {
 		l.spans = make([]span, 0, hi-lo)
 	}
@@ -99,9 +138,10 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 
 // countLane counts one lane's read spans (write false) or write spans
 // (write true) over col, the lane's matching column, handing g the
-// processors' columns in stack batches of colBatch. The barrier counts
+// processors' columns in stack batches of colBatch; runs says whether
+// the lane staged a run. The barrier counts
 // every lane's reads before any lane's writes, in lane order.
-func countLane(g *MemMerger, spans []span, col []int32, write, packed bool) {
+func countLane(g *MemMerger, spans []span, col []int32, write, packed, runs bool) {
 	var procs [colBatch]int32
 	var cols [colBatch][]int32
 	n, lo := 0, int32(0)
@@ -115,17 +155,17 @@ func countLane(g *MemMerger, spans []span, col []int32, write, packed bool) {
 		}
 		procs[n], cols[n], lo = s.proc, col[lo:hi], hi
 		if n++; n == colBatch {
-			g.cols(procs[:n], cols[:n], write, packed)
+			g.cols(procs[:n], cols[:n], write, packed, runs)
 			n = 0
 		}
 	}
-	g.cols(procs[:n], cols[:n], write, packed)
+	g.cols(procs[:n], cols[:n], write, packed, runs)
 }
 
 // colViews returns the p-long column-of-columns header an attached
 // Backend receives, reusing buf: entry i is processor i's read (or, with
-// write, write) column, borrowed from its lane, and nil for a processor
-// that recorded nothing.
+// write, write) column, runs and all, borrowed from its lane, and nil for
+// a processor that recorded nothing.
 func colViews[W, C any](buf [][]int32, p int, lanes []*lane[W, C], write bool) [][]int32 {
 	if cap(buf) < p {
 		buf = make([][]int32, p) //lint:hotpathalloc-ok amortized scratch growth, once per machine; only an attached backend needs the p-long headers

@@ -20,8 +20,10 @@ func (laneModel) Violation() error { return errors.New("lane: violation") }
 func (laneModel) Grain() int       { return 1 }
 
 func (laneModel) Apply(mem []int64, addrs []int32, vals []int64) {
-	for j, a := range addrs {
-		mem[a] = vals[j]
+	for i, j := 0, 0; i < len(addrs); {
+		a, n, next := Run(addrs, i)
+		j += copy(mem[a:int(a)+n], vals[j:j+n])
+		i = next
 	}
 }
 
@@ -112,5 +114,41 @@ func TestMarksGrowByDoubling(t *testing.T) {
 	g.begin(0, 101, 1)
 	if len(g.marks) < 200 {
 		t.Fatalf("marks grew from 100 to %d cells for a 101-cell merge, want at least 200", len(g.marks))
+	}
+}
+
+// TestBlockStagesOneRun pins the staging cost of the block calls: a
+// k-cell ReadBlock, WriteFill or ReadWord stages one run, two column
+// words whatever k is, while the value column stays dense at one value
+// per charged write.
+func TestBlockStagesOneRun(t *testing.T) {
+	const p = 8
+	for _, k := range []int{2, 16, 64, 1000} {
+		m := &Mem[int64]{}
+		m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, 2, 2*p*k)
+		m.Phase(func(c *MemCtx[int64]) {
+			pr := c.Proc()
+			c.ReadBlock(pr*k, k)
+			c.WriteFill(p*k+pr*k, k, int64(pr))
+		})
+		b := &BitMem{}
+		if err := b.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, 2, 64*p); err != nil {
+			t.Fatal(err)
+		}
+		b.Phase(func(c *BitCtx) { c.ReadWord(64*c.Proc(), min(k, 64)) })
+		if err := errors.Join(m.Err(), b.Err()); err != nil {
+			t.Fatal(err)
+		}
+		var reads, writes, vals, words int
+		for _, l := range m.lanes {
+			reads, writes, vals = reads+len(l.c.readAddrs), writes+len(l.c.writes), vals+len(l.c.writeVals)
+		}
+		for _, l := range b.lanes {
+			words += len(l.c.readAddrs)
+		}
+		if reads != 2*p || writes != 2*p || words != 2*p || vals != p*k {
+			t.Errorf("k = %d: staged %d read, %d write and %d ReadWord column words and %d values; want %d, %d, %d and %d",
+				k, reads, writes, words, vals, 2*p, 2*p, 2*p, p*k)
+		}
 	}
 }

@@ -24,12 +24,13 @@ type MemModel[V any] interface {
 	// The GSM's proof-machinery enumerations run thousands of tiny-p
 	// machines and use a grain to stay on the inline fast path.
 	Grain() int
-	// Apply commits a run of writes to memory, in issue order. The
+	// Apply commits a sequence of writes to memory, in issue order. The
 	// barrier hands it each dispatch chunk's write columns, which hold the
 	// chunk's processors in ascending order, and the chunks in ascending
 	// order, so a last-writer-wins Apply deterministically commits the
 	// final write of the highest-numbered processor; a merging Apply is
-	// order-insensitive.
+	// order-insensitive. addrs is a request column (see Run): a run of n
+	// cells takes the next n values of vals, one value per cell.
 	Apply(mem []V, addrs []int32, vals []V)
 	// Render formats a cell/payload value for observer events.
 	Render(v V) string
@@ -147,7 +148,10 @@ type cursor[W any] struct {
 	// empty in a packed one.
 	writes    []int32 //repro:pooled
 	writeVals []W     //repro:pooled
-	fail      error
+	// runs is set once a block call stages a run in the lane this phase,
+	// so the barrier knows which lanes need the run walk.
+	runs bool
+	fail error
 }
 
 // Proc returns this processor's index in [0, P).
@@ -242,10 +246,10 @@ func (m *shared[W, C]) gather() (Outcome, int32, error) {
 		g := &m.merger
 		g.begin(0, m.cells, m.P())
 		for _, l := range m.lanes {
-			countLane(g, l.spans, l.cur.readAddrs, false, false)
+			countLane(g, l.spans, l.cur.readAddrs, false, false, l.cur.runs)
 		}
 		for _, l := range m.lanes {
-			countLane(g, l.spans, l.cur.writes, true, m.shift > 0)
+			countLane(g, l.spans, l.cur.writes, true, m.shift > 0, l.cur.runs)
 		}
 		st = g.end()
 	}
@@ -344,23 +348,31 @@ func (m *Mem[V]) apply() {
 	}
 }
 
-// emit renders the phase's requests as observer events. It runs before
-// the writes apply, so read payloads render the start-of-phase contents
-// the readers actually observed.
+// emit renders the phase's requests as observer events, one per cell of
+// every run. It runs before the writes apply, so read payloads render the
+// start-of-phase contents the readers actually observed.
 func (m *Mem[V]) emit() {
 	for _, l := range m.lanes {
 		c := &l.c
-		r0, w0 := int32(0), int32(0)
+		r0, w0, v := 0, 0, 0
 		for _, s := range l.spans {
-			for _, a := range c.readAddrs[r0:s.r1] {
-				m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
-					Payload: m.model.Render(m.mem[a])})
+			for i := r0; i < int(s.r1); {
+				a, n, next := Run(c.readAddrs, i)
+				for ; n > 0; a, n = a+1, n-1 {
+					m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
+						Payload: m.model.Render(m.mem[a])})
+				}
+				i = next
 			}
-			for j := w0; j < s.w1; j++ {
-				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: c.writes[j],
-					Payload: m.model.Render(c.writeVals[j])})
+			for i := w0; i < int(s.w1); {
+				a, n, next := Run(c.writes, i)
+				for ; n > 0; a, n, v = a+1, n-1, v+1 {
+					m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a,
+						Payload: m.model.Render(c.writeVals[v])})
+				}
+				i = next
 			}
-			r0, w0 = s.r1, s.w1
+			r0, w0 = int(s.r1), int(s.w1)
 		}
 	}
 }

@@ -31,7 +31,7 @@ package gsm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/engine"
@@ -43,11 +43,13 @@ type Info []int64
 
 // Contains reports whether the atom is in the set.
 func (in Info) Contains(a int64) bool {
-	i := sort.Search(len(in), func(i int) bool { return in[i] >= a })
-	return i < len(in) && in[i] == a
+	_, ok := slices.BinarySearch(in, a)
+	return ok
 }
 
 // Merge returns the union of the two sets (strong queuing write rule).
+// When other adds no atom it returns the receiver itself, allocating
+// nothing: Info values are immutable, so cells may share one.
 func (in Info) Merge(other Info) Info {
 	if len(other) == 0 {
 		return in
@@ -55,8 +57,20 @@ func (in Info) Merge(other Info) Info {
 	if len(in) == 0 {
 		return append(Info(nil), other...) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
 	}
-	out := make(Info, 0, len(in)+len(other)) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
+	// Skip the common prefix in which every atom of other is already in
+	// in; if that covers other, the union is in.
 	i, j := 0, 0
+	for i < len(in) && j < len(other) && in[i] <= other[j] {
+		if in[i] == other[j] {
+			j++
+		}
+		i++
+	}
+	if j == len(other) {
+		return in
+	}
+	out := make(Info, i, len(in)+len(other)-j) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
+	copy(out, in[:i])
 	for i < len(in) && j < len(other) {
 		switch {
 		case in[i] < other[j]:
@@ -82,14 +96,8 @@ func NewInfo(atoms ...int64) Info {
 		return nil
 	}
 	s := append([]int64(nil), atoms...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, a := range s[1:] {
-		if a != out[len(out)-1] {
-			out = append(out, a)
-		}
-	}
-	return Info(out)
+	slices.Sort(s)
+	return Info(slices.Compact(s))
 }
 
 // Machine is a GSM instance: the engine's shared-memory runtime over
@@ -208,12 +216,17 @@ func (md gsmModel) Prefix() string   { return "gsm" }
 func (md gsmModel) Violation() error { return ErrViolation }
 func (md gsmModel) Grain() int       { return gsmGrain }
 
-// Apply merges the phase's writes into the cells (strong queuing: set
-// union is order-insensitive, so the merged contents are deterministic
-// for every Workers setting).
+// Apply merges the phase's writes into the cells, a run cell by cell
+// (strong queuing: set union is order-insensitive, so the merged contents
+// are deterministic for every Workers setting).
 func (md gsmModel) Apply(mem []Info, addrs []int32, vals []Info) {
-	for j, a := range addrs {
-		mem[a] = mem[a].Merge(vals[j])
+	for i, j := 0, 0; i < len(addrs); {
+		a, n, next := engine.Run(addrs, i)
+		for _, v := range vals[j : j+n] {
+			mem[a] = mem[a].Merge(v)
+			a++
+		}
+		i, j = next, j+n
 	}
 }
 

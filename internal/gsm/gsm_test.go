@@ -3,6 +3,7 @@ package gsm
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,8 +113,24 @@ func TestInfoSetOperations(t *testing.T) {
 	}
 }
 
+// TestInfoSubsetMergeAllocatesNothing pins that a merge adding no atom
+// returns the receiver itself, without allocating: a cell that already
+// holds what a phase writes keeps its set.
+func TestInfoSubsetMergeAllocatesNothing(t *testing.T) {
+	in := NewInfo(1, 3, 5, 7, 9)
+	for _, sub := range []Info{nil, NewInfo(1), NewInfo(5, 9), NewInfo(1, 3, 5, 7, 9)} {
+		var got Info
+		if n := testing.AllocsPerRun(100, func() { got = in.Merge(sub) }); n != 0 {
+			t.Errorf("%v.Merge(%v) allocates %.0f objects per call, want 0", in, sub, n)
+		}
+		if len(got) != len(in) || &got[0] != &in[0] {
+			t.Errorf("%v.Merge(%v) = %v, want the receiver itself", in, sub, got)
+		}
+	}
+}
+
 func TestInfoMergeProperty(t *testing.T) {
-	// Merge is commutative, idempotent and sorted.
+	// Merge is the sorted union, commutative and idempotent.
 	f := func(xs, ys []int8) bool {
 		ax := make([]int64, len(xs))
 		for i, v := range xs {
@@ -125,6 +142,9 @@ func TestInfoMergeProperty(t *testing.T) {
 		}
 		a, b := NewInfo(ax...), NewInfo(ay...)
 		ab, ba := a.Merge(b), b.Merge(a)
+		if !slices.Equal(ab, NewInfo(append(ax, ay...)...)) {
+			return false
+		}
 		if len(ab) != len(ba) {
 			return false
 		}
