@@ -39,11 +39,13 @@ sweep-smoke:
 
 # Re-measure the bench snapshot (model metrics + ns/op + allocs/op for
 # the internal/sweep bench registry) and overwrite the committed
-# baseline. GOMAXPROCS is pinned because allocs/op depend on it.
+# baseline. Each row keeps the fastest of three runs, whose model
+# metrics must agree exactly. GOMAXPROCS is pinned because allocs/op
+# depend on it.
 bench:
-	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-o BENCH_pr27.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-runs 3 -bench-o BENCH_pr28.json
 
 # Same measurement, but gate against the committed snapshot: exact model
 # metrics, 3x ns/op tolerance, 1.25x allocs/op and B/op tolerance.
 bench-gate:
-	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr27.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr28.json

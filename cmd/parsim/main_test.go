@@ -113,6 +113,7 @@ func TestCLIExplicitZeroFails(t *testing.T) {
 		{[]string{"chaos", "-backend", "proc", "-proc-workers", "-2"}, "-proc-workers: must be at least 0, got -2"},
 		{[]string{"sweep", "-preset", "chaos", "-chaos-seeds", "-1"}, "-chaos-seeds: must be at least 1, got -1"},
 		{[]string{"sweep", "-preset", "chaos", "-chaos-n", "0"}, "-chaos-n: must be at least 1, got 0"},
+		{[]string{"sweep", "-bench", "-bench-runs", "0"}, "-bench-runs: must be at least 1, got 0"},
 	} {
 		code, stdout, stderr := runCLI(c.argv...)
 		if want := "parsim: " + c.want + "\n"; code != 1 || stderr != want {

@@ -46,9 +46,10 @@ func runSweep(argv []string, stdout, stderr io.Writer) error {
 	progress := fs.Bool("progress", false, "print a per-cell progress line to stderr")
 	render := fs.Bool("render", false, "render Table 1 from the experiment records (implied by -preset tables)")
 	bench := fs.Bool("bench", false, "measure the bench snapshot instead of running a grid")
-	benchLabel := fs.String("bench-label", "pr27", "bench snapshot label")
+	benchLabel := fs.String("bench-label", "pr28", "bench snapshot label")
 	benchFilter := fs.String("bench-filter", "", "only benches whose name contains this substring")
-	benchOut := fs.String("bench-o", "", "write the bench snapshot JSON here (e.g. BENCH_pr27.json)")
+	benchOut := fs.String("bench-o", "", "write the bench snapshot JSON here (e.g. BENCH_pr28.json)")
+	benchRuns := fs.Int("bench-runs", 1, "measure the snapshot this many times and keep each row's fastest run")
 	benchText := fs.String("bench-text", "", "write the benchstat-format text here")
 	benchBaseline := fs.String("bench-baseline", "", "compare against this committed snapshot and fail on regressions")
 	if err := parseFlags(fs, argv, stdout); err != nil {
@@ -57,12 +58,12 @@ func runSweep(argv []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments after sweep flags: %q", fs.Args())
 	}
-	if err := checkSetFlags(fs, map[string]int64{"chaos-seeds": 1, "chaos-n": 1}); err != nil {
+	if err := checkSetFlags(fs, map[string]int64{"chaos-seeds": 1, "chaos-n": 1, "bench-runs": 1}); err != nil {
 		return err
 	}
 
 	if *bench {
-		return runBench(*benchLabel, *benchFilter, *benchOut, *benchText, *benchBaseline, stdout)
+		return runBench(*benchLabel, *benchFilter, *benchRuns, *benchOut, *benchText, *benchBaseline, stdout)
 	}
 
 	var cells []sweep.Cell
@@ -196,10 +197,18 @@ func splitList(s string) []string {
 	return out
 }
 
-// runBench measures the bench snapshot, writes the requested outputs and
-// applies the regression gate against the committed baseline.
-func runBench(label, filter, outPath, textPath, baseline string, stdout io.Writer) error {
-	snap, err := sweep.RunBenchSnapshot(label, filter)
+// runBench measures the bench snapshot (the fastest of runs runs per
+// row), writes the requested outputs and applies the regression gate
+// against the committed baseline.
+func runBench(label, filter string, runs int, outPath, textPath, baseline string, stdout io.Writer) error {
+	snaps := make([]*sweep.BenchSnapshot, runs)
+	for i := range snaps {
+		var err error
+		if snaps[i], err = sweep.RunBenchSnapshot(label, filter); err != nil {
+			return err
+		}
+	}
+	snap, err := sweep.FastestOf(snaps)
 	if err != nil {
 		return err
 	}

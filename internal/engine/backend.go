@@ -180,33 +180,60 @@ const colBatch = 64
 // processors' own columns; backend workers run it over their owned range
 // via Merge.
 //
-// The scratch is one ticketed mark per cell, reused across merges. A
-// merge over p processors owns the 2p tickets above base: processor pr
-// reads under ticket base+1+pr and writes under base+1+p+pr, and the
-// next merge's base is past them all. A mark holds the last ticket that
-// counted the cell and how many processors it has counted; a ticket
-// ≤ base is stale, so a merge neither lists nor clears the cells it
-// counted, and a steady-state merge allocates nothing. The marks are
-// cleared only when the tickets would wrap.
-//
 // Rules (paper §2): contention counts *processors* per cell — duplicate
-// requests by one processor carry the same ticket and dedupe; all reads
-// are counted before all writes, so a write that finds a read ticket at
-// its cell is the forbidden read+write mix, and the smallest such cell
-// is reported.
+// requests by one processor dedupe; all reads are counted before all
+// writes, so a write at a read cell is the forbidden read+write mix, and
+// the smallest such cell is reported.
 //
-// A merge is begin, then reads over every processor's read column, then
-// writes over every processor's write column, then end. Columns come in
-// ascending processor order, in as many reads/writes calls as the
-// caller likes.
+// A merge is begin, then cols over every processor's read column, then
+// cols over every processor's write column, then end. Columns come in
+// ascending processor order, in as many cols calls as the caller likes.
+// A merge takes one of two paths, chosen at begin.
+//
+// The marks path keeps one ticketed mark per cell, reused across
+// merges. A merge over p processors owns the 2p tickets above base:
+// processor pr reads under ticket base+1+pr and writes under
+// base+1+p+pr, and the next merge's base is past them all. A mark holds
+// the last ticket that counted the cell and how many processors it has
+// counted; a ticket ≤ base is stale, so a merge neither lists nor clears
+// the cells it counted, and a steady-state merge allocates nothing. The
+// marks are cleared only when the tickets would wrap, and grow only when
+// this path runs.
+//
+// The ascending path (see ascend) keeps no per-cell state: it reads the
+// answer off the column words while each word starts at or after the
+// last cell the previous one counted, and gives up on the first word
+// that does not, or on a read+write clash. The caller then runs the
+// merge again on the marks path, so Viol always comes from the marks.
 type MemMerger struct {
 	marks []cellMark
-	// base is the merge's stale bound and p its processor count: reads
-	// take the tickets up to base+p, writes the p above them.
+	// base is the marks path's stale bound and p its processor count:
+	// reads take the tickets up to base+p, writes the p above them.
 	base, p uint32
 	lo, hi  int32
 	st      MergeStats
+
+	// stream selects the ascending path for this merge, and broke
+	// records that it gave up. side holds the read walk's position
+	// (side[0]) and the write walk's (side[1]); readIvs are the read
+	// walk's coalesced cell intervals, and next is the first of them the
+	// write walk has not passed.
+	stream, broke bool
+	side          [2]walkPos
+	readIvs       []cellRange
+	next          int
 }
+
+// walkPos is an ascending walk's position: last is the last cell
+// counted (−1 before the first), proc the processor that counted it
+// last and k how many processors have.
+type walkPos struct {
+	last, proc int
+	k          int64
+}
+
+// cellRange is the cells [s, e).
+type cellRange struct{ s, e int }
 
 // cellMark is one cell's merge scratch: t is the ticket of the last
 // processor counted there, and count how many readers (read ticket) or
@@ -219,20 +246,36 @@ type cellMark struct {
 
 // Merge computes the merge statistics for the cells in [lo, hi);
 // requests outside the range are ignored (the caller shards the columns
-// or passes the full space).
+// or passes the full space). A request with a run tries the ascending
+// path first.
 func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
-	g.begin(lo, hi, max(len(req.Reads), len(req.Writes)))
-	g.cols(nil, req.Reads, false, false, hasRuns(req.Reads))
-	g.cols(nil, req.Writes, true, req.Packed, hasRuns(req.Writes))
-	return g.end()
+	p := max(len(req.Reads), len(req.Writes))
+	rr, wr := hasRuns(req.Reads), hasRuns(req.Writes)
+	for stream := rr || wr; ; stream = false {
+		g.begin(lo, hi, p, stream)
+		g.cols(nil, req.Reads, false, false, rr)
+		g.cols(nil, req.Writes, true, req.Packed, wr)
+		if st, ok := g.end(); ok {
+			return st
+		}
+	}
 }
 
 // begin starts a merge over the cells in [lo, hi) for processors
-// [0, p): it grows the marks to the high-water width and advances base
-// past the previous merge's tickets, clearing the marks first when this
-// merge's would pass 2^32−1.
-func (g *MemMerger) begin(lo, hi, p int) {
+// [0, p), on the ascending path when stream is set. The marks path grows
+// the marks to the high-water width and advances base past the previous
+// marks merge's tickets, clearing the marks first when this merge's
+// would pass 2^32−1.
+func (g *MemMerger) begin(lo, hi, p int, stream bool) {
 	width := max(hi-lo, 0)
+	g.lo, g.hi = int32(lo), int32(lo+width)
+	g.st = MergeStats{Viol: -1}
+	g.stream, g.broke = stream, false
+	if stream {
+		g.side = [2]walkPos{{last: -1}, {last: -1}}
+		g.readIvs, g.next = g.readIvs[:0], 0
+		return
+	}
 	if len(g.marks) < width {
 		// Doubling keeps a machine that grows its memory every level
 		// from reallocating the marks at every level.
@@ -244,8 +287,87 @@ func (g *MemMerger) begin(lo, hi, p int) {
 		base = 0
 	}
 	g.base, g.p = uint32(base), uint32(p)
-	g.lo, g.hi = int32(lo), int32(lo+width)
-	g.st = MergeStats{Viol: -1}
+}
+
+// ascend counts read columns (write false) or write columns on the
+// ascending path, indexed like reads. Each word stands for its cells
+// clipped to [lo, hi) (a packed entry for one cell, through EntryAddr);
+// a word that clips to nothing is skipped. While every word starts at or
+// after the last cell the walk counted, a cell is touched by one word,
+// or by a word that ends on it followed by words that start on it, and
+// since processors come in ascending order a processor repeats only
+// straight after itself. So one running count is exact: it restarts at
+// one on a word past the last cell and grows by one on a word that
+// starts on it from a different processor. The read walk joins its words
+// into ascending, disjoint intervals, and the write walk, whose words
+// ascend too, meets them in a merge-join; a write word that overlaps one
+// is a clash. A descent or a clash sets broke, and the walk stops.
+func (g *MemMerger) ascend(procs []int32, cols [][]int32, write, packed bool) {
+	if g.broke {
+		return
+	}
+	lo, hi := int(g.lo), int(g.hi)
+	pos := &g.side[0]
+	km := g.st.KRead
+	if write {
+		pos, km = &g.side[1], g.st.KWrite
+	}
+	last, lp, k := pos.last, pos.proc, pos.k
+	ivs, next := g.readIvs, g.next
+	for c, col := range cols {
+		pr := c
+		if procs != nil {
+			pr = int(procs[c])
+		}
+		for i := 0; i < len(col); {
+			a, n := col[i], 1
+			if packed {
+				a, i = EntryAddr(a, true), i+1
+			} else {
+				a, n, i = Run(col, i)
+			}
+			s, e := max(int(a), lo), min(int(a)+n, hi)
+			if s >= e {
+				continue
+			}
+			switch {
+			case s > last:
+				k = 1
+			case s < last:
+				g.broke = true
+				return
+			case pr != lp:
+				k++
+			}
+			km = max(km, k)
+			if !write {
+				if j := len(ivs) - 1; j >= 0 && s <= ivs[j].e {
+					ivs[j].e = e
+				} else {
+					ivs = append(ivs, cellRange{s, e})
+				}
+			} else {
+				for next < len(ivs) && ivs[next].e <= s {
+					next++
+				}
+				if next < len(ivs) && ivs[next].s < e {
+					g.broke = true
+					return
+				}
+			}
+			if e-1 > s {
+				k = 1
+			}
+			last, lp = e-1, pr
+		}
+	}
+	*pos = walkPos{last, lp, k}
+	g.readIvs, g.next = ivs, next
+	if write {
+		g.st.KWrite = km
+	} else {
+		g.st.KRead = km
+	}
 }
 
 // reads counts read columns of plain cells: cols[k] belongs to
@@ -376,11 +498,14 @@ func (g *MemMerger) countRun(a, n int32, t, clash uint32) (int64, int32) {
 	return k, viol
 }
 
-// cols counts read columns, or write columns when write is set; runs
-// says whether they may hold runs, which only runCols walks, so columns
-// of plain words keep the tight loops. Packed columns never hold runs.
+// cols counts read columns, or write columns when write is set, on the
+// merge's path. On the marks path runs says whether they may hold runs,
+// which only runCols walks, so columns of plain words keep the tight
+// loops. Packed columns never hold runs.
 func (g *MemMerger) cols(procs []int32, cols [][]int32, write, packed, runs bool) {
 	switch {
+	case g.stream:
+		g.ascend(procs, cols, write, packed)
 	case runs && !packed:
 		g.runCols(procs, cols, write)
 	case write:
@@ -402,9 +527,11 @@ func hasRuns(cols [][]int32) bool {
 	return false
 }
 
-// end finishes the merge and returns its statistics; the scratch needs
-// no clearing, since the next begin's base retires every ticket.
-func (g *MemMerger) end() MergeStats { return g.st }
+// end finishes the merge and returns its statistics, and whether the
+// merge answered: the ascending path does not when it gave up, and the
+// caller runs the merge again on the marks path. The scratch needs no
+// clearing, since the next begin's base retires every ticket.
+func (g *MemMerger) end() (MergeStats, bool) { return g.st, !g.broke }
 
 // RouteMerger is the routing rule set: per-destination fan-in counting
 // (messages per destination) over one contiguous component range

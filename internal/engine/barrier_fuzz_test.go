@@ -28,7 +28,9 @@ import (
 // Programs mix per-cell and batch submission, block calls of widths 0
 // to 64 (one run each in the request columns), duplicate requests,
 // read+write clashes, sparse phases with most processors idle, packed
-// bits and fan-in sends. Each program runs on Mem, BitMem and Route,
+// bits and fan-in sends. Ascending phases (see ascendNibble) lay
+// processor i's blocks at i·stride, so naiveBackend checks the merge's
+// ascending path as well as its marks. Each program runs on Mem, BitMem and Route,
 // once clean and once under a seeded fault plan (transient memory and
 // message faults, degraded crashes, injected violations). The memory
 // image or inboxes, the cost report, the event stream, the error text
@@ -65,6 +67,30 @@ func FuzzBarrierDifferential(f *testing.F) {
 		3, 0, 0, 0,
 		0, 1, opReadBlock, 9, 0, 40, 64, 0, 0,
 		0, 2, opWriteBlock, 9, 1, 90, opWriteFill, 2, 3, 100, 0, 0})
+	// Ascending phases (density byte 0xe3: every processor active),
+	// which the barrier counts on its ascending path. A clean one: p = 4
+	// over 100 cells, blocks of 8; phase 0 reads [0, 32) and writes from
+	// 64, phase 1 reads from 50 and writes from 0; processor 1 repeats
+	// its last read, processor 2 its last write, processor 3 fills.
+	f.Add([]byte{3, 99, 7, 1,
+		0xe3, 1, 64, 0, 7, 0,
+		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0,
+		0xe3, 1, 50, 0, 7, 0,
+		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0})
+	// Boundary sharing: p = 12 over 160 cells, blocks of 9 at a stride
+	// of 8, so neighbours share a cell (κ = 2) on both sides; the reads
+	// [0, 97) straddle cell 80, where refBackend splits the space, and
+	// the writes from 120 are clipped at 160.
+	f.Add([]byte{11, 159, 5, 0,
+		0xe3, 1, 120, 0, 7, 1,
+		0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// An ascending clash: p = 4 over 100 cells, reads [0, 32) in blocks
+	// of 8 and writes from the split at 20, so cell 20 is both read and
+	// written.
+	f.Add([]byte{3, 99, 9, 0,
+		0xe3, 0, 20, 0, 7, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := decodeProgram(data)
 		for _, faulted := range []bool{false, true} {
@@ -323,6 +349,45 @@ const (
 	numOps
 )
 
+// ascendNibble is the high nibble of a phase-density byte that makes the
+// phase ascending (one byte in sixteen): active processor i reads the
+// block of n cells at its read base rlo+i·stride and writes the block of
+// n cells at its write base, where n is stride or, sharing, stride+1, so
+// neighbouring blocks share a boundary cell. The writes start at the
+// write range, or in a clash phase, whose two ranges are the whole
+// memory, at the split, so blocks past it clash with the reads. No
+// committed corpus entry has such a density byte, so each decodes to the
+// program it always did.
+const ascendNibble = 0xe
+
+// ascendingOps returns an ascending phase's ops for one processor: a
+// block read at ra and a block write (WriteBlock, or WriteFill for an
+// odd value) at wa, each of n cells clipped to its range's end at rhi
+// or whi, then now and then a repeat of its last read or written cell.
+// The request columns ascend, so the barrier can count them on its
+// ascending path.
+func ascendingOps(r *byteReader, ra, rhi, wa, whi, n int) []reqOp {
+	val, repeat := r.next(), r.next()%3
+	var ops []reqOp
+	if k := min(n, rhi-ra); k > 0 {
+		ops = append(ops, reqOp{kind: opReadBlock, addr: ra, k: k, wide: k})
+		if repeat == 1 {
+			ops = append(ops, reqOp{kind: opRead, addr: ra + k - 1})
+		}
+	}
+	if k := min(n, whi-wa); k > 0 {
+		kind := opWriteBlock
+		if val%2 == 1 {
+			kind = opWriteFill
+		}
+		ops = append(ops, reqOp{kind: kind, addr: wa, k: k, val: int64(val)})
+		if repeat == 2 {
+			ops = append(ops, reqOp{kind: opWrite, addr: wa + k - 1, val: int64(val + 1)})
+		}
+	}
+	return ops
+}
+
 // sendOp is one staging step of a component's superstep body.
 type sendOp struct {
 	dst   int32
@@ -346,7 +411,9 @@ func decodeProgram(data []byte) *program {
 	pr.seed = int64(r.next())
 	phases := 1 + r.next()%6
 	for ph := 0; ph < phases; ph++ {
-		density := 1 + r.next()%4 // active processors: density/4 of them
+		d := r.next()
+		density := 1 + d%4 // active processors: density/4 of them
+		ascending := d>>4 == ascendNibble
 		clash := r.next()%3 == 0
 		split := r.next() % (pr.cells + 1)
 		rlo, rhi, wlo, whi := 0, split, split, pr.cells
@@ -357,6 +424,13 @@ func decodeProgram(data []byte) *program {
 			rlo, rhi, wlo, whi = 0, pr.cells, 0, pr.cells
 		}
 		fan := 1 + r.next()%pr.p
+		var stride, share, wbase int
+		if ascending {
+			stride, share, wbase = 1+r.next()%8, r.next()%2, wlo
+			if clash {
+				wbase = split
+			}
+		}
 		phOps := make([][]reqOp, pr.p)
 		phSends := make([][]sendOp, pr.p)
 		phWork := make([]int64, pr.p)
@@ -364,28 +438,32 @@ func decodeProgram(data []byte) *program {
 			if r.next()%4 >= density {
 				continue
 			}
-			for n := r.next() % 4; n > 0; n-- {
-				op := reqOp{kind: r.next() % numOps, k: blockWidth(r.next()), val: int64(r.next())}
-				switch op.kind {
-				case opRead, opReadDup, opReadBlock:
-					op.addr = r.pick(rlo, rhi)
-					op.k = min(op.k, rhi-op.addr)
-					op.wide = min(r.next()%65, rhi-op.addr)
-				case opWrite, opWriteDup, opWriteFill, opWriteBlock:
-					op.addr = r.pick(wlo, whi)
-					op.k = min(op.k, whi-op.addr)
-				case opScatter:
-					op.addr, op.addr2 = r.pick(wlo, whi), r.pick(wlo, whi)
-				case opSubmit:
-					op.addr, op.addr2 = r.pick(rlo, rhi), r.pick(wlo, whi)
-					if op.addr < 0 || op.addr2 < 0 {
-						op.addr = -1
+			if ascending {
+				phOps[i] = ascendingOps(r, rlo+i*stride, rhi, wbase+i*stride, whi, stride+share)
+			} else {
+				for n := r.next() % 4; n > 0; n-- {
+					op := reqOp{kind: r.next() % numOps, k: blockWidth(r.next()), val: int64(r.next())}
+					switch op.kind {
+					case opRead, opReadDup, opReadBlock:
+						op.addr = r.pick(rlo, rhi)
+						op.k = min(op.k, rhi-op.addr)
+						op.wide = min(r.next()%65, rhi-op.addr)
+					case opWrite, opWriteDup, opWriteFill, opWriteBlock:
+						op.addr = r.pick(wlo, whi)
+						op.k = min(op.k, whi-op.addr)
+					case opScatter:
+						op.addr, op.addr2 = r.pick(wlo, whi), r.pick(wlo, whi)
+					case opSubmit:
+						op.addr, op.addr2 = r.pick(rlo, rhi), r.pick(wlo, whi)
+						if op.addr < 0 || op.addr2 < 0 {
+							op.addr = -1
+						}
 					}
+					if op.kind != opLocal && op.addr < 0 {
+						continue
+					}
+					phOps[i] = append(phOps[i], op)
 				}
-				if op.kind != opLocal && op.addr < 0 {
-					continue
-				}
-				phOps[i] = append(phOps[i], op)
 			}
 			phWork[i] = int64(r.next() % 4)
 			for n := r.next() % 4; n > 0; n-- {

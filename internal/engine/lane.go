@@ -136,11 +136,35 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 	return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
 }
 
+// mergeLanes counts the lanes' spans with g over the cells [0, cells)
+// for p processors — every lane's reads, then every lane's writes, in
+// lane order — and returns the merge's statistics. It tries the
+// ascending path when a lane staged a run, and runs the marks path when
+// none did or that path gave up; packed says the write columns hold
+// PackWrite entries.
+func mergeLanes[W, C any](g *MemMerger, lanes []*lane[W, C], cells, p int, packed bool) MergeStats {
+	stream := false
+	for _, l := range lanes {
+		stream = stream || l.cur.runs
+	}
+	for ; ; stream = false {
+		g.begin(0, cells, p, stream)
+		for _, l := range lanes {
+			countLane(g, l.spans, l.cur.readAddrs, false, false, l.cur.runs)
+		}
+		for _, l := range lanes {
+			countLane(g, l.spans, l.cur.writes, true, packed, l.cur.runs)
+		}
+		if st, ok := g.end(); ok {
+			return st
+		}
+	}
+}
+
 // countLane counts one lane's read spans (write false) or write spans
 // (write true) over col, the lane's matching column, handing g the
 // processors' columns in stack batches of colBatch; runs says whether
-// the lane staged a run. The barrier counts
-// every lane's reads before any lane's writes, in lane order.
+// the lane staged a run.
 func countLane(g *MemMerger, spans []span, col []int32, write, packed, runs bool) {
 	var procs [colBatch]int32
 	var cols [colBatch][]int32

@@ -105,13 +105,18 @@ func TestLaneFailureLeavesNoEntries(t *testing.T) {
 	}
 }
 
-// TestMarksGrowByDoubling pins that the merger's marks at least double
-// when a machine's memory grows past them, so a machine that grows its
-// memory every level does not reallocate them at every level.
+// TestMarksGrowByDoubling pins that the merger's marks grow only for the
+// marks path, and then at least double when a machine's memory grows past
+// them, so a machine that grows its memory every level does not
+// reallocate them at every level.
 func TestMarksGrowByDoubling(t *testing.T) {
 	var g MemMerger
-	g.begin(0, 100, 1)
-	g.begin(0, 101, 1)
+	g.begin(0, 1000, 1, true)
+	if len(g.marks) != 0 {
+		t.Fatalf("an ascending merge grew the marks to %d cells", len(g.marks))
+	}
+	g.begin(0, 100, 1, false)
+	g.begin(0, 101, 1, false)
 	if len(g.marks) < 200 {
 		t.Fatalf("marks grew from 100 to %d cells for a 101-cell merge, want at least 200", len(g.marks))
 	}

@@ -221,9 +221,8 @@ func (m *shared[W, C]) Rollback() bool {
 
 // gather is the shared-memory half of the barrier's merge: m_op and m_rw
 // are the maxima of the lanes' maxima, and contention is counted by
-// MemMerger over the lanes' spans — every lane's reads, then every
-// lane's writes — or, with a backend attached, by the Backend over a
-// p-long view of the same columns.
+// MemMerger over the lanes' spans (mergeLanes) or, with a backend
+// attached, by the Backend over a p-long view of the same columns.
 func (m *shared[W, C]) gather() (Outcome, int32, error) {
 	var o Outcome
 	for _, l := range m.lanes {
@@ -243,15 +242,7 @@ func (m *shared[W, C]) gather() (Outcome, int32, error) {
 			return o, -1, err
 		}
 	} else {
-		g := &m.merger
-		g.begin(0, m.cells, m.P())
-		for _, l := range m.lanes {
-			countLane(g, l.spans, l.cur.readAddrs, false, false, l.cur.runs)
-		}
-		for _, l := range m.lanes {
-			countLane(g, l.spans, l.cur.writes, true, m.shift > 0, l.cur.runs)
-		}
-		st = g.end()
+		st = mergeLanes(&m.merger, m.lanes, m.cells, m.P(), m.shift > 0)
 	}
 	o.KRead, o.KWrite = st.KRead, st.KWrite
 	return o, st.Viol, nil

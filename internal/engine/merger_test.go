@@ -70,8 +70,10 @@ func genMergeCase(r *rand.Rand) mergeCase {
 
 // mergeActive feeds the merger the way the column barrier does: only the
 // processors that recorded a request, with their ids, in two calls per
-// side, through the run walk when runs is set.
-func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int, runs bool) MergeStats {
+// side, on the ascending path when stream is set and otherwise on the
+// marks path, through the run walk when runs is set. It returns the
+// merge's answer and whether it answered.
+func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int, stream, runs bool) (MergeStats, bool) {
 	var procs []int32
 	var reads, writes [][]int32
 	for pr := range req.Reads {
@@ -81,9 +83,9 @@ func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int, runs bool) MergeStat
 		}
 	}
 	half := len(procs) / 2
-	g.begin(lo, hi, len(req.Reads))
-	g.cols(procs[:half], reads[:half], false, req.Packed, runs)
-	g.cols(procs[half:], reads[half:], false, req.Packed, runs)
+	g.begin(lo, hi, len(req.Reads), stream)
+	g.cols(procs[:half], reads[:half], false, false, runs)
+	g.cols(procs[half:], reads[half:], false, false, runs)
 	g.cols(procs[:half], writes[:half], true, req.Packed, runs)
 	g.cols(procs[half:], writes[half:], true, req.Packed, runs)
 	return g.end()
@@ -91,9 +93,9 @@ func mergeActive(g *MemMerger, req MemMergeReq, lo, hi int, runs bool) MergeStat
 
 // checkReuse runs c on the long-lived mergers and compares each answer
 // with a freshly constructed merger's. Odd merges take the column
-// barrier's path, every other one of them through the run walk, even
-// ones Merge; either way one merge is one ticket block (MemMerger) or
-// one epoch (RouteMerger).
+// barrier's marks path, every other one of them through the run walk,
+// even ones Merge; either way one marks merge is one ticket block
+// (MemMerger) and one merge one epoch (RouteMerger).
 func checkReuse(t *testing.T, i int, mem *MemMerger, route *RouteMerger, c mergeCase) {
 	t.Helper()
 	var fresh MemMerger
@@ -102,7 +104,7 @@ func checkReuse(t *testing.T, i int, mem *MemMerger, route *RouteMerger, c merge
 	if i%2 == 0 {
 		got = mem.Merge(c.mem, c.lo, c.hi)
 	} else {
-		got = mergeActive(mem, c.mem, c.lo, c.hi, i%4 == 3)
+		got, _ = mergeActive(mem, c.mem, c.lo, c.hi, false, i%4 == 3)
 	}
 	if got != want {
 		t.Fatalf("merge %d [%d,%d) base %d: reused MemMerger = %+v, fresh = %+v", i, c.lo, c.hi, mem.base, got, want)
@@ -246,5 +248,125 @@ func TestMergerRunsMatchCells(t *testing.T) {
 		if got, want := mem.Merge(runs, lo, hi), memCells.Merge(cells, lo, hi); got != want {
 			t.Fatalf("case %d [%d,%d): merge of runs %+v, of cells %+v", i, lo, hi, got, want)
 		}
+	}
+}
+
+// genAscCase draws a merge whose columns ascend, over a 160-cell space:
+// processor pr reads the block [pr·k, pr·k+k+share) and writes the
+// block at wbase+pr·k, where share = 1 makes neighbouring blocks share a
+// boundary cell (κ = 2). Processors now and then repeat their own last
+// cell, sit idle (all but processor 0) or write packed entries. A clean
+// case keeps wbase past the reads and clips to a random [lo, hi), which
+// can cut blocks on both ends. A descent case gives the last active
+// processor a word below the walk's last cell, and a clash case starts
+// the writes on the last read cell; both keep the full range, so the
+// break lies in it.
+func genAscCase(r *rand.Rand) (req MemMergeReq, lo, hi int, clean bool) {
+	const space = 160
+	p, k, share := 2+r.IntN(9), 2+r.IntN(5), r.IntN(2)
+	req = MemMergeReq{Cells: space, Packed: r.IntN(3) == 0, Reads: make([][]int32, p), Writes: make([][]int32, p)}
+	shape := r.IntN(4) // 0, 1 clean; 2 descent; 3 clash
+	lastRead, lastProc := 0, 0
+	for pr := range p {
+		if pr > 0 && r.IntN(4) == 0 {
+			continue
+		}
+		a := pr * k
+		req.Reads[pr] = appendRun(req.Reads[pr], int32(a), k+share)
+		if r.IntN(3) == 0 {
+			req.Reads[pr] = append(req.Reads[pr], int32(a+k+share-1))
+		}
+		lastRead, lastProc = a+k+share-1, pr
+	}
+	wbase := p*k + share + r.IntN(4)
+	if shape == 3 {
+		wbase = lastRead
+	}
+	entry := func(a int) int32 {
+		if req.Packed {
+			return PackWrite(a, r.IntN(2) == 1)
+		}
+		return int32(a)
+	}
+	for pr := range p {
+		if len(req.Reads[pr]) == 0 {
+			continue
+		}
+		a, n := wbase+pr*k, k+share
+		if !req.Packed {
+			req.Writes[pr] = appendRun(req.Writes[pr], int32(a), n)
+		} else {
+			for c := range n {
+				req.Writes[pr] = append(req.Writes[pr], entry(a+c))
+			}
+		}
+		if r.IntN(3) == 0 {
+			req.Writes[pr] = append(req.Writes[pr], entry(a+n-1))
+		}
+	}
+	lo, hi = 0, space
+	switch shape {
+	case 2:
+		if r.IntN(2) == 0 {
+			req.Reads[lastProc] = append(req.Reads[lastProc], int32(r.IntN(lastRead)))
+		} else {
+			req.Writes[lastProc] = append(req.Writes[lastProc], entry(wbase+r.IntN(lastProc*k+1)))
+		}
+	case 3:
+	default:
+		if r.IntN(2) == 0 {
+			lo = r.IntN(space / 2)
+			hi = lo + r.IntN(space-lo+1)
+		}
+		return req, lo, hi, true
+	}
+	return req, lo, hi, false
+}
+
+// TestAscendingMergeMatchesMarks pins the ascending path to the marks
+// path it stands in for. Over seeded ascending column sets (blocks that
+// share a boundary cell, same-processor repeats, clipping on both ends,
+// packed writes, a descent in the last processor's column, a clash), a
+// merge that the ascending path answers must answer as the marks path
+// does; a clean case must be answered by it, which Merge shows by never
+// growing the marks; a descent or a clash must make it give up; and
+// Merge must answer as the marks path does either way, also on one
+// merger reused across cases, whose marks merges then interleave with
+// ascending ones.
+func TestAscendingMergeMatchesMarks(t *testing.T) {
+	r := rand.New(rand.NewPCG(2026, 28))
+	var marks, asc, long MemMerger
+	var shared, broke int
+	for i := range 3000 {
+		req, lo, hi, clean := genAscCase(r)
+		want, _ := mergeActive(&marks, req, lo, hi, false, true)
+		got, ok := mergeActive(&asc, req, lo, hi, true, true)
+		switch {
+		case ok && got != want:
+			t.Fatalf("case %d [%d,%d): ascending path %+v, marks %+v\n%+v", i, lo, hi, got, want, req)
+		case clean && !ok:
+			t.Fatalf("case %d [%d,%d): a clean ascending merge gave up\n%+v", i, lo, hi, req)
+		case !clean && ok:
+			t.Fatalf("case %d: a merge with a descent or a clash was answered on the ascending path: %+v\n%+v", i, got, req)
+		}
+		var fresh MemMerger
+		if st := fresh.Merge(req, lo, hi); st != want {
+			t.Fatalf("case %d [%d,%d): Merge %+v, marks %+v\n%+v", i, lo, hi, st, want, req)
+		}
+		if st := long.Merge(req, lo, hi); st != want {
+			t.Fatalf("case %d [%d,%d): reused Merge %+v, marks %+v\n%+v", i, lo, hi, st, want, req)
+		}
+		if clean && len(fresh.marks) != 0 {
+			t.Fatalf("case %d: Merge of a clean ascending request grew the marks to %d cells", i, len(fresh.marks))
+		}
+		if ok && want.KRead == 2 && want.KWrite == 2 {
+			shared++
+		}
+		if !ok {
+			broke++
+		}
+	}
+	if shared == 0 || broke == 0 {
+		t.Fatalf("%d merges counted a shared boundary cell on both sides and %d gave up; want some of each", shared, broke)
 	}
 }

@@ -3,9 +3,11 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,9 +30,11 @@ import (
 //     the gate fails it only on a blowup; allocation counts and volume
 //     are steadier and fail beyond a 25% growth.
 //
-// The committed snapshot (BENCH_pr27.json) is the baseline CI diffs
+// The committed snapshot (BENCH_pr28.json) is the baseline CI diffs
 // against; regenerate it with `make bench` (GOMAXPROCS=2: allocs/op
-// depend on it) after intentional performance or cost-model changes.
+// depend on it) after intentional performance or cost-model changes. It
+// keeps the fastest of three runs per row (FastestOf), while the gate
+// measures once.
 
 // BenchResult is one benchmark's snapshot entry.
 type BenchResult struct {
@@ -278,6 +282,35 @@ func RunBenchSnapshot(label, filter string) (*BenchSnapshot, error) {
 		})
 	}
 	return s, nil
+}
+
+// FastestOf merges snapshots of the same rows, taken one after another,
+// into one: each row is the run of it with the lowest ns/op, host
+// numbers and all, so a baseline written from it records the code's
+// speed and not a slow moment of a shared host. The runs must list the
+// same rows in the same order with exactly the same deterministic
+// metrics; anything else is an error. The label is the first run's.
+func FastestOf(runs []*BenchSnapshot) (*BenchSnapshot, error) {
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("sweep: no bench snapshot to merge")
+	}
+	out := &BenchSnapshot{Label: runs[0].Label, Benches: slices.Clone(runs[0].Benches)}
+	for i, r := range runs[1:] {
+		if len(r.Benches) != len(out.Benches) {
+			return nil, fmt.Errorf("sweep: bench run %d measured %d rows, run 1 %d", i+2, len(r.Benches), len(out.Benches))
+		}
+		for k, b := range r.Benches {
+			best := &out.Benches[k]
+			if b.Name != best.Name || !maps.Equal(b.Metrics, best.Metrics) {
+				return nil, fmt.Errorf("sweep: bench run %d row %s (metrics %v) does not match run 1 row %s (metrics %v)",
+					i+2, b.Name, b.Metrics, best.Name, best.Metrics)
+			}
+			if b.NsPerOp < best.NsPerOp {
+				*best = b
+			}
+		}
+	}
+	return out, nil
 }
 
 // benchExperimentCell times one experiment RunPoint call and records the

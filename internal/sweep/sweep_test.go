@@ -422,6 +422,40 @@ func TestCompareBenchSnapshots(t *testing.T) {
 	}
 }
 
+// TestFastestOf pins how `make bench` merges its runs: each row is the
+// run of it with the lowest ns/op, whole, and runs whose rows or model
+// metrics differ are refused.
+func TestFastestOf(t *testing.T) {
+	run := func(aNs, bNs float64, bAllocs int64, modelTime float64) *BenchSnapshot {
+		return &BenchSnapshot{Label: "t", Benches: []BenchResult{
+			{Name: "a", Iters: int(aNs), NsPerOp: aNs, Metrics: map[string]float64{"modelTime": modelTime}},
+			{Name: "b", Iters: int(bNs), NsPerOp: bNs, AllocsPerOp: bAllocs},
+		}}
+	}
+	got, err := FastestOf([]*BenchSnapshot{run(300, 100, 7, 42), run(200, 400, 9, 42), run(250, 150, 8, 42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (&BenchSnapshot{Label: "t", Benches: []BenchResult{
+		{Name: "a", Iters: 200, NsPerOp: 200, Metrics: map[string]float64{"modelTime": 42}},
+		{Name: "b", Iters: 100, NsPerOp: 100, AllocsPerOp: 7},
+	}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fastest of three = %+v, want %+v", got, want)
+	}
+	short := run(1, 1, 0, 42)
+	short.Benches = short.Benches[:1]
+	for name, runs := range map[string][]*BenchSnapshot{ //lint:maporder-ok each case is checked independently
+		"none":         nil,
+		"metric drift": {run(300, 100, 7, 42), run(200, 100, 7, 43)},
+		"missing row":  {run(300, 100, 7, 42), short},
+		"renamed row":  {run(300, 100, 7, 42), {Benches: []BenchResult{{Name: "a", Metrics: map[string]float64{"modelTime": 42}}, {Name: "c"}}}},
+	} {
+		if _, err := FastestOf(runs); err == nil {
+			t.Errorf("%s: merged without an error", name)
+		}
+	}
+}
+
 func TestBenchSnapshotFileRoundTrip(t *testing.T) {
 	s := &BenchSnapshot{Label: "t", Benches: []BenchResult{
 		{Name: "Sweep/x", Iters: 3, NsPerOp: 1.5, AllocsPerOp: 2,
