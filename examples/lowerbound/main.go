@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/gsm"
+	"repro/internal/gsmalg"
 )
 
 func main() {
@@ -29,28 +30,11 @@ func main() {
 		if err := m.LoadInputs(bits); err != nil {
 			return nil, err
 		}
-		cur, width, next := 0, n, n
-		for width > 1 {
-			nw := (width + 1) / 2
-			curL, widthL, nextL := cur, width, next
-			m.Phase(func(c *gsm.Ctx) {
-				j := c.Proc()
-				if j >= nw {
-					return
-				}
-				a := c.Read(curL + 2*j)
-				var b gsm.Info
-				if 2*j+1 < widthL {
-					b = c.Read(curL + 2*j + 1)
-				}
-				c.Write(nextL+j, a.Merge(b))
-			})
-			cur, width, next = next, nw, next+nw
-		}
-		return m, nil
+		_, err = gsmalg.GatherTree(m, n, 2)
+		return m, err
 	}
 
-	a, err := repro.AnalyzeKnowledge(runner, n, n, cells)
+	a, err := repro.AnalyzeKnowledge(runner, n)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestPublicAnalyzeKnowledgeQSM(t *testing.T) {
 		})
 		return m, nil
 	}
-	a, err := AnalyzeKnowledgeQSM(runner, n, n, 2*n)
+	a, err := AnalyzeKnowledge(runner, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +337,34 @@ func TestPublicRenderers(t *testing.T) {
 	}
 }
 
+// The same ledger on BSP: a component's cell is its inbox, so the knowledge
+// of the parity tree reaches component 0 one superstep after the last send.
+func TestPublicAnalyzeKnowledgeBSP(t *testing.T) {
+	const n, p = 4, 4
+	runner := func(bits []int64) (*BSPMachine, error) {
+		m, err := NewBSP(p, 1, 2, n, ParityBSPPrivCells(n, p))
+		if err != nil {
+			return nil, err
+		}
+		m.EnableTracing()
+		if err := m.Scatter(bits); err != nil {
+			return nil, err
+		}
+		_, err = ParityBSP(m, n, 2)
+		return m, err
+	}
+	a, err := AnalyzeKnowledge(runner, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Procs != p || a.Cells != p || a.Phases != 5 {
+		t.Fatalf("shape %d×%d over %d supersteps, want %d×%d over 5", a.Procs, a.Cells, a.Phases, p, p)
+	}
+	if got := a.MaxKnow[a.Phases-1]; got != n {
+		t.Errorf("final max |Know| = %d, want %d", got, n)
+	}
+}
+
 func TestPublicAnalyzeKnowledgeGSM(t *testing.T) {
 	const n = 3
 	runner := func(bits []int64) (*GSMMachine, error) {
@@ -354,7 +382,7 @@ func TestPublicAnalyzeKnowledgeGSM(t *testing.T) {
 		})
 		return m, nil
 	}
-	a, err := AnalyzeKnowledge(runner, n, n, 2*n)
+	a, err := AnalyzeKnowledge(runner, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ func TestTheorem33InfluenceSpread(t *testing.T) {
 		fanout = 2
 		copies = 16
 	)
-	cells := n + copies // n input cells, then the broadcast region
 	runner := func(bits []int64) (TraceSource, error) {
 		m, err := qsm.New(qsm.Config{
 			Rule: cost.RuleQSM, P: copies, G: 1, N: n, MemCells: n,
@@ -39,7 +38,7 @@ func TestTheorem33InfluenceSpread(t *testing.T) {
 		}
 		return m.TraceLog(), nil
 	}
-	a, err := AnalyzeKnowledge(runner, n, copies, cells)
+	a, err := AnalyzeKnowledge(runner, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,6 @@ func TestTheorem33InfluenceSpread(t *testing.T) {
 // exactly as in the GSM case, confirming the analyzer is model-agnostic.
 func TestAnalyzeKnowledgeQSMTree(t *testing.T) {
 	const n = 8
-	cellsNeeded := 2 * n
 	runner := func(bits []int64) (TraceSource, error) {
 		m, err := qsm.New(qsm.Config{
 			Rule: cost.RuleQSM, P: n, G: 1, N: n, MemCells: n,
@@ -110,7 +108,7 @@ func TestAnalyzeKnowledgeQSMTree(t *testing.T) {
 		}
 		return m.TraceLog(), nil
 	}
-	a, err := AnalyzeKnowledge(runner, n, n, cellsNeeded)
+	a, err := AnalyzeKnowledge(runner, n)
 	if err != nil {
 		t.Fatal(err)
 	}

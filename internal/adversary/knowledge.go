@@ -6,11 +6,14 @@ import (
 	"repro/internal/boolfn"
 )
 
-// TraceSource is the recorded trace of one deterministic run: canonical
-// keys for Trace(p, t, f) and Trace(c, t, f). Both the GSM and the QSM
-// simulators' trace logs implement it.
+// TraceSource is the recorded trace of one deterministic run: its
+// dimensions and canonical keys for Trace(p, t, f) and Trace(c, t, f).
+// The trace.Trace every simulator records (QSM, GSM and BSP) implements
+// it.
 type TraceSource interface {
 	NumPhases() int
+	Procs() int
+	Cells() int
 	ProcKey(p, t int) string
 	CellKey(c, t int) string
 }
@@ -47,9 +50,9 @@ type Analysis struct {
 
 // AnalyzeKnowledge runs the algorithm on every input of length n (n ≤ 16)
 // and computes the exact trace-equivalence quantities of Section 5 for the
-// empty partial input map f_*. procs and cells bound the machine
-// dimensions (every run must use the same machine shape).
-func AnalyzeKnowledge(runner Runner, n, procs, cells int) (*Analysis, error) {
+// empty partial input map f_*. The machine dimensions come from the
+// traces, and every run must have the first run's shape.
+func AnalyzeKnowledge(runner Runner, n int) (*Analysis, error) {
 	if n < 1 || n > 16 {
 		return nil, fmt.Errorf("adversary: exhaustive analysis needs 1 ≤ n ≤ 16, got %d", n)
 	}
@@ -57,7 +60,7 @@ func AnalyzeKnowledge(runner Runner, n, procs, cells int) (*Analysis, error) {
 
 	// traces[mask] = the trace log of the run on that input.
 	traces := make([]TraceSource, total)
-	phases := 0
+	phases, procs, cells := 0, 0, 0
 	for mask := 0; mask < total; mask++ {
 		bits := make([]int64, n)
 		for i := 0; i < n; i++ {
@@ -69,6 +72,12 @@ func AnalyzeKnowledge(runner Runner, n, procs, cells int) (*Analysis, error) {
 		}
 		if tr == nil {
 			return nil, fmt.Errorf("adversary: runner must enable tracing")
+		}
+		if mask == 0 {
+			procs, cells = tr.Procs(), tr.Cells()
+		} else if tr.Procs() != procs || tr.Cells() != cells {
+			return nil, fmt.Errorf("adversary: run on input %b has %d procs and %d cells, the first run %d and %d",
+				mask, tr.Procs(), tr.Cells(), procs, cells)
 		}
 		if tr.NumPhases() > phases {
 			phases = tr.NumPhases()

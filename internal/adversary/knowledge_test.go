@@ -1,20 +1,22 @@
 package adversary
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gsm"
+	"repro/internal/gsmalg"
 )
 
-// treeORRunner returns a Runner executing a binary information-gathering
-// tree on a GSM with n input cells (γ = 1): in each level, the owner of
-// each pair merges the two cells' information into a fresh cell.
-func treeORRunner(n int) (Runner, int, int) {
-	// Memory: input cells [0,n), then tree levels; processors: n.
-	cells := 2*n + 2
-	machine := func(bits []int64) (*gsm.Machine, error) {
+// treeORRunner returns a Runner executing gsmalg's binary
+// information-gathering tree on a GSM with n input cells (γ = 1): in each
+// level, the owner of each pair merges the two cells' information into a
+// fresh cell.
+func treeORRunner(n int) Runner {
+	return func(bits []int64) (TraceSource, error) {
+		// Memory: input cells [0,n), then tree levels; processors: n.
 		m, err := gsm.New(gsm.Config{
-			P: n, Alpha: 1, Beta: 1, Gamma: 1, N: n, Cells: cells,
+			P: n, Alpha: 1, Beta: 1, Gamma: 1, N: n, Cells: 2*n + 2,
 		})
 		if err != nil {
 			return nil, err
@@ -23,45 +25,16 @@ func treeORRunner(n int) (Runner, int, int) {
 		if err := m.LoadInputs(bits); err != nil {
 			return nil, err
 		}
-		cur, width := 0, n
-		next := n
-		for width > 1 {
-			nw := (width + 1) / 2
-			curL, widthL, nextL := cur, width, next
-			m.Phase(func(c *gsm.Ctx) {
-				j := c.Proc()
-				if j >= nw {
-					return
-				}
-				a := c.Read(curL + 2*j)
-				var b gsm.Info
-				if 2*j+1 < widthL {
-					b = c.Read(curL + 2*j + 1)
-				}
-				c.Write(nextL+j, a.Merge(b))
-			})
-			cur, width = next, nw
-			next += nw
-		}
-		return m, nil
-	}
-	runner := func(bits []int64) (TraceSource, error) {
-		m, err := machine(bits)
-		if err != nil {
+		if _, err := gsmalg.GatherTree(m, n, 2); err != nil {
 			return nil, err
-		}
-		if m.Err() != nil {
-			return nil, m.Err()
 		}
 		return m.TraceLog(), nil
 	}
-	return runner, n, cells
 }
 
 func TestAnalyzeKnowledgeTree(t *testing.T) {
 	n := 8
-	runner, procs, cells := treeORRunner(n)
-	a, err := AnalyzeKnowledge(runner, n, procs, cells)
+	a, err := AnalyzeKnowledge(treeORRunner(n), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +73,7 @@ func TestAnalyzeKnowledgeTree(t *testing.T) {
 
 func TestAnalyzeKnowledgeTGood(t *testing.T) {
 	n := 8
-	runner, procs, cells := treeORRunner(n)
-	a, err := AnalyzeKnowledge(runner, n, procs, cells)
+	a, err := AnalyzeKnowledge(treeORRunner(n), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +113,7 @@ func TestAnalyzeKnowledgeFunnel(t *testing.T) {
 		}
 		return m.TraceLog(), nil
 	}
-	a, err := AnalyzeKnowledge(runner, n, n, cells)
+	a, err := AnalyzeKnowledge(runner, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +128,11 @@ func TestAnalyzeKnowledgeFunnel(t *testing.T) {
 }
 
 func TestAnalyzeKnowledgeValidation(t *testing.T) {
-	runner, procs, cells := treeORRunner(4)
-	if _, err := AnalyzeKnowledge(runner, 0, procs, cells); err == nil {
+	runner := treeORRunner(4)
+	if _, err := AnalyzeKnowledge(runner, 0); err == nil {
 		t.Error("want n range error")
 	}
-	if _, err := AnalyzeKnowledge(runner, 20, procs, cells); err == nil {
+	if _, err := AnalyzeKnowledge(runner, 20); err == nil {
 		t.Error("want n range error")
 	}
 	noTrace := func(bits []int64) (TraceSource, error) {
@@ -173,8 +145,34 @@ func TestAnalyzeKnowledgeValidation(t *testing.T) {
 		}
 		return nil, nil // tracing never enabled
 	}
-	if _, err := AnalyzeKnowledge(noTrace, 2, 1, 2); err == nil {
+	if _, err := AnalyzeKnowledge(noTrace, 2); err == nil {
 		t.Error("want missing-trace error")
+	}
+}
+
+// The dimensions come from the traces, so a runner whose machine shape
+// depends on the input is refused, naming the first input that differs.
+func TestAnalyzeKnowledgeMixedShape(t *testing.T) {
+	runner := func(bits []int64) (TraceSource, error) {
+		procs := 2 + int(bits[1]) // input 10 adds a processor
+		m, err := gsm.New(gsm.Config{P: procs, Alpha: 1, Beta: 1, Gamma: 1, N: 2, Cells: 2})
+		if err != nil {
+			return nil, err
+		}
+		m.EnableTracing()
+		if err := m.LoadInputs(bits); err != nil {
+			return nil, err
+		}
+		m.Phase(func(c *gsm.Ctx) {
+			if c.Proc() < 2 {
+				c.Read(c.Proc())
+			}
+		})
+		return m.TraceLog(), m.Err()
+	}
+	_, err := AnalyzeKnowledge(runner, 2)
+	if err == nil || !strings.Contains(err.Error(), "input 10 has 3 procs") {
+		t.Fatalf("err = %v, want the shape error of input 10", err)
 	}
 }
 

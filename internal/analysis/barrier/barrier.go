@@ -70,7 +70,7 @@ var allowedWriters = map[string]map[string]bool{
 	"shared": set("init", "ForAll", "Checkpoint", "gather"),
 	"Mem":    set("InitMem"),
 	"cursor": set("useLanes", "run", "failf", "Op", "Read", "ReadWord", "Write",
-		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit",
+		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch",
 		"AddWork", "Stage", "Fail", "StageBatch"),
 	"lane":  set("useLanes", "run"),
 	"Route": set("InitRoute", "Superstep", "Checkpoint", "Rollback", "corrupt", "gather", "apply"),

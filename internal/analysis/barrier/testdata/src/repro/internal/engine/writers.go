@@ -116,7 +116,7 @@ func (m *BitMem) hotPatch(addr int) {
 
 // cursor mirrors the store-independent half of a processor context with
 // its struct-of-arrays columns; the batch recorders (ReadBlock,
-// WriteBatch, Submit, …) are sanctioned writers exactly like their
+// WriteBatch, …) are sanctioned writers exactly like their
 // per-cell twins.
 type cursor struct {
 	reads     int64
@@ -143,13 +143,6 @@ func (c *MemCtx) ReadBlock(a int32, k int) {
 
 func (c *MemCtx) WriteBatch(addrs []int32, vals []int64) {
 	c.writes = append(c.writes, addrs...)
-	c.writeVals = append(c.writeVals, vals...)
-}
-
-func (c *MemCtx) Submit(reads, writes []int32, vals []int64) {
-	c.reads += int64(len(reads))
-	c.readAddrs = append(c.readAddrs, reads...)
-	c.writes = append(c.writes, writes...)
 	c.writeVals = append(c.writeVals, vals...)
 }
 

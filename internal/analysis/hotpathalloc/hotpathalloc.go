@@ -11,11 +11,11 @@
 // flags it at the line instead.
 //
 // Hot roots are the functions declared //repro:hot (in the engine: the
-// barrier Core.commit, MemCtx.Submit, Sends.StageBatch and the EventLog
-// observer triple PhaseStart/Request/PhaseEnd) plus, in every package,
-// the model callbacks the barrier dispatches into (Apply(mem, addrs,
-// vals) and Render(v) — matched structurally so fixtures and future
-// models are covered without importing the engine). Everything
+// barrier Core.commit, Sends.StageBatch and the EventLog observer triple
+// PhaseStart/Request/PhaseEnd) plus, in every package, the model
+// callbacks the barrier dispatches into (Apply(mem, addrs, vals) and
+// Render(v) — matched structurally so fixtures and future models are
+// covered without importing the engine). Everything
 // reachable from a root in the package's call graph is hot, where a
 // call through one of the package's own interfaces reaches every package
 // method of that name (the barrier reaches the engines' column sources
@@ -56,7 +56,7 @@ import (
 // Analyzer flags allocation on the engine's hot commit path.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "flag allocation in code reachable from //repro:hot roots (commit/Submit/StageBatch/observer) and model callbacks",
+	Doc:  "flag allocation in code reachable from //repro:hot roots (commit/StageBatch/observer) and model callbacks",
 	Run:  run,
 }
 

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 // Message is a point-to-point BSP message.
@@ -52,7 +53,7 @@ type Message struct {
 type Machine struct {
 	engine.Route[Message]
 	priv  [][]int64 // per-component private memory
-	trace *Trace
+	trace *trace.Trace
 	ctxs  []Ctx
 	// ckPriv is the private-memory half of a fault checkpoint (see
 	// bspModel.Snapshot); buffers are reused across supersteps.
@@ -97,6 +98,16 @@ func MustNew(c Config) *Machine {
 	}
 	return m
 }
+
+// EnableTracing switches on the Section 5 trace (package trace), whose
+// cells are the component inboxes; call before the first superstep.
+func (m *Machine) EnableTracing() {
+	m.trace = trace.Messages(m.P())
+	m.AddObserver(m.trace)
+}
+
+// TraceLog returns the recorded trace, or nil if tracing was off.
+func (m *Machine) TraceLog() *trace.Trace { return m.trace }
 
 // G returns the bandwidth parameter.
 func (m *Machine) G() int64 { return m.Params().G }

@@ -3,13 +3,12 @@ package bsp
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 )
 
-// traced builds a 3-component machine, runs two supersteps of a fixed
-// message pattern and returns the trace.
-func traced(t *testing.T, workers int) *Trace {
+// traced builds a 3-component machine and runs two supersteps of a fixed
+// message pattern with tracing on.
+func traced(t *testing.T, workers int) *Machine {
 	t.Helper()
 	m := mk(t, Config{P: 3, G: 1, L: 2, N: 3, PrivCells: 1, Workers: workers})
 	m.EnableTracing()
@@ -29,39 +28,39 @@ func traced(t *testing.T, workers int) *Trace {
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return m.TraceLog()
+	return m
 }
 
 func TestTraceRecordsSupersteps(t *testing.T) {
-	tr := traced(t, 1)
+	m := traced(t, 1)
+	tr := m.TraceLog()
 	if tr.NumPhases() != 2 {
 		t.Fatalf("NumPhases = %d, want 2", tr.NumPhases())
-	}
-	if got, want := tr.Sends(1, 0), []string{"→2 from=1 tag=7 val=11", "→0 from=1 tag=8 val=1"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Sends(1, 0) = %q, want %q", got, want)
 	}
 	// Deliveries to component 0 in superstep 0, in deterministic order:
 	// ascending sender, issue order within a sender (component 2's ring
 	// message precedes its fan-in message).
-	want0 := []string{"from=1 tag=8 val=1", "from=2 tag=7 val=12", "from=2 tag=8 val=2"}
-	if got := tr.Delivered(0, 0); !reflect.DeepEqual(got, want0) {
-		t.Errorf("Delivered(0, 0) = %q, want %q", got, want0)
+	if got, want := tr.CellKey(0, 0), "from=1 tag=8 val=1;from=2 tag=7 val=12;from=2 tag=8 val=2"; got != want {
+		t.Errorf("CellKey(0, 0) = %q, want %q", got, want)
+	}
+	// Component 1's ring message reaches component 2.
+	if got, want := tr.CellKey(2, 0), "from=1 tag=7 val=11"; got != want {
+		t.Errorf("CellKey(2, 0) = %q, want %q", got, want)
 	}
 	// h-relation of superstep 0: component 0 receives 3 messages (the ring
 	// message from 2 plus both fan-in messages), the largest s_i/r_i.
-	if got := tr.HRelation(0); got != 3 {
-		t.Errorf("HRelation(0) = %d, want 3", got)
+	for ph, want := range []int64{3, 1} {
+		if got := m.Report().Phases[ph].MaxRW; got != want {
+			t.Errorf("superstep %d: h = %d, want %d", ph, got, want)
+		}
 	}
-	if got := tr.HRelation(1); got != 1 {
-		t.Errorf("HRelation(1) = %d, want 1", got)
-	}
-	if tr.Sends(0, 5) != nil || tr.Delivered(9, 0) != nil || tr.HRelation(9) != 0 {
-		t.Error("out-of-range accessors must return zero values")
+	if tr.CellKey(0, 5) != "∅" || tr.CellKey(9, 0) != "∅" || tr.ProcKey(9, 0) != "" {
+		t.Error("out-of-range keys must be empty")
 	}
 }
 
 func TestTraceKnowledgeKeys(t *testing.T) {
-	tr := traced(t, 1)
+	tr := traced(t, 1).TraceLog()
 	// A component's observations through superstep t are the deliveries of
 	// earlier supersteps: at t=0 every inbox is empty, at t=1 component 1
 	// has seen the superstep-0 deliveries.
@@ -80,8 +79,8 @@ func TestTraceKnowledgeKeys(t *testing.T) {
 }
 
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
-	seq := traced(t, 1)
-	par := traced(t, 8)
+	seq := traced(t, 1).TraceLog()
+	par := traced(t, 8).TraceLog()
 	for p := 0; p < 3; p++ {
 		for ph := 0; ph < 2; ph++ {
 			if a, b := seq.ProcKey(p, ph), par.ProcKey(p, ph); a != b {

@@ -343,7 +343,7 @@ const (
 	opReadBlock         // ReadBlock / ReadWord over [addr, addr+k)
 	opWriteFill         // WriteFill / k per-cell writes over [addr, addr+k)
 	opScatter           // WriteBatch {addr, addr2} / two per-cell writes
-	opSubmit            // Submit {Reads: addr}, {Writes: addr2} / Read + Write
+	opReadWrite         // ReadBatch {addr} then WriteBatch {addr2} / Read + Write
 	opLocal             // Op(k)
 	opWriteBlock        // WriteBlock / k per-cell writes of val, val+1, … over [addr, addr+k)
 	numOps
@@ -453,7 +453,7 @@ func decodeProgram(data []byte) *program {
 						op.k = min(op.k, whi-op.addr)
 					case opScatter:
 						op.addr, op.addr2 = r.pick(wlo, whi), r.pick(wlo, whi)
-					case opSubmit:
+					case opReadWrite:
 						op.addr, op.addr2 = r.pick(rlo, rhi), r.pick(wlo, whi)
 						if op.addr < 0 || op.addr2 < 0 {
 							op.addr = -1
@@ -554,9 +554,9 @@ func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 					ctx.WriteBlock(op.addr, vals)
 				case opScatter:
 					ctx.WriteBatch([]int32{int32(op.addr), int32(op.addr2)}, []int64{op.val, op.val + 2})
-				case opSubmit:
-					ctx.Submit(engine.Batch[int64]{Reads: []int32{int32(op.addr)},
-						Writes: []int32{int32(op.addr2)}, Vals: []int64{op.val}})
+				case opReadWrite:
+					ctx.ReadBatch([]int32{int32(op.addr)}, nil)
+					ctx.WriteBatch([]int32{int32(op.addr2)}, []int64{op.val})
 				case opLocal:
 					ctx.Op(op.k)
 				}
@@ -604,9 +604,9 @@ func runBoolWordProgram(t *testing.T, pr *program, c barrierConfig, faulted bool
 					ctx.WriteBlock(op.addr, vals)
 				case opScatter:
 					ctx.WriteBatch([]int32{int32(op.addr), int32(op.addr2)}, []int64{b, 1 - b})
-				case opSubmit:
-					ctx.Submit(engine.Batch[int64]{Reads: []int32{int32(op.addr)},
-						Writes: []int32{int32(op.addr2)}, Vals: []int64{b}})
+				case opReadWrite:
+					ctx.ReadBatch([]int32{int32(op.addr)}, nil)
+					ctx.WriteBatch([]int32{int32(op.addr2)}, []int64{b})
 				case opLocal:
 					ctx.Op(op.k)
 				}
@@ -652,7 +652,7 @@ func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 				case opScatter:
 					ctx.Write(op.addr, bit)
 					ctx.Write(op.addr2, !bit)
-				case opSubmit:
+				case opReadWrite:
 					ctx.Read(op.addr)
 					ctx.Write(op.addr2, bit)
 				case opLocal:

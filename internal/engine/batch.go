@@ -19,17 +19,6 @@ import "fmt"
 // contents, batch writes commit at the barrier under the model's Apply,
 // and requests must be a function of start-of-phase state.
 
-// Batch is a struct-of-arrays request bundle for MemCtx.Submit: read
-// addresses, write addresses and the parallel write values.
-type Batch[V any] struct {
-	// Reads are the cells to read (charged and recorded; fetch the
-	// values with ReadBatch/ReadBlock if the algorithm needs them).
-	Reads []int32
-	// Writes are the cells to write; Vals[i] goes to Writes[i].
-	Writes []int32
-	Vals   []V
-}
-
 // growCap grows s to capacity ≥ len(s)+k without the temporary slice an
 // append(s, make([]T, k)...) would allocate.
 func growCap[T any](s []T, k int) []T {
@@ -126,26 +115,6 @@ func (c *MemCtx[V]) WriteBatch(addrs []int32, vals []V) {
 	c.wrs += int64(len(addrs))
 	c.writes = append(c.writes, addrs...)
 	c.writeVals = append(c.writeVals, vals...)
-}
-
-// Submit enqueues a whole request bundle in one bounds-checked append
-// per column: the reads are charged and recorded (fetch values with
-// ReadBatch/ReadBlock), the writes queue for the barrier commit.
-//
-//repro:hot
-func (c *MemCtx[V]) Submit(b Batch[V]) {
-	if len(b.Writes) != len(b.Vals) {
-		c.failf("submit column mismatch: %d write addresses, %d values", len(b.Writes), len(b.Vals)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
-		return
-	}
-	if !c.inRange("read", b.Reads) || !c.inRange("write", b.Writes) {
-		return
-	}
-	c.reads += int64(len(b.Reads))
-	c.readAddrs = append(c.readAddrs, b.Reads...)
-	c.wrs += int64(len(b.Writes))
-	c.writes = append(c.writes, b.Writes...)
-	c.writeVals = append(c.writeVals, b.Vals...)
 }
 
 // StageBatch queues len(dsts) messages in one append per column:

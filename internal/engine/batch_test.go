@@ -82,11 +82,8 @@ func TestBatchPerCellEquivalence(t *testing.T) {
 					c.WriteBlock(4*k+p/2*k, vals)
 				})
 				m.Phase(func(c *engine.MemCtx[int64]) {
-					c.Submit(engine.Batch[int64]{
-						Reads:  []int32{0, 5},
-						Writes: []int32{15},
-						Vals:   []int64{int64(c.Proc())},
-					})
+					c.ReadBatch([]int32{0, 5}, nil)
+					c.WriteBatch([]int32{15}, []int64{int64(c.Proc())})
 				})
 			}
 			wantEv, wantRep := runObserved(t, cells, perCell)
@@ -172,12 +169,6 @@ func TestBatchBoundsAndMismatch(t *testing.T) {
 			"write batch column mismatch: 2 addresses, 1 values"},
 		{"write batch range", func(c *engine.MemCtx[int64]) { c.WriteBatch([]int32{9}, []int64{7}) },
 			"write out of range: cell 9 of 8"},
-		{"submit mismatch", func(c *engine.MemCtx[int64]) {
-			c.Submit(engine.Batch[int64]{Writes: []int32{1}, Vals: []int64{1, 2}})
-		}, "submit column mismatch: 1 write addresses, 2 values"},
-		{"submit read range", func(c *engine.MemCtx[int64]) {
-			c.Submit(engine.Batch[int64]{Reads: []int32{-3}})
-		}, "read out of range: cell -3 of 8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -32,9 +32,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 // Info is the information content of a GSM cell: a sorted set of abstract
@@ -104,7 +107,7 @@ func NewInfo(atoms ...int64) Info {
 // Info-valued cells with strong-queuing merge commit.
 type Machine struct {
 	engine.Mem[Info]
-	trace *Trace
+	trace *trace.Trace
 }
 
 // Ctx is the per-processor handle inside a GSM phase (Proc, Read, Write;
@@ -149,6 +152,16 @@ func MustNew(c Config) *Machine {
 	}
 	return m
 }
+
+// EnableTracing switches on the Section 5 trace (package trace); call
+// before the first phase.
+func (m *Machine) EnableTracing() {
+	m.trace = trace.Shared(m.P(), m.Data, infoKey)
+	m.AddObserver(m.trace)
+}
+
+// TraceLog returns the recorded trace, or nil if tracing was off.
+func (m *Machine) TraceLog() *trace.Trace { return m.trace }
 
 // Mu and Lambda return the derived big-step parameters.
 func (m *Machine) Mu() int64     { return m.Params().Mu() }
@@ -231,6 +244,24 @@ func (md gsmModel) Apply(mem []Info, addrs []int32, vals []Info) {
 }
 
 func (md gsmModel) Render(in Info) string { return infoKey(in) }
+
+// infoKey renders an information set as its comma-separated atoms, "∅"
+// when empty.
+func infoKey(in Info) string {
+	if len(in) == 0 {
+		return "∅"
+	}
+	var b strings.Builder
+	b.Grow(4 * len(in)) // room for elements below 1000 and their commas
+	var num [20]byte
+	for i, a := range in {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.Write(strconv.AppendInt(num[:0], a, 10))
+	}
+	return b.String()
+}
 
 // PhaseCost charges μ · max(⌈m_rw/α⌉, ⌈κ/β⌉) big-steps (at least one,
 // since computation is free but a phase is a unit).

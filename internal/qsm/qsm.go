@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 // Machine is a QSM-family shared-memory machine: the engine's
@@ -49,7 +50,7 @@ import (
 type Machine struct {
 	engine.Mem[int64]
 	rule  cost.Rule
-	trace *Trace
+	trace *trace.Trace
 }
 
 // Ctx is the per-processor handle available inside a phase (Proc, Read,
@@ -97,6 +98,16 @@ func MustNew(c Config) *Machine {
 	}
 	return m
 }
+
+// EnableTracing switches on the Section 5 trace (package trace); call
+// before the first phase.
+func (m *Machine) EnableTracing() {
+	m.trace = trace.Shared(m.P(), m.Data, qsmModel{m}.Render)
+	m.AddObserver(m.trace)
+}
+
+// TraceLog returns the recorded trace, or nil if tracing was off.
+func (m *Machine) TraceLog() *trace.Trace { return m.trace }
 
 // G returns the gap parameter.
 func (m *Machine) G() int64 { return m.Params().G }

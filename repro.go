@@ -46,6 +46,7 @@ import (
 	"repro/internal/prefix"
 	"repro/internal/qsm"
 	"repro/internal/sortrank"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -364,41 +365,33 @@ func MajorityFn(n int) *Fn { return boolfn.Majority(n) }
 // algorithm, computed by exhaustive input enumeration.
 type KnowledgeAnalysis = adversary.Analysis
 
-// AnalyzeKnowledge runs a traced GSM algorithm on all 2^n inputs and
-// returns the exact Know/AffProc/AffCell/state-degree ledger of Section 5.
-func AnalyzeKnowledge(runner func(bits []int64) (*GSMMachine, error), n, procs, cells int) (*KnowledgeAnalysis, error) {
-	return adversary.AnalyzeKnowledge(func(bits []int64) (adversary.TraceSource, error) {
-		m, err := runner(bits)
-		if err != nil {
-			return nil, err
-		}
-		if m.Err() != nil {
-			return nil, m.Err()
-		}
-		if tr := m.TraceLog(); tr != nil {
-			return tr, nil
-		}
-		return nil, nil
-	}, n, procs, cells)
+// TracedMachine is a machine that ran with tracing on (EnableTracing):
+// QSMMachine, BSPMachine and GSMMachine all qualify.
+type TracedMachine interface {
+	Err() error
+	TraceLog() *trace.Trace
 }
 
-// AnalyzeKnowledgeQSM is AnalyzeKnowledge for traced QSM-family runs — the
-// executable form of the Theorem 3.3 information-spread argument (an input
-// bit reaches at most fan-out^T entities in T phases).
-func AnalyzeKnowledgeQSM(runner func(bits []int64) (*QSMMachine, error), n, procs, cells int) (*KnowledgeAnalysis, error) {
+// AnalyzeKnowledge runs a traced algorithm on all 2^n inputs and returns
+// the exact Know/AffProc/AffCell/state-degree ledger of Section 5, with
+// the machine dimensions read from the traces. On the GSM it measures the
+// degrees Lemma 5.1 bounds; on the QSM and BSP it is the executable
+// Theorem 3.3 information-spread argument (an input bit reaches at most
+// fan-out^T entities in T phases).
+func AnalyzeKnowledge[M TracedMachine](runner func(bits []int64) (M, error), n int) (*KnowledgeAnalysis, error) {
 	return adversary.AnalyzeKnowledge(func(bits []int64) (adversary.TraceSource, error) {
 		m, err := runner(bits)
 		if err != nil {
 			return nil, err
 		}
-		if m.Err() != nil {
-			return nil, m.Err()
+		if err := m.Err(); err != nil {
+			return nil, err
 		}
 		if tr := m.TraceLog(); tr != nil {
 			return tr, nil
 		}
 		return nil, nil
-	}, n, procs, cells)
+	}, n)
 }
 
 // --- workloads -------------------------------------------------------------------
