@@ -40,7 +40,9 @@ import (
 // carries plain PackWrite entries only, and a send column plain
 // destinations only, as the lanes stage them. The encoder splits each run at
 // the rank bounds, so every run's cells lie in the rank's [lo, hi); the
-// worker checks the runs and merges them as they are.
+// worker checks the runs and merges them as they are. A lane's fill bit
+// (bit 31 of a run's length word, which concerns only the values) never
+// reaches the wire: the encoder writes each length from engine.Run.
 const (
 	fHello    byte = 1 // worker → coordinator, first on a fresh connection
 	fMemReq   byte = 2 // coordinator → worker

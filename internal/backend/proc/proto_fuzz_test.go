@@ -409,3 +409,27 @@ func TestFrameBytes(t *testing.T) {
 // blockRun returns the column of one k-cell block from base, one run as
 // the lanes stage it.
 func blockRun(base, k int) []int32 { return []int32{int32(uint32(base) | runTag), int32(k)} }
+
+// TestFillRunsEncodeAsRuns pins that a fill run, whose length word also
+// carries the tag bit on the lanes, goes on the wire as the run of its
+// cells: each rank's frame is byte-identical to the one for the same
+// request staged with plain runs, also where a rank bound splits a fill.
+func TestFillRunsEncodeAsRuns(t *testing.T) {
+	const p, k = 8, 16
+	plain := engine.MemMergeReq{Phase: 1, Attempt: 1, Cells: 2*p*k + 5}
+	fill := plain
+	for i := 0; i < p; i++ {
+		r := blockRun(p*k+i*k+3, k)
+		plain.Writes = append(plain.Writes, r)
+		fill.Writes = append(fill.Writes, []int32{r[0], int32(uint32(r[1]) | runTag)})
+	}
+	var a, b reqEnc
+	for _, bounds := range [][]int{{0, plain.Cells}, {0, plain.Cells / 2, plain.Cells}, {0, 50, 150, 200, plain.Cells}} {
+		want, got := a.memReq(plain, bounds), b.memReq(fill, bounds)
+		for r := range want {
+			if !bytes.Equal(want[r], got[r]) {
+				t.Errorf("bounds %v, rank %d: fill frame\n  %x\nwant\n  %x", bounds, r, got[r], want[r])
+			}
+		}
+	}
+}

@@ -67,6 +67,25 @@ func FuzzBarrierDifferential(f *testing.F) {
 		3, 0, 0, 0,
 		0, 1, opReadBlock, 9, 0, 40, 64, 0, 0,
 		0, 2, opWriteBlock, 9, 1, 90, opWriteFill, 2, 3, 100, 0, 0})
+	// A fill on its own: p = 2 over 64 cells, processor 0 fills [10, 18)
+	// and processor 1 fills [30, 64) (a width-64 draw clipped at the end),
+	// so the barrier and naiveBackend see fill runs in the write columns.
+	f.Add([]byte{1, 63, 5, 0,
+		3, 1, 0, 0,
+		0, 1, opWriteFill, 8, 7, 10, 0, 0,
+		0, 1, opWriteFill, 9, 9, 30, 0, 0})
+	// Fills next to block writes: p = 2 over 100 cells. Phase 0: processor
+	// 0 fills [0, 8), writes the block [8, 13), then writes cell 13;
+	// processor 1 writes the block [20, 23), then fills [23, 87). Phase 1:
+	// processor 0 fills [86, 88) and writes the block [88, 92), and
+	// processor 1 fills cell 87 alone, a fill of one cell.
+	f.Add([]byte{1, 99, 3, 1,
+		3, 1, 0, 0,
+		0, 3, opWriteFill, 8, 4, 0, opWriteBlock, 5, 20, 8, opWrite, 0, 50, 13, 0, 0,
+		0, 2, opWriteBlock, 3, 1, 20, opWriteFill, 9, 2, 23, 0, 0,
+		3, 1, 100, 0,
+		0, 2, opWriteFill, 2, 7, 86, opWriteBlock, 4, 3, 88, 0, 0,
+		0, 1, opWriteFill, 1, 5, 87, 0, 0})
 	// Ascending phases (density byte 0xe3: every processor active),
 	// which the barrier counts on its ascending path. A clean one: p = 4
 	// over 100 cells, blocks of 8; phase 0 reads [0, 32) and writes from
@@ -221,16 +240,17 @@ func (b *refBackend) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, er
 type naiveBackend struct{}
 
 // cells lists the cells of a request column: a word with bit 31 set opens
-// a run, its low 31 bits the first cell and the next word the length;
-// any other word is one cell (or, packed, one PackWrite entry).
+// a run, its low 31 bits the first cell and the next word's low 31 bits
+// the length (bit 31 of that word marks a fill, which names the same
+// cells); any other word is one cell (or, packed, one PackWrite entry).
 func cells(col []int32, packed bool) []int32 {
 	var out []int32
 	for i := 0; i < len(col); i++ {
 		switch w := uint32(col[i]); {
 		case w>>31 == 1:
 			i++
-			for k := int32(0); k < col[i]; k++ {
-				out = append(out, int32(w<<1>>1)+k)
+			for k := uint32(0); k < uint32(col[i])<<1>>1; k++ {
+				out = append(out, int32(w<<1>>1+k))
 			}
 		case packed:
 			out = append(out, int32(w>>1))

@@ -87,19 +87,19 @@ func (c *MemCtx[V]) WriteBlock(addr int, vals []V) {
 }
 
 // WriteFill queues writes of val to the k consecutive cells
-// [addr, addr+k), charging k writes and staging one run; the value
-// column stays dense, one value per charged write.
+// [addr, addr+k), charging k writes and staging one fill run with one
+// value.
 func (c *MemCtx[V]) WriteFill(addr, k int, val V) {
 	if k < 0 || addr < 0 || addr+k > len(c.m.mem) {
 		c.failf("write fill out of range: cells [%d,%d) of %d", addr, addr+k, len(c.m.mem))
 		return
 	}
-	c.wrs += int64(k)
-	c.writes, c.runs = appendRun(c.writes, int32(addr), k), c.runs || k > 1
-	c.writeVals = growCap(c.writeVals, k)
-	for i := 0; i < k; i++ {
-		c.writeVals = append(c.writeVals, val)
+	if k == 0 {
+		return
 	}
+	c.wrs += int64(k)
+	c.writes, c.runs = appendFill(c.writes, int32(addr), k), c.runs || k > 1
+	c.writeVals = append(c.writeVals, val)
 }
 
 // WriteBatch queues writes of vals[i] to addrs[i] (a scatter), charging

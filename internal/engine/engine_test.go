@@ -30,8 +30,15 @@ func (memModel) Grain() int       { return 1 }
 
 func (memModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	for i, j := 0, 0; i < len(addrs); {
-		a, n, next := engine.Run(addrs, i)
-		j += copy(mem[a:int(a)+n], vals[j:j+n])
+		a, n, next, fill := engine.RunFill(addrs, i)
+		if fill {
+			for k := range n {
+				mem[int(a)+k] = vals[j]
+			}
+			j++
+		} else {
+			j += copy(mem[a:int(a)+n], vals[j:j+n])
+		}
 		i = next
 	}
 }

@@ -18,17 +18,27 @@ import "math"
 // Request columns: a lane's read and write columns are sequences of
 // int32 words in cell space. A plain word (bit 31 clear) is one cell. A
 // word with bit 31 set (RunTag) opens a run: its low 31 bits are the first
-// cell a, and the next word is the run's length n ≥ 2, standing for the
-// cells a, a+1, …, a+n−1. The block calls (ReadBlock, WriteBlock,
-// WriteFill, BitCtx.ReadWord) stage one run, so a k-cell block costs two
-// words whatever k is; the per-cell and batch calls stage plain words. The
-// merger, the models' Apply and an attached Backend take the runs as they
-// are, and the proc backend puts them on its wire split at its rank
-// bounds. Runs hold cells only: a packed store's write column holds
-// PackWrite entries, one plain word each. A send column holds plain
+// cell a, and the low 31 bits of the next word are the run's length n ≥ 2,
+// standing for the cells a, a+1, …, a+n−1. The block calls (ReadBlock,
+// WriteBlock, WriteFill, BitCtx.ReadWord) stage one run, so a k-cell block
+// costs two words whatever k is; the per-cell and batch calls stage plain
+// words. The merger, the models' Apply and an attached Backend take the
+// runs as they are, and the proc backend puts them on its wire split at
+// its rank bounds. Runs hold cells only: a packed store's write column
+// holds PackWrite entries, one plain word each. A send column holds plain
 // destinations.
+//
+// A write column's words pair with the value column in order: a plain
+// word takes one value and a run n values, one per cell, except a fill
+// run, whose length word has bit 31 set too. A fill run (WriteFill) takes
+// one value for all its n cells, so a k-cell fill stages two words and one
+// value. The fill bit concerns the value column alone: Run masks it, so
+// the mergers, a Backend and the proc wire see a fill as the run of its
+// cells, and only Apply and the observer emission, which pair cells with
+// values, decode it (RunFill).
 
-// RunTag is the bit of a request-column word that opens a run.
+// RunTag is the bit of a request-column word that opens a run, and of a
+// run's length word that makes it a fill run.
 const RunTag = 1 << 31
 
 // appendRun appends the k consecutive cells [a, a+k) to the column: a
@@ -43,13 +53,31 @@ func appendRun(col []int32, a int32, k int) []int32 {
 	return col
 }
 
+// appendFill appends the k consecutive cells [a, a+k) that take one
+// value: a fill run for k ≥ 2, and for k < 2 what appendRun appends.
+func appendFill(col []int32, a int32, k int) []int32 {
+	if k > 1 {
+		return append(col, a|math.MinInt32, int32(k)|math.MinInt32)
+	}
+	return appendRun(col, a, k)
+}
+
 // Run decodes the request-column word at col[i]: it stands for the n
 // cells [a, a+n), and the column's next word is at next.
 func Run(col []int32, i int) (a int32, n, next int) {
+	a, n, next, _ = RunFill(col, i)
+	return a, n, next
+}
+
+// RunFill decodes the request-column word at col[i] as Run does and
+// reports whether it is a fill run, whose n cells take one value; any
+// other word takes n values.
+func RunFill(col []int32, i int) (a int32, n, next int, fill bool) {
 	if a = col[i]; a >= 0 {
-		return a, 1, i + 1
+		return a, 1, i + 1, false
 	}
-	return a &^ math.MinInt32, int(col[i+1]), i + 2
+	l := col[i+1]
+	return a &^ math.MinInt32, int(l &^ math.MinInt32), i + 2, l < 0
 }
 
 // span is one processor's share of its lane's columns: the reads and
@@ -101,6 +129,10 @@ func useLanes[W, C any](lanes []*lane[W, C], nb int, st *store[W]) []*lane[W, C]
 func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error) {
 	c := l.cur
 	c.readAddrs, c.writes, c.writeVals, c.runs = c.readAddrs[:0], c.writes[:0], c.writeVals[:0], false
+	// fail is cleared here and after each failure, not before every
+	// body: a pointer store per processor takes a GC write barrier
+	// whenever the collector is marking.
+	c.fail = nil
 	if cap(l.spans) < hi-lo {
 		l.spans = make([]span, 0, hi-lo)
 	}
@@ -115,13 +147,14 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 			continue
 		}
 		r0, w0, v0 := len(c.readAddrs), len(c.writes), len(c.writeVals)
-		c.proc, c.reads, c.wrs, c.ops, c.fail = i, 0, 0, 0, nil
+		c.proc, c.reads, c.wrs, c.ops = i, 0, 0, 0
 		body(&l.c)
 		if c.fail != nil {
 			if first == nil {
 				first = c.fail
 			}
 			nf++
+			c.fail = nil
 			// Drop what the failing body recorded, so the next span
 			// still starts where the last one ended.
 			c.readAddrs, c.writes, c.writeVals = c.readAddrs[:r0], c.writes[:w0], c.writeVals[:v0]

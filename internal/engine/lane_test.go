@@ -21,8 +21,15 @@ func (laneModel) Grain() int       { return 1 }
 
 func (laneModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	for i, j := 0, 0; i < len(addrs); {
-		a, n, next := Run(addrs, i)
-		j += copy(mem[a:int(a)+n], vals[j:j+n])
+		a, n, next, fill := RunFill(addrs, i)
+		if fill {
+			for k := range n {
+				mem[int(a)+k] = vals[j]
+			}
+			j++
+		} else {
+			j += copy(mem[a:int(a)+n], vals[j:j+n])
+		}
 		i = next
 	}
 }
@@ -105,6 +112,45 @@ func TestLaneFailureLeavesNoEntries(t *testing.T) {
 	}
 }
 
+// TestLaneFailureDropsFill pins that a processor failing after a
+// WriteFill takes back its fill's two column words and one value, so the
+// fills of the processors after it in the lane still pair with their own
+// values.
+func TestLaneFailureDropsFill(t *testing.T) {
+	const p, k = 6, 4
+	m := newLaneMachine(p)
+	m.Grow(p * k)
+	m.ForAll(p, func(c *MemCtx[int64]) {
+		i := c.Proc()
+		c.WriteFill(k*i, k, int64(i))
+		if i == 2 {
+			c.Read(-1)
+		}
+	})
+	if m.Err() == nil {
+		t.Fatal("phase with a failing processor committed")
+	}
+	l := m.lanes[0]
+	c := &l.c
+	var procs []int32
+	w0 := int32(0)
+	for j, s := range l.spans {
+		procs = append(procs, s.proc)
+		a, n, next, fill := RunFill(c.writes, int(w0))
+		if next != int(s.w1) || a != k*s.proc || n != k || !fill || c.writeVals[j] != int64(s.proc) {
+			t.Fatalf("span %+v holds fill (%d, %d, %t) ending at %d with value %d", s, a, n, fill, next, c.writeVals[j])
+		}
+		w0 = s.w1
+	}
+	if want := []int32{0, 1, 3, 4, 5}; !slices.Equal(procs, want) {
+		t.Fatalf("spans cover processors %v, want %v", procs, want)
+	}
+	if len(c.writes) != int(w0) || len(c.writeVals) != len(l.spans) {
+		t.Fatalf("columns hold %d write words and %d values; the spans end at %d and hold %d fills",
+			len(c.writes), len(c.writeVals), w0, len(l.spans))
+	}
+}
+
 // TestMarksGrowByDoubling pins that the merger's marks grow only for the
 // marks path, and then at least double when a machine's memory grows past
 // them, so a machine that grows its memory every level does not
@@ -123,19 +169,39 @@ func TestMarksGrowByDoubling(t *testing.T) {
 }
 
 // TestBlockStagesOneRun pins the staging cost of the block calls: a
-// k-cell ReadBlock, WriteFill or ReadWord stages one run, two column
-// words whatever k is, while the value column stays dense at one value
-// per charged write.
+// k-cell ReadBlock, WriteFill, WriteBlock or ReadWord stages one run, two
+// column words whatever k is (one plain word for k = 1), and the value
+// column holds one value per WriteFill but k per WriteBlock.
 func TestBlockStagesOneRun(t *testing.T) {
 	const p = 8
-	for _, k := range []int{2, 16, 64, 1000} {
+	for _, k := range []int{1, 2, 16, 64, 1000} {
+		words := 2 * p
+		if k == 1 {
+			words = p
+		}
 		m := &Mem[int64]{}
 		m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, 2, 2*p*k)
+		staged := func() (reads, writes, vals int) {
+			for _, l := range m.lanes {
+				reads, writes, vals = reads+len(l.c.readAddrs), writes+len(l.c.writes), vals+len(l.c.writeVals)
+			}
+			return reads, writes, vals
+		}
 		m.Phase(func(c *MemCtx[int64]) {
 			pr := c.Proc()
 			c.ReadBlock(pr*k, k)
 			c.WriteFill(p*k+pr*k, k, int64(pr))
 		})
+		if reads, writes, vals := staged(); reads != words || writes != words || vals != p {
+			t.Errorf("k = %d: ReadBlock and WriteFill staged %d read and %d write column words and %d values; want %d, %d and %d",
+				k, reads, writes, vals, words, words, p)
+		}
+		block := make([]int64, k)
+		m.Phase(func(c *MemCtx[int64]) { c.WriteBlock(p*k+c.Proc()*k, block) })
+		if _, writes, vals := staged(); writes != words || vals != p*k {
+			t.Errorf("k = %d: WriteBlock staged %d write column words and %d values; want %d and %d",
+				k, writes, vals, words, p*k)
+		}
 		b := &BitMem{}
 		if err := b.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, 2, 64*p); err != nil {
 			t.Fatal(err)
@@ -144,16 +210,12 @@ func TestBlockStagesOneRun(t *testing.T) {
 		if err := errors.Join(m.Err(), b.Err()); err != nil {
 			t.Fatal(err)
 		}
-		var reads, writes, vals, words int
-		for _, l := range m.lanes {
-			reads, writes, vals = reads+len(l.c.readAddrs), writes+len(l.c.writes), vals+len(l.c.writeVals)
-		}
+		var bitWords int
 		for _, l := range b.lanes {
-			words += len(l.c.readAddrs)
+			bitWords += len(l.c.readAddrs)
 		}
-		if reads != 2*p || writes != 2*p || words != 2*p || vals != p*k {
-			t.Errorf("k = %d: staged %d read, %d write and %d ReadWord column words and %d values; want %d, %d, %d and %d",
-				k, reads, writes, words, vals, 2*p, 2*p, 2*p, p*k)
+		if bitWords != words {
+			t.Errorf("k = %d: ReadWord staged %d column words; want %d", k, bitWords, words)
 		}
 	}
 }

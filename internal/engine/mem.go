@@ -29,8 +29,9 @@ type MemModel[V any] interface {
 	// chunk's processors in ascending order, and the chunks in ascending
 	// order, so a last-writer-wins Apply deterministically commits the
 	// final write of the highest-numbered processor; a merging Apply is
-	// order-insensitive. addrs is a request column (see Run): a run of n
-	// cells takes the next n values of vals, one value per cell.
+	// order-insensitive. addrs is a request column (see RunFill): a run
+	// of n cells takes the next n values of vals, one value per cell,
+	// and a fill run takes the next one value for all n cells.
 	Apply(mem []V, addrs []int32, vals []V)
 	// Render formats a cell/payload value for observer events.
 	Render(v V) string
@@ -340,8 +341,9 @@ func (m *Mem[V]) apply() {
 }
 
 // emit renders the phase's requests as observer events, one per cell of
-// every run. It runs before the writes apply, so read payloads render the
-// start-of-phase contents the readers actually observed.
+// every run; a fill run's value is rendered once for all its cells. It
+// runs before the writes apply, so read payloads render the start-of-phase
+// contents the readers actually observed.
 func (m *Mem[V]) emit() {
 	for _, l := range m.lanes {
 		c := &l.c
@@ -356,10 +358,13 @@ func (m *Mem[V]) emit() {
 				i = next
 			}
 			for i := w0; i < int(s.w1); {
-				a, n, next := Run(c.writes, i)
-				for ; n > 0; a, n, v = a+1, n-1, v+1 {
-					m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a,
-						Payload: m.model.Render(c.writeVals[v])})
+				a, n, next, fill := RunFill(c.writes, i)
+				var payload string
+				for k := 0; k < n; a, k = a+1, k+1 {
+					if k == 0 || !fill {
+						payload, v = m.model.Render(c.writeVals[v]), v+1
+					}
+					m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a, Payload: payload})
 				}
 				i = next
 			}

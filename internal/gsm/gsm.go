@@ -229,17 +229,26 @@ func (md gsmModel) Prefix() string   { return "gsm" }
 func (md gsmModel) Violation() error { return ErrViolation }
 func (md gsmModel) Grain() int       { return gsmGrain }
 
-// Apply merges the phase's writes into the cells, a run cell by cell
-// (strong queuing: set union is order-insensitive, so the merged contents
-// are deterministic for every Workers setting).
+// Apply merges the phase's writes into the cells, a run cell by cell and
+// a fill run's one value into each of its cells (strong queuing: set
+// union is order-insensitive, so the merged contents are deterministic
+// for every Workers setting).
 func (md gsmModel) Apply(mem []Info, addrs []int32, vals []Info) {
 	for i, j := 0, 0; i < len(addrs); {
-		a, n, next := engine.Run(addrs, i)
-		for _, v := range vals[j : j+n] {
-			mem[a] = mem[a].Merge(v)
-			a++
+		a, n, next, fill := engine.RunFill(addrs, i)
+		cells := mem[a : int(a)+n]
+		if fill {
+			for k, c := range cells {
+				cells[k] = c.Merge(vals[j])
+			}
+			j++
+		} else {
+			for k, c := range cells {
+				cells[k] = c.Merge(vals[j+k])
+			}
+			j += n
 		}
-		i, j = next, j+n
+		i = next
 	}
 }
 

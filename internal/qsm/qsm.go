@@ -190,13 +190,22 @@ func (md qsmModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	}
 }
 
-// applyRuns commits a request column that holds runs, each word, a
-// plain cell or a run, with one copy.
+// applyRuns commits a request column that holds runs: a plain word or
+// a run with one copy, a fill run with one loop over its cells.
 func applyRuns(mem []int64, addrs []int32, vals []int64) {
 	for i, j := 0, 0; i < len(addrs); {
-		a, n, next := engine.Run(addrs, i)
-		copy(mem[a:int(a)+n], vals[j:j+n])
-		i, j = next, j+n
+		a, n, next, fill := engine.RunFill(addrs, i)
+		cells := mem[a : int(a)+n]
+		if fill {
+			v := vals[j]
+			for k := range cells {
+				cells[k] = v
+			}
+			j++
+		} else {
+			j += copy(cells, vals[j:j+n])
+		}
+		i = next
 	}
 }
 
