@@ -1,5 +1,5 @@
 // Command reprolint is the project's static-analysis tool. It enforces
-// the determinism contracts (maporder, globalrand, wallclock), the
+// the determinism contracts (maporder, wallclock), the
 // commit-barrier contract (barrier: sanctioned engine writers, read-only
 // observers, one injector consult from Core.commit), the interprocedural
 // fault/checkpoint/sentinel contracts (sentinelwrap, snapshotdeep,
@@ -16,7 +16,9 @@
 // bit-write encoding has one codec, engine.PackWrite (pinned by
 // TestPackWriteRoundTrip and FuzzBarrierDifferential's word-vs-bit
 // check), and each proc wire frame has one encode/decode pair in
-// internal/backend/proc/proto.go (pinned by FuzzFrameCodec).
+// internal/backend/proc/proto.go (pinned by FuzzFrameCodec). A third is
+// a test: internal/core's TestRegistryRerunIsIdentical runs every registry
+// point twice in one process, so a draw from math/rand's global source fails.
 //
 // It runs two ways. As a standalone driver over package patterns:
 //

@@ -11,8 +11,8 @@
 // flags it at the line instead.
 //
 // Hot roots are the functions declared //repro:hot (in the engine: the
-// barrier Core.commit, Sends.StageBatch and the EventLog observer triple
-// PhaseStart/Request/PhaseEnd) plus, in every package, the model
+// barrier Core.commit, its observer record hand-off Core.observeRecord
+// and Sends.StageBatch) plus, in every package, the model
 // callbacks the barrier dispatches into (Apply(mem, addrs, vals) and
 // Render(v) — matched structurally so fixtures and future models are
 // covered without importing the engine). Everything
@@ -56,7 +56,7 @@ import (
 // Analyzer flags allocation on the engine's hot commit path.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "flag allocation in code reachable from //repro:hot roots (commit/StageBatch/observer) and model callbacks",
+	Doc:  "flag allocation in code reachable from //repro:hot roots (commit/observer record/StageBatch) and model callbacks",
 	Run:  run,
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/barrier"
 	"repro/internal/analysis/colescape"
 	"repro/internal/analysis/costbalance"
-	"repro/internal/analysis/globalrand"
 	"repro/internal/analysis/goleak"
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/lockorder"
@@ -29,7 +28,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	list := []*analysis.Analyzer{
 		maporder.Analyzer,
-		globalrand.Analyzer,
 		wallclock.Analyzer,
 		barrier.Analyzer,
 		sentinelwrap.Analyzer,

@@ -34,7 +34,10 @@ import (
 // once clean and once under a seeded fault plan (transient memory and
 // message faults, degraded crashes, injected violations). The memory
 // image or inboxes, the cost report, the event stream, the error text
-// and the fault accounting must all match the serial run.
+// and the fault accounting must all match the serial run. Every run
+// attaches two logs, one fed the phase records and one, hidden behind
+// the Observer interface, fed the expander's per-cell Request calls;
+// their text must be byte-identical.
 //
 // The word-vs-bit check then holds the packed store to being an encoding,
 // not a model change: in every config, clean and faulted, the program's
@@ -530,7 +533,30 @@ func errText(err error) string {
 	return err.Error()
 }
 
-func finishRun(state any, m engine.Machine, ev *engine.EventLog) barrierRun {
+// cellOnly exposes only the Observer methods of the log it wraps, so the
+// engine does not see an EventLog and feeds it the expander's per-cell
+// Request calls instead of a phase record.
+type cellOnly struct{ engine.Observer }
+
+// observed is the pair of logs every run attaches: rec gets the phase
+// records and cell the per-cell Request calls of the same phases.
+type observed struct{ rec, cell *engine.EventLog }
+
+func observe(m engine.Machine) observed {
+	o := observed{&engine.EventLog{}, &engine.EventLog{}}
+	m.AddObserver(o.rec)
+	m.AddObserver(cellOnly{o.cell})
+	return o
+}
+
+// finishRun renders a run, failing t if its record stream differs from
+// its per-cell stream.
+func finishRun(t *testing.T, state any, m engine.Machine, o observed) barrierRun {
+	t.Helper()
+	ev := o.rec
+	if got, per := ev.String(), o.cell.String(); got != per {
+		t.Fatalf("record stream differs from the per-cell stream:\nrecord:\n%s\nper-cell:\n%s", got, per)
+	}
 	return barrierRun{
 		state:  fmt.Sprint(state),
 		report: fmt.Sprintf("%+v", *m.Report()),
@@ -542,8 +568,7 @@ func finishRun(state any, m engine.Machine, ev *engine.EventLog) barrierRun {
 
 func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
 	m := newMemMachine(t, pr.p, pr.cells, c.workers)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
+	ev := observe(m)
 	attach(m, c, memPlan(pr, faulted))
 	for i := range m.Data() {
 		m.Data()[i] = int64(i * 7)
@@ -583,7 +608,7 @@ func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 			}
 		})
 	}
-	return finishRun(m.Data(), m, ev)
+	return finishRun(t, m.Data(), m, ev)
 }
 
 // runBoolWordProgram is runBitProgram's request sequence on Mem[int64]:
@@ -591,8 +616,7 @@ func runMemProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 // word engine's batch calls wherever they issue the same requests.
 func runBoolWordProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
 	m := newMemMachine(t, pr.p, pr.cells, c.workers)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
+	ev := observe(m)
 	attach(m, c, memPlan(pr, faulted))
 	for i := 0; i < pr.cells; i += 3 {
 		m.Data()[i] = 1
@@ -633,13 +657,12 @@ func runBoolWordProgram(t *testing.T, pr *program, c barrierConfig, faulted bool
 			}
 		})
 	}
-	return finishRun(m.Data(), m, ev)
+	return finishRun(t, m.Data(), m, ev)
 }
 
 func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
 	m := newBitMachine(t, pr.p, pr.cells, c.workers)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
+	ev := observe(m)
 	attach(m, c, memPlan(pr, faulted))
 	for i := 0; i < pr.cells; i += 3 {
 		m.SetBit(i, true)
@@ -687,13 +710,12 @@ func runBitProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) bar
 			image[i] = 1
 		}
 	}
-	return finishRun(image, m, ev)
+	return finishRun(t, image, m, ev)
 }
 
 func runRouteProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) barrierRun {
 	m := newRouteMachine(t, pr.p, c.workers)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
+	ev := observe(m)
 	var inj engine.Injector
 	if faulted {
 		inj = fault.NewPlan(pr.seed,
@@ -722,5 +744,5 @@ func runRouteProgram(t *testing.T, pr *program, c barrierConfig, faulted bool) b
 	for i := range inbox {
 		inbox[i] = m.Incoming(i)
 	}
-	return finishRun(inbox, m, ev)
+	return finishRun(t, inbox, m, ev)
 }

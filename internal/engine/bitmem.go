@@ -153,31 +153,24 @@ func (m *BitMem) apply() {
 	}
 }
 
-// bitPayloads renders a bit as an observer payload, matching what the
-// word-valued renderers produce for 0/1 data.
-var bitPayloads = [2]string{"0", "1"}
+// bitRender renders a recorded bit as an observer payload, "0" or "1",
+// matching what the word-valued renderers produce for 0/1 data.
+type bitRender struct{}
 
-// emit renders the phase's requests as observer events, one per cell of
-// every read run, before the writes apply.
-func (m *BitMem) emit() {
-	for _, l := range m.lanes {
-		c := &l.c
-		r0, w0 := int32(0), int32(0)
-		for _, s := range l.spans {
-			for i := r0; i < s.r1; {
-				a, n, next := Run(c.readAddrs, int(i))
-				for ; n > 0; a, n = a+1, n-1 {
-					m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
-						Payload: bitPayloads[m.mem[a>>6]>>(uint32(a)&63)&1]})
-				}
-				i = int32(next)
+func (bitRender) Render(b uint8) string { return "01"[b&1 : b&1+1] }
+
+// record hands l the phase before the writes apply: the lanes' columns as
+// staged, and one recorded bit per read cell.
+func (m *BitMem) record(l *EventLog) {
+	vals := recordLanes[uint64, BitCtx, uint8](l, &m.Core, m.lanes, bitRender{}, KindWrite, true) //lint:hotpathalloc-ok bitRender is zero-size: boxing it does not allocate
+	j := 0
+	for _, ln := range m.lanes {
+		for i := 0; i < len(ln.cur.readAddrs); {
+			a, n, next := Run(ln.cur.readAddrs, i)
+			for ; n > 0; a, n, j = a+1, n-1, j+1 {
+				vals[j] = uint8(m.mem[a>>6] >> (uint32(a) & 63) & 1)
 			}
-			for _, pk := range c.writes[w0:s.w1] {
-				a, bit := unpackWrite(pk)
-				m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a,
-					Payload: bitPayloads[bit]})
-			}
-			r0, w0 = s.r1, s.w1
+			i = next
 		}
 	}
 }

@@ -126,6 +126,8 @@ type Core struct {
 
 	obs      []Observer
 	curPhase int
+	// relay records a phase for the observers that are not EventLogs.
+	relay EventLog
 	// cells is the shared-memory size in cells, the range memory fault
 	// verdicts target; a routing machine leaves it zero.
 	cells int
@@ -306,9 +308,9 @@ type columnSource interface {
 	// poison records why the phase aborts, in the engine's wording: the
 	// read+write clash at cell, or with cell < 0 the permanent fault v.
 	poison(cell int32, v Verdict)
-	// emit renders the phase's requests as observer events, by ascending
-	// processor and in issue order, before anything applies.
-	emit()
+	// record appends the phase to l as one record (see EventLog), before
+	// anything applies.
+	record(l *EventLog)
 	// apply commits the writes or delivers the messages.
 	apply()
 	// corrupt damages the applied phase as the transient fault v says.
@@ -321,10 +323,10 @@ type columnSource interface {
 // commit is the barrier every engine's phase ends in, run on the
 // coordinating goroutine at every Workers setting: merge (src.gather,
 // in process or through the backend), the access-rule check, the
-// injector consult, the charge, emission, the apply, and PhaseEnd. A
-// failed backend merge schedules a retry or poisons the machine per
-// transportStatus; nothing was charged or applied, so state is already
-// consistent.
+// injector consult, the charge, the observer record, the apply, and
+// PhaseEnd. A failed backend merge schedules a retry or poisons the
+// machine per transportStatus; nothing was charged or applied, so state
+// is already consistent.
 //
 // A transient fault fires after the apply: the barrier charges, lets the
 // writes land or the messages deliver, damages the target, then
@@ -356,8 +358,8 @@ func (c *Core) commit(src columnSource) PhaseStatus {
 		}
 	}
 	pc := c.chargePhase(o)
-	if len(c.obs) > 0 { // untraced runs render nothing
-		src.emit()
+	if len(c.obs) > 0 { // unobserved runs record nothing
+		c.observeRecord(src)
 	}
 	src.apply()
 	c.observePhaseEnd(pc)

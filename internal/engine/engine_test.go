@@ -3,10 +3,12 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/cost"
 	"repro/internal/engine"
 )
@@ -497,5 +499,100 @@ func TestValidateConfig(t *testing.T) {
 				t.Fatalf("ValidateConfig = %v, want %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestMemObservedSteadyStateAllocs is the observed twin of the Mem pin:
+// with an EventLog attached and Reset between runs, a warmed-up phase
+// holds the same bound. The cell values are ≥ 1000, past strconv's
+// interned small integers, so a Render per cell at commit would show as
+// an allocation per cell.
+func TestMemObservedSteadyStateAllocs(t *testing.T) {
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p = 64
+		m := newMemMachine(t, p, 4*p, workers)
+		for i := range m.Data() {
+			m.Data()[i] = int64(1000 + i)
+		}
+		ev := &engine.EventLog{}
+		m.AddObserver(ev)
+		body := func(c *engine.MemCtx[int64]) {
+			i := c.Proc()
+			c.Write(3*p+i, c.Read(i)+1000)
+		}
+		m.Phase(body)
+		m.Phase(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			ev.Reset()
+			m.Phase(body)
+		})
+		if avg > allocLimit[workers] {
+			t.Errorf("steady-state observed phase allocates %.1f objects/run, want ≤ %.0f", avg, allocLimit[workers])
+		}
+	})
+}
+
+// TestRouteObservedSteadyStateAllocs is the routing twin, with BSP
+// messages, whose rendering allocates: a warmed-up observed superstep
+// records them without rendering any.
+func TestRouteObservedSteadyStateAllocs(t *testing.T) {
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p = 64
+		m := bsp.MustNew(bsp.Config{P: p, G: 1, L: 1, N: p, PrivCells: 1, Workers: workers})
+		ev := &engine.EventLog{}
+		m.AddObserver(ev)
+		body := func(c *bsp.Ctx) {
+			i := c.Comp()
+			c.Send((i+1)%p, 1000, int64(1000+i))
+			c.Send(i/8, 2000, int64(2000+i))
+		}
+		m.Superstep(body)
+		m.Superstep(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			ev.Reset()
+			m.Superstep(body)
+		})
+		if avg > allocLimit[workers] {
+			t.Errorf("steady-state observed superstep allocates %.1f objects/run, want ≤ %.0f", avg, allocLimit[workers])
+		}
+	})
+}
+
+// TestEventLogResetReusesStorage: Reset keeps and truncates every page
+// of a log, its value stores included, so a recycled log records a wide
+// phase (64Ki read values here) into the storage it already has instead
+// of allocating storage in proportion to the phase.
+func TestEventLogResetReusesStorage(t *testing.T) {
+	const p, k = 64, 1024
+	m := newMemMachine(t, p, p*k+p, 1)
+	ev := &engine.EventLog{}
+	m.AddObserver(ev)
+	body := func(c *engine.MemCtx[int64]) {
+		c.ReadBlock(c.Proc()*k, k)
+		c.Write(p*k+c.Proc(), 1)
+	}
+	for range 3 {
+		ev.Reset()
+		m.Phase(body)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		ev.Reset()
+		m.Phase(body)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Errorf("a recycled log allocates %d bytes per observed phase of %d reads, want ≤ 16 KiB", per, p*k)
 	}
 }

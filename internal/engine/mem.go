@@ -42,7 +42,7 @@ type MemModel[V any] interface {
 // cells into a uint64 word (W = uint64). It owns the phase lifecycle —
 // Phase/ForAll dispatch over request lanes, Grow, Checkpoint/Rollback —
 // and the barrier's gather and poison; the store type embedding it
-// supplies only its codec (apply, emit, corrupt) and is the column
+// supplies only its codec (apply, record, corrupt) and is the column
 // source the barrier reads. C is the store's processor context, which
 // embeds a cursor over W.
 type shared[W, C any] struct {
@@ -340,36 +340,19 @@ func (m *Mem[V]) apply() {
 	}
 }
 
-// emit renders the phase's requests as observer events, one per cell of
-// every run; a fill run's value is rendered once for all its cells. It
-// runs before the writes apply, so read payloads render the start-of-phase
-// contents the readers actually observed.
-func (m *Mem[V]) emit() {
-	for _, l := range m.lanes {
-		c := &l.c
-		r0, w0, v := 0, 0, 0
-		for _, s := range l.spans {
-			for i := r0; i < int(s.r1); {
-				a, n, next := Run(c.readAddrs, i)
-				for ; n > 0; a, n = a+1, n-1 {
-					m.observeRequest(Request{Proc: int(s.proc), Kind: KindRead, Addr: a,
-						Payload: m.model.Render(m.mem[a])})
-				}
-				i = next
-			}
-			for i := w0; i < int(s.w1); {
-				a, n, next, fill := RunFill(c.writes, i)
-				var payload string
-				for k := 0; k < n; a, k = a+1, k+1 {
-					if k == 0 || !fill {
-						payload, v = m.model.Render(c.writeVals[v]), v+1
-					}
-					m.observeRequest(Request{Proc: int(s.proc), Kind: KindWrite, Addr: a, Payload: payload})
-				}
-				i = next
-			}
-			r0, w0 = int(s.r1), int(s.w1)
+// record hands l the phase before the writes apply: the lanes' columns
+// as staged, their write values, and a block copy of the cells the reads
+// observed.
+func (m *Mem[V]) record(l *EventLog) {
+	vals := recordLanes[V, MemCtx[V], V](l, &m.Core, m.lanes, m.model, KindWrite, false)
+	for _, ln := range m.lanes {
+		for i := 0; i < len(ln.cur.readAddrs); {
+			a, n, next := Run(ln.cur.readAddrs, i)
+			vals, i = vals[copy(vals, m.mem[a:int(a)+n]):], next
 		}
+	}
+	for _, ln := range m.lanes {
+		vals = vals[copy(vals, ln.cur.writeVals):]
 	}
 }
 

@@ -209,18 +209,11 @@ func (r *Route[M]) apply() {
 	r.spare, r.inbox = r.inbox, next
 }
 
-// emit renders the superstep's sends as observer events, grouped by
-// ascending sender and in issue order. Addr carries the destination
-// component.
-func (r *Route[M]) emit() {
-	for _, l := range r.lanes {
-		w0 := int32(0)
-		for _, s := range l.spans {
-			for j := w0; j < s.w1; j++ {
-				r.observeRequest(Request{Proc: int(s.proc), Kind: KindSend, Addr: l.cur.writes[j],
-					Payload: r.model.Render(l.cur.writeVals[j])})
-			}
-			w0 = s.w1
-		}
+// record hands l the superstep before delivery: the lanes' destination
+// columns and their messages.
+func (r *Route[M]) record(l *EventLog) {
+	vals := recordLanes[M, Sends[M], M](l, &r.Core, r.lanes, r.model, KindSend, false)
+	for _, ln := range r.lanes {
+		vals = vals[copy(vals, ln.cur.writeVals):]
 	}
 }

@@ -64,8 +64,9 @@ type (
 	Observer = engine.Observer
 	// Request is one observed memory request or message send.
 	Request = engine.Request
-	// EventLog is a ready-made Observer that records the event stream and
-	// renders it to text lines on demand; attach one with Observe.
+	// EventLog is a ready-made Observer that records one record per
+	// committed phase and renders it to text lines, one per request, on
+	// demand; attach one with Observe.
 	EventLog = engine.EventLog
 	// QSMMachine is a shared-memory machine of the QSM family (QSM, s-QSM,
 	// QRQW, CRQW — selected by the constructor used).
