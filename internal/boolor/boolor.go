@@ -43,7 +43,7 @@ func ReadTree(m *qsm.Machine, base, n, fanin int) (int, error) {
 		nw := (width + fanin - 1) / fanin
 		m.Grow(next + nw)
 		curL, widthL := cur, width
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(nw, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < nw; j += p {
 				// Children are contiguous: one block read per node, same
 				// request sequence as the per-child loop.
@@ -81,7 +81,7 @@ func ReadTreeBool(m *qsm.BoolMachine, base, n, fanin int) (int, error) {
 		nw := (width + fanin - 1) / fanin
 		m.Grow(next + nw)
 		curL, widthL := cur, width
-		m.Phase(func(c *qsm.BoolCtx) {
+		m.ForAll(nw, func(c *qsm.BoolCtx) {
 			for j := c.Proc(); j < nw; j += p {
 				cnt := min(fanin, widthL-j*fanin)
 				w := c.ReadWord(curL+j*fanin, cnt)
@@ -115,12 +115,12 @@ func ContentionTree(m *qsm.Machine, base, n, fanin int) (int, error) {
 		// Stage the values read in phase A for use in phase B — the
 		// processors' private memory across the two phases.
 		vals := make([]int64, widthL)
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(widthL, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < widthL; j += p {
 				vals[j] = c.Read(curL + j)
 			}
 		})
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(widthL, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < widthL; j += p {
 				if vals[j] != 0 {
 					c.Write(next+j/fanin, 1)
@@ -137,8 +137,9 @@ func ContentionTree(m *qsm.Machine, base, n, fanin int) (int, error) {
 // re-partitioned over the surviving processors, so crashes shift work to
 // survivors instead of silently dropping cells (a dropped read would turn
 // a 1-bearing cell into a silent 0 — the failure mode degradation
-// exists to prevent). Fails with a diagnosable error once every
-// processor has crashed.
+// exists to prevent). Each phase dispatches only up to the highest
+// survivor that owns a cell (see qsm.Machine.SurvivorRanks). Fails with
+// a diagnosable error once every processor has crashed.
 func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 	if err := checkInput(m.MemSize(), base, n); err != nil {
 		return 0, err
@@ -157,11 +158,12 @@ func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 		// the read barrier must not leave its slice unwritten in the
 		// write phase. vals is indexed by cell, not processor, so the two
 		// phases may stride differently.
-		rankA, nsA := survivorRanks(m)
+		survA, rankA, activeA := m.SurvivorRanks(widthL)
+		nsA := len(survA)
 		if nsA == 0 {
 			return 0, fmt.Errorf("boolor: all %d processors crashed", m.P())
 		}
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(activeA, func(c *qsm.Ctx) {
 			r := rankA[c.Proc()]
 			if r < 0 {
 				return
@@ -170,11 +172,12 @@ func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 				vals[j] = c.Read(curL + j)
 			}
 		})
-		rankB, nsB := survivorRanks(m)
+		survB, rankB, activeB := m.SurvivorRanks(widthL)
+		nsB := len(survB)
 		if nsB == 0 {
 			return 0, fmt.Errorf("boolor: all %d processors crashed", m.P())
 		}
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(activeB, func(c *qsm.Ctx) {
 			r := rankB[c.Proc()]
 			if r < 0 {
 				return
@@ -191,22 +194,6 @@ func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 		cur, width = next, nw
 	}
 	return cur, m.Err()
-}
-
-// survivorRanks maps each processor to its dense rank among the
-// survivors (−1 for masked processors) and returns the survivor count.
-func survivorRanks(m *qsm.Machine) ([]int, int) {
-	rank := make([]int, m.P())
-	ns := 0
-	for i := range rank {
-		if m.CrashedProc(i) {
-			rank[i] = -1
-		} else {
-			rank[i] = ns
-			ns++
-		}
-	}
-	return rank, ns
 }
 
 // RoundsSQSM is the p-processor rounds algorithm for the s-QSM (and, by the
@@ -241,7 +228,7 @@ func RoundsQSM(m *qsm.Machine, base, n int) (int, error) {
 		width = n
 	}
 	m.Grow(mid + width)
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll((n+blk-1)/blk, func(c *qsm.Ctx) {
 		i := c.Proc()
 		lo := i * blk
 		if lo >= n {

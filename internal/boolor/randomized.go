@@ -36,12 +36,12 @@ func RandomizedOR(m *qsm.Machine, rng *rand.Rand, base, n int) (int, error) {
 	m.Grow(disp + n)
 	p := m.P()
 	vals := make([]int64, n)
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < n; j += p {
 			vals[j] = c.Read(base + j)
 		}
 	})
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < n; j += p {
 			c.Write(disp+perm[j], vals[j])
 		}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,4 +142,83 @@ func TestChaosStreamGolden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("event stream diverges from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+}
+
+// degradedPlans are the crash plans TestChaosStreamGoldenDegraded pins,
+// by name. "low" masks the four lowest-numbered processors one phase
+// after another, so survivor rank k sits above processor k and a phase
+// that dispatches by item index instead of survivor rank drops work.
+// "cutoff" masks processor 0, then at phase 1 crashes processor n/4:
+// the highest processor that phase dispatches to the parity tree's
+// n/4 nodes, so the next phase's last survivor rank moves past it.
+func degradedPlans(n int) [][2]string {
+	return [][2]string{
+		{"low", "crash@0:p0,crash@1:p1,crash@2:p2,crash@3:p3"},
+		{"cutoff", fmt.Sprintf("crash@0:p0,crash@1:p%d", n/4)},
+	}
+}
+
+// TestChaosStreamGoldenDegraded pins the degraded runners byte for
+// byte: for parity, or and lac on qsm at n = 16 and 64 under each crash
+// plan of degradedPlans, the fault log, the fault report, the outcome
+// and the rendered event stream. Regenerate deliberately with:
+//
+//	go test ./internal/chaos -run TestChaosStreamGoldenDegraded -update
+func TestChaosStreamGoldenDegraded(t *testing.T) {
+	for _, alg := range []string{"parity", "or", "lac"} {
+		for _, n := range []int{16, 64} {
+			for _, plan := range degradedPlans(n) {
+				name := fmt.Sprintf("%s_n%d_%s", alg, n, plan[0])
+				t.Run(name, func(t *testing.T) {
+					specs, err := fault.ParseSpecs(plan[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc := Scenario{Model: "qsm", Alg: alg, N: n, Seed: 1, Specs: specs, Degraded: true}
+					o := Run(nil, sc, DefaultDeadline, 0)
+					if err := o.Invariant(); err != nil {
+						t.Fatal(err)
+					}
+					if o.Report == nil || o.Report.MaskedProcs == 0 {
+						t.Fatalf("%s: the plan masked no processor: %v", sc.Name(), o.Report)
+					}
+					var b strings.Builder
+					fmt.Fprintf(&b, "scenario %s\nverified %t\nerr %v\n", sc.Name(), o.Verified, o.Err)
+					for _, l := range o.FaultLines {
+						fmt.Fprintf(&b, "fault %s\n", l)
+					}
+					fmt.Fprintf(&b, "%s\n", o.Report)
+					b.WriteString(o.Stream())
+					got := b.String()
+					golden := filepath.Join("testdata", "degraded", name+".golden")
+					if *update {
+						if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, err := os.ReadFile(golden)
+					if err != nil {
+						t.Fatalf("%v (run with -update to create it)", err)
+					}
+					if got != string(want) {
+						t.Fatalf("degraded run diverges from %s:\n%s", golden, firstDiff(got, string(want)))
+					}
+				})
+			}
+		}
+	}
+}
+
+// firstDiff names the first line at which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < min(len(g), len(w)); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\ngot:  %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }

@@ -1,9 +1,10 @@
 package compaction
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/bsp"
 )
@@ -28,14 +29,17 @@ type BSPPlacement struct {
 	Slot int
 }
 
-// PlacedSlots returns the placements ordered by global slot — the
-// deterministic iteration view of Placed.
+// PlacedSlots returns the placements ordered by global slot, then by
+// tag — the deterministic iteration view of Placed, a total order even
+// when two tags share a slot.
 func (r *BSPDartResult) PlacedSlots() []BSPPlacement {
 	ps := make([]BSPPlacement, 0, len(r.Placed))
-	for tag, loc := range r.Placed { //lint:maporder-ok slice is sorted by slot before return
+	for tag, loc := range r.Placed { //lint:maporder-ok slice is sorted by (slot, tag) before return
 		ps = append(ps, BSPPlacement{Tag: tag, Comp: loc[0], Slot: loc[1]})
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Slot < ps[j].Slot })
+	slices.SortFunc(ps, func(a, b BSPPlacement) int {
+		return cmp.Or(cmp.Compare(a.Slot, b.Slot), cmp.Compare(a.Tag, b.Tag))
+	})
 	return ps
 }
 

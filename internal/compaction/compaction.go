@@ -22,8 +22,10 @@
 package compaction
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/bsp"
@@ -55,14 +57,18 @@ type Placement struct {
 	Cell int
 }
 
-// PlacedSlots returns the placements ordered by output cell — the
-// deterministic iteration view of Placed for ranking and rendering.
+// PlacedSlots returns the placements ordered by output cell, then by tag
+// — the deterministic iteration view of Placed for ranking and
+// rendering. The order is total, so even a corrupt result whose tags
+// share a cell lists them the same way on every call.
 func (r *DartResult) PlacedSlots() []Placement {
 	ps := make([]Placement, 0, len(r.Placed))
-	for tag, cell := range r.Placed { //lint:maporder-ok slice is sorted by cell before return
+	for tag, cell := range r.Placed { //lint:maporder-ok slice is sorted by (cell, tag) before return
 		ps = append(ps, Placement{Tag: tag, Cell: cell})
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Cell < ps[j].Cell })
+	slices.SortFunc(ps, func(a, b Placement) int {
+		return cmp.Or(cmp.Compare(a.Cell, b.Cell), cmp.Compare(a.Tag, b.Tag))
+	})
 	return ps
 }
 
@@ -104,6 +110,12 @@ func DartLAC(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, error) {
 	res := &DartResult{OutBase: m.MemSize(), Placed: make(map[int64]int)}
 	maxRounds := 4*log2ceil(n) + 8
 
+	// The darts' private state, indexed by item (= processor), allocated
+	// once: a round writes slot and won for its live darts before it
+	// reads them, and clears inRound for the darts it places.
+	slot := make([]int, n)
+	inRound := make([]bool, n)
+	won := make([]int64, n)
 	for len(live) > 0 {
 		if res.Rounds >= maxRounds {
 			return nil, fmt.Errorf("compaction: dart LAC did not converge in %d rounds (%d items left)",
@@ -116,21 +128,21 @@ func DartLAC(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, error) {
 		res.OutSize += segSize
 
 		// Each live item picks a slot (its processor's private coin).
-		slot := make([]int, m.P())
-		inRound := make([]bool, m.P())
 		for _, d := range live {
 			slot[d.item] = segBase + rng.Intn(segSize)
 			inRound[d.item] = true
 		}
+		// live is in ascending item order, so the round's processors all
+		// sit below its last dart's: the phases dispatch up to it.
+		active := live[len(live)-1].item + 1
 		// Phase A: throw (queued writes; an arbitrary writer per cell wins).
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			if inRound[c.Proc()] {
 				c.Write(slot[c.Proc()], int64(c.Proc())+1)
 			}
 		})
 		// Phase B: read back; winners claim their slot.
-		won := make([]int64, m.P())
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			if inRound[c.Proc()] {
 				won[c.Proc()] = c.Read(slot[c.Proc()])
 			}
@@ -138,10 +150,11 @@ func DartLAC(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, error) {
 		if m.Err() != nil {
 			return nil, m.Err()
 		}
-		var next []dart
+		next := live[:0]
 		for _, d := range live {
 			if won[d.item] == d.tag {
 				res.Placed[d.tag] = slot[d.item]
+				inRound[d.item] = false
 			} else {
 				next = append(next, d)
 			}
@@ -170,13 +183,13 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		return nil, fmt.Errorf("compaction: dart LAC needs ≥ n=%d processors, have %d", n, m.P())
 	}
 
-	surv, rank := survivorRanks(m)
+	surv, rank, active := m.SurvivorRanks(n)
 	if len(surv) == 0 {
 		return nil, fmt.Errorf("compaction: all %d processors crashed", m.P())
 	}
 	ns := len(surv)
 	vals := make([]int64, n)
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(active, func(c *qsm.Ctx) {
 		r := rank[c.Proc()]
 		if r < 0 {
 			return
@@ -202,6 +215,13 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 	res := &DartResult{OutBase: m.MemSize(), Placed: make(map[int64]int)}
 	maxRounds := 4*log2ceil(n) + 8
 
+	// Per-processor request columns, allocated once: a survivor's dealt
+	// darts (assign), their throw addresses and tags, and what its
+	// read-back saw. Every round truncates the ones it filled.
+	assign := make([][]int, m.P())
+	wAddrs := make([][]int32, m.P())
+	wVals := make([][]int64, m.P())
+	back := make([][]int64, m.P())
 	for len(live) > 0 {
 		if res.Rounds >= maxRounds {
 			return nil, fmt.Errorf("compaction: dart LAC did not converge in %d rounds (%d items left)",
@@ -213,7 +233,10 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		m.Grow(segBase + segSize)
 		res.OutSize += segSize
 
-		surv, rank = survivorRanks(m)
+		// The throwers are survivors by rank, not items: dart k goes to
+		// the survivor of rank k mod ns, so the phases dispatch up to the
+		// highest survivor dealt a dart.
+		surv, _, active = m.SurvivorRanks(len(live))
 		if len(surv) == 0 {
 			return nil, fmt.Errorf("compaction: all %d processors crashed (round %d, %d items live)",
 				m.P(), res.Rounds, len(live))
@@ -222,10 +245,7 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		// dart in live order (deterministic for the run's crash history).
 		// Each survivor's darts become one request column pair, submitted
 		// whole: throw addresses with tags (phase A), read-backs (phase B).
-		assign := make([][]int, m.P())
 		slotOf := make([]int, len(live))
-		wAddrs := make([][]int32, m.P())
-		wVals := make([][]int64, m.P())
 		for k := range live {
 			pr := surv[k%len(surv)]
 			assign[pr] = append(assign[pr], k)
@@ -234,13 +254,12 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 			wVals[pr] = append(wVals[pr], live[k].tag)
 		}
 		// Phase A: throw (queued writes; an arbitrary writer per cell wins).
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			c.WriteBatch(wAddrs[c.Proc()], wVals[c.Proc()])
 		})
 		// Phase B: read back; winners claim their slot. A crash between
-		// the phases leaves a nil column for its darts — they stay live.
-		back := make([][]int64, m.P())
-		m.Phase(func(c *qsm.Ctx) {
+		// the phases leaves an empty column for its darts — they stay live.
+		m.ForAll(active, func(c *qsm.Ctx) {
 			pr := c.Proc()
 			back[pr] = c.ReadBatch(wAddrs[pr], back[pr][:0])
 		})
@@ -248,12 +267,13 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 			return nil, m.Err()
 		}
 		won := make([]int64, len(live))
-		for pr, ks := range assign {
+		for pr, ks := range assign[:active] {
 			for i := 0; i < len(back[pr]) && i < len(ks); i++ {
 				won[ks[i]] = back[pr][i]
 			}
+			assign[pr], wAddrs[pr], wVals[pr], back[pr] = ks[:0], wAddrs[pr][:0], wVals[pr][:0], back[pr][:0]
 		}
-		var next []dart
+		next := live[:0]
 		for k, d := range live {
 			if won[k] == d.tag {
 				res.Placed[d.tag] = slotOf[k]
@@ -264,20 +284,6 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		live = next
 	}
 	return res, m.Err()
-}
-
-// survivorRanks returns the surviving processor ids and a per-processor
-// dense-rank map (−1 for masked processors).
-func survivorRanks(m *qsm.Machine) (surv []int, rank []int) {
-	surv = m.Survivors()
-	rank = make([]int, m.P())
-	for i := range rank {
-		rank[i] = -1
-	}
-	for r, pr := range surv {
-		rank[pr] = r
-	}
-	return surv, rank
 }
 
 // VerifyPlacement checks a dart-compaction result for soundness against
@@ -338,7 +344,7 @@ func DetLAC(m *qsm.Machine, base, n, fanin int) (out, k int, err error) {
 	ind := m.MemSize()
 	m.Grow(ind + n)
 	p := m.P()
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < n; j += p {
 			v := c.Read(base + j)
 			var b int64
@@ -358,7 +364,7 @@ func DetLAC(m *qsm.Machine, base, n, fanin int) (out, k int, err error) {
 
 	out = m.MemSize()
 	m.Grow(out + max(k, 1))
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < n; j += p {
 			v := c.Read(base + j)
 			r := c.Read(ranks + j)
@@ -397,7 +403,7 @@ func LoadBalance(m *qsm.Machine, base, n, fanin, maxPer int) (out int, h int, er
 	m.Grow(out + max(h, 1))
 
 	p := m.P()
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < n; j += p {
 			cnt := c.Read(base + j)
 			end := c.Read(offsets + j)
@@ -445,7 +451,7 @@ func (r *CLBResult) RowAssignments() []GroupRows {
 	for g, rows := range r.DestRows { //lint:maporder-ok slice is sorted by group before return
 		gs = append(gs, GroupRows{Group: g, Rows: rows})
 	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Group < gs[j].Group })
+	slices.SortFunc(gs, func(a, b GroupRows) int { return cmp.Compare(a.Group, b.Group) })
 	return gs
 }
 
@@ -503,7 +509,7 @@ func SolveCLB(m *qsm.Machine, rng *rand.Rand, inst *workload.CLB, base int) (*CL
 	for r, pl := range ps {
 		rankOf[int(pl.Tag)-1] = r
 	}
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		r, ok := rankOf[c.Proc()]
 		if !ok {
 			return

@@ -376,3 +376,30 @@ func TestDartLACAdversarialSourceStillCorrectWhenFeasible(t *testing.T) {
 		t.Errorf("rounds = %d, want exactly h=%d (one retirement per round)", res.Rounds, h)
 	}
 }
+
+// Two tags that share a cell are a corrupt result; VerifyPlacement must
+// name them the same way on every call, although Placed is a map whose
+// iteration order changes from one call to the next.
+func TestVerifyPlacementSharedCellStable(t *testing.T) {
+	input := []int64{1, 1, 1}
+	r := &DartResult{OutBase: 10, OutSize: 8, Placed: map[int64]int{1: 12, 2: 12, 3: 15}}
+	first := VerifyPlacement(input, r)
+	if first == nil {
+		t.Fatal("a shared cell passed verification")
+	}
+	for i := 0; i < 50; i++ {
+		if err := VerifyPlacement(input, r); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: %v, first call: %v", i, err, first)
+		}
+	}
+	if want := "compaction: tags 1 and 2 share cell 12"; first.Error() != want {
+		t.Errorf("error %q, want %q", first, want)
+	}
+	b := &BSPDartResult{Placed: map[int64][2]int{5: {0, 3}, 4: {0, 3}, 6: {1, 1}}}
+	want := []BSPPlacement{{6, 1, 1}, {4, 0, 3}, {5, 0, 3}}
+	for i := 0; i < 50; i++ {
+		if got := b.PlacedSlots(); len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Fatalf("call %d: BSP PlacedSlots %v, want %v", i, got, want)
+		}
+	}
+}

@@ -334,7 +334,9 @@ func (g *MemMerger) ascend(procs []int32, cols [][]int32, write, packed bool) {
 			case s > last:
 				k = 1
 			case s < last:
-				g.broke = true
+				// Give up, but keep the grown scratch: without the store
+				// back, a phase that is not ascending regrows it every time.
+				g.broke, g.readIvs = true, ivs
 				return
 			case pr != lp:
 				k++
@@ -351,7 +353,7 @@ func (g *MemMerger) ascend(procs []int32, cols [][]int32, write, packed bool) {
 					next++
 				}
 				if next < len(ivs) && ivs[next].s < e {
-					g.broke = true
+					g.broke, g.readIvs = true, ivs
 					return
 				}
 			}

@@ -276,3 +276,34 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestDescendingRunPhaseAllocs pins the ascending merge's give-up path:
+// a phase whose processors read one plain cell and then a two-cell block
+// stages a run, so the barrier tries the ascending walk, which gives up
+// at processor 1's descent. Once warm, that phase must allocate no more
+// than the same phase without the plain read (which never gives up):
+// the walk keeps the read-interval scratch it grew before giving up.
+func TestDescendingRunPhaseAllocs(t *testing.T) {
+	forEachBarrier(t, func(t *testing.T, workers int) {
+		const p = 64
+		warm := func(body func(c *engine.MemCtx[int64])) float64 {
+			m := newMemMachine(t, p, 3*p, workers)
+			m.Phase(body)
+			m.Phase(body)
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(100, func() { m.Phase(body) })
+		}
+		block := warm(func(c *engine.MemCtx[int64]) {
+			c.ReadBlock(p+2*c.Proc(), 2)
+		})
+		descending := warm(func(c *engine.MemCtx[int64]) {
+			c.Read(c.Proc())
+			c.ReadBlock(p+2*c.Proc(), 2)
+		})
+		if descending > block {
+			t.Errorf("descending-run phase allocates %.1f objects/run, the block-only phase %.1f", descending, block)
+		}
+	})
+}

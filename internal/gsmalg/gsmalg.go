@@ -40,9 +40,8 @@ func GatherTree(m *gsm.Machine, r, fanin int) (int, error) {
 	for width > 1 {
 		nw := (width + fanin - 1) / fanin
 		curL, widthL, nextL := cur, width, next
-		m.Phase(func(c *gsm.Ctx) {
-			j := c.Proc()
-			for ; j < nw; j += m.P() {
+		m.ForAll(nw, func(c *gsm.Ctx) {
+			for j := c.Proc(); j < nw; j += m.P() {
 				// A node's children are contiguous: one block read per
 				// node, then the free local merge.
 				cnt := min(fanin, widthL-j*fanin)

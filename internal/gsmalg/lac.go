@@ -1,9 +1,10 @@
 package gsmalg
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/gsm"
 )
@@ -33,14 +34,17 @@ type Placement struct {
 	Cell int
 }
 
-// PlacedSlots returns the placements ordered by output cell — the
-// deterministic iteration view of Placed.
+// PlacedSlots returns the placements ordered by output cell, then by tag
+// — the deterministic iteration view of Placed, a total order even when
+// two tags share a cell.
 func (r *LACResult) PlacedSlots() []Placement {
 	ps := make([]Placement, 0, len(r.Placed))
-	for tag, cell := range r.Placed { //lint:maporder-ok slice is sorted by cell before return
+	for tag, cell := range r.Placed { //lint:maporder-ok slice is sorted by (cell, tag) before return
 		ps = append(ps, Placement{Tag: tag, Cell: cell})
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Cell < ps[j].Cell })
+	slices.SortFunc(ps, func(a, b Placement) int {
+		return cmp.Or(cmp.Compare(a.Cell, b.Cell), cmp.Compare(a.Tag, b.Tag))
+	})
 	return ps
 }
 
@@ -67,11 +71,8 @@ func DartLACGSM(m *gsm.Machine, rng *rand.Rand, n int) (*LACResult, error) {
 
 	// Phase 0: processor i reads input cell i and learns its items.
 	itemsOf := make([][]int64, r)
-	m.Phase(func(c *gsm.Ctx) {
+	m.ForAll(r, func(c *gsm.Ctx) {
 		i := c.Proc()
-		if i >= r {
-			return
-		}
 		for _, a := range c.Read(i) {
 			if _, v := gsm.AtomInput(a); v != 0 {
 				idx, _ := gsm.AtomInput(a)
@@ -113,11 +114,8 @@ func DartLACGSM(m *gsm.Machine, rng *rand.Rand, n int) (*LACResult, error) {
 		}
 		// Throw phase: every live item's owner writes the tag to its slot
 		// (strong queuing merges collisions — nothing is lost).
-		m.Phase(func(c *gsm.Ctx) {
+		m.ForAll(r, func(c *gsm.Ctx) {
 			i := c.Proc()
-			if i >= r {
-				return
-			}
 			for _, d := range live {
 				if d.owner == i {
 					c.Write(slotOf[d.tag], gsm.NewInfo(d.tag))
@@ -128,11 +126,8 @@ func DartLACGSM(m *gsm.Machine, rng *rand.Rand, n int) (*LACResult, error) {
 		// in the slot (the deterministic queue winner).
 		winner := make(map[int64]bool, len(live))
 		winMu := make([][]int64, r)
-		m.Phase(func(c *gsm.Ctx) {
+		m.ForAll(r, func(c *gsm.Ctx) {
 			i := c.Proc()
-			if i >= r {
-				return
-			}
 			for _, d := range live {
 				if d.owner != i {
 					continue
@@ -166,11 +161,8 @@ func DartLACGSM(m *gsm.Machine, rng *rand.Rand, n int) (*LACResult, error) {
 	// the destinations of the items it owns.
 	res.PointerBase = base + res.OutSize
 	m.Grow(res.PointerBase + r)
-	m.Phase(func(c *gsm.Ctx) {
+	m.ForAll(r, func(c *gsm.Ctx) {
 		i := c.Proc()
-		if i >= r {
-			return
-		}
 		var ptrs gsm.Info
 		for _, tag := range itemsOf[i] {
 			ptrs = ptrs.Merge(gsm.NewInfo(int64(res.Placed[tag])))

@@ -146,3 +146,15 @@ func TestDartLACGSMRounds(t *testing.T) {
 		t.Errorf("placed %d, want %d", len(res.Placed), n/2)
 	}
 }
+
+// PlacedSlots is a total order: tags that share a cell come out by tag
+// on every call, whatever order the Placed map iterates in.
+func TestPlacedSlotsTotalOrder(t *testing.T) {
+	r := &LACResult{Placed: map[int64]int{7: 4, 3: 4, 9: 2}}
+	want := []Placement{{9, 2}, {3, 4}, {7, 4}}
+	for i := 0; i < 50; i++ {
+		if got := r.PlacedSlots(); len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Fatalf("call %d: PlacedSlots %v, want %v", i, got, want)
+		}
+	}
+}

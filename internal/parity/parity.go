@@ -32,7 +32,9 @@ const MaxFanin = 64
 
 // TreeQSM computes the parity of the n bits at [base, base+n) with a k-ary
 // XOR tree and returns the address of the 1-cell result. Any processor
-// count works: oversubscribed levels are strided (raising the charged m_rw).
+// count works: oversubscribed levels are strided (raising the charged m_rw),
+// and a level with fewer nodes than processors dispatches only the
+// processors that own a node.
 func TreeQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 	if err := checkInput(m.MemSize(), base, n); err != nil {
 		return 0, err
@@ -47,7 +49,7 @@ func TreeQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 		nw := (width + fanin - 1) / fanin
 		m.Grow(next + nw)
 		curL, widthL := cur, width
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(nw, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < nw; j += p {
 				// A node's children are contiguous, so one block read
 				// replaces the per-child read loop: same addresses, same
@@ -85,7 +87,7 @@ func TreeBool(m *qsm.BoolMachine, base, n, fanin int) (int, error) {
 		nw := (width + fanin - 1) / fanin
 		m.Grow(next + nw)
 		curL, widthL := cur, width
-		m.Phase(func(c *qsm.BoolCtx) {
+		m.ForAll(nw, func(c *qsm.BoolCtx) {
 			for j := c.Proc(); j < nw; j += p {
 				cnt := min(fanin, widthL-j*fanin)
 				w := c.ReadWord(curL+j*fanin, cnt)
@@ -103,8 +105,9 @@ func TreeBool(m *qsm.BoolMachine, base, n, fanin int) (int, error) {
 // (non-crashed) processors, so a processor crash shifts its tree slice to
 // the survivors instead of silently dropping it. The charged m_rw rises
 // as survivors take over more work — the natural model-time price of
-// degradation. Fails with a diagnosable error if every processor has
-// crashed.
+// degradation. A phase dispatches only up to the highest survivor that
+// owns a node (see qsm.Machine.SurvivorRanks). Fails with a diagnosable
+// error if every processor has crashed.
 func TreeQSMDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 	if err := checkInput(m.MemSize(), base, n); err != nil {
 		return 0, err
@@ -114,15 +117,16 @@ func TreeQSMDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 	}
 	cur, width := base, n
 	for width > 1 {
-		rank, ns := survivorRanks(m)
+		next := m.MemSize()
+		nw := (width + fanin - 1) / fanin
+		surv, rank, active := m.SurvivorRanks(nw)
+		ns := len(surv)
 		if ns == 0 {
 			return 0, fmt.Errorf("parity: all %d processors crashed", m.P())
 		}
-		next := m.MemSize()
-		nw := (width + fanin - 1) / fanin
 		m.Grow(next + nw)
 		curL, widthL := cur, width
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(active, func(c *qsm.Ctx) {
 			r := rank[c.Proc()]
 			if r < 0 {
 				return
@@ -143,24 +147,6 @@ func TreeQSMDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 		cur, width = next, nw
 	}
 	return cur, m.Err()
-}
-
-// survivorRanks maps each processor to its dense rank among the
-// survivors (−1 for masked processors) and returns the survivor count.
-// Degraded runners recompute it before every phase: a crash lands at a
-// phase barrier and masks from the next phase on.
-func survivorRanks(m *qsm.Machine) ([]int, int) {
-	rank := make([]int, m.P())
-	ns := 0
-	for i := range rank {
-		if m.CrashedProc(i) {
-			rank[i] = -1
-		} else {
-			rank[i] = ns
-			ns++
-		}
-	}
-	return rank, ns
 }
 
 // TreeQSMRounds is the p-processor rounds algorithm: fan-in max(2, ⌈n/p⌉).

@@ -72,21 +72,22 @@ func RunQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 
 	// When a level has more nodes than processors, each processor handles a
 	// strided set of nodes within the phase (raising its m_rw accordingly —
-	// exactly the p-processor cost the model charges).
-	strided := func(width int, node func(c *qsm.Ctx, j int)) func(c *qsm.Ctx) {
+	// exactly the p-processor cost the model charges). When it has fewer,
+	// only the processors that own a node are dispatched.
+	strided := func(width int, node func(c *qsm.Ctx, j int)) {
 		p := m.P()
-		return func(c *qsm.Ctx) {
+		m.ForAll(width, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < width; j += p {
 				node(c, j)
 			}
-		}
+		})
 	}
 
 	// Up-sweep: the processor owning node j sums its ≤ fanin children.
 	for h := 1; h < nLevels; h++ {
 		h := h
 		childW := widths[h-1]
-		m.Phase(strided(widths[h], func(c *qsm.Ctx, j int) {
+		strided(widths[h], func(c *qsm.Ctx, j int) {
 			// Children are contiguous: one block read per node.
 			cnt := min(fanin, childW-j*fanin)
 			var s int64
@@ -95,7 +96,7 @@ func RunQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 				c.Op(1)
 			}
 			c.Write(sumBase[h]+j, s)
-		}))
+		})
 	}
 
 	// Root offset is 0.
@@ -109,7 +110,7 @@ func RunQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 	for h := top; h >= 1; h-- {
 		h := h
 		childW := widths[h-1]
-		m.Phase(strided(widths[h], func(c *qsm.Ctx, j int) {
+		strided(widths[h], func(c *qsm.Ctx, j int) {
 			off := c.Read(offBase[h] + j)
 			cnt := min(fanin, childW-j*fanin)
 			kids := c.ReadBlock(sumBase[h-1]+j*fanin, cnt)
@@ -123,16 +124,16 @@ func RunQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 				run += kids[i]
 			}
 			c.WriteBlock(offBase[h-1]+j*fanin, offs[:cnt])
-		}))
+		})
 	}
 
 	// Final phase: leaf j's inclusive prefix = its offset + its value.
-	m.Phase(strided(widths[0], func(c *qsm.Ctx, j int) {
+	strided(widths[0], func(c *qsm.Ctx, j int) {
 		v := c.Read(base + j)
 		o := c.Read(offBase[0] + j)
 		c.Op(1)
 		c.Write(out+j, o+v)
-	}))
+	})
 
 	return out, m.Err()
 }

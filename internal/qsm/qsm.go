@@ -159,6 +159,31 @@ func (m *Machine) PeekRange(addr, k int) []int64 {
 	return out
 }
 
+// SurvivorRanks ranks the processors that have not crashed, for a
+// degraded runner that deals work item j to the survivor of rank
+// j mod ns: surv lists the survivors in ascending order (surv[r] holds
+// rank r, ns = len(surv)), and rank[i] is processor i's rank, −1 once it
+// is masked. width is the dispatch width that covers the survivors of
+// the first k ranks — one past surv[min(k, ns)−1], 0 when k ≤ 0 or no
+// processor survives — so ForAll(width, …) runs every processor that
+// gets an item and none past the last of them. Runners take the ranks
+// again before each phase: a crash lands at a phase barrier and masks
+// from the next phase on.
+func (m *Machine) SurvivorRanks(k int) (surv, rank []int, width int) {
+	surv = m.Survivors()
+	rank = make([]int, m.P())
+	for i := range rank {
+		rank[i] = -1
+	}
+	for r, pr := range surv {
+		rank[pr] = r
+	}
+	if k = min(k, len(surv)); k > 0 {
+		width = surv[k-1] + 1
+	}
+	return surv, rank, width
+}
+
 // ErrViolation wraps QSM memory-access-rule violations.
 var ErrViolation = errors.New("qsm: memory access rule violation")
 

@@ -48,7 +48,7 @@ func ListRankQSM(m *qsm.Machine, base, n int) (int, error) {
 	m.Grow(rankB + n)
 
 	// Init: rank = 0 for the tail, 1 otherwise; next copied.
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < n; j += p {
 			nx := c.Read(base + j)
 			var r int64
@@ -67,7 +67,7 @@ func ListRankQSM(m *qsm.Machine, base, n int) (int, error) {
 		// Phase A: read own (next, rank).
 		nxVal := make([]int64, n)
 		rVal := make([]int64, n)
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(n, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < n; j += p {
 				nxVal[j] = c.Read(curNL + j)
 				rVal[j] = c.Read(curRL + j)
@@ -75,7 +75,7 @@ func ListRankQSM(m *qsm.Machine, base, n int) (int, error) {
 		})
 		// Phase B: read successor's (next, rank) — addresses depend only on
 		// the previous phase — and write the jumped state.
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(n, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < n; j += p {
 				nx := int(nxVal[j])
 				nnx := c.Read(curNL + nx)
@@ -136,7 +136,7 @@ func ParityViaList(m *qsm.Machine, base, n int) (int64, error) {
 
 	// Build the list in-model: the processor(s) owning layer i read bit i
 	// and write both layer-i successor cells.
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(n, func(c *qsm.Ctx) {
 		for i := c.Proc(); i < n; i += p {
 			x := c.Read(base+i) & 1
 			c.Op(1)
@@ -155,7 +155,7 @@ func ParityViaList(m *qsm.Machine, base, n int) (int64, error) {
 	curB := m.MemSize()
 	nxtB := curB + ln
 	m.Grow(nxtB + ln)
-	m.Phase(func(c *qsm.Ctx) {
+	m.ForAll(ln, func(c *qsm.Ctx) {
 		for j := c.Proc(); j < ln; j += p {
 			c.Write(curB+j, c.Read(listBase+j))
 		}
@@ -164,12 +164,12 @@ func ParityViaList(m *qsm.Machine, base, n int) (int64, error) {
 	for span := 1; span < ln; span <<= 1 {
 		curL, nxtL := cur, nxt
 		nxVal := make([]int64, ln)
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(ln, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < ln; j += p {
 				nxVal[j] = c.Read(curL + j)
 			}
 		})
-		m.Phase(func(c *qsm.Ctx) {
+		m.ForAll(ln, func(c *qsm.Ctx) {
 			for j := c.Proc(); j < ln; j += p {
 				c.Write(nxtL+j, c.Read(curL+int(nxVal[j])))
 			}
