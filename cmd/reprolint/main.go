@@ -2,23 +2,25 @@
 // the determinism contracts (maporder, wallclock), the
 // commit-barrier contract (barrier: sanctioned engine writers, read-only
 // observers, one injector consult from Core.commit), the interprocedural
-// fault/checkpoint/sentinel contracts (sentinelwrap, snapshotdeep,
-// costbalance) built on per-function fact summaries, the CFG-based
-// dataflow contracts (hotpathalloc, colescape), and the concurrency
-// contracts (goleak, lockorder, atomicmix) covering goroutine lifecycle,
-// lock discipline and atomic access discipline. The directives check
-// reports //lint:<name>-ok directives that name no analyzer and unknown
-// or misplaced //repro: markers. The engine declares the facts the
-// dataflow checks need at the declaration itself: //repro:pooled on the
-// fields holding phase-scoped pooled storage (colescape) and //repro:hot
-// on the commit-path roots (hotpathalloc).
+// fault/sentinel contracts (sentinelwrap, costbalance) built on
+// per-function fact summaries, the CFG-based dataflow contract
+// (colescape), and the concurrency contracts (goleak, lockorder,
+// atomicmix) covering goroutine lifecycle, lock discipline and atomic
+// access discipline. The directives check reports //lint:<name>-ok
+// directives that name no analyzer and unknown or misplaced //repro:
+// markers. The engine declares the facts colescape needs at the
+// declaration itself: //repro:pooled on the fields holding phase-scoped
+// pooled storage.
 // Two invariants once policed here are structural instead: the packed
 // bit-write encoding has one codec, engine.PackWrite (pinned by
 // TestPackWriteRoundTrip and FuzzBarrierDifferential's word-vs-bit
 // check), and each proc wire frame has one encode/decode pair in
-// internal/backend/proc/proto.go (pinned by FuzzFrameCodec). A third is
-// a test: internal/core's TestRegistryRerunIsIdentical runs every registry
-// point twice in one process, so a draw from math/rand's global source fails.
+// internal/backend/proc/proto.go (pinned by FuzzFrameCodec). Others are
+// tests: internal/core's TestRegistryRerunIsIdentical runs every registry
+// point twice in one process, so a draw from math/rand's global source
+// fails; the engine's SteadyStateAllocs tests pin a warm phase's exact
+// allocation count; and TestRollbackRestoresCostExactly checks that a
+// rolled-back phase leaves exactly the state it started from.
 //
 // It runs two ways. As a standalone driver over package patterns:
 //

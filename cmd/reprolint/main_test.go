@@ -77,10 +77,14 @@ func TestVetToolProtocol(t *testing.T) {
 	for _, fl := range flags {
 		names[fl.Name] = true
 	}
-	for _, want := range []string{"json", "maporder", "sentinelwrap", "snapshotdeep", "costbalance", "barrier", "hotpathalloc", "colescape", "goleak", "lockorder", "atomicmix", "directives"} {
-		if !names[want] {
-			t.Errorf("-flags missing %q: %s", want, out)
+	want := []string{"json", "maporder", "wallclock", "barrier", "sentinelwrap", "costbalance", "colescape", "goleak", "lockorder", "atomicmix", "directives"}
+	for _, w := range want {
+		if !names[w] {
+			t.Errorf("-flags missing %q: %s", w, out)
 		}
+	}
+	if len(names) != len(want) {
+		t.Errorf("-flags lists %d flags, want exactly %q: %s", len(names), want, out)
 	}
 
 	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")

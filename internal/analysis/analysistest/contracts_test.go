@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/costbalance"
 	"repro/internal/analysis/sentinelwrap"
-	"repro/internal/analysis/snapshotdeep"
 )
 
 func TestSentinelWrap(t *testing.T) {
@@ -19,10 +18,6 @@ func TestSentinelWrap(t *testing.T) {
 
 func TestSentinelWrapClean(t *testing.T) {
 	analysistest.RunClean(t, sentinelwrap.Analyzer, "sentinelwrap/clean")
-}
-
-func TestSnapshotDeep(t *testing.T) {
-	analysistest.Run(t, snapshotdeep.Analyzer, "snapshotdeep/a")
 }
 
 func TestCostBalance(t *testing.T) {

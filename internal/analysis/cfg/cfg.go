@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over Go
-// function bodies for the reprolint dataflow analyzers (hotpathalloc,
-// colescape) and concurrency analyzers (goleak, lockorder). Like the rest of the analysis framework it is a
+// function bodies for the reprolint dataflow analyzer (colescape) and
+// concurrency analyzers (goleak, lockorder). Like the rest of the analysis framework it is a
 // deliberately small, dependency-free mirror of the x/tools shape
 // (golang.org/x/tools/go/cfg): this build environment has no module
 // proxy, so the builder is implemented on the standard library alone.

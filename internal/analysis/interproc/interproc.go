@@ -1,7 +1,8 @@
 // Package interproc is the interprocedural layer of the reprolint
 // framework: a per-package call graph with stable function symbols, plus
 // the propagation helpers the contract analyzers (barrier, sentinelwrap,
-// snapshotdeep, costbalance) build their per-function summaries on.
+// costbalance, colescape) and the concurrency analyzers (goleak,
+// lockorder) build their per-function summaries on.
 //
 // The design mirrors how fact-based go/analysis analyzers stay modular
 // under cmd/go's build cache: each package is analyzed exactly once, its
@@ -17,8 +18,8 @@
 // calls through interface methods resolve to the interface method's
 // symbol, not to concrete implementations — analyzers either seed
 // interface methods by contract (sentinelwrap's `Violation() error`) or
-// check implementations at their definition site (snapshotdeep, the
-// barrier's observer rule), which closes the gap for the engine's hooks.
+// check implementations at their definition site (the barrier's
+// observer rule), which closes the gap for the engine's hooks.
 package interproc
 
 import (

@@ -14,20 +14,15 @@ import (
 //	//repro:pooled
 //	mem []W // a struct field holding pooled, phase-scoped storage
 //
-//	//repro:hot
-//	func (c *Core) commit(src columnSource) PhaseStatus // a commit-path root
-//
 // markerKinds maps each marker to the declaration kind it may mark.
 var markerKinds = map[string]string{
 	"pooled": "struct field",
-	"hot":    "function",
 }
 
 // Marked returns the objects of the pass's files that carry the
-// //repro:<name> marker on the kind of declaration it belongs on: the
-// fields for "pooled", the functions and methods for "hot". Misplaced
-// and unknown markers mark nothing; the directives analyzer reports
-// them.
+// //repro:<name> marker on the kind of declaration it belongs on (the
+// fields for "pooled"). Misplaced and unknown markers mark nothing; the
+// directives analyzer reports them.
 func (p *Pass) Marked(name string) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	p.markers(func(_ *ast.Comment, marker, kind string, ids []*ast.Ident) {

@@ -11,11 +11,9 @@ import (
 	"repro/internal/analysis/colescape"
 	"repro/internal/analysis/costbalance"
 	"repro/internal/analysis/goleak"
-	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/sentinelwrap"
-	"repro/internal/analysis/snapshotdeep"
 	"repro/internal/analysis/wallclock"
 )
 
@@ -31,9 +29,7 @@ func Analyzers() []*analysis.Analyzer {
 		wallclock.Analyzer,
 		barrier.Analyzer,
 		sentinelwrap.Analyzer,
-		snapshotdeep.Analyzer,
 		costbalance.Analyzer,
-		hotpathalloc.Analyzer,
 		colescape.Analyzer,
 		goleak.Analyzer,
 		lockorder.Analyzer,

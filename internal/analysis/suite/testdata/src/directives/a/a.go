@@ -7,15 +7,11 @@ type store struct {
 	//repro:pooled
 	mem  []int64
 	free []int64 //repro:pooled
-	//repro:poold // want `unknown marker //repro:poold \(known: hot, pooled\)`
+	//repro:poold // want `unknown marker //repro:poold \(known: pooled\)`
 	spare []int64
-	//repro:hot // want `//repro:hot marks a function, not a struct field`
-	n int
+	n     int
 }
 
-// commit carries its marker as the last line of its doc comment.
-//
-//repro:hot
 func (s *store) commit() {
 	s.n++ //lint:barrier-ok a known analyzer: no finding
 	s.n-- //lint:commitpurity-ok merged into barrier // want `//lint:commitpurity-ok names no reprolint analyzer`
@@ -28,7 +24,7 @@ func (s *store) commit() {
 //repro:pooled // want `//repro:pooled marks a struct field, not a function`
 func (s *store) drain() {}
 
-//repro:hot // want `//repro:hot marks a function, but this one is on no function`
+//repro:pooled // want `//repro:pooled marks a struct field, but this one is on no struct field`
 var spill []int64
 
 // A directive key without the -ok suffix is not a suppression directive.

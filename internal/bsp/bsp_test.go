@@ -353,3 +353,41 @@ func TestGetters(t *testing.T) {
 		t.Errorf("getters: P=%d G=%d L=%d N=%d", m.P(), m.G(), m.L(), m.N())
 	}
 }
+
+// TestSendBatchSteadyStateAllocs pins the batch send path, Ctx.SendBatch
+// and SendFanout into the engine's Sends.StageBatch: once warm, a
+// superstep allocates exactly the engine's two dispatch closures plus
+// Superstep's wrapper closure at Workers 1, and no more than 12 objects
+// at Workers 4 (the fan-out's goroutine captures), whatever p and the
+// batch length.
+func TestSendBatchSteadyStateAllocs(t *testing.T) {
+	const p = 64
+	dsts := []int32{1, 2, 3, 5, 8}
+	tags := []int64{10, 20, 30, 50, 80}
+	vals := []int64{100, 200, 300, 500, 800}
+	for _, workers := range []int{1, 4} {
+		m := MustNew(Config{P: p, G: 1, L: 1, N: p, PrivCells: 1, Workers: workers})
+		body := func(c *Ctx) {
+			if c.Comp()%2 == 0 {
+				c.SendBatch(dsts, tags, vals)
+			} else {
+				c.SendFanout(dsts, 7, int64(c.Comp()))
+			}
+		}
+		m.Superstep(body)
+		m.Superstep(body)
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() { m.Superstep(body) })
+		if in := m.Incoming(1); len(in) != p {
+			t.Fatalf("Workers %d: component 1 received %d messages, want %d", workers, len(in), p)
+		}
+		if workers == 1 && got != 3 {
+			t.Errorf("Workers 1: warm batch superstep allocates %.0f objects/run, want exactly 3", got)
+		}
+		if workers > 1 && got > 12 {
+			t.Errorf("Workers %d: warm batch superstep allocates %.0f objects/run, want ≤ 12", workers, got)
+		}
+	}
+}

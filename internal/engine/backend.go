@@ -160,7 +160,7 @@ func (c *Core) SetBackend(b Backend) { c.backend = b } //lint:barrier-ok pre-run
 func (c *Core) transportStatus(err error) PhaseStatus {
 	var te *TransportError
 	if errors.As(err, &te) && te.Permanent {
-		c.RecordErr(fmt.Errorf("phase %d: %w", c.curPhase, err)) //lint:hotpathalloc-ok abort path: formats once, then the machine is poisoned
+		c.RecordErr(fmt.Errorf("phase %d: %w", c.curPhase, err))
 		return PhaseAborted
 	}
 	c.fstats.Transport++
@@ -279,7 +279,7 @@ func (g *MemMerger) begin(lo, hi, p int, stream bool) {
 	if len(g.marks) < width {
 		// Doubling keeps a machine that grows its memory every level
 		// from reallocating the marks at every level.
-		g.marks = make([]cellMark, max(width, 2*len(g.marks))) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		g.marks = make([]cellMark, max(width, 2*len(g.marks)))
 	}
 	base := uint64(g.base) + 2*uint64(g.p) + 1
 	if base+2*uint64(p)+1 > math.MaxUint32 {
@@ -569,7 +569,7 @@ func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
 func (g *RouteMerger) begin(lo, hi int) {
 	width := max(hi-lo, 0)
 	if len(g.recv) < width {
-		g.recv = make([]dstMark, width) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		g.recv = make([]dstMark, width)
 	}
 	if g.epoch++; g.epoch == 0 {
 		clear(g.recv) // the epoch wrapped: retire every count, restart at 1

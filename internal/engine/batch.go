@@ -66,7 +66,7 @@ func (c *MemCtx[V]) ReadBatch(addrs []int32, dst []V) []V {
 func (c *MemCtx[V]) inRange(what string, addrs []int32) bool {
 	for _, a := range addrs {
 		if a < 0 || int(a) >= len(c.m.mem) {
-			c.failf("%s out of range: cell %d of %d", what, a, len(c.m.mem)) //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
+			c.failf("%s out of range: cell %d of %d", what, a, len(c.m.mem))
 			return false
 		}
 	}
@@ -120,11 +120,9 @@ func (c *MemCtx[V]) WriteBatch(addrs []int32, vals []V) {
 // StageBatch queues len(dsts) messages in one append per column:
 // msgs[i] goes to dsts[i]. Destination validation remains the adapter's
 // job, exactly as for Stage.
-//
-//repro:hot
 func (s *Sends[M]) StageBatch(dsts []int32, msgs []M) {
 	if len(dsts) != len(msgs) {
-		s.Fail(fmt.Errorf("engine: StageBatch column mismatch: %d destinations, %d messages", //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
+		s.Fail(fmt.Errorf("engine: StageBatch column mismatch: %d destinations, %d messages",
 			len(dsts), len(msgs)))
 		return
 	}

@@ -270,10 +270,7 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		avg := testing.AllocsPerRun(100, func() { m.Phase(body) })
-		if avg > allocLimit[workers] {
-			t.Errorf("steady-state batch phase allocates %.1f objects/run, want ≤ %.0f", avg, allocLimit[workers])
-		}
+		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() { m.Phase(body) })
 	})
 }
 

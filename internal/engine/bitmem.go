@@ -162,7 +162,7 @@ func (bitRender) Render(b uint8) string { return "01"[b&1 : b&1+1] }
 // record hands l the phase before the writes apply: the lanes' columns as
 // staged, and one recorded bit per read cell.
 func (m *BitMem) record(l *EventLog) {
-	vals := recordLanes[uint64, BitCtx, uint8](l, &m.Core, m.lanes, bitRender{}, KindWrite, true) //lint:hotpathalloc-ok bitRender is zero-size: boxing it does not allocate
+	vals := recordLanes[uint64, BitCtx, uint8](l, &m.Core, m.lanes, bitRender{}, KindWrite, true)
 	j := 0
 	for _, ln := range m.lanes {
 		for i := 0; i < len(ln.cur.readAddrs); {

@@ -333,8 +333,6 @@ type columnSource interface {
 // "detects" it and rolls back to the phase-start checkpoint. The aborted
 // attempt emits no Request and no PhaseEnd events, per the Observer
 // contract.
-//
-//repro:hot
 func (c *Core) commit(src columnSource) PhaseStatus {
 	o, viol, err := src.gather()
 	if err != nil {

@@ -225,7 +225,7 @@ func countLane(g *MemMerger, spans []span, col []int32, write, packed, runs bool
 // a processor that recorded nothing.
 func colViews[W, C any](buf [][]int32, p int, lanes []*lane[W, C], write bool) [][]int32 {
 	if cap(buf) < p {
-		buf = make([][]int32, p) //lint:hotpathalloc-ok amortized scratch growth, once per machine; only an attached backend needs the p-long headers
+		buf = make([][]int32, p)
 	}
 	buf = buf[:p]
 	clear(buf)

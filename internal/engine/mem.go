@@ -168,7 +168,7 @@ func (c *cursor[W]) Op(k int) {
 
 func (c *cursor[W]) failf(format string, args ...any) {
 	if c.fail == nil {
-		c.fail = fmt.Errorf("%s: proc %d: "+format, //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
+		c.fail = fmt.Errorf("%s: proc %d: "+format,
 			append([]any{c.m.model.Prefix(), c.proc}, args...)...)
 	}
 }
@@ -258,12 +258,12 @@ func (m *shared[W, C]) poison(cell int32, v Verdict) {
 	ph := m.report.NumPhases()
 	switch {
 	case cell >= 0:
-		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d",
 			m.model.Violation(), cell, ph))
 	case v.Violation:
-		m.RecordErr(fmt.Errorf("%w: %w in phase %d", m.model.Violation(), v.Err, ph)) //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		m.RecordErr(fmt.Errorf("%w: %w in phase %d", m.model.Violation(), v.Err, ph))
 	default:
-		m.RecordErr(fmt.Errorf("%s: phase %d: %w", m.model.Prefix(), ph, v.Err)) //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		m.RecordErr(fmt.Errorf("%s: phase %d: %w", m.model.Prefix(), ph, v.Err))
 	}
 }
 

@@ -94,8 +94,6 @@ func (c *Core) observePhaseStart() {
 // writes apply: src records the phase into each attached EventLog, and
 // for any other observer into the core's relay log, whose expander
 // replays it as Request calls.
-//
-//repro:hot
 func (c *Core) observeRecord(src columnSource) {
 	for _, o := range c.obs {
 		l, isLog := o.(*EventLog)
@@ -104,7 +102,7 @@ func (c *Core) observeRecord(src columnSource) {
 			l.Reset()
 		}
 		if src.record(l); !isLog && len(l.recs) > 0 {
-			l.expand(0, func(r Request) { o.Request(c.curPhase, r) }) //lint:hotpathalloc-ok the closure does not escape expand, so it stays on the stack
+			l.expand(0, func(r Request) { o.Request(c.curPhase, r) })
 		}
 	}
 }
@@ -190,7 +188,7 @@ func (p *pages[T]) reserve(n int, at *loc) []T {
 		p.cur++
 	}
 	if p.cur == len(p.ps) {
-		p.ps = append(p.ps, make([]T, 0, max(n, 256<<min(p.cur, 8)))) //lint:hotpathalloc-ok a page at a time, kept across Reset
+		p.ps = append(p.ps, make([]T, 0, max(n, 256<<min(p.cur, 8))))
 	}
 	pg := p.ps[p.cur]
 	p.ps[p.cur], *at = pg[:len(pg)+n], loc{int32(p.cur), int32(len(pg)), int32(n)}
@@ -259,7 +257,7 @@ func valuesFor[V any](l *EventLog, at *int32) *pages[V] {
 		}
 	}
 	*at = int32(len(l.stores))
-	vs := new(pages[V]) //lint:hotpathalloc-ok once per log and value type, kept across Reset
+	vs := new(pages[V])
 	l.stores = append(l.stores, vs)
 	return vs
 }

@@ -187,7 +187,7 @@ func (r *Route[M]) gather() (Outcome, int32, error) {
 // poison records a permanent fault: nothing delivers, and the staged
 // sends are simply abandoned.
 func (r *Route[M]) poison(_ int32, v Verdict) {
-	r.RecordErr(fmt.Errorf("%s: superstep %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+	r.RecordErr(fmt.Errorf("%s: superstep %d: %w",
 		r.model.Name(), r.Report().NumPhases(), v.Err))
 }
 

@@ -58,7 +58,7 @@ func (in Info) Merge(other Info) Info {
 		return in
 	}
 	if len(in) == 0 {
-		return append(Info(nil), other...) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
+		return append(Info(nil), other...)
 	}
 	// Skip the common prefix in which every atom of other is already in
 	// in; if that covers other, the union is in.
@@ -72,24 +72,24 @@ func (in Info) Merge(other Info) Info {
 	if j == len(other) {
 		return in
 	}
-	out := make(Info, i, len(in)+len(other)-j) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
+	out := make(Info, i, len(in)+len(other)-j)
 	copy(out, in[:i])
 	for i < len(in) && j < len(other) {
 		switch {
 		case in[i] < other[j]:
-			out = append(out, in[i]) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
+			out = append(out, in[i])
 			i++
 		case in[i] > other[j]:
-			out = append(out, other[j]) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
+			out = append(out, other[j])
 			j++
 		default:
-			out = append(out, in[i]) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
+			out = append(out, in[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, in[i:]...)    //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
-	out = append(out, other[j:]...) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
+	out = append(out, in[i:]...)
+	out = append(out, other[j:]...)
 	return out
 }
 

@@ -234,7 +234,7 @@ func applyRuns(mem []int64, addrs []int32, vals []int64) {
 	}
 }
 
-func (md qsmModel) Render(v int64) string { return strconv.FormatInt(v, 10) } //lint:hotpathalloc-ok strconv's small-int fast path returns shared constants; rendering runs only when tracing
+func (md qsmModel) Render(v int64) string { return strconv.FormatInt(v, 10) }
 
 func (md qsmModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
 	return phaseCost(md.m.rule, md.m.Params(), md.m.N(), o)

@@ -44,8 +44,10 @@ func NumBlocks(workers, n int) int {
 // processors [w·⌈n/W⌉, min((w+1)·⌈n/W⌉, n)), so chunk indexes ascend with
 // the processor range — callers rely on that for deterministic merges.
 // Blocks returns after every chunk has completed. With a single chunk fn
-// runs inline on the calling goroutine (no spawn), which keeps small-p
-// simulations (the proof-machinery enumerations) allocation-free here.
+// runs inline on the calling goroutine, spawning nothing. It does not make
+// the call allocation-free: fn escapes through the go statement, so a
+// closure the caller passes as fn is heap-allocated on every call,
+// whatever the chunk count.
 func Blocks(workers, n int, fn func(w, lo, hi int)) {
 	nb := NumBlocks(workers, n)
 	if nb == 0 {
@@ -61,7 +63,7 @@ func Blocks(workers, n int, fn func(w, lo, hi int)) {
 		lo := w * chunk
 		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(w, lo, hi int) { //lint:hotpathalloc-ok the fan-out primitive itself: one goroutine per block, bounded by Workers
+		go func(w, lo, hi int) {
 			defer wg.Done()
 			fn(w, lo, hi)
 		}(w, lo, hi)

@@ -1,6 +1,9 @@
 package sweep
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // benchBaseline is the committed snapshot the CI bench gate
 // (`parsim sweep -bench -bench-baseline BENCH_pr30.json`) diffs against;
@@ -86,5 +89,34 @@ func TestBenchBaselineMatchesTrajectory(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCommitBenchSteadyStateAllocs pins the allocations of every commit
+// body's warm phase (see CommitBench.Warm, which the timed gate rows use
+// too) at Workers 1, where they are exact: the engine's two dispatch
+// closures, one more for bsp.Machine.Superstep's wrapper closure, and p
+// more for gsm-gather, whose body makes one gsm.NewInfo per processor.
+// The bodies cover the commit paths of the QSM's and the GSM's Apply, the
+// packed store and the routing engine; an allocation added to any of
+// them changes a count.
+func TestCommitBenchSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // Workers 0 means GOMAXPROCS
+	const p = 256
+	extra := map[string]int{"bsp-shift": 1, "gsm-gather": p}
+	for _, cb := range CommitBenches {
+		t.Run(cb.Name, func(t *testing.T) {
+			m, phase, err := cb.Warm(p, cb.Points[0].K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := m.(interface{ Workers() int }).Workers(); w != 1 {
+				t.Fatalf("machine runs %d workers, want 1", w)
+			}
+			got := testing.AllocsPerRun(100, phase)
+			if want := float64(2 + extra[cb.Name]); got != want {
+				t.Errorf("warm phase allocates %.0f objects/run, want exactly %.0f", got, want)
+			}
+		})
 	}
 }
