@@ -43,9 +43,9 @@ sweep-smoke:
 # metrics must agree exactly. GOMAXPROCS is pinned because allocs/op
 # depend on it.
 bench:
-	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-runs 3 -bench-o BENCH_pr30.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-runs 3 -bench-o BENCH_pr34.json
 
 # Same measurement, but gate against the committed snapshot: exact model
 # metrics, 3x ns/op tolerance, 1.25x allocs/op and B/op tolerance.
 bench-gate:
-	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr30.json
+	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-baseline BENCH_pr34.json

@@ -7,7 +7,7 @@
 //	parsim chaos [-model qsm -alg parity -specs "crash@2:p1,mem~0.05" -degraded] [-seeds 2] [-n 48]
 //	parsim sweep -models qsm,bsp -algs parity,bsp-parity -n 256..4096:*2 -seeds 1..3 -o out.jsonl
 //	parsim sweep -preset tables|chaos|smoke [-o out.jsonl] [-resume]
-//	parsim sweep -bench [-bench-runs 3] [-bench-o BENCH_pr30.json] [-bench-baseline BENCH_pr30.json]
+//	parsim sweep -bench [-bench-runs 3] [-bench-o BENCH_pr34.json] [-bench-baseline BENCH_pr34.json]
 //	parsim worker -socket PATH -rank R [-beat D]   (internal)
 //
 // The worker subcommand is internal plumbing: it is the explicit

@@ -46,9 +46,9 @@ func runSweep(argv []string, stdout, stderr io.Writer) error {
 	progress := fs.Bool("progress", false, "print a per-cell progress line to stderr")
 	render := fs.Bool("render", false, "render Table 1 from the experiment records (implied by -preset tables)")
 	bench := fs.Bool("bench", false, "measure the bench snapshot instead of running a grid")
-	benchLabel := fs.String("bench-label", "pr30", "bench snapshot label")
+	benchLabel := fs.String("bench-label", "pr34", "bench snapshot label")
 	benchFilter := fs.String("bench-filter", "", "only benches whose name contains this substring")
-	benchOut := fs.String("bench-o", "", "write the bench snapshot JSON here (e.g. BENCH_pr30.json)")
+	benchOut := fs.String("bench-o", "", "write the bench snapshot JSON here (e.g. BENCH_pr34.json)")
 	benchRuns := fs.Int("bench-runs", 1, "measure the snapshot this many times and keep each row's fastest run")
 	benchText := fs.String("bench-text", "", "write the benchstat-format text here")
 	benchBaseline := fs.String("bench-baseline", "", "compare against this committed snapshot and fail on regressions")

@@ -89,7 +89,7 @@ func DartLACBSP(m *bsp.Machine, rng *rand.Rand, n int) (*BSPDartResult, error) {
 		}
 	}
 
-	res := &BSPDartResult{Placed: make(map[int64][2]int)}
+	res := &BSPDartResult{Placed: make(map[int64][2]int, len(live))}
 	maxRounds := 4*log2ceil(n) + 8
 
 	for len(live) > 0 {

@@ -107,7 +107,7 @@ func DartLAC(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, error) {
 		}
 	}
 
-	res := &DartResult{OutBase: m.MemSize(), Placed: make(map[int64]int)}
+	res := &DartResult{OutBase: m.MemSize(), Placed: make(map[int64]int, len(live))}
 	maxRounds := 4*log2ceil(n) + 8
 
 	// The darts' private state, indexed by item (= processor), allocated
@@ -212,7 +212,7 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		}
 	}
 
-	res := &DartResult{OutBase: m.MemSize(), Placed: make(map[int64]int)}
+	res := &DartResult{OutBase: m.MemSize(), Placed: make(map[int64]int, len(live))}
 	maxRounds := 4*log2ceil(n) + 8
 
 	// Per-processor request columns, allocated once: a survivor's dealt

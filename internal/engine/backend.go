@@ -365,6 +365,79 @@ func (g *MemMerger) ascend(procs []int32, cols [][]int32, write, packed bool) {
 	}
 	*pos = walkPos{last, lp, k}
 	g.readIvs, g.next = ivs, next
+	g.setK(write, km)
+}
+
+// plain counts read columns (write false) or write columns of plain
+// words: cols[k] belongs to processor procs[k], or to processor k when
+// procs is nil, and packed write columns hold PackWrite entries. Each
+// cell goes through cellMark.step under the side's tickets (see
+// marksSide).
+func (g *MemMerger) plain(procs []int32, cols [][]int32, write, packed bool) {
+	marks, lo, base, clash, km := g.marksSide(write)
+	for k, col := range cols {
+		pr := int32(k)
+		if procs != nil {
+			pr = procs[k]
+		}
+		t := clash + 1 + uint32(pr)
+		for _, e := range col {
+			a := int(EntryAddr(e, packed)) - lo
+			if uint(a) >= uint(len(marks)) {
+				continue
+			}
+			if c := marks[a].step(t, base, clash); c >= 0 {
+				km = max(km, int64(c))
+			} else if v := g.st.Viol; v < 0 || int32(a+lo) < v {
+				g.st.Viol = int32(a + lo)
+			}
+		}
+	}
+	g.setK(write, km)
+}
+
+// walk counts one lane's plain read column (write false) or write column
+// on the marks path as plain does, span by span straight from the
+// column: each span's words under its processor's ticket.
+func (g *MemMerger) walk(spans []span, col []int32, write, packed bool) {
+	marks, lo, base, clash, km := g.marksSide(write)
+	i := int32(0)
+	for _, s := range spans {
+		end := s.r1
+		if write {
+			end = s.w1
+		}
+		t := clash + 1 + uint32(s.proc)
+		for ; i < end; i++ {
+			a := int(EntryAddr(col[i], packed)) - lo
+			if uint(a) >= uint(len(marks)) {
+				continue
+			}
+			if c := marks[a].step(t, base, clash); c >= 0 {
+				km = max(km, int64(c))
+			} else if v := g.st.Viol; v < 0 || int32(a+lo) < v {
+				g.st.Viol = int32(a + lo)
+			}
+		}
+	}
+	g.setK(write, km)
+}
+
+// marksSide returns the merge's marks from cell lo, the stale bound
+// base, and the clash bound and maximum so far of the reads (write
+// false: their tickets are above clash = base) or of the writes (above
+// clash = base+p, so a read ticket is a clash).
+func (g *MemMerger) marksSide(write bool) (marks []cellMark, lo int, base, clash uint32, km int64) {
+	marks, lo, base, clash, km = g.marks[:g.hi-g.lo], int(g.lo), g.base, g.base, g.st.KRead
+	if write {
+		clash, km = base+g.p, g.st.KWrite
+	}
+	return marks, lo, base, clash, km
+}
+
+// setK stores a count's maximum as the read (write false) or write
+// maximum.
+func (g *MemMerger) setK(write bool, km int64) {
 	if write {
 		g.st.KWrite = km
 	} else {
@@ -372,72 +445,24 @@ func (g *MemMerger) ascend(procs []int32, cols [][]int32, write, packed bool) {
 	}
 }
 
-// reads counts read columns of plain cells: cols[k] belongs to
-// processor procs[k], or to processor k when procs is nil.
-func (g *MemMerger) reads(procs []int32, cols [][]int32) {
-	lo, hi := g.lo, g.hi
-	marks, base := g.marks, g.base
-	kr := g.st.KRead
-	for k, col := range cols {
-		pr := int32(k)
-		if procs != nil {
-			pr = procs[k]
-		}
-		t := base + 1 + uint32(pr)
-		for _, a := range col {
-			if a < lo || a >= hi {
-				continue
-			}
-			m := &marks[a-lo]
-			switch {
-			case m.t <= base:
-				*m = cellMark{t: t, count: 1}
-				kr = max(kr, 1)
-			case m.t != t:
-				m.t = t
-				m.count++
-				kr = max(kr, int64(m.count))
-			}
-		}
+// step is the §2 rule at one cell, whose mark is m, for ticket t: a mark
+// whose ticket is ≤ base starts over at one, one in (base, clash] is a
+// read ticket that a write finds (reads pass clash = base, so none is),
+// and any other ticket but t adds one. It returns the cell's count after
+// the step, 0 when t had counted it already and −1 on a clash.
+func (m *cellMark) step(t, base, clash uint32) int32 {
+	switch {
+	case m.t <= base:
+		*m = cellMark{t: t, count: 1}
+		return 1
+	case m.t <= clash:
+		return -1
+	case m.t != t:
+		m.t = t
+		m.count++
+		return m.count
 	}
-	g.st.KRead = kr
-}
-
-// writes counts write columns without runs, indexed like reads; packed
-// columns hold PackWrite entries. A write that finds a read ticket at
-// its cell is a violation.
-func (g *MemMerger) writes(procs []int32, cols [][]int32, packed bool) {
-	lo, hi := g.lo, g.hi
-	marks, base, wbase := g.marks, g.base, g.base+g.p
-	kw, viol := g.st.KWrite, g.st.Viol
-	for k, col := range cols {
-		pr := int32(k)
-		if procs != nil {
-			pr = procs[k]
-		}
-		t := wbase + 1 + uint32(pr)
-		for _, e := range col {
-			a := EntryAddr(e, packed)
-			if a < lo || a >= hi {
-				continue
-			}
-			m := &marks[a-lo]
-			switch {
-			case m.t <= base:
-				*m = cellMark{t: t, count: 1}
-				kw = max(kw, 1)
-			case m.t <= wbase:
-				if viol < 0 || a < viol {
-					viol = a
-				}
-			case m.t != t:
-				m.t = t
-				m.count++
-				kw = max(kw, int64(m.count))
-			}
-		}
-	}
-	g.st.KWrite, g.st.Viol = kw, viol
+	return 0
 }
 
 // runCols counts read columns (write false) or write columns that may
@@ -469,11 +494,9 @@ func (g *MemMerger) runCols(procs []int32, cols [][]int32, write bool) {
 }
 
 // countRun counts ticket t at the cells of the run [a, a+n) that lie in
-// the merge's range, over the sub-slice of marks they cover: a mark
-// whose ticket is ≤ base starts over at one, one in (base, clash] is a
-// read ticket that a write finds (reads pass clash = base, so none is),
-// and any other ticket but t adds one. It returns the largest count it
-// leaves and the first clashing cell (−1 for none).
+// the merge's range, over the sub-slice of marks they cover, each
+// through cellMark.step. It returns the largest count it leaves and the
+// first clashing cell (−1 for none).
 func (g *MemMerger) countRun(a, n int32, t, clash uint32) (int64, int32) {
 	s, e := max(int(a), int(g.lo)), min(int(a)+int(n), int(g.hi))
 	k, viol := int64(0), int32(-1)
@@ -482,19 +505,10 @@ func (g *MemMerger) countRun(a, n int32, t, clash uint32) (int64, int32) {
 	}
 	marks, base := g.marks[s-int(g.lo):e-int(g.lo)], g.base
 	for j := range marks {
-		m := &marks[j]
-		switch {
-		case m.t <= base:
-			*m = cellMark{t: t, count: 1}
-			k = max(k, 1)
-		case m.t <= clash:
-			if viol < 0 {
-				viol = int32(s + j)
-			}
-		case m.t != t:
-			m.t = t
-			m.count++
-			k = max(k, int64(m.count))
+		if c := marks[j].step(t, base, clash); c >= 0 {
+			k = max(k, int64(c))
+		} else if viol < 0 {
+			viol = int32(s + j)
 		}
 	}
 	return k, viol
@@ -510,10 +524,8 @@ func (g *MemMerger) cols(procs []int32, cols [][]int32, write, packed, runs bool
 		g.ascend(procs, cols, write, packed)
 	case runs && !packed:
 		g.runCols(procs, cols, write)
-	case write:
-		g.writes(procs, cols, packed)
 	default:
-		g.reads(procs, cols)
+		g.plain(procs, cols, write, packed)
 	}
 }
 

@@ -125,18 +125,26 @@ func useLanes[W, C any](lanes []*lane[W, C], nb int, st *store[W]) []*lane[W, C]
 // reports the chunk's failure tally. Masked processors, processors that
 // record nothing and processors that fail leave no trace in the lane. The
 // span index is reserved at the dispatch width, which bounds how many
-// processors can record, so it never grows while the bodies run.
+// processors can record, so it never grows while the bodies run. The
+// columns are reserved at that width too, so a phase whose processors
+// stage one request each never grows them: the read column only in a
+// shared-memory lane (a Sends cursor has no store and never reads), and
+// the write values except in a packed store, whose entries carry their
+// bits.
 func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error) {
-	c := l.cur
-	c.readAddrs, c.writes, c.writeVals, c.runs = c.readAddrs[:0], c.writes[:0], c.writeVals[:0], false
+	c, n := l.cur, hi-lo
+	c.readAddrs, c.writes, c.writeVals, c.runs = c.readAddrs[:0], reserve(c.writes, n), c.writeVals[:0], false
+	if c.m != nil {
+		c.readAddrs = reserve(c.readAddrs, n)
+	}
+	if c.m == nil || c.m.shift == 0 {
+		c.writeVals = reserve(c.writeVals, n)
+	}
 	// fail is cleared here and after each failure, not before every
 	// body: a pointer store per processor takes a GC write barrier
 	// whenever the collector is marking.
 	c.fail = nil
-	if cap(l.spans) < hi-lo {
-		l.spans = make([]span, 0, hi-lo)
-	}
-	spans, mOp, mRW := l.spans[:0], int64(0), int64(0)
+	spans, mOp, mRW := reserve(l.spans, n), int64(0), int64(0)
 	var nf int32
 	var first error
 	for i := lo; i < hi; i++ {
@@ -169,6 +177,14 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 	return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
 }
 
+// reserve returns s emptied, with room for n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // mergeLanes counts the lanes' spans with g over the cells [0, cells)
 // for p processors — every lane's reads, then every lane's writes, in
 // lane order — and returns the merge's statistics. It tries the
@@ -195,10 +211,15 @@ func mergeLanes[W, C any](g *MemMerger, lanes []*lane[W, C], cells, p int, packe
 }
 
 // countLane counts one lane's read spans (write false) or write spans
-// (write true) over col, the lane's matching column, handing g the
-// processors' columns in stack batches of colBatch; runs says whether
-// the lane staged a run.
+// (write true) over col, the lane's matching column; runs says whether
+// the lane staged a run. On the marks path a lane without runs is walked
+// span by span (MemMerger.walk); otherwise g gets the processors'
+// columns in stack batches of colBatch.
 func countLane(g *MemMerger, spans []span, col []int32, write, packed, runs bool) {
+	if !g.stream && !runs {
+		g.walk(spans, col, write, packed)
+		return
+	}
 	var procs [colBatch]int32
 	var cols [colBatch][]int32
 	n, lo := 0, int32(0)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"testing"
@@ -68,6 +69,41 @@ func TestLaneSpansSizedOnce(t *testing.T) {
 			t.Fatalf("ForAll(%d) after ForAll(%d): len, cap(spans) = %d, %d, reallocated %v",
 				n, p, len(l.spans), cap(l.spans), &l.spans[:1][0] != first)
 		}
+	}
+}
+
+// TestLaneColumnsSizedOnce pins the allocations of a new machine's first
+// phase at p = 4096, one Read and one Write per processor at Workers 1.
+// The lane reserves its read, write and value columns at the dispatch
+// width along with its span index, so each is allocated once instead of
+// regrown by append while the bodies run: 12 objects are the lane and
+// its slice, the span index and the three columns, the two failure
+// tallies, the two dispatch closures, the merger's marks and the
+// report's phase entry. Columns regrown by append took 53.
+func TestLaneColumnsSizedOnce(t *testing.T) {
+	const p, runs, want = 4096, 4, 12
+	ms := make([]*Mem[int64], runs+1)
+	for i := range ms {
+		ms[i] = newLaneMachine(p)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		m := ms[next]
+		next++
+		m.ForAll(p, func(c *MemCtx[int64]) { c.Write(p+c.Proc(), c.Read(c.Proc())) })
+	})
+	for _, m := range ms {
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		c := m.lanes[0].cur
+		if cap(c.readAddrs) != p || cap(c.writes) != p || cap(c.writeVals) != p {
+			t.Fatalf("cap(reads, writes, values) = %d, %d, %d, want %d each",
+				cap(c.readAddrs), cap(c.writes), cap(c.writeVals), p)
+		}
+	}
+	if got != want {
+		t.Errorf("a new machine's first ForAll(%d) allocated %v objects, want %d", p, got, want)
 	}
 }
 
@@ -149,6 +185,102 @@ func TestLaneFailureDropsFill(t *testing.T) {
 		t.Fatalf("columns hold %d write words and %d values; the spans end at %d and hold %d fills",
 			len(c.writes), len(c.writeVals), w0, len(l.spans))
 	}
+}
+
+// TestLaneWalkMatchesMerge pins the lane walk to the reference merge.
+// Seeded phases of plain words over 1, 2 and 4 lanes (idle processors,
+// duplicate requests, read+write clashes on half the phases, disjoint
+// read and write cells on the rest, and packed writes on a third) give
+// the same MergeStats, Viol included, from mergeLanes on one long-lived
+// merger as from a fresh MemMerger.Merge over colViews of the same
+// lanes.
+func TestLaneWalkMatchesMerge(t *testing.T) {
+	const cells, phases = 48, 600
+	type req struct {
+		write, bit bool
+		a          int
+	}
+	r := rand.New(rand.NewPCG(1998, 34))
+	var g MemMerger
+	var clashes, clean int
+	for i := range phases {
+		workers, p := []int{1, 2, 4}[i%3], 4*(1+r.IntN(10))
+		clash, packed := r.IntN(2) == 0, r.IntN(3) == 0
+		reqs := make([][]req, p)
+		for pr := range reqs {
+			for range r.IntN(5) {
+				q := req{write: r.IntN(2) == 0, bit: r.IntN(2) == 0, a: r.IntN(cells)}
+				if !clash {
+					q.a &^= 1
+					if q.write {
+						q.a++
+					}
+				}
+				reqs[pr] = append(reqs[pr], q)
+				if r.IntN(4) == 0 {
+					reqs[pr] = append(reqs[pr], q) // duplicate
+				}
+			}
+		}
+		var got, want MergeStats
+		var lanes int
+		if packed {
+			m := &BitMem{}
+			if err := m.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, workers, cells); err != nil {
+				t.Fatal(err)
+			}
+			m.Phase(func(c *BitCtx) {
+				for _, q := range reqs[c.Proc()] {
+					if q.write {
+						c.Write(q.a, q.bit)
+					} else {
+						c.Read(q.a)
+					}
+				}
+			})
+			got, want, lanes = walkAndMerge(&g, m.lanes, cells, p, true)
+		} else {
+			m := &Mem[int64]{}
+			m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, workers, cells)
+			m.Phase(func(c *MemCtx[int64]) {
+				for _, q := range reqs[c.Proc()] {
+					if q.write {
+						c.Write(q.a, 1)
+					} else {
+						c.Read(q.a)
+					}
+				}
+			})
+			got, want, lanes = walkAndMerge(&g, m.lanes, cells, p, false)
+		}
+		if lanes != workers {
+			t.Fatalf("phase %d: %d processors at Workers %d ran on %d lanes", i, p, workers, lanes)
+		}
+		if got != want {
+			t.Fatalf("phase %d (p %d, %d lanes, packed %t): lane walk = %+v, Merge = %+v", i, p, lanes, packed, got, want)
+		}
+		if want.Viol >= 0 {
+			clashes++
+		} else {
+			clean++
+		}
+	}
+	if clashes < phases/4 || clean < phases/4 {
+		t.Fatalf("%d clashing and %d clean phases of %d: the cases do not cover both", clashes, clean, phases)
+	}
+}
+
+// walkAndMerge counts a phase's lanes with mergeLanes on g and with a
+// fresh MemMerger.Merge over their colViews, and reports both answers
+// and the lane count.
+func walkAndMerge[W, C any](g *MemMerger, lanes []*lane[W, C], cells, p int, packed bool) (got, want MergeStats, n int) {
+	got = mergeLanes(g, lanes, cells, p, packed)
+	var ref MemMerger
+	want = ref.Merge(MemMergeReq{
+		Cells: cells, Packed: packed,
+		Reads: colViews(nil, p, lanes, false), Writes: colViews(nil, p, lanes, true),
+	}, 0, cells)
+	return got, want, len(lanes)
 }
 
 // TestMarksGrowByDoubling pins that the merger's marks grow only for the

@@ -49,9 +49,7 @@ type shared[W, C any] struct {
 	store[W]
 	// src is the embedding store type.
 	src columnSource
-	// shift is log2 of the cells per storage word: 0 for one cell per
-	// word, 6 for packed bits. grain is the model's dispatch grain.
-	shift uint
+	// grain is the model's dispatch grain.
 	grain int
 
 	// lanes holds one request lane per dispatch chunk of the current
@@ -74,11 +72,13 @@ type shared[W, C any] struct {
 
 // store is the part of the engine a processor context reads: the
 // model's naming, the live storage and, through Core, the memory size in
-// cells.
+// cells. shift is log2 of the cells per storage word: 0 for one cell per
+// word, 6 for packed bits.
 type store[W any] struct {
 	Core
 	model BitModel
 	mem   []W //repro:pooled
+	shift uint
 }
 
 // init prepares the engine for a machine with the given store type,

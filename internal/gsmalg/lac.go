@@ -94,7 +94,7 @@ func DartLACGSM(m *gsm.Machine, rng *rand.Rand, n int) (*LACResult, error) {
 		}
 	}
 
-	res := &LACResult{Placed: make(map[int64]int)}
+	res := &LACResult{Placed: make(map[int64]int, len(live))}
 	maxRounds := 4*log2ceil(n) + 8
 	base := n // fresh cells after the inputs
 

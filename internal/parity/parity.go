@@ -219,34 +219,26 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		out := kills + scouts
 		m.Grow(out + groups)
 
-		curL, widthL := cur, width
-		// groupSize handles the ragged last group.
-		groupSize := func(grp int) int {
-			sz := widthL - grp*gb
-			if sz > gb {
-				sz = gb
-			}
-			return sz
-		}
+		curL := cur
+		// Every group but the last has gb bits, so only checkers of a
+		// short last group, of lastSz bits, can lie past their group's
+		// bits or assignments.
+		last, lastSz := groups-1, width-(groups-1)*gb
 
 		// Phase 1+2 are split to respect the no-read-and-write rule per
 		// cell set. Processors past the active groups are not dispatched.
 		m.ForAll(active, func(c *qsm.Ctx) {
-			bit := c.Proc() / scouts
-			sa := c.Proc() - bit*scouts
+			bit, sa := gadgetChecker(c.Proc(), scouts)
 			grp, a := sa>>uint(gb), sa&mask
-			sz := groupSize(grp)
-			if bit >= sz || a >= 1<<uint(sz) {
+			if grp == last && (bit >= lastSz || a >= 1<<uint(lastSz)) {
 				return
 			}
 			readVal[c.Proc()] = uint8(c.Read(curL+grp*gb+bit) & 1)
 		})
 		m.ForAll(active, func(c *qsm.Ctx) {
-			bit := c.Proc() / scouts
-			sa := c.Proc() - bit*scouts
+			bit, sa := gadgetChecker(c.Proc(), scouts)
 			grp, a := sa>>uint(gb), sa&mask
-			sz := groupSize(grp)
-			if bit >= sz || a >= 1<<uint(sz) {
+			if grp == last && (bit >= lastSz || a >= 1<<uint(lastSz)) {
 				return
 			}
 			if readVal[c.Proc()] != uint8(a>>uint(bit)&1) {
@@ -256,7 +248,7 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		// Phase 3: scout (a, bit 0) reads its kill cell.
 		m.ForAll(scouts, func(c *qsm.Ctx) {
 			grp, a := c.Proc()>>uint(gb), c.Proc()&mask
-			if a >= 1<<uint(groupSize(grp)) {
+			if grp == last && a >= 1<<uint(lastSz) {
 				return
 			}
 			killed[c.Proc()] = c.Read(kills+c.Proc()) != 0
@@ -264,7 +256,7 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		// Phase 4: the surviving scout writes its assignment's parity.
 		m.ForAll(scouts, func(c *qsm.Ctx) {
 			grp, a := c.Proc()>>uint(gb), c.Proc()&mask
-			if a >= 1<<uint(groupSize(grp)) {
+			if grp == last && a >= 1<<uint(lastSz) {
 				return
 			}
 			if !killed[c.Proc()] {
@@ -278,6 +270,18 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		}
 	}
 	return cur, m.Err()
+}
+
+// gadgetChecker splits checker processor pr of a gadget level with the
+// given scout count into its bit and its scout index sa = grp·2^m + a.
+// The bit is below m ≤ GadgetMaxGroupBits, so subtracting is cheaper
+// than dividing.
+func gadgetChecker(pr, scouts int) (bit, sa int) {
+	for pr >= scouts {
+		pr -= scouts
+		bit++
+	}
+	return bit, pr
 }
 
 // RunBSP computes the parity of the block-distributed input bits and

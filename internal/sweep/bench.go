@@ -30,7 +30,7 @@ import (
 //     the gate fails it only on a blowup; allocation counts and volume
 //     are steadier and fail beyond a 25% growth.
 //
-// The committed snapshot (BENCH_pr30.json) is the baseline CI diffs
+// The committed snapshot (BENCH_pr34.json) is the baseline CI diffs
 // against; regenerate it with `make bench` (GOMAXPROCS=2: allocs/op
 // depend on it) after intentional performance or cost-model changes. It
 // keeps the fastest of three runs per row (FastestOf), while the gate

@@ -6,11 +6,11 @@ import (
 )
 
 // benchBaseline is the committed snapshot the CI bench gate
-// (`parsim sweep -bench -bench-baseline BENCH_pr30.json`) diffs against;
+// (`parsim sweep -bench -bench-baseline BENCH_pr34.json`) diffs against;
 // benchTrajectory lists the earlier snapshots it replaced, newest first.
-const benchBaseline = "../../BENCH_pr30.json"
+const benchBaseline = "../../BENCH_pr34.json"
 
-var benchTrajectory = []string{"../../BENCH_pr28.json", "../../BENCH_pr27.json", "../../BENCH_pr24.json", "../../BENCH_pr22.json", "../../BENCH_pr7.json"}
+var benchTrajectory = []string{"../../BENCH_pr30.json", "../../BENCH_pr28.json", "../../BENCH_pr27.json", "../../BENCH_pr24.json", "../../BENCH_pr22.json", "../../BENCH_pr7.json"}
 
 func readSnapshot(t *testing.T, path string) map[string]BenchResult {
 	t.Helper()
