@@ -40,8 +40,8 @@ sweep-smoke:
 # Re-measure the bench snapshot (model metrics + ns/op + allocs/op for
 # the internal/sweep bench registry) and overwrite the committed
 # baseline. Each row keeps the fastest of three runs, whose model
-# metrics must agree exactly. GOMAXPROCS is pinned because allocs/op
-# depend on it.
+# metrics must agree exactly. GOMAXPROCS is pinned so the host's core
+# count does not move the timed rows.
 bench:
 	GOMAXPROCS=2 go run ./cmd/parsim sweep -bench -bench-runs 3 -bench-o BENCH_pr34.json
 

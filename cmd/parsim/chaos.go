@@ -32,7 +32,7 @@ func runChaos(argv []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "scenario seed (and first sweep seed)")
 	seeds := fs.Int("seeds", 2, "number of consecutive sweep seeds")
 	degraded := fs.Bool("degraded", false, "mask crashes and re-partition over survivors (shared-memory models)")
-	workers := fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "machine Workers setting: validated (must be ≥ 0), no effect on how a machine runs")
 	deadline := fs.Duration("deadline", chaos.DefaultDeadline, "per-run watchdog deadline")
 	backendName := fs.String("backend", "", backend.Usage())
 	procWorkers := fs.Int("proc-workers", 0, "proc backend worker processes (default 1)")

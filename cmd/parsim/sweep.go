@@ -41,7 +41,7 @@ func runSweep(argv []string, stdout, stderr io.Writer) error {
 	resume := fs.Bool("resume", false, "resume from the partial JSONL output at -o, skipping completed cells")
 	maxCells := fs.Int("max-cells", 0, "stop after running this many new cells (0 = all); resume later with -resume")
 	maxCost := fs.Int64("max-cost", 0, "n·p footprint ceiling; larger cells skip as too-large (0 = default)")
-	workers := fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "machine Workers setting: validated (must be ≥ 0), no effect on how a machine runs")
 	deadline := fs.Duration("deadline", chaos.DefaultDeadline, "fault-cell watchdog deadline")
 	progress := fs.Bool("progress", false, "print a per-cell progress line to stderr")
 	render := fs.Bool("render", false, "render Table 1 from the experiment records (implied by -preset tables)")

@@ -57,7 +57,7 @@ var Analyzer = &analysis.Analyzer{
 // apply, corrupt), the request recorders (the MemCtx, BitCtx and Sends
 // methods, per-cell and batch alike — a batch recorder appends to the
 // same cursor columns as its per-cell twin, so it is part of the same
-// contract), the lanes' setup and run loop (useLanes, run), and the
+// contract), the lane's setup and run loop (init, run), and the
 // fault-injection/recovery machinery (InjectFaults attachment, the
 // barrier-side consult/accounting, and the checkpoint/rollback path — all
 // of which run on the coordinating goroutine, see fault.go). Everything
@@ -69,10 +69,10 @@ var allowedWriters = map[string]map[string]bool{
 	"store":  set("init", "Grow", "SetBit", "corrupt"),
 	"shared": set("init", "ForAll", "Checkpoint", "gather"),
 	"Mem":    set("InitMem"),
-	"cursor": set("useLanes", "run", "failf", "Op", "Read", "ReadWord", "Write",
+	"cursor": set("init", "run", "failf", "Op", "Read", "ReadWord", "Write",
 		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch",
 		"AddWork", "Stage", "Fail", "StageBatch"),
-	"lane":  set("useLanes", "run"),
+	"lane":  set("init", "run"),
 	"Route": set("InitRoute", "Superstep", "Checkpoint", "Rollback", "corrupt", "gather", "apply"),
 	"Sends": set(),
 }

@@ -166,8 +166,8 @@ func (c *BitCtx) replay(ws []int32) {
 	c.writes = ws // want `engine\.cursor\.writes written in replay, outside the commit entry points`
 }
 
-// lane mirrors a dispatch chunk's lane, written only by its run loop
-// (and useLanes at creation).
+// lane mirrors a machine's request lane, written only by its run loop
+// (and init at creation).
 type lane struct {
 	cur   *cursor
 	spans []int32

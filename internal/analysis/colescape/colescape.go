@@ -203,8 +203,8 @@ func analyzeFunc(pass *analysis.Pass, g *interproc.Graph, summaries map[string]*
 		}
 	}
 	analyzeBody(info.Sym, fd.Body)
-	// The engine's phase work runs inside sched.Blocks worker closures;
-	// each literal gets its own graph (the replay above does not descend
+	// The engine's phase work runs inside dispatch closures (ForAll's
+	// and Superstep's); each literal gets its own graph (the replay above does not descend
 	// into literals). Captured parameter objects still resolve through
 	// a.params, so closure sinks feed the enclosing summary.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -1,6 +1,6 @@
 // Package goleak checks the goroutine-lifecycle contract of the
-// concurrency seam (the engine, the backends, the chaos harness and the
-// scheduler): every goroutine launched there must have a statically
+// concurrency seam (the engine, the backends and the chaos harness):
+// every goroutine launched there must have a statically
 // provable exit path, because the sweep and chaos harnesses run tens of
 // thousands of scenarios per process and a goroutine leaked per run
 // turns into an unbounded pile the race detector never flags.
@@ -10,10 +10,10 @@
 // (Graph.ReachesExit). That one criterion covers the three exit-path
 // classes the transport actually uses:
 //
-//   - a terminating body: no cycles at all, as in sched.Blocks's
-//     WaitGroup-joined workers or the coordinator's handshake closure —
-//     the join edge guarantees the spawner outlives them, and the body's
-//     CFG falls through to the exit;
+//   - a terminating body: no cycles at all, as in WaitGroup-joined
+//     workers or the proc coordinator's handshake closure — the join
+//     edge guarantees the spawner outlives them, and the body's CFG
+//     falls through to the exit;
 //   - an exit-guarded loop: a `select` clause receiving from a
 //     done/dead/stop channel or a `ctx.Done()`/`closed.Load()` check
 //     that returns, and connection-close unblocks — a read loop whose
@@ -71,7 +71,6 @@ func appliesTo(pkgPath string) bool {
 		"internal/engine",
 		"internal/backend",
 		"internal/chaos",
-		"internal/sched",
 	} {
 		if strings.Contains(pkgPath, seam) {
 			return true

@@ -58,8 +58,8 @@ type FuncInfo struct {
 	File *ast.File
 	// Calls are the resolved outgoing edges, in source order. Function
 	// literals inside the body are attributed to the enclosing
-	// declaration (the engine dispatches its passes through
-	// sched.Blocks closures).
+	// declaration (the engine dispatches its phase bodies through
+	// closures handed to runPhase).
 	Calls []Callee
 }
 

@@ -73,7 +73,6 @@ func appliesTo(pkgPath string) bool {
 		"internal/engine",
 		"internal/backend",
 		"internal/chaos",
-		"internal/sched",
 	} {
 		if strings.Contains(pkgPath, seam) {
 			return true

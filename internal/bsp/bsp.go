@@ -71,7 +71,9 @@ type Config struct {
 	N int
 	// PrivCells is the private memory size per component.
 	PrivCells int
-	// Workers caps simulation parallelism; 0 means GOMAXPROCS.
+	// Workers is validated (it must be ≥ 0) and has no effect on how
+	// the machine runs: every phase runs its bodies on the calling
+	// goroutine.
 	Workers int
 }
 
@@ -86,7 +88,7 @@ func New(c Config) (*Machine, error) {
 	for i := range m.priv {
 		m.priv[i] = make([]int64, c.PrivCells)
 	}
-	m.InitRoute(bspModel{m}, p, c.N, c.Workers)
+	m.InitRoute(bspModel{m}, p, c.N)
 	return m, nil
 }
 
@@ -252,8 +254,8 @@ func (c *Ctx) SendFanout(dsts []int32, tag, val int64) {
 	c.s.StageBatch(dsts, c.msgBuf)
 }
 
-// Superstep runs one superstep: body is invoked once per component
-// (concurrently over contiguous chunks); at the barrier the h-relation is
+// Superstep runs one superstep: body is invoked once per component, in
+// ascending order; at the barrier the h-relation is
 // measured, the superstep is charged max(w, g·h, L), and staged messages
 // are routed into the inboxes for the next superstep by the routing
 // commit.

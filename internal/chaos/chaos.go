@@ -176,7 +176,8 @@ func newBackend(sc Scenario) (engine.Backend, error) {
 }
 
 // Run executes one scenario under a watchdog deadline, recovering panics
-// into the outcome. workers caps simulation parallelism (0 = GOMAXPROCS);
+// into the outcome. workers is the machine Config's Workers (validated,
+// with no effect on how the machine runs);
 // ctx cancellation (nil = Background) cuts the run short with a Cancelled
 // outcome. Run owns the scenario's backend: it is created before the
 // runner starts and closed on every exit path, so worker subprocesses die

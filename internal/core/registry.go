@@ -270,9 +270,10 @@ var ErrUnverified = errors.New("answer failed the host-side oracle")
 
 // Runner is the run context of a §8 algorithm run: what the caller hands
 // the machine beyond the point itself. The zero Runner runs fault-free on
-// the built-in merge at GOMAXPROCS workers and records no event log.
+// the built-in merge and records no event log.
 type Runner struct {
-	// Workers caps simulation parallelism (0 = GOMAXPROCS).
+	// Workers is handed to the machine's Config, which validates it (it
+	// must be ≥ 0); it has no effect on how the machine runs.
 	Workers int
 	// Backend is the commit-barrier backend (nil = the built-in merge),
 	// owned by the caller and only borrowed by the machine.

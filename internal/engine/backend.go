@@ -24,7 +24,7 @@ import (
 // is compared against nothing — it IS the answer, so a backend that
 // implements the reference rules (see MemMerger / RouteMerger) produces
 // byte-identical event streams, cost reports and memory images to the
-// in-proc path at every Workers setting and every worker-process count.
+// in-proc path at every worker-process count.
 //
 // Transport failures are recovery-schedulable, not fatal: a failed merge
 // surfaces as PhaseRetry through the machine's RetryPolicy — charging the
@@ -34,7 +34,7 @@ import (
 
 // MemMergeReq is one shared-memory barrier merge: the per-processor
 // request columns of the phase attempt, borrowed from the engine's
-// request lanes (valid only for the duration of the MergeMem call).
+// request lane (valid only for the duration of the MergeMem call).
 type MemMergeReq struct {
 	// Phase is the zero-based index the phase would commit as; Attempt
 	// the 1-based attempt counter. Both are diagnostic — the merge result

@@ -270,37 +270,33 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() { m.Phase(body) })
+		checkWarmAllocs(t, warmPhaseAllocs, func() { m.Phase(body) })
 	})
 }
 
 // TestDescendingRunPhaseAllocs pins the ascending merge's give-up path:
 // a phase whose processors read one plain cell and then a two-cell block
 // stages a run, so the barrier tries the ascending walk, which gives up
-// at processor 1's descent. Once warm, that phase must allocate no more
-// than the same phase without the plain read (which never gives up):
+// at processor 1's descent. Once warm, that phase must allocate nothing,
+// as the same phase without the plain read (which never gives up) does:
 // the walk keeps the read-interval scratch it grew before giving up.
 func TestDescendingRunPhaseAllocs(t *testing.T) {
 	forEachBarrier(t, func(t *testing.T, workers int) {
 		const p = 64
-		warm := func(body func(c *engine.MemCtx[int64])) float64 {
+		for _, body := range []func(c *engine.MemCtx[int64]){
+			func(c *engine.MemCtx[int64]) { c.ReadBlock(p+2*c.Proc(), 2) },
+			func(c *engine.MemCtx[int64]) {
+				c.Read(c.Proc())
+				c.ReadBlock(p+2*c.Proc(), 2)
+			},
+		} {
 			m := newMemMachine(t, p, 3*p, workers)
 			m.Phase(body)
 			m.Phase(body)
 			if err := m.Err(); err != nil {
 				t.Fatal(err)
 			}
-			return testing.AllocsPerRun(100, func() { m.Phase(body) })
-		}
-		block := warm(func(c *engine.MemCtx[int64]) {
-			c.ReadBlock(p+2*c.Proc(), 2)
-		})
-		descending := warm(func(c *engine.MemCtx[int64]) {
-			c.Read(c.Proc())
-			c.ReadBlock(p+2*c.Proc(), 2)
-		})
-		if descending > block {
-			t.Errorf("descending-run phase allocates %.1f objects/run, the block-only phase %.1f", descending, block)
+			checkWarmAllocs(t, warmPhaseAllocs, func() { m.Phase(body) })
 		}
 	})
 }

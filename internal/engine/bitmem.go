@@ -60,10 +60,9 @@ type BitMem struct {
 }
 
 // InitBits prepares the engine for a machine with the given model,
-// parameters, input size, worker budget and initial (zero-valued) memory
-// size in bits.
-func (m *BitMem) InitBits(model BitModel, params cost.Params, n, workers, cells int) error {
-	m.init(m, model, 6, 0, params, n, workers, cells)
+// parameters, input size and initial (zero-valued) memory size in bits.
+func (m *BitMem) InitBits(model BitModel, params cost.Params, n, cells int) error {
+	m.init(m, model, 6, params, n, cells)
 	return m.Err()
 }
 
@@ -140,16 +139,14 @@ func (c *BitCtx) Write(addr int, bit bool) {
 	c.writes = append(c.writes, PackWrite(addr, bit))
 }
 
-// apply commits the phase's packed writes straight from the lanes' write
-// columns in lane order: ascending processor order, each processor's
-// writes in issue order, so each bit's winner is the final write of the
-// highest-numbered processor — the word-valued engine's outcome.
+// apply commits the phase's packed writes straight from the lane's write
+// column: ascending processor order, each processor's writes in issue
+// order, so each bit's winner is the final write of the highest-numbered
+// processor — the word-valued engine's outcome.
 func (m *BitMem) apply() {
-	for _, l := range m.lanes {
-		for _, pk := range l.c.writes {
-			a, bit := unpackWrite(pk)
-			m.SetBit(int(a), bit == 1)
-		}
+	for _, pk := range m.lane.c.writes {
+		a, bit := unpackWrite(pk)
+		m.SetBit(int(a), bit == 1)
 	}
 }
 
@@ -159,19 +156,17 @@ type bitRender struct{}
 
 func (bitRender) Render(b uint8) string { return "01"[b&1 : b&1+1] }
 
-// record hands l the phase before the writes apply: the lanes' columns as
+// record hands l the phase before the writes apply: the lane's columns as
 // staged, and one recorded bit per read cell.
 func (m *BitMem) record(l *EventLog) {
-	vals := recordLanes[uint64, BitCtx, uint8](l, &m.Core, m.lanes, bitRender{}, KindWrite, true)
-	j := 0
-	for _, ln := range m.lanes {
-		for i := 0; i < len(ln.cur.readAddrs); {
-			a, n, next := Run(ln.cur.readAddrs, i)
-			for ; n > 0; a, n, j = a+1, n-1, j+1 {
-				vals[j] = uint8(m.mem[a>>6] >> (uint32(a) & 63) & 1)
-			}
-			i = next
+	vals := recordLane[uint64, BitCtx, uint8](l, &m.Core, &m.lane, bitRender{}, KindWrite, true)
+	reads, j := m.lane.c.readAddrs, 0
+	for i := 0; i < len(reads); {
+		a, n, next := Run(reads, i)
+		for ; n > 0; a, n, j = a+1, n-1, j+1 {
+			vals[j] = uint8(m.mem[a>>6] >> (uint32(a) & 63) & 1)
 		}
+		i = next
 	}
 }
 

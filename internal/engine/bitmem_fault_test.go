@@ -11,56 +11,9 @@ import (
 
 // The bit-packed engine shares Core's recovery machinery but has its own
 // checkpoint, corruption and commit paths over packed words; these tests
-// are the BitMem twins of the word-valued fault-path suite.
-
-// Rollback on the packed machine must restore the cost report exactly: a
-// transient-aborted attempt leaves no trace beyond the charged recovery
-// stall, and the packed word image matches the clean run bit for bit.
-func TestBitMemRollbackRestoresCostExactly(t *testing.T) {
-	forEachBarrier(t, func(t *testing.T, workers int) {
-		run := func(inj engine.Injector) *bitMachine {
-			m := newBitMachine(t, 4, 8, workers)
-			if inj != nil {
-				m.InjectFaults(inj, engine.RetryPolicy{MaxAttempts: 3, BackoffOps: 2}, false)
-			}
-			for phase := 0; phase < 3; phase++ {
-				odd := phase%2 == 1
-				m.Phase(func(c *engine.BitCtx) {
-					c.Op(2)
-					c.Write(c.Proc(), odd)
-					c.Write(c.Proc()+4, !odd)
-				})
-			}
-			if err := m.Err(); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		clean := run(nil)
-		faulted := run(scripted(map[int]engine.Verdict{
-			1: {Class: engine.FaultTransient, Err: errScripted, Proc: -1, Addr: 0},
-		}))
-
-		cr, fr := clean.Report(), faulted.Report()
-		if got, want := fr.NumPhases(), cr.NumPhases()+1; got != want {
-			t.Fatalf("NumPhases = %d, want %d (clean + 1 stall)", got, want)
-		}
-		if got, want := fr.TotalTime, cr.TotalTime+2; got != want {
-			t.Fatalf("TotalTime = %d, want %d (clean + stall cost 2)", got, want)
-		}
-		if got, want := fr.Work, cr.Work+2*4; got != want {
-			t.Fatalf("Work = %d, want %d (stall ops charged on all 4 processors)", got, want)
-		}
-		if !reflect.DeepEqual(clean.Words(), faulted.Words()) {
-			t.Fatalf("packed words diverged after rollback:\nclean:   %x\nfaulted: %x",
-				clean.Words(), faulted.Words())
-		}
-		fs := faulted.FaultStats()
-		if fs.Injected != 1 || fs.Recovered != 1 || fs.Retries != 1 {
-			t.Fatalf("stats = %+v, want one injected/recovered/retried", fs)
-		}
-	})
-}
+// are the BitMem twins of the word-valued fault-path suite. Its rollback
+// differential runs on BitMem too (the bit program of
+// TestRollbackRestoresCostExactly).
 
 // A strict crash verdict during a bit-packed commit aborts the phase:
 // none of the attempt's packed writes apply, the machine poisons with a

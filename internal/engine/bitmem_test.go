@@ -37,8 +37,10 @@ func (bitModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
 
 func newBitMachine(t *testing.T, p, cells, workers int) *bitMachine {
 	t.Helper()
+	params := cost.Params{G: 1, P: p}
+	validConfig(t, params, cells, workers)
 	m := &bitMachine{}
-	if err := m.InitBits(bitModel{}, cost.Params{G: 1, P: p}, p, workers, cells); err != nil {
+	if err := m.InitBits(bitModel{}, params, p, cells); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -167,7 +169,7 @@ func TestBitMemViolationAborts(t *testing.T) {
 
 func TestBitMemAddressSpaceCap(t *testing.T) {
 	m := &bitMachine{}
-	err := m.InitBits(bitModel{}, cost.Params{G: 1, P: 1}, 1, 1, 1<<30+1)
+	err := m.InitBits(bitModel{}, cost.Params{G: 1, P: 1}, 1, 1<<30+1)
 	if err == nil || !strings.Contains(err.Error(), "exceeds the 1073741824-cell address space") {
 		t.Fatalf("InitBits over cap = %v, want address-space error", err)
 	}
@@ -293,7 +295,7 @@ func TestBitMemSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() {
+		checkWarmAllocs(t, warmPhaseAllocs, func() {
 			ev.Reset()
 			m.Phase(body)
 		})

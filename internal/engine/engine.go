@@ -5,39 +5,37 @@
 // and a per-phase cost rule (Section 2) — and this package owns that
 // skeleton exactly once:
 //
-//   - Core carries the lifecycle state every machine shares: worker
-//     budget, per-chunk failure tallies, machine-error poisoning, the
-//     accumulated cost.Report, the Observer hook, and the barrier tail
-//     every phase commits through (Core.commit).
+//   - Core carries the lifecycle state every machine shares:
+//     machine-error poisoning, the accumulated cost.Report, the Observer
+//     hook, and the barrier tail every phase commits through
+//     (Core.commit).
 //   - shared is the one shared-memory phase engine (QSM family and GSM):
-//     per-chunk request lanes (lane.go), Phase/ForAll, Grow,
+//     the machine's request lane (lane.go), Phase/ForAll, Grow,
 //     Checkpoint/Rollback and the barrier's merge. It comes with two cell
 //     stores, which differ only in storage and codec: Mem[V] keeps one V
 //     per cell and commits through the model's Apply; BitMem packs 64
 //     Boolean cells into a word and records writes as PackWrite entries.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
-//     over the message type): the same request lanes, with a send
+//     over the message type): the same request lane, with a send
 //     recorded as a write of the message to its destination, h-relation
 //     measurement and deterministic inbox delivery with ping-ponged
 //     buffers.
 //
-// A phase costs O(processors dispatched) plus O(requests) host work: each
-// dispatch chunk owns one lane, whose cursor context serves the chunk's
-// processors in turn and whose columns they append to, and ForAll
-// dispatches only its active prefix. A processor that records nothing
-// leaves nothing behind. The MemCtx, BitCtx or Sends a body receives is
-// that cursor, valid only during the body call.
+// A phase runs on the calling goroutine and costs O(processors
+// dispatched) plus O(requests) host work: the machine's one lane has a
+// cursor context that serves the processors in ascending order and
+// columns they append to, and ForAll dispatches only its active prefix.
+// A processor that records nothing leaves nothing behind. The MemCtx,
+// BitCtx or Sends a body receives is that cursor, valid only during the
+// body call.
 //
-// Every phase commits through one barrier, on the coordinating
-// goroutine: the engine's column source gathers m_op and m_rw from the
-// lanes' maxima and counts contention with MemMerger or RouteMerger
-// straight off the active processors' own request columns; the tail
-// then checks the access
-// rule, consults the fault injector, charges the phase, emits its
-// events and applies or delivers over those processors in ascending
-// order. An attached Backend replaces only the contention count.
-// Workers sets how many goroutines run the processor bodies; it does not
-// change how a phase commits.
+// Every phase commits through one barrier: the engine's column source
+// gathers m_op and m_rw from the lane's maxima and counts contention
+// with MemMerger or RouteMerger straight off the active processors' own
+// request columns; the tail then checks the access rule, consults the
+// fault injector, charges the phase, emits its events and applies or
+// delivers over those processors in ascending order. An attached Backend
+// replaces only the contention count.
 //
 // A simulator package is a thin adapter: it supplies a Model (naming,
 // cost rule, round classification, commit semantics — last-writer-wins,
@@ -47,18 +45,17 @@
 //
 // Determinism contract: every result observable through a machine —
 // memory contents, cost reports, traces, and the Observer event stream —
-// is byte-identical for every Workers setting. Bodies only record
-// requests through their own processor's cursor into their chunk's lane;
-// the barrier reads the lanes in chunk order, which is ascending
-// processor order, and all observer events are emitted from the
-// coordinating goroutine.
+// is a function of the program and its inputs alone. A phase's result is
+// set by the §2 merge of every processor's requests at the barrier, so
+// running the bodies one after another changes nothing a machine
+// reports. The adapters' Workers setting is validated (ValidateConfig)
+// and has no effect on how a machine runs.
 package engine
 
 import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/sched"
 )
 
 // Model is what a machine adapter supplies to the engine: naming for
@@ -115,14 +112,13 @@ type Machine interface {
 
 // Core is the lifecycle state shared by every simulated machine. Machine
 // adapters embed it (directly or through Mem/Route) and gain the
-// model-generic API: P, N, Err, Report, Workers, RecordErr, AddObserver.
+// model-generic API: P, N, Err, Report, RecordErr, AddObserver.
 type Core struct {
-	model   Model
-	params  cost.Params
-	n       int
-	workers int
-	report  cost.Report
-	err     error
+	model  Model
+	params cost.Params
+	n      int
+	report cost.Report
+	err    error
 
 	obs      []Observer
 	curPhase int
@@ -132,15 +128,10 @@ type Core struct {
 	// verdicts target; a routing machine leaves it zero.
 	cells int
 
-	// failN/failE are per-chunk failure tallies (count, first failing
-	// error in chunk order), collected during body dispatch.
-	failN []int32
-	failE []error
-
 	// Fault-injection and recovery state (see fault.go). inj, retry and
 	// degraded are set once by InjectFaults; crashed/ncrashed track
 	// degraded-mode masking (written only at the commit barrier, read by
-	// the next phase's dispatch — ordered by the goroutine-start edge);
+	// the next phase's dispatch);
 	// attempt is the 1-based per-phase attempt counter; lastFault is the
 	// most recent transient fault error, kept for the retries-exhausted
 	// message; ckMark/ckOk are the Core half of the phase checkpoint.
@@ -161,14 +152,12 @@ type Core struct {
 	backend Backend
 }
 
-// Init prepares the core for a machine with the given model, parameters,
-// input size and worker budget (0 = GOMAXPROCS; callers validate that
-// workers is non-negative via ValidateConfig).
-func (c *Core) Init(model Model, params cost.Params, n, workers int) {
+// Init prepares the core for a machine with the given model, parameters
+// and input size.
+func (c *Core) Init(model Model, params cost.Params, n int) {
 	c.model = model
 	c.params = params
 	c.n = n
-	c.workers = sched.Workers(workers)
 	c.report = cost.Report{Model: model.Name(), N: n, Params: params}
 }
 
@@ -180,9 +169,6 @@ func (c *Core) N() int { return c.n }
 
 // Params returns the machine parameters.
 func (c *Core) Params() cost.Params { return c.params }
-
-// Workers returns the normalised phase-execution parallelism.
-func (c *Core) Workers() int { return c.workers }
 
 // Err returns the first model violation or runtime error, if any.
 func (c *Core) Err() error { return c.err }
@@ -217,13 +203,10 @@ const (
 )
 
 // runPhase executes the model-generic phase lifecycle: the phase-start
-// observer event, chunked dispatch of the per-processor bodies, failure
-// merging with error poisoning, and — only if every body succeeded — the
-// barrier over src's columns (see commit). p is the number of processors
-// dispatched: the phase's active prefix [0, p). chunk runs the bodies of
-// processors [lo, hi) of chunk k inline (keeping the per-processor loop
-// free of dispatch overhead; chunk indexes ascend with the processor
-// range, and each is run by one goroutine) and reports its failure
+// observer event, the dispatch of the per-processor bodies, failure
+// poisoning, and — only if every body succeeded — the barrier over src's
+// columns (see commit). run runs the bodies of the phase's processors in
+// ascending order on the calling goroutine and reports its failure
 // tally: how many bodies failed and the first failure in processor
 // order. An erred machine skips the phase entirely; with an injector
 // attached, the phase starts from a checkpoint.
@@ -235,7 +218,7 @@ const (
 // Poisoning always routes through RecordErr, so the first recorded error
 // is stable: repeated Err() calls and post-failure phase attempts
 // observe the same wrapped chain.
-func (c *Core) runPhase(workers, p int, chunk func(k, lo, hi int) (int32, error), src columnSource) {
+func (c *Core) runPhase(run func() (int32, error), src columnSource) {
 	if c.err != nil {
 		return
 	}
@@ -245,29 +228,11 @@ func (c *Core) runPhase(workers, p int, chunk func(k, lo, hi int) (int32, error)
 	c.attempt = 1
 	for {
 		c.observePhaseStart()
-		nb := sched.NumBlocks(workers, p)
-		if len(c.failN) < nb {
-			c.failN = make([]int32, nb)
-			c.failE = make([]error, nb)
-		}
-		sched.Blocks(workers, p, func(w, lo, hi int) {
-			c.failN[w], c.failE[w] = chunk(w, lo, hi)
-		})
 		// Failed processors short-circuit the commit: nothing is counted
-		// and nothing commits. The first error in processor order wins
-		// (chunk indexes ascend with the processor range); the number of
-		// other failing processors is preserved in the message.
-		nfail := 0
-		var first error
-		for w := 0; w < nb; w++ {
-			if c.failN[w] > 0 {
-				if first == nil {
-					first = c.failE[w]
-				}
-				nfail += int(c.failN[w])
-			}
-		}
-		if nfail > 0 {
+		// and nothing commits. The first error in processor order wins;
+		// the number of other failing processors is preserved in the
+		// message.
+		if nfail, first := run(); nfail > 0 {
 			if nfail > 1 {
 				c.RecordErr(fmt.Errorf("%w (and %d other %ss failed)",
 					first, nfail-1, c.model.Entity()))
@@ -298,7 +263,7 @@ func (c *Core) runPhase(workers, p int, chunk func(k, lo, hi int) (int32, error)
 // columnSource is one engine's view of a phase's request columns, the
 // part of the barrier that differs between engines. The barrier calls
 // each method at most once per phase attempt; each walks the phase's
-// lanes itself, so nothing is dispatched per request.
+// lane itself, so nothing is dispatched per request.
 type columnSource interface {
 	// gather returns the phase's raw accounting: the m_op and m_rw
 	// maxima, plus the contention counted in process or by the attached
@@ -320,8 +285,7 @@ type columnSource interface {
 	Rollback() bool
 }
 
-// commit is the barrier every engine's phase ends in, run on the
-// coordinating goroutine at every Workers setting: merge (src.gather,
+// commit is the barrier every engine's phase ends in: merge (src.gather,
 // in process or through the backend), the access-rule check, the
 // injector consult, the charge, the observer record, the apply, and
 // PhaseEnd. A failed backend merge schedules a retry or poisons the

@@ -28,7 +28,6 @@ func (memModel) Name() string     { return "TEST" }
 func (memModel) Entity() string   { return "processor" }
 func (memModel) Prefix() string   { return "test" }
 func (memModel) Violation() error { return errTestViolation }
-func (memModel) Grain() int       { return 1 }
 
 func (memModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	for i, j := 0, 0; i < len(addrs); {
@@ -58,51 +57,52 @@ func (memModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
 	}
 }
 
-// barrierWorkers are the worker counts the lifecycle, violation and
-// fault tests run at: 1 dispatches the bodies inline, 4 over concurrent
-// chunks. Both commit through the same column barrier.
+// barrierWorkers are the Workers settings the lifecycle, violation and
+// fault tests configure their machines with. Each test machine validates
+// its setting the way every adapter does (ValidateConfig), and Workers
+// then has no effect on how the machine runs, so every check, the exact
+// allocation pins included, must hold at each setting.
 var barrierWorkers = []int{1, 4}
 
-// warmPhaseAllocs is the exact allocation count of one warm phase at
-// Workers 1: the two dispatch closures, ForAll's or Route.Superstep's
-// chunk closure and runPhase's sched.Blocks closure, which are heap
-// objects because sched.Blocks hands its fn to a go statement. A memory
-// profile of a warm phase shows nothing else: contexts, request columns,
-// commit scratch and the report are reused. A retried attempt allocates
-// one more object, runPhase's closure again.
-const warmPhaseAllocs = 2
-
-// attemptAllocsW4 bounds one phase attempt at Workers 4, where the
-// sched.Blocks fan-out adds its goroutine captures (11 objects per phase
-// on every engine on go1.24). Neither count depends on p or on the
-// request volume.
-const attemptAllocsW4 = 12
+// warmPhaseAllocs is the exact allocation count of one warm phase, at
+// every Workers setting and on every attempt of a retried phase: a
+// phase runs its bodies on the calling goroutine, so neither dispatch
+// closure escapes, and contexts, request columns, commit scratch and the
+// report are reused. It does not depend on p or on the request volume.
+const warmPhaseAllocs = 0
 
 // checkWarmAllocs measures phase, which must already be warm (run twice),
-// and checks that it allocates exactly want objects per run at Workers 1
-// and no more than attempts·attemptAllocsW4 at Workers 4.
-func checkWarmAllocs(t *testing.T, workers int, want float64, attempts int, phase func()) {
+// and checks that it allocates exactly want objects per run.
+func checkWarmAllocs(t *testing.T, want float64, phase func()) {
 	t.Helper()
-	got := testing.AllocsPerRun(100, phase)
-	if workers == 1 && got != want {
-		t.Errorf("warm phase allocates %.0f objects/run at Workers 1, want exactly %.0f", got, want)
-	}
-	if limit := float64(attempts * attemptAllocsW4); workers > 1 && got > limit {
-		t.Errorf("warm phase allocates %.0f objects/run at Workers %d, want ≤ %.0f", got, workers, limit)
+	if got := testing.AllocsPerRun(100, phase); got != want {
+		t.Errorf("warm phase allocates %.0f objects/run, want exactly %.0f", got, want)
 	}
 }
 
-// forEachBarrier runs fn once per barrier, as subtests named W<workers>.
+// forEachBarrier runs fn once per setting of barrierWorkers, as subtests
+// named W<workers>.
 func forEachBarrier(t *testing.T, fn func(t *testing.T, workers int)) {
 	for _, w := range barrierWorkers {
 		t.Run("W"+strconv.Itoa(w), func(t *testing.T) { fn(t, w) })
 	}
 }
 
+// validConfig fails t unless the test machine's configuration passes
+// the adapters' validation at the given Workers setting.
+func validConfig(t *testing.T, p cost.Params, cells, workers int) {
+	t.Helper()
+	if err := engine.ValidateConfig("test", p, p.P, cells, workers, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func newMemMachine(t *testing.T, p, cells, workers int) *memMachine {
 	t.Helper()
+	params := cost.Params{G: 1, P: p}
+	validConfig(t, params, cells, workers)
 	m := &memMachine{}
-	m.InitMem(memModel{}, cost.Params{G: 1, P: p}, p, workers, cells)
+	m.InitMem(memModel{}, params, p, cells)
 	return m
 }
 
@@ -332,8 +332,8 @@ func TestMemObserverOrdering(t *testing.T) {
 
 // TestMemSteadyStateAllocs pins the free-list behaviour of both
 // barriers: after warm-up, an untraced phase reuses its contexts, request
-// buffers and commit scratch, and allocates only its dispatch closures
-// (see warmPhaseAllocs). Reallocating any O(p) structure, or one object
+// buffers and commit scratch, and allocates nothing (see
+// warmPhaseAllocs). Reallocating any O(p) structure, or one object
 // on the commit path, changes the count.
 func TestMemSteadyStateAllocs(t *testing.T) {
 	forEachBarrier(t, func(t *testing.T, workers int) {
@@ -348,7 +348,7 @@ func TestMemSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() { m.Phase(body) })
+		checkWarmAllocs(t, warmPhaseAllocs, func() { m.Phase(body) })
 	})
 }
 
@@ -376,8 +376,10 @@ func (routeModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
 
 func newRouteMachine(t *testing.T, p, workers int) *routeMachine {
 	t.Helper()
+	params := cost.Params{G: 1, P: p}
+	validConfig(t, params, 0, workers)
 	m := &routeMachine{}
-	m.InitRoute(routeModel{}, cost.Params{G: 1, P: p}, p, workers)
+	m.InitRoute(routeModel{}, params, p)
 	return m
 }
 
@@ -458,7 +460,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() { m.Superstep(body) })
+		checkWarmAllocs(t, warmPhaseAllocs, func() { m.Superstep(body) })
 	})
 }
 
@@ -539,7 +541,7 @@ func TestMemObservedSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() {
+		checkWarmAllocs(t, warmPhaseAllocs, func() {
 			ev.Reset()
 			m.Phase(body)
 		})
@@ -548,8 +550,7 @@ func TestMemObservedSteadyStateAllocs(t *testing.T) {
 
 // TestRouteObservedSteadyStateAllocs is the routing twin, with BSP
 // messages, whose rendering allocates: a warmed-up observed superstep
-// records them without rendering any. bsp.Machine.Superstep's wrapper
-// closure adds one object.
+// records them without rendering any.
 func TestRouteObservedSteadyStateAllocs(t *testing.T) {
 	forEachBarrier(t, func(t *testing.T, workers int) {
 		const p = 64
@@ -566,7 +567,7 @@ func TestRouteObservedSteadyStateAllocs(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs+1, 1, func() {
+		checkWarmAllocs(t, warmPhaseAllocs, func() {
 			ev.Reset()
 			m.Superstep(body)
 		})
@@ -603,7 +604,7 @@ func TestRelayObserverSteadyStateAllocs(t *testing.T) {
 		if obs.requests != 4*p || obs.ends != 2 {
 			t.Fatalf("relay delivered %d requests and %d phase ends over two phases, want %d and 2", obs.requests, obs.ends, 4*p)
 		}
-		checkWarmAllocs(t, workers, warmPhaseAllocs, 1, func() { m.Phase(body) })
+		checkWarmAllocs(t, warmPhaseAllocs, func() { m.Phase(body) })
 	})
 }
 

@@ -13,13 +13,12 @@ import (
 //
 // The design rests on two pillars of the existing runtime:
 //
-//   - Injection points sit on the coordinating goroutine, in the same
-//     place the Observer hook sits: the injector is consulted exactly
-//     once per phase attempt, at the commit barrier, after the merge has
-//     validated the phase and before anything is charged or applied. The
-//     consult order is therefore a pure function of the phase/attempt
-//     sequence — Workers=1 and Workers=N produce byte-identical fault
-//     schedules and event streams.
+//   - Injection points sit at the commit barrier, in the same place the
+//     Observer hook sits: the injector is consulted exactly once per
+//     phase attempt, after the merge has validated the phase and before
+//     anything is charged or applied. The consult order is therefore a
+//     pure function of the phase/attempt sequence, and reruns produce
+//     byte-identical fault schedules and event streams.
 //
 //   - Recovery is phase-granular because the models themselves are: the
 //     request discipline ("the value returned by a shared-memory read can
@@ -125,11 +124,10 @@ type Snapshotter interface {
 }
 
 // Injector decides fault injection for a machine. It is consulted exactly
-// once per phase attempt, from the coordinating goroutine, at the commit
-// barrier — after the merge, before the charge. Implementations must be
-// deterministic functions of the consult sequence (seeded RNG state
-// included); wall-clock or global-RNG decisions would break the
-// byte-identical Workers=1 vs Workers=N contract.
+// once per phase attempt, at the commit barrier — after the merge, before
+// the charge. Implementations must be deterministic functions of the
+// consult sequence (seeded RNG state included); wall-clock or global-RNG
+// decisions would break the byte-identical rerun contract.
 type Injector interface {
 	Inject(ic InjectCtx) Verdict
 }

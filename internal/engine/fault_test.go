@@ -249,8 +249,10 @@ func checkRolledBack(t *testing.T, where string, clean, got faultRun, k, n int) 
 	for i, pc := range clean.report.Phases {
 		if i == k {
 			for j, st := range got.report.Phases[k : k+n] {
-				if ops := rollbackPolicy.BackoffOps << j; st.MaxOps != ops || st.MaxRW != 0 {
-					t.Fatalf("%s: phase %d is %+v, want a recovery stall of %d local ops", where, k+j, st, ops)
+				// Every program's model charges a stall of ops local
+				// operations exactly ops time units at these parameters.
+				if ops := rollbackPolicy.BackoffOps << j; st.MaxOps != ops || st.MaxRW != 0 || st.Time != cost.Time(ops) {
+					t.Fatalf("%s: phase %d is %+v, want a recovery stall of %d local ops costing %d", where, k+j, st, ops, ops)
 				}
 				want.Add(st)
 				stallTime += st.Time
@@ -286,22 +288,20 @@ func (firstAttemptTransient) Inject(ic engine.InjectCtx) engine.Verdict {
 
 // TestInjectedSteadyStateAllocs pins the fault path's allocations: with
 // an injector attached, a warm phase also checkpoints and consults it,
-// and allocates exactly what an uninjected one does; a phase retried
-// after a transient fault (apply, corrupt, rollback, stall, second
-// attempt) allocates one more object for its second attempt.
+// and allocates exactly what an uninjected one does; so does a phase
+// retried after a transient fault (apply, corrupt, rollback, stall,
+// second attempt).
 func TestInjectedSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		inj      engine.Injector
-		attempts int
+		name string
+		inj  engine.Injector
 	}{
-		{"none", noFault{}, 1},
-		{"transient", firstAttemptTransient{}, 2},
+		{"none", noFault{}},
+		{"transient", firstAttemptTransient{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forEachBarrier(t, func(t *testing.T, workers int) {
 				const p = 64
-				want := float64(warmPhaseAllocs + tc.attempts - 1)
 				m := newMemMachine(t, p, 2*p, workers)
 				m.InjectFaults(tc.inj, engine.RetryPolicy{}, false)
 				mb := func(c *engine.MemCtx[int64]) { c.Write(p+c.Proc(), c.Read(c.Proc())+1) }
@@ -315,8 +315,8 @@ func TestInjectedSteadyStateAllocs(t *testing.T) {
 				if err := errors.Join(m.Err(), r.Err()); err != nil {
 					t.Fatal(err)
 				}
-				checkWarmAllocs(t, workers, want, tc.attempts, func() { m.Phase(mb) })
-				checkWarmAllocs(t, workers, want, tc.attempts, func() { r.Superstep(rb) })
+				checkWarmAllocs(t, warmPhaseAllocs, func() { m.Phase(mb) })
+				checkWarmAllocs(t, warmPhaseAllocs, func() { r.Superstep(rb) })
 			})
 		})
 	}

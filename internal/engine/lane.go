@@ -2,18 +2,16 @@ package engine
 
 import "math"
 
-// Request lanes: the per-chunk request storage of every engine (Mem,
-// BitMem and Route alike).
+// Request lanes: the request storage of every engine (Mem, BitMem and
+// Route alike).
 //
-// A phase dispatches its processors over contiguous chunks, and each
-// chunk owns one lane: a processor context whose cursor serves the
-// chunk's processors one after another, and the columns they append to
-// in turn (reads, and writes or sends with their values). Lanes are
-// created per chunk, not per processor, and reused across phases, so a
-// phase costs O(processors dispatched) plus O(requests); a processor
-// that records nothing leaves nothing behind. Chunks ascend with the
-// processor range, so reading the lanes in order reads the requests in
-// ascending processor order.
+// A machine owns one lane: a processor context whose cursor serves the
+// phase's processors one after another, in ascending order, and the
+// columns they append to in turn (reads, and writes or sends with their
+// values). The lane is reused across phases, so a phase costs
+// O(processors dispatched) plus O(requests); a processor that records
+// nothing leaves nothing behind. Reading the lane's columns in order
+// reads the requests in ascending processor order.
 
 // Request columns: a lane's read and write columns are sequences of
 // int32 words in cell space. A plain word (bit 31 clear) is one cell. A
@@ -80,19 +78,18 @@ func RunFill(col []int32, i int) (a int32, n, next int, fill bool) {
 	return a &^ math.MinInt32, int(l &^ math.MinInt32), i + 2, l < 0
 }
 
-// span is one processor's share of its lane's columns: the reads and
+// span is one processor's share of the lane's columns: the reads and
 // writes up to r1 and w1, starting where the previous span ended (at 0
-// for the lane's first span). The columns hold nothing but the spans'
-// requests, so a lane's spans tile its columns exactly.
+// for the first span). The columns hold nothing but the spans' requests,
+// so the spans tile the columns exactly.
 type span struct {
 	proc, r1, w1 int32
 }
 
-// lane is one dispatch chunk's request storage: the context c the
-// chunk's bodies receive and its cursor, plus the barrier's index into
-// the lane — a span per processor that recorded a request, in ascending
-// processor order, and the chunk's running maxima of local work (m_op)
-// and requests (m_rw).
+// lane is a machine's request storage: the context c the bodies receive
+// and its cursor, plus the barrier's index into the lane — a span per
+// processor that recorded a request, in ascending processor order, and
+// the phase's running maxima of local work (m_op) and requests (m_rw).
 type lane[W, C any] struct {
 	c        C
 	cur      *cursor[W]
@@ -100,39 +97,25 @@ type lane[W, C any] struct {
 	mOp, mRW int64
 }
 
-// useLanes returns lanes resliced to the phase's nb chunks, reusing the
-// lanes kept past its length and creating missing ones, whose cursors
-// read st.
-func useLanes[W, C any](lanes []*lane[W, C], nb int, st *store[W]) []*lane[W, C] {
-	if cap(lanes) < nb {
-		grown := make([]*lane[W, C], nb)
-		copy(grown, lanes[:cap(lanes)])
-		lanes = grown
-	}
-	lanes = lanes[:nb]
-	for k, l := range lanes {
-		if l == nil {
-			l = new(lane[W, C])
-			l.cur = any(&l.c).(interface{ base() *cursor[W] }).base()
-			l.cur.m = st
-			lanes[k] = l
-		}
-	}
-	return lanes
+// init points the lane's cursor at the one embedded in its context, and
+// the cursor at st, the store its reads see (nil for a routing lane).
+func (l *lane[W, C]) init(st *store[W]) {
+	l.cur = any(&l.c).(interface{ base() *cursor[W] }).base()
+	l.cur.m = st
 }
 
-// run executes the bodies of processors [lo, hi) on the lane's cursor and
-// reports the chunk's failure tally. Masked processors, processors that
-// record nothing and processors that fail leave no trace in the lane. The
-// span index is reserved at the dispatch width, which bounds how many
-// processors can record, so it never grows while the bodies run. The
-// columns are reserved at that width too, so a phase whose processors
-// stage one request each never grows them: the read column only in a
-// shared-memory lane (a Sends cursor has no store and never reads), and
-// the write values except in a packed store, whose entries carry their
-// bits.
-func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error) {
-	c, n := l.cur, hi-lo
+// run executes the bodies of processors [0, n) on the lane's cursor and
+// reports the phase's failure tally. Masked processors, processors that
+// record nothing and processors that fail leave no trace in the lane.
+// The span index is reserved at the dispatch width, which bounds how
+// many processors can record, so it never grows while the bodies run.
+// The columns are reserved at that width too, so a phase whose
+// processors stage one request each never grows them: the read column
+// only in a shared-memory lane (a Sends cursor has no store and never
+// reads), and the write values except in a packed store, whose entries
+// carry their bits.
+func (l *lane[W, C]) run(core *Core, n int, body func(c *C)) (int32, error) {
+	c := l.cur
 	c.readAddrs, c.writes, c.writeVals, c.runs = c.readAddrs[:0], reserve(c.writes, n), c.writeVals[:0], false
 	if c.m != nil {
 		c.readAddrs = reserve(c.readAddrs, n)
@@ -147,11 +130,10 @@ func (l *lane[W, C]) run(core *Core, lo, hi int, body func(c *C)) (int32, error)
 	spans, mOp, mRW := reserve(l.spans, n), int64(0), int64(0)
 	var nf int32
 	var first error
-	for i := lo; i < hi; i++ {
+	for i := range n {
 		if core.CrashedProc(i) {
 			// Masked processors idle: no body, no requests. The crash
-			// flag is written at the previous phase's barrier, so
-			// masking is visible here race-free.
+			// flag is written at the previous phase's barrier.
 			continue
 		}
 		r0, w0, v0 := len(c.readAddrs), len(c.writes), len(c.writeVals)
@@ -185,32 +167,23 @@ func reserve[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// mergeLanes counts the lanes' spans with g over the cells [0, cells)
-// for p processors — every lane's reads, then every lane's writes, in
-// lane order — and returns the merge's statistics. It tries the
-// ascending path when a lane staged a run, and runs the marks path when
-// none did or that path gave up; packed says the write columns hold
-// PackWrite entries.
-func mergeLanes[W, C any](g *MemMerger, lanes []*lane[W, C], cells, p int, packed bool) MergeStats {
-	stream := false
-	for _, l := range lanes {
-		stream = stream || l.cur.runs
-	}
-	for ; ; stream = false {
+// mergeLane counts the lane's spans with g over the cells [0, cells)
+// for p processors — its reads, then its writes — and returns the
+// merge's statistics. It tries the ascending path when the lane staged a
+// run, and runs the marks path when it did not or that path gave up;
+// packed says the write column holds PackWrite entries.
+func mergeLane[W, C any](g *MemMerger, l *lane[W, C], cells, p int, packed bool) MergeStats {
+	for stream := l.cur.runs; ; stream = false {
 		g.begin(0, cells, p, stream)
-		for _, l := range lanes {
-			countLane(g, l.spans, l.cur.readAddrs, false, false, l.cur.runs)
-		}
-		for _, l := range lanes {
-			countLane(g, l.spans, l.cur.writes, true, packed, l.cur.runs)
-		}
+		countLane(g, l.spans, l.cur.readAddrs, false, false, l.cur.runs)
+		countLane(g, l.spans, l.cur.writes, true, packed, l.cur.runs)
 		if st, ok := g.end(); ok {
 			return st
 		}
 	}
 }
 
-// countLane counts one lane's read spans (write false) or write spans
+// countLane counts the lane's read spans (write false) or write spans
 // (write true) over col, the lane's matching column; runs says whether
 // the lane staged a run. On the marks path a lane without runs is walked
 // span by span (MemMerger.walk); otherwise g gets the processors'
@@ -242,27 +215,25 @@ func countLane(g *MemMerger, spans []span, col []int32, write, packed, runs bool
 
 // colViews returns the p-long column-of-columns header an attached
 // Backend receives, reusing buf: entry i is processor i's read (or, with
-// write, write) column, runs and all, borrowed from its lane, and nil for
-// a processor that recorded nothing.
-func colViews[W, C any](buf [][]int32, p int, lanes []*lane[W, C], write bool) [][]int32 {
+// write, write) column, runs and all, borrowed from the lane, and nil
+// for a processor that recorded nothing.
+func colViews[W, C any](buf [][]int32, p int, l *lane[W, C], write bool) [][]int32 {
 	if cap(buf) < p {
 		buf = make([][]int32, p)
 	}
 	buf = buf[:p]
 	clear(buf)
-	for _, l := range lanes {
-		col := l.cur.readAddrs
+	col := l.cur.readAddrs
+	if write {
+		col = l.cur.writes
+	}
+	lo := int32(0)
+	for _, s := range l.spans {
+		hi := s.r1
 		if write {
-			col = l.cur.writes
+			hi = s.w1
 		}
-		lo := int32(0)
-		for _, s := range l.spans {
-			hi := s.r1
-			if write {
-				hi = s.w1
-			}
-			buf[s.proc], lo = col[lo:hi], hi
-		}
+		buf[s.proc], lo = col[lo:hi], hi
 	}
 	return buf
 }

@@ -18,7 +18,6 @@ func (laneModel) Name() string     { return "LANE" }
 func (laneModel) Entity() string   { return "processor" }
 func (laneModel) Prefix() string   { return "lane" }
 func (laneModel) Violation() error { return errors.New("lane: violation") }
-func (laneModel) Grain() int       { return 1 }
 
 func (laneModel) Apply(mem []int64, addrs []int32, vals []int64) {
 	for i, j := 0, 0; i < len(addrs); {
@@ -43,7 +42,7 @@ func (laneModel) PhaseCost(o Outcome) cost.PhaseCost {
 
 func newLaneMachine(p int) *Mem[int64] {
 	m := &Mem[int64]{}
-	m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, 1, 2*p)
+	m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, 2*p)
 	return m
 }
 
@@ -58,7 +57,7 @@ func TestLaneSpansSizedOnce(t *testing.T) {
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
-	l := m.lanes[0]
+	l := &m.lane
 	if len(l.spans) != p || cap(l.spans) != p {
 		t.Fatalf("after ForAll(%d): len, cap(spans) = %d, %d, want %d, %d", p, len(l.spans), cap(l.spans), p, p)
 	}
@@ -73,15 +72,14 @@ func TestLaneSpansSizedOnce(t *testing.T) {
 }
 
 // TestLaneColumnsSizedOnce pins the allocations of a new machine's first
-// phase at p = 4096, one Read and one Write per processor at Workers 1.
-// The lane reserves its read, write and value columns at the dispatch
-// width along with its span index, so each is allocated once instead of
-// regrown by append while the bodies run: 12 objects are the lane and
-// its slice, the span index and the three columns, the two failure
-// tallies, the two dispatch closures, the merger's marks and the
-// report's phase entry. Columns regrown by append took 53.
+// phase at p = 4096, one Read and one Write per processor. The lane
+// reserves its read, write and value columns at the dispatch width along
+// with its span index, so each is allocated once instead of regrown by
+// append while the bodies run: 6 objects are the span index and the
+// three columns, the merger's marks and the report's phase entry.
+// Columns regrown by append took 53.
 func TestLaneColumnsSizedOnce(t *testing.T) {
-	const p, runs, want = 4096, 4, 12
+	const p, runs, want = 4096, 4, 6
 	ms := make([]*Mem[int64], runs+1)
 	for i := range ms {
 		ms[i] = newLaneMachine(p)
@@ -96,7 +94,7 @@ func TestLaneColumnsSizedOnce(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		c := m.lanes[0].cur
+		c := m.lane.cur
 		if cap(c.readAddrs) != p || cap(c.writes) != p || cap(c.writeVals) != p {
 			t.Fatalf("cap(reads, writes, values) = %d, %d, %d, want %d each",
 				cap(c.readAddrs), cap(c.writes), cap(c.writeVals), p)
@@ -125,7 +123,7 @@ func TestLaneFailureLeavesNoEntries(t *testing.T) {
 	if m.Err() == nil {
 		t.Fatal("phase with failing processors committed")
 	}
-	l := m.lanes[0]
+	l := &m.lane
 	c := &l.c
 	var procs []int32
 	r0, w0 := int32(0), int32(0)
@@ -166,7 +164,7 @@ func TestLaneFailureDropsFill(t *testing.T) {
 	if m.Err() == nil {
 		t.Fatal("phase with a failing processor committed")
 	}
-	l := m.lanes[0]
+	l := &m.lane
 	c := &l.c
 	var procs []int32
 	w0 := int32(0)
@@ -188,12 +186,11 @@ func TestLaneFailureDropsFill(t *testing.T) {
 }
 
 // TestLaneWalkMatchesMerge pins the lane walk to the reference merge.
-// Seeded phases of plain words over 1, 2 and 4 lanes (idle processors,
-// duplicate requests, read+write clashes on half the phases, disjoint
-// read and write cells on the rest, and packed writes on a third) give
-// the same MergeStats, Viol included, from mergeLanes on one long-lived
-// merger as from a fresh MemMerger.Merge over colViews of the same
-// lanes.
+// Seeded phases of plain words (idle processors, duplicate requests,
+// read+write clashes on half the phases, disjoint read and write cells
+// on the rest, and packed writes on a third) give the same MergeStats,
+// Viol included, from mergeLane on one long-lived merger as from a
+// fresh MemMerger.Merge over colViews of the same lane.
 func TestLaneWalkMatchesMerge(t *testing.T) {
 	const cells, phases = 48, 600
 	type req struct {
@@ -204,7 +201,7 @@ func TestLaneWalkMatchesMerge(t *testing.T) {
 	var g MemMerger
 	var clashes, clean int
 	for i := range phases {
-		workers, p := []int{1, 2, 4}[i%3], 4*(1+r.IntN(10))
+		p := 4 * (1 + r.IntN(10))
 		clash, packed := r.IntN(2) == 0, r.IntN(3) == 0
 		reqs := make([][]req, p)
 		for pr := range reqs {
@@ -223,10 +220,9 @@ func TestLaneWalkMatchesMerge(t *testing.T) {
 			}
 		}
 		var got, want MergeStats
-		var lanes int
 		if packed {
 			m := &BitMem{}
-			if err := m.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, workers, cells); err != nil {
+			if err := m.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, cells); err != nil {
 				t.Fatal(err)
 			}
 			m.Phase(func(c *BitCtx) {
@@ -238,10 +234,10 @@ func TestLaneWalkMatchesMerge(t *testing.T) {
 					}
 				}
 			})
-			got, want, lanes = walkAndMerge(&g, m.lanes, cells, p, true)
+			got, want = walkAndMerge(&g, &m.lane, cells, p, true)
 		} else {
 			m := &Mem[int64]{}
-			m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, workers, cells)
+			m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, cells)
 			m.Phase(func(c *MemCtx[int64]) {
 				for _, q := range reqs[c.Proc()] {
 					if q.write {
@@ -251,13 +247,10 @@ func TestLaneWalkMatchesMerge(t *testing.T) {
 					}
 				}
 			})
-			got, want, lanes = walkAndMerge(&g, m.lanes, cells, p, false)
-		}
-		if lanes != workers {
-			t.Fatalf("phase %d: %d processors at Workers %d ran on %d lanes", i, p, workers, lanes)
+			got, want = walkAndMerge(&g, &m.lane, cells, p, false)
 		}
 		if got != want {
-			t.Fatalf("phase %d (p %d, %d lanes, packed %t): lane walk = %+v, Merge = %+v", i, p, lanes, packed, got, want)
+			t.Fatalf("phase %d (p %d, packed %t): lane walk = %+v, Merge = %+v", i, p, packed, got, want)
 		}
 		if want.Viol >= 0 {
 			clashes++
@@ -270,17 +263,16 @@ func TestLaneWalkMatchesMerge(t *testing.T) {
 	}
 }
 
-// walkAndMerge counts a phase's lanes with mergeLanes on g and with a
-// fresh MemMerger.Merge over their colViews, and reports both answers
-// and the lane count.
-func walkAndMerge[W, C any](g *MemMerger, lanes []*lane[W, C], cells, p int, packed bool) (got, want MergeStats, n int) {
-	got = mergeLanes(g, lanes, cells, p, packed)
+// walkAndMerge counts a phase's lane with mergeLane on g and with a
+// fresh MemMerger.Merge over its colViews, and reports both answers.
+func walkAndMerge[W, C any](g *MemMerger, l *lane[W, C], cells, p int, packed bool) (got, want MergeStats) {
+	got = mergeLane(g, l, cells, p, packed)
 	var ref MemMerger
 	want = ref.Merge(MemMergeReq{
 		Cells: cells, Packed: packed,
-		Reads: colViews(nil, p, lanes, false), Writes: colViews(nil, p, lanes, true),
+		Reads: colViews(nil, p, l, false), Writes: colViews(nil, p, l, true),
 	}, 0, cells)
-	return got, want, len(lanes)
+	return got, want
 }
 
 // TestMarksGrowByDoubling pins that the merger's marks grow only for the
@@ -312,12 +304,10 @@ func TestBlockStagesOneRun(t *testing.T) {
 			words = p
 		}
 		m := &Mem[int64]{}
-		m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, 2, 2*p*k)
+		m.InitMem(laneModel{}, cost.Params{G: 1, P: p}, p, 2*p*k)
 		staged := func() (reads, writes, vals int) {
-			for _, l := range m.lanes {
-				reads, writes, vals = reads+len(l.c.readAddrs), writes+len(l.c.writes), vals+len(l.c.writeVals)
-			}
-			return reads, writes, vals
+			c := m.lane.cur
+			return len(c.readAddrs), len(c.writes), len(c.writeVals)
 		}
 		m.Phase(func(c *MemCtx[int64]) {
 			pr := c.Proc()
@@ -335,18 +325,14 @@ func TestBlockStagesOneRun(t *testing.T) {
 				k, writes, vals, words, p*k)
 		}
 		b := &BitMem{}
-		if err := b.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, 2, 64*p); err != nil {
+		if err := b.InitBits(laneModel{}, cost.Params{G: 1, P: p}, p, 64*p); err != nil {
 			t.Fatal(err)
 		}
 		b.Phase(func(c *BitCtx) { c.ReadWord(64*c.Proc(), min(k, 64)) })
 		if err := errors.Join(m.Err(), b.Err()); err != nil {
 			t.Fatal(err)
 		}
-		var bitWords int
-		for _, l := range b.lanes {
-			bitWords += len(l.c.readAddrs)
-		}
-		if bitWords != words {
+		if bitWords := len(b.lane.cur.readAddrs); bitWords != words {
 			t.Errorf("k = %d: ReadWord staged %d column words; want %d", k, bitWords, words)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/sched"
 )
 
 // MemModel is the adapter contract of a shared-memory machine (the QSM
@@ -19,17 +18,11 @@ type MemModel[V any] interface {
 	// Violation is the package's sentinel error wrapping memory-access-rule
 	// violations.
 	Violation() error
-	// Grain is the minimum processors-per-chunk before a phase spawns
-	// worker goroutines; values ≤ 1 always use the full worker budget.
-	// The GSM's proof-machinery enumerations run thousands of tiny-p
-	// machines and use a grain to stay on the inline fast path.
-	Grain() int
 	// Apply commits a sequence of writes to memory, in issue order. The
-	// barrier hands it each dispatch chunk's write columns, which hold the
-	// chunk's processors in ascending order, and the chunks in ascending
-	// order, so a last-writer-wins Apply deterministically commits the
-	// final write of the highest-numbered processor; a merging Apply is
-	// order-insensitive. addrs is a request column (see RunFill): a run
+	// barrier hands it the lane's write column, which holds the
+	// processors in ascending order, so a last-writer-wins Apply
+	// deterministically commits the final write of the highest-numbered
+	// processor; a merging Apply is order-insensitive. addrs is a request column (see RunFill): a run
 	// of n cells takes the next n values of vals, one value per cell,
 	// and a fill run takes the next one value for all n cells.
 	Apply(mem []V, addrs []int32, vals []V)
@@ -40,7 +33,7 @@ type MemModel[V any] interface {
 // shared is the shared-memory phase engine, written once for both cell
 // stores: Mem keeps one V per cell (W = V), BitMem packs 64 Boolean
 // cells into a uint64 word (W = uint64). It owns the phase lifecycle —
-// Phase/ForAll dispatch over request lanes, Grow, Checkpoint/Rollback —
+// Phase/ForAll dispatch over the request lane, Grow, Checkpoint/Rollback —
 // and the barrier's gather and poison; the store type embedding it
 // supplies only its codec (apply, record, corrupt) and is the column
 // source the barrier reads. C is the store's processor context, which
@@ -49,20 +42,17 @@ type shared[W, C any] struct {
 	store[W]
 	// src is the embedding store type.
 	src columnSource
-	// grain is the model's dispatch grain.
-	grain int
 
-	// lanes holds one request lane per dispatch chunk of the current
-	// phase (len) and keeps the lanes of wider phases past it (cap), so
-	// a lane's columns keep their capacity across phases. A phase costs
-	// O(processors dispatched) plus O(requests), whatever p is.
-	lanes []*lane[W, C] //repro:pooled
+	// lane is the machine's request lane; its columns keep their
+	// capacity across phases, so a phase costs O(processors dispatched)
+	// plus O(requests), whatever p is.
+	lane lane[W, C]
 	// ck is the storage snapshot of the last Checkpoint (reused across
 	// phases; n/64 words for n packed bits). A shallow element copy
 	// suffices: Apply replaces cell values rather than mutating them in
 	// place (last-writer-wins stores, GSM's copy-on-write Merge).
 	ck []W //repro:pooled
-	// Column-barrier scratch (see gather): merger counts the lanes'
+	// Column-barrier scratch (see gather): merger counts the lane's
 	// columns in process, and bkReads/bkWrites are the p-long column
 	// views handed to a commit backend (one borrowed slice per
 	// processor, nil for a processor that recorded nothing).
@@ -82,12 +72,12 @@ type store[W any] struct {
 }
 
 // init prepares the engine for a machine with the given store type,
-// model, storage shift, grain, parameters, input size, worker budget and
-// initial (zero-valued) memory size in cells.
-func (m *shared[W, C]) init(src columnSource, model BitModel, shift uint, grain int,
-	params cost.Params, n, workers, cells int) {
-	m.Core.Init(model, params, n, workers)
-	m.src, m.model, m.shift, m.grain = src, model, shift, grain
+// model, storage shift, parameters, input size and initial (zero-valued)
+// memory size in cells.
+func (m *shared[W, C]) init(src columnSource, model BitModel, shift uint, params cost.Params, n, cells int) {
+	m.Core.Init(model, params, n)
+	m.src, m.model, m.shift = src, model, shift
+	m.lane.init(&m.store)
 	m.Grow(cells)
 }
 
@@ -131,8 +121,8 @@ func (m *shared[W, C]) Grow(size int) {
 
 // cursor is the store-independent half of a processor context: the
 // processor it serves, that processor's charges and first failure, and
-// the lane's request columns, which the chunk's processors append to one
-// after another. MemCtx and BitCtx embed it and Sends wraps it; the
+// the lane's request columns, which the processors append to one after
+// another. MemCtx and BitCtx embed it and Sends wraps it; the
 // engine points it at one processor at a time, so a context is valid
 // only during that processor's body call and must not be retained or
 // shared. m is the store a shared-memory context reads (nil in Sends).
@@ -150,7 +140,7 @@ type cursor[W any] struct {
 	writes    []int32 //repro:pooled
 	writeVals []W     //repro:pooled
 	// runs is set once a block call stages a run in the lane this phase,
-	// so the barrier knows which lanes need the run walk.
+	// so the barrier knows the lane needs the run walk.
 	runs bool
 	fail error
 }
@@ -177,7 +167,7 @@ func (c *cursor[W]) failf(format string, args ...any) {
 func (c *cursor[W]) base() *cursor[W] { return c }
 
 // Phase runs one bulk-synchronous phase: body is invoked once per
-// processor (concurrently over contiguous chunks), requests are merged at
+// processor, in ascending order, requests are merged at
 // the barrier (see Core.commit), the phase is charged under the model's
 // cost rule, and writes commit. Phase is a no-op once the machine has
 // erred.
@@ -189,14 +179,8 @@ func (m *shared[W, C]) Phase(body func(c *C)) { m.ForAll(m.P(), body) }
 // processors contribute nothing to the charge, exactly as if their
 // bodies had returned without a request.
 func (m *shared[W, C]) ForAll(active int, body func(c *C)) {
-	n, w := min(max(active, 0), m.P()), m.Workers()
-	if m.grain > 1 {
-		w = min(w, (n+m.grain-1)/m.grain)
-	}
-	m.lanes = useLanes(m.lanes, sched.NumBlocks(w, n), &m.store)
-	m.runPhase(w, n, func(k, lo, hi int) (int32, error) {
-		return m.lanes[k].run(&m.Core, lo, hi, body)
-	}, m.src)
+	n := min(max(active, 0), m.P())
+	m.runPhase(func() (int32, error) { return m.lane.run(&m.Core, n, body) }, m.src)
 }
 
 // Checkpoint snapshots the shared memory and cost aggregates at a
@@ -221,19 +205,16 @@ func (m *shared[W, C]) Rollback() bool {
 }
 
 // gather is the shared-memory half of the barrier's merge: m_op and m_rw
-// are the maxima of the lanes' maxima, and contention is counted by
-// MemMerger over the lanes' spans (mergeLanes) or, with a backend
-// attached, by the Backend over a p-long view of the same columns.
+// are the lane's maxima, and contention is counted by MemMerger over the
+// lane's spans (mergeLane) or, with a backend attached, by the Backend
+// over a p-long view of the same columns.
 func (m *shared[W, C]) gather() (Outcome, int32, error) {
-	var o Outcome
-	for _, l := range m.lanes {
-		o.MaxOps, o.MaxRW = max(o.MaxOps, l.mOp), max(o.MaxRW, l.mRW)
-	}
+	o := Outcome{MaxOps: m.lane.mOp, MaxRW: m.lane.mRW}
 	var st MergeStats
 	if m.backend != nil {
 		p := m.P()
-		m.bkReads = colViews(m.bkReads, p, m.lanes, false)
-		m.bkWrites = colViews(m.bkWrites, p, m.lanes, true)
+		m.bkReads = colViews(m.bkReads, p, &m.lane, false)
+		m.bkWrites = colViews(m.bkWrites, p, &m.lane, true)
 		var err error
 		st, err = m.backend.MergeMem(MemMergeReq{
 			Phase: m.curPhase, Attempt: m.attempt, Cells: m.cells, Packed: m.shift > 0,
@@ -243,7 +224,7 @@ func (m *shared[W, C]) gather() (Outcome, int32, error) {
 			return o, -1, err
 		}
 	} else {
-		st = mergeLanes(&m.merger, m.lanes, m.cells, m.P(), m.shift > 0)
+		st = mergeLane(&m.merger, &m.lane, m.cells, m.P(), m.shift > 0)
 	}
 	o.KRead, o.KWrite = st.KRead, st.KWrite
 	return o, st.Viol, nil
@@ -280,11 +261,10 @@ type Mem[V any] struct {
 }
 
 // InitMem prepares the engine for a machine with the given model,
-// parameters, input size, worker budget and initial (zero-valued) memory
-// size.
-func (m *Mem[V]) InitMem(model MemModel[V], params cost.Params, n, workers, cells int) {
+// parameters, input size and initial (zero-valued) memory size.
+func (m *Mem[V]) InitMem(model MemModel[V], params cost.Params, n, cells int) {
 	m.model = model
-	m.init(m, model, 0, model.Grain(), params, n, workers, cells)
+	m.init(m, model, 0, params, n, cells)
 }
 
 // Data returns the live memory slice for adapter-side access (input
@@ -329,31 +309,26 @@ func (c *MemCtx[V]) Write(addr int, val V) {
 	c.writeVals = append(c.writeVals, val)
 }
 
-// apply commits the phase's writes straight from the lanes' write
-// columns, one Apply per lane in lane order: ascending processor order,
-// each processor's writes in issue order.
+// apply commits the phase's writes straight from the lane's write
+// column in one Apply: ascending processor order, each processor's
+// writes in issue order.
 func (m *Mem[V]) apply() {
-	for _, l := range m.lanes {
-		if len(l.c.writes) > 0 {
-			m.model.Apply(m.mem, l.c.writes, l.c.writeVals)
-		}
+	if c := m.lane.cur; len(c.writes) > 0 {
+		m.model.Apply(m.mem, c.writes, c.writeVals)
 	}
 }
 
-// record hands l the phase before the writes apply: the lanes' columns
-// as staged, their write values, and a block copy of the cells the reads
+// record hands l the phase before the writes apply: the lane's columns
+// as staged, its write values, and a block copy of the cells the reads
 // observed.
 func (m *Mem[V]) record(l *EventLog) {
-	vals := recordLanes[V, MemCtx[V], V](l, &m.Core, m.lanes, m.model, KindWrite, false)
-	for _, ln := range m.lanes {
-		for i := 0; i < len(ln.cur.readAddrs); {
-			a, n, next := Run(ln.cur.readAddrs, i)
-			vals, i = vals[copy(vals, m.mem[a:int(a)+n]):], next
-		}
+	vals := recordLane[V, MemCtx[V], V](l, &m.Core, &m.lane, m.model, KindWrite, false)
+	c := m.lane.cur
+	for i := 0; i < len(c.readAddrs); {
+		a, n, next := Run(c.readAddrs, i)
+		vals, i = vals[copy(vals, m.mem[a:int(a)+n]):], next
 	}
-	for _, ln := range m.lanes {
-		vals = vals[copy(vals, ln.cur.writeVals):]
-	}
+	copy(vals, c.writeVals)
 }
 
 // corrupt damages one committed cell (zero value) to model a transient

@@ -48,8 +48,7 @@ type Request struct {
 }
 
 // Observer receives the structured event stream of a machine run. Events
-// are emitted from the coordinating goroutine in a deterministic order
-// that is identical for every Workers setting:
+// are emitted in a deterministic order:
 //
 //   - PhaseStart fires when a phase (BSP: superstep) begins, before any
 //     processor body runs.
@@ -72,7 +71,7 @@ type Request struct {
 // no Request and no PhaseEnd; the recovery stall that follows is a
 // request-free committed phase (PhaseStart then PhaseEnd); the retried
 // attempt then starts at the next phase index. The full stream, faults
-// included, stays byte-identical for every Workers setting.
+// included, is byte-identical on every rerun.
 type Observer interface {
 	PhaseStart(phase int)
 	Request(phase int, r Request)
@@ -115,7 +114,7 @@ func (c *Core) observePhaseEnd(pc cost.PhaseCost) {
 
 // EventLog is a ready-made Observer that records the event stream
 // compactly and renders text lazily. The engine hands an attached log one
-// record per committed phase: the lanes' spans, their read and write
+// record per committed phase: the lane's spans, its read and write
 // column words as staged (plain, run and fill), the write values, and a
 // block copy of the values the reads observed, taken before the writes
 // apply. Only reading the log (Len, Lines, String) expands the runs and
@@ -125,8 +124,8 @@ func (c *Core) observePhaseEnd(pc cost.PhaseCost) {
 // Storage grows in pages that are never copied, and Reset keeps them, so
 // a recycled log observes its next run allocation-free at steady state.
 // PhaseStart, Request and PhaseEnd record one event each, also for a log
-// fed by hand. The text is part of the determinism contract: runs at
-// different Workers settings give byte-identical logs.
+// fed by hand. The text is part of the determinism contract: reruns of a
+// program give byte-identical logs.
 type EventLog struct {
 	events []logEvent //repro:pooled
 	// ends holds the PhaseEnd cost records and recs the phase records; an
@@ -158,10 +157,9 @@ const (
 )
 
 // phaseRec is one committed phase in an EventLog: nReads read words and
-// then the write words (of kind; PackWrite entries if packed), each
-// lane's after the previous lane's, the lanes' spans rebased to them, and
-// in stores[store] one value per read cell (nReadVals) and then the write
-// values, which r renders.
+// then the write words (of kind; PackWrite entries if packed), the lane's
+// spans over them, and in stores[store] one value per read cell
+// (nReadVals) and then the write values, which r renders.
 type phaseRec struct {
 	spans, words, vals       loc
 	nReads, nReadVals, store int32
@@ -217,31 +215,22 @@ type valueStore interface {
 	reset()
 }
 
-// recordLanes appends the phase's lanes to l as one record and returns
-// its values for the engine to fill: one per read cell, then the lanes'
-// write values (none in a packed store, whose entries hold their bits). A
-// phase without requests records nothing.
-func recordLanes[W, C, V any](l *EventLog, c *Core, lanes []*lane[W, C], r interface{ Render(V) string },
+// recordLane appends the phase's lane to l as one record and returns its
+// values for the engine to fill: one per read cell, then the lane's write
+// values (none in a packed store, whose entries hold their bits). A phase
+// without requests records nothing.
+func recordLane[W, C, V any](l *EventLog, c *Core, ln *lane[W, C], r interface{ Render(V) string },
 	kind RequestKind, packed bool) []V {
-	var ns, nr, nw, nrv, nwv int
-	for _, ln := range lanes {
-		ns, nr, nw = ns+len(ln.spans), nr+len(ln.cur.readAddrs), nw+len(ln.cur.writes)
-		nrv, nwv = nrv+colCells(ln.cur.readAddrs), nwv+len(ln.cur.writeVals)
-	}
-	if ns == 0 {
+	if len(ln.spans) == 0 {
 		return nil
 	}
-	rec := phaseRec{nReads: int32(nr), nReadVals: int32(nrv), kind: kind, packed: packed, r: r}
-	spans, words := l.spans.reserve(ns, &rec.spans), l.words.reserve(nr+nw, &rec.words)
-	vals := valuesFor[V](l, &rec.store).reserve(nrv+nwv, &rec.vals)
-	ns, rb, wb := 0, int32(0), int32(0)
-	for _, ln := range lanes {
-		for _, s := range ln.spans {
-			spans[ns], ns = span{s.proc, s.r1 + rb, s.w1 + wb}, ns+1
-		}
-		rb += int32(copy(words[rb:], ln.cur.readAddrs))
-		wb += int32(copy(words[nr+int(wb):], ln.cur.writes))
-	}
+	reads, writes := ln.cur.readAddrs, ln.cur.writes
+	nrv := colCells(reads)
+	rec := phaseRec{nReads: int32(len(reads)), nReadVals: int32(nrv), kind: kind, packed: packed, r: r}
+	copy(l.spans.reserve(len(ln.spans), &rec.spans), ln.spans)
+	words := l.words.reserve(len(reads)+len(writes), &rec.words)
+	copy(words[copy(words, reads):], writes)
+	vals := valuesFor[V](l, &rec.store).reserve(nrv+len(ln.cur.writeVals), &rec.vals)
 	l.events = append(l.events, logEvent{kind: evRecord, phase: int32(c.curPhase), addr: int32(len(l.recs))})
 	l.recs = append(l.recs, rec)
 	return vals

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/sched"
 )
 
 // RouteModel is the adapter contract of a message-routing machine (the
@@ -51,17 +50,17 @@ func (s *Sends[M]) Fail(err error) {
 func (s *Sends[M]) base() *cursor[M] { return &s.c }
 
 // Route is the message-routing superstep engine. Machine adapters embed
-// it and gain the superstep lifecycle: chunked body dispatch, the routing
+// it and gain the superstep lifecycle: body dispatch, the routing
 // column barrier with h-relation measurement, deterministic delivery into
 // ping-ponged inboxes, and observer emission.
 type Route[M any] struct {
 	Core
 	model RouteModel[M]
 
-	// lanes holds one request lane per dispatch chunk, as in the
-	// shared-memory engine.
-	lanes []*lane[M, Sends[M]] //repro:pooled
-	inbox [][]M                //repro:pooled
+	// lane is the machine's request lane, as in the shared-memory
+	// engine.
+	lane  lane[M, Sends[M]]
+	inbox [][]M //repro:pooled
 	// spare ping-pongs with inbox: last superstep's inbox slices are
 	// truncated and refilled as the next superstep's delivery target.
 	spare [][]M //repro:pooled
@@ -71,16 +70,17 @@ type Route[M any] struct {
 	// Column-barrier scratch (see gather): merger counts the senders'
 	// fan-in in process, and bkDsts is the p-long column-of-columns
 	// header handed to an attached Backend (the destination columns are
-	// borrowed from the lanes).
+	// borrowed from the lane).
 	merger RouteMerger
 	bkDsts [][]int32 //repro:pooled
 }
 
 // InitRoute prepares the engine for a machine with the given model,
-// parameters, input size and worker budget, with empty inboxes.
-func (r *Route[M]) InitRoute(model RouteModel[M], params cost.Params, n, workers int) {
-	r.Core.Init(model, params, n, workers)
+// parameters and input size, with empty inboxes.
+func (r *Route[M]) InitRoute(model RouteModel[M], params cost.Params, n int) {
+	r.Core.Init(model, params, n)
 	r.model = model
+	r.lane.init(nil)
 	r.inbox = make([][]M, params.P)
 	r.spare = make([][]M, params.P)
 }
@@ -91,17 +91,15 @@ func (r *Route[M]) InitRoute(model RouteModel[M], params cost.Params, n, workers
 // sender).
 func (r *Route[M]) Incoming(i int) []M { return r.inbox[i] } //lint:colescape-ok documented borrow point: the pooled inbox row is valid until the next superstep commit
 
-// Superstep runs one superstep: body is invoked once per component
-// (concurrently over contiguous chunks) with the component's staging
+// Superstep runs one superstep: body is invoked once per component, in
+// ascending order, with the component's staging
 // handle; at the barrier the h-relation is measured, the superstep is
 // charged under the model's cost rule, and staged messages are routed
 // into the inboxes for the next superstep (see Core.commit and gather).
 // Superstep is a no-op once the machine has erred.
 func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
-	p, w := r.P(), r.Workers()
-	r.lanes = useLanes(r.lanes, sched.NumBlocks(w, p), nil)
-	r.runPhase(w, p, func(k, lo, hi int) (int32, error) {
-		return r.lanes[k].run(&r.Core, lo, hi, func(s *Sends[M]) { body(s.c.proc, s) })
+	r.runPhase(func() (int32, error) {
+		return r.lane.run(&r.Core, r.P(), func(s *Sends[M]) { body(s.c.proc, s) })
 	}, r)
 }
 
@@ -149,18 +147,15 @@ func (r *Route[M]) corrupt(v Verdict) {
 }
 
 // gather is the routing half of the barrier's merge: w and the send side
-// of the h-relation are the maxima of the lanes' maxima, and the receive
+// of the h-relation are the lane's maxima, and the receive
 // side is counted by RouteMerger over the senders' own destination
 // columns, or — with a backend attached — by the Backend over a p-long
 // view of them. Routing has no access rule to violate.
 func (r *Route[M]) gather() (Outcome, int32, error) {
-	var o Outcome
-	for _, l := range r.lanes {
-		o.MaxOps, o.MaxRW = max(o.MaxOps, l.mOp), max(o.MaxRW, l.mRW)
-	}
+	o := Outcome{MaxOps: r.lane.mOp, MaxRW: r.lane.mRW}
 	var st RouteStats
 	if r.backend != nil {
-		r.bkDsts = colViews(r.bkDsts, r.P(), r.lanes, true)
+		r.bkDsts = colViews(r.bkDsts, r.P(), &r.lane, true)
 		var err error
 		st, err = r.backend.MergeRoute(RouteMergeReq{
 			Phase: r.curPhase, Attempt: r.attempt, P: r.P(), Dsts: r.bkDsts,
@@ -169,15 +164,12 @@ func (r *Route[M]) gather() (Outcome, int32, error) {
 			return o, -1, err
 		}
 	} else {
-		// Fan-in counts messages, not senders, so each lane's whole
+		// Fan-in counts messages, not senders, so the lane's whole
 		// destination column counts at once.
 		g := &r.merger
 		g.begin(0, r.P())
-		var col [1][]int32
-		for _, l := range r.lanes {
-			col[0] = l.cur.writes
-			g.dsts(col[:])
-		}
+		col := [1][]int32{r.lane.cur.writes}
+		g.dsts(col[:])
 		st = g.end()
 	}
 	o.MaxRW = max(o.MaxRW, st.HRecv)
@@ -191,7 +183,7 @@ func (r *Route[M]) poison(_ int32, v Verdict) {
 		r.model.Name(), r.Report().NumPhases(), v.Err))
 }
 
-// apply routes the staged messages straight from the lanes into the
+// apply routes the staged messages straight from the lane into the
 // spare inboxes, truncated first, by ascending sender, and swaps them
 // in, so each inbox receives its messages grouped by sender in issue
 // order.
@@ -200,20 +192,15 @@ func (r *Route[M]) apply() {
 	for i := range next {
 		next[i] = next[i][:0]
 	}
-	for _, l := range r.lanes {
-		msgs := l.cur.writeVals
-		for j, d := range l.cur.writes {
-			next[d] = append(next[d], msgs[j])
-		}
+	msgs := r.lane.cur.writeVals
+	for j, d := range r.lane.cur.writes {
+		next[d] = append(next[d], msgs[j])
 	}
 	r.spare, r.inbox = r.inbox, next
 }
 
-// record hands l the superstep before delivery: the lanes' destination
-// columns and their messages.
+// record hands l the superstep before delivery: the lane's destination
+// column and its messages.
 func (r *Route[M]) record(l *EventLog) {
-	vals := recordLanes[M, Sends[M], M](l, &r.Core, r.lanes, r.model, KindSend, false)
-	for _, ln := range r.lanes {
-		vals = vals[copy(vals, ln.cur.writeVals):]
-	}
+	copy(recordLane[M, Sends[M], M](l, &r.Core, &r.lane, r.model, KindSend, false), r.lane.cur.writeVals)
 }

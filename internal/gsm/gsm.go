@@ -125,7 +125,9 @@ type Config struct {
 	N int
 	// Cells is the shared-memory size.
 	Cells int
-	// Workers caps simulation parallelism; 0 means GOMAXPROCS.
+	// Workers is validated (it must be ≥ 0) and has no effect on how
+	// the machine runs: every phase runs its bodies on the calling
+	// goroutine.
 	Workers int
 }
 
@@ -140,7 +142,7 @@ func New(c Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{}
-	m.InitMem(gsmModel{m}, p, c.N, c.Workers, c.Cells)
+	m.InitMem(gsmModel{m}, p, c.N, c.Cells)
 	return m, nil
 }
 
@@ -213,11 +215,6 @@ func (m *Machine) Peek(addr int) Info {
 // ErrViolation wraps GSM memory-access-rule violations.
 var ErrViolation = errors.New("gsm: memory access rule violation")
 
-// gsmGrain is the minimum processors-per-chunk before a GSM phase spawns
-// worker goroutines: the proof-machinery enumerations run thousands of
-// tiny-p machines, and those stay on the inline fast path.
-const gsmGrain = 64
-
 // gsmModel binds the engine's shared-memory runtime to the GSM:
 // Info-valued cells, the strong-queuing merge commit, and big-step
 // accounting.
@@ -227,12 +224,10 @@ func (md gsmModel) Name() string     { return "GSM" }
 func (md gsmModel) Entity() string   { return "processor" }
 func (md gsmModel) Prefix() string   { return "gsm" }
 func (md gsmModel) Violation() error { return ErrViolation }
-func (md gsmModel) Grain() int       { return gsmGrain }
 
 // Apply merges the phase's writes into the cells, a run cell by cell and
 // a fill run's one value into each of its cells (strong queuing: set
-// union is order-insensitive, so the merged contents are deterministic
-// for every Workers setting).
+// union is order-insensitive, so the merged contents are deterministic).
 func (md gsmModel) Apply(mem []Info, addrs []int32, vals []Info) {
 	for i, j := 0, 0; i < len(addrs); {
 		a, n, next, fill := engine.RunFill(addrs, i)

@@ -34,7 +34,7 @@ func NewBool(c Config) (*BoolMachine, error) {
 		return nil, fmt.Errorf("qsm: QSM(g,d) requires d ≥ 1, got %d", c.D)
 	}
 	m := &BoolMachine{rule: c.Rule}
-	if err := m.InitBits(boolModel{m}, p, c.N, c.Workers, c.MemCells); err != nil {
+	if err := m.InitBits(boolModel{m}, p, c.N, c.MemCells); err != nil {
 		return nil, err
 	}
 	return m, nil

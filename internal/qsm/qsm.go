@@ -29,7 +29,7 @@
 //     violation (the QSM permits concurrent reads or concurrent writes to a
 //     location, "but not both") and aborts the run with an error.
 //
-// The phase lifecycle — chunked concurrent dispatch, the deterministic
+// The phase lifecycle — body dispatch, the deterministic
 // column barrier merge, cost accounting and observer events — lives in
 // internal/engine; this package is the thin model adapter binding that
 // runtime to the QSM-family cost rules and last-writer-wins commit.
@@ -72,7 +72,9 @@ type Config struct {
 	N int
 	// MemCells is the initial shared-memory size in cells.
 	MemCells int
-	// Workers caps simulation parallelism; 0 means GOMAXPROCS.
+	// Workers is validated (it must be ≥ 0) and has no effect on how
+	// the machine runs: every phase runs its bodies on the calling
+	// goroutine.
 	Workers int
 }
 
@@ -86,7 +88,7 @@ func New(c Config) (*Machine, error) {
 		return nil, fmt.Errorf("qsm: QSM(g,d) requires d ≥ 1, got %d", c.D)
 	}
 	m := &Machine{rule: c.Rule}
-	m.InitMem(qsmModel{m}, p, c.N, c.Workers, c.MemCells)
+	m.InitMem(qsmModel{m}, p, c.N, c.MemCells)
 	return m, nil
 }
 
@@ -196,7 +198,6 @@ func (md qsmModel) Name() string     { return md.m.rule.String() }
 func (md qsmModel) Entity() string   { return "processor" }
 func (md qsmModel) Prefix() string   { return "qsm" }
 func (md qsmModel) Violation() error { return ErrViolation }
-func (md qsmModel) Grain() int       { return 1 }
 
 // Apply commits a request column of writes last-writer-wins; the engine
 // hands it the writes in ascending processor order, so the winner at each

@@ -31,8 +31,10 @@ import (
 //     are steadier and fail beyond a 25% growth.
 //
 // The committed snapshot (BENCH_pr34.json) is the baseline CI diffs
-// against; regenerate it with `make bench` (GOMAXPROCS=2: allocs/op
-// depend on it) after intentional performance or cost-model changes. It
+// against; regenerate it with `make bench` (GOMAXPROCS=2, so the host's
+// core count does not move ns/op; a machine runs its phases on one
+// goroutine, so allocs/op do not depend on it) after intentional
+// performance or cost-model changes. It
 // keeps the fastest of three runs per row (FastestOf), while the gate
 // measures once.
 

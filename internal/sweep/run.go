@@ -22,7 +22,8 @@ type Options struct {
 	MaxCells int
 	// MaxCost is the n·p footprint ceiling (0 = DefaultMaxCost).
 	MaxCost int64
-	// Workers caps simulation parallelism (0 = GOMAXPROCS).
+	// Workers is handed to every machine's Config, which validates it
+	// (it must be ≥ 0); it has no effect on how a machine runs.
 	Workers int
 	// Deadline is the fault-cell watchdog (0 = chaos.DefaultDeadline).
 	Deadline time.Duration
@@ -55,8 +56,9 @@ type Summary struct {
 }
 
 // Run executes the cells in grid order, skipping any whose key already
-// appears in the resumed output. Cells run sequentially — the simulators
-// parallelize internally via Workers, and sequential execution keeps the
+// appears in the resumed output. Cells run one after another, each
+// machine on the calling goroutine (Workers is validated and has no
+// effect on how a machine runs), and sequential execution keeps the
 // record order (and therefore the JSONL byte stream) deterministic,
 // which is what makes interrupted-and-resumed sweeps byte-comparable to
 // uninterrupted ones.

@@ -20,7 +20,8 @@ const DefaultMaxCost = int64(1) << 27
 type RunConfig struct {
 	// MaxCost is the n·p footprint ceiling (0 = DefaultMaxCost).
 	MaxCost int64
-	// Workers caps simulation parallelism (0 = GOMAXPROCS).
+	// Workers is handed to every machine's Config, which validates it
+	// (it must be ≥ 0); it has no effect on how a machine runs.
 	Workers int
 	// Deadline is the fault-cell watchdog (0 = chaos.DefaultDeadline).
 	Deadline time.Duration
