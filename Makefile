@@ -23,12 +23,9 @@ lint-sarif:
 baseline:
 	go run ./cmd/reprolint -baseline .reprolint-baseline.json -write-baseline ./...
 
-# Dump the control-flow graph the dataflow and concurrency analyzers
-# build for one function, e.g.
+# Dump the control-flow graph the dataflow analyzer builds for one
+# function, e.g.
 #   make cfg-debug FN=internal/engine/engine.go:commit
-# or, to see spawn sites, select clause kinds and defer-unlock edges on
-# the distributed coordinator:
-#   make cfg-debug FN=internal/backend/proc/coord.go:acceptLoop
 cfg-debug:
 	go run ./cmd/reprolint -cfg-debug $(FN)
 

@@ -3,10 +3,8 @@
 // commit-barrier contract (barrier: sanctioned engine writers, read-only
 // observers, one injector consult from Core.commit), the interprocedural
 // fault/sentinel contracts (sentinelwrap, costbalance) built on
-// per-function fact summaries, the CFG-based dataflow contract
-// (colescape), and the concurrency contracts (goleak, lockorder,
-// atomicmix) covering goroutine lifecycle, lock discipline and atomic
-// access discipline. The directives check reports //lint:<name>-ok
+// per-function fact summaries, and the CFG-based dataflow contract
+// (colescape). The directives check reports //lint:<name>-ok
 // directives that name no analyzer and unknown or misplaced //repro:
 // markers. The engine declares the facts colescape needs at the
 // declaration itself: //repro:pooled on the fields holding phase-scoped
@@ -19,8 +17,11 @@
 // tests: internal/core's TestRegistryRerunIsIdentical runs every registry
 // point twice in one process, so a draw from math/rand's global source
 // fails; the engine's SteadyStateAllocs tests pin a warm phase's exact
-// allocation count; and TestRollbackRestoresCostExactly checks that a
-// rolled-back phase leaves exactly the state it started from.
+// allocation count; TestRollbackRestoresCostExactly checks that a
+// rolled-back phase leaves exactly the state it started from; and the
+// proc backend's goroutine, lock and atomic contracts are owned by its
+// leak checks, TestCloseDuringSpawnReturnsPromptly and go vet's
+// copylocks check (DESIGN.md §5, "Concurrency contracts").
 //
 // It runs two ways. As a standalone driver over package patterns:
 //

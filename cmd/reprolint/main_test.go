@@ -77,7 +77,7 @@ func TestVetToolProtocol(t *testing.T) {
 	for _, fl := range flags {
 		names[fl.Name] = true
 	}
-	want := []string{"json", "maporder", "wallclock", "barrier", "sentinelwrap", "costbalance", "colescape", "goleak", "lockorder", "atomicmix", "directives"}
+	want := []string{"json", "maporder", "wallclock", "barrier", "sentinelwrap", "costbalance", "colescape", "directives"}
 	for _, w := range want {
 		if !names[w] {
 			t.Errorf("-flags missing %q: %s", w, out)

@@ -1,41 +1,28 @@
 // Package cfg builds intraprocedural control-flow graphs over Go
-// function bodies for the reprolint dataflow analyzer (colescape) and
-// concurrency analyzers (goleak, lockorder). Like the rest of the analysis framework it is a
-// deliberately small, dependency-free mirror of the x/tools shape
-// (golang.org/x/tools/go/cfg): this build environment has no module
-// proxy, so the builder is implemented on the standard library alone.
+// function bodies for the reprolint dataflow analyzer (colescape). Like
+// the rest of the analysis framework it is a deliberately small,
+// dependency-free mirror of the x/tools shape (golang.org/x/tools/go/cfg):
+// this build environment has no module proxy, so the builder is
+// implemented on the standard library alone.
 //
 // The graph is syntactic — it needs no type information — and models the
 // control constructs the contract analyzers care about:
 //
 //   - if/else, for (init/cond/post), range, plain blocks;
 //   - switch and type switch, including fallthrough;
-//   - select, with each communication clause in its own kinded block
-//     (select.recv / select.send / select.default), so analyzers can tell
-//     a blocking dispatch from a non-blocking one and find the
-//     `case <-done:` exit clauses the goroutine-lifecycle check proves
-//     dominance with;
+//   - select, with each communication clause in its own block;
 //   - labeled break/continue, goto, and labels as join points;
 //   - short-circuit && and || in branch conditions: each operand
 //     evaluates in its own block, so a guard like `addr < 0 || addr >= n`
 //     contributes blocks that every fallthrough path must cross;
 //   - return and calls to panic as terminal edges to the exit block.
 //
-// Concurrency constructs are surfaced for the PR-10 analyzers: go
-// statements are straight-line nodes for the spawner but every spawn site
-// is recorded in Gos (the spawned body is a separate graph the analyzer
-// builds, like any function literal), and channel sends/receives stay in
-// their blocks as ordinary nodes where a held-lock dataflow can see them.
-//
-// defer is recorded (Defers) but deferred execution is not given edges:
-// the analyzers treat deferred calls as running at every exit, which is
-// sound for the may-analyses built here. Deferred mutex releases get one
-// refinement: a `defer mu.Unlock()` is additionally recorded in
-// DeferUnlocks, and its release happens on the exit edge only — the
-// lock-discipline analyzer keeps the mutex held from the Lock through
-// every remaining node of the body, never releasing it mid-block.
-// Function literal bodies are not inlined into the enclosing graph;
-// analyzers walk them separately.
+// go statements are straight-line nodes: launching never blocks, and the
+// spawned body is not part of the spawner's graph. defer is recorded
+// (Defers) but deferred execution is not given edges: the analyzers
+// treat deferred calls as running at every exit, which is sound for the
+// may-analyses built here. Function literal bodies are not inlined into
+// the enclosing graph; analyzers walk them separately.
 package cfg
 
 import (
@@ -75,17 +62,6 @@ type Graph struct {
 	// Defers are the deferred calls of the body in source order; they
 	// run at every exit (no explicit edges are built).
 	Defers []*ast.CallExpr
-	// DeferUnlocks are the deferred mutex releases (`defer mu.Unlock()`
-	// / `defer mu.RUnlock()`, matched syntactically by method name) in
-	// source order. A deferred unlock releases on the exit edge only:
-	// the lock stays held through every node after the Lock, which is
-	// what makes "blocking call while a mutex is held" checkable.
-	DeferUnlocks []*ast.DeferStmt
-	// Gos are the go statements of the body in source order — the spawn
-	// sites the goroutine-lifecycle analyzer walks. The spawned call is
-	// a straight-line node for the spawner (launching never blocks);
-	// the spawned body is analyzed as its own graph.
-	Gos []*ast.GoStmt
 }
 
 // New builds the control-flow graph of one function body. name labels
@@ -117,34 +93,6 @@ func (g *Graph) Reachable() map[*Block]bool {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
-// ReachesExit returns the set of blocks from which the exit block is
-// reachable, computed over reversed edges. It is the goroutine-lifecycle
-// primitive: a spawned body has a statically provable exit path exactly
-// when every reachable block is in this set — a reachable block outside
-// it is a loop (or a forever-blocking select) control can enter but
-// never leave.
-func (g *Graph) ReachesExit() map[*Block]bool {
-	preds := make(map[*Block][]*Block, len(g.Blocks))
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	seen := map[*Block]bool{g.Exit: true}
-	stack := []*Block{g.Exit}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range preds[b] {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
 			}
 		}
 	}
@@ -251,12 +199,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.cur = nil
 	case *ast.DeferStmt:
 		b.g.Defers = append(b.g.Defers, st.Call)
-		if IsUnlockCall(st.Call) {
-			b.g.DeferUnlocks = append(b.g.DeferUnlocks, st)
-		}
-		b.add(st)
-	case *ast.GoStmt:
-		b.g.Gos = append(b.g.Gos, st)
 		b.add(st)
 	case *ast.ExprStmt:
 		b.add(st)
@@ -272,14 +214,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		// Assignments, declarations, sends, inc/dec: straight-line.
 		b.add(st)
 	}
-}
-
-// IsUnlockCall matches a mutex release by method name (x.Unlock /
-// x.RUnlock). The builder is syntactic; analyzers that rely on the match
-// re-check the receiver's type before trusting it.
-func IsUnlockCall(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && (sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock")
 }
 
 // isPanic reports whether the expression statement is a call to the
@@ -494,7 +428,7 @@ func (b *builder) selectStmt(st *ast.SelectStmt) {
 	b.frames = append(b.frames, frame{label: label, brk: after})
 	for _, cs := range st.Body.List {
 		cc := cs.(*ast.CommClause)
-		clause := b.newBlock(commKind(cc))
+		clause := b.newBlock("select.case")
 		b.edge(dispatch, clause)
 		if cc.Comm != nil {
 			clause.Nodes = append(clause.Nodes, cc.Comm)
@@ -507,22 +441,6 @@ func (b *builder) selectStmt(st *ast.SelectStmt) {
 	}
 	b.frames = b.frames[:len(b.frames)-1]
 	b.cur = after
-}
-
-// commKind names a select clause block by its communication operation, so
-// analyzers (and -cfg-debug readers) can find receive clauses — the
-// `case <-ctx.Done():` exit edges — and tell a blocking select from one
-// with a default.
-func commKind(cc *ast.CommClause) string {
-	switch cc.Comm.(type) {
-	case nil:
-		return "select.default"
-	case *ast.SendStmt:
-		return "select.send"
-	default:
-		// ExprStmt (`<-ch`) or AssignStmt (`v := <-ch`).
-		return "select.recv"
-	}
 }
 
 func (b *builder) labeledStmt(st *ast.LabeledStmt) {

@@ -90,12 +90,6 @@ func (g *Graph) Dump(fset *token.FileSet) string {
 	if len(g.Defers) > 0 {
 		fmt.Fprintf(&sb, ", %d defers", len(g.Defers))
 	}
-	if len(g.DeferUnlocks) > 0 {
-		fmt.Fprintf(&sb, " (%d unlock at exit)", len(g.DeferUnlocks))
-	}
-	if len(g.Gos) > 0 {
-		fmt.Fprintf(&sb, ", %d spawns", len(g.Gos))
-	}
 	sb.WriteByte('\n')
 	reach := g.Reachable()
 	for _, b := range g.Blocks {
@@ -148,9 +142,6 @@ func nodeLabel(n ast.Node) string {
 		}
 		return x.Tok.String()
 	case *ast.DeferStmt:
-		if IsUnlockCall(x.Call) {
-			return "defer-unlock " + callLabel(x.Call)
-		}
 		return "defer " + callLabel(x.Call)
 	case *ast.GoStmt:
 		return "go " + callLabel(x.Call)

@@ -1,8 +1,7 @@
 // Package interproc is the interprocedural layer of the reprolint
 // framework: a per-package call graph with stable function symbols, plus
 // the propagation helpers the contract analyzers (barrier, sentinelwrap,
-// costbalance, colescape) and the concurrency analyzers (goleak,
-// lockorder) build their per-function summaries on.
+// costbalance, colescape) build their per-function summaries on.
 //
 // The design mirrors how fact-based go/analysis analyzers stay modular
 // under cmd/go's build cache: each package is analyzed exactly once, its

@@ -6,12 +6,9 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/barrier"
 	"repro/internal/analysis/colescape"
 	"repro/internal/analysis/costbalance"
-	"repro/internal/analysis/goleak"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/sentinelwrap"
 	"repro/internal/analysis/wallclock"
@@ -19,10 +16,8 @@ import (
 
 // Analyzers returns the full reprolint suite: the per-file determinism
 // checks first, then the interprocedural contract analyzers (the commit
-// barrier among them), then the CFG-based dataflow analyzers, then the
-// concurrency analyzers (goroutine lifecycle, lock discipline, atomic
-// access discipline), and last the directives check, which knows every
-// other analyzer's name.
+// barrier among them), then the CFG-based dataflow analyzer, and last the
+// directives check, which knows every other analyzer's name.
 func Analyzers() []*analysis.Analyzer {
 	list := []*analysis.Analyzer{
 		maporder.Analyzer,
@@ -31,9 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		sentinelwrap.Analyzer,
 		costbalance.Analyzer,
 		colescape.Analyzer,
-		goleak.Analyzer,
-		lockorder.Analyzer,
-		atomicmix.Analyzer,
 	}
 	return append(list, analysis.Directives(list))
 }

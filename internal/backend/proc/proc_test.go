@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,11 +32,34 @@ func testOptions(workers int) proc.Options {
 
 func newCoord(t *testing.T, workers int) *proc.Coordinator {
 	t.Helper()
-	c, err := proc.New(testOptions(workers))
+	return newCoordWith(t, testOptions(workers))
+}
+
+// newCoordWith starts a coordinator that the test's cleanup closes, then
+// checks for leaks: every goroutine the coordinator started (accept and
+// handshake loops, readers, reapers) must be gone within a deadline of
+// Close, or the test fails with the full stack dump naming the leaker.
+// The goroutine count is process-wide, so no proc test runs in parallel.
+func newCoordWith(t *testing.T, opt proc.Options) *proc.Coordinator {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	c, err := proc.New(opt)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() {
+		c.Close()
+		const wait = 10 * time.Second
+		deadline := time.Now().Add(wait)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines alive %v after Close, baseline %d:\n%s",
+					runtime.NumGoroutine(), wait, baseline, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 	return c
 }
 
@@ -261,11 +285,7 @@ func TestDupRealizeIsHarmless(t *testing.T) {
 func TestRespawnBudgetExhaustionPermanent(t *testing.T) {
 	opt := testOptions(1)
 	opt.RespawnMax = 1
-	c, err := proc.New(opt)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer c.Close()
+	c := newCoordWith(t, opt)
 	req := randomMemReq(rand.New(rand.NewSource(9)), 2, 16, false)
 	kill := func() {
 		c.Realize(engine.InjectCtx{Cells: 16}, engine.Verdict{Class: engine.FaultCrash, Proc: 0})
@@ -276,7 +296,7 @@ func TestRespawnBudgetExhaustionPermanent(t *testing.T) {
 		t.Fatalf("first respawn should absorb the kill: %v", err)
 	}
 	kill()
-	_, err = c.MergeMem(req)
+	_, err := c.MergeMem(req)
 	var te *engine.TransportError
 	if !errors.As(err, &te) || !te.Permanent {
 		t.Fatalf("budget exhausted: err = %v, want permanent TransportError", err)

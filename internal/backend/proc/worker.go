@@ -69,7 +69,6 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 	send := func(frame []byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		//lint:lockorder-ok wmu exists precisely to serialize merge and heartbeat frames on this socket; it guards nothing else, so holding it across the bounded Unix-socket write cannot deadlock
 		return writeFrame(conn, frame)
 	}
 

@@ -8,14 +8,14 @@ import (
 	"repro/internal/fault"
 )
 
-// TestProcBackendGoroutineHygiene pins the coordinator's goroutine
-// lifecycle: after a chaos run over the proc backend — crash faults
-// included, so the respawn and kill paths all fire — Close must tear
-// down every acceptLoop, readLoop and reaper goroutine. NumGoroutine
-// must return to its pre-run baseline within a bounded wait; on timeout
-// the full stack dump names the leaker. The static goleak analyzer
-// proves each spawned goroutine has an exit path; this is the runtime
-// check that those paths are actually taken.
+// TestProcBackendGoroutineHygiene owns the goroutine lifecycle of chaos
+// runs: once Run returns, every goroutine the run started must be gone
+// within a bounded wait. One scenario runs in-proc, which covers Run's
+// runner goroutine. One runs over the proc backend with crash faults, so
+// the respawn and kill paths all fire and Close must then tear down every
+// acceptLoop, handshake, readLoop and reaper goroutine. On timeout the
+// full stack dump names the leaker. The goroutine count is process-wide,
+// so no chaos test runs in parallel.
 func TestProcBackendGoroutineHygiene(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
@@ -24,28 +24,27 @@ func TestProcBackendGoroutineHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
-	sc := Scenario{
-		Model: "qsm", Alg: "parity", N: 32, Seed: 3,
-		Specs: specs, Degraded: true,
-		Backend: "proc", ProcWorkers: 2,
-	}
-	o := Run(nil, sc, 30*time.Second, 0)
-	if err := o.Invariant(); err != nil {
-		t.Fatal(err)
-	}
+	for _, backend := range []string{"inproc", "proc"} {
+		baseline := runtime.NumGoroutine()
+		sc := Scenario{
+			Model: "qsm", Alg: "parity", N: 32, Seed: 3,
+			Specs: specs, Degraded: true,
+			Backend: backend, ProcWorkers: 2,
+		}
+		o := Run(nil, sc, 30*time.Second, 0)
+		if err := o.Invariant(); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline {
-			return
+		const wait = 10 * time.Second
+		deadline := time.Now().Add(wait)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s: %d goroutines alive %v after Run, baseline %d:\n%s",
+					backend, runtime.NumGoroutine(), wait, baseline, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines alive %v after Close, baseline %d:\n%s",
-				n, 10*time.Second, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
